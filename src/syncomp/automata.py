@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, FormatError, SizeMismatchError
 from .transform import Transformation
@@ -166,6 +166,22 @@ def reachable_trim(d: Dfa) -> Dfa:
     return Dfa(m, d.alphabet, delta, 0, finals)
 
 
+def _moore_classes(rows: Sequence[tuple[int, ...]],
+                   finals: frozenset[int]) -> list[int]:
+    """Moore refinement of the final/non-final split of the states acted on
+    by the image rows.  Returns each state's class, numbered by first
+    occurrence, so max + 1 is the number of classes."""
+    cls: list = [q in finals for q in range(len(rows[0]))]
+    while True:
+        sig: dict[tuple, int] = {}
+        get = cls.__getitem__
+        new = [sig.setdefault(key, len(sig))
+               for key in zip(cls, *[map(get, row) for row in rows])]
+        if new == cls:
+            return new
+        cls = new
+
+
 def minimize(d: Dfa) -> Dfa:
     """Unique minimal complete DFA, canonically numbered.
 
@@ -174,21 +190,7 @@ def minimize(d: Dfa) -> Dfa:
     quotient is renumbered by reachable_trim's BFS order.
     """
     d = reachable_trim(d)
-    cls = [1 if q in d.finals else 0 for q in range(d.n)]
-    if len(set(cls)) == 1:
-        cls = [0] * d.n
-    rows = [d.delta[a].images for a in d.alphabet]
-    while True:
-        sig: dict[tuple, int] = {}
-        new = []
-        for q in range(d.n):
-            key = (cls[q],) + tuple(cls[row[q]] for row in rows)
-            if key not in sig:
-                sig[key] = len(sig)
-            new.append(sig[key])
-        if new == cls:
-            break
-        cls = new
+    cls = _moore_classes([d.delta[a].images for a in d.alphabet], d.finals)
     k = max(cls) + 1
     rep = [0] * k
     for q in range(d.n - 1, -1, -1):
@@ -293,6 +295,10 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise FormatError(message, path)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is no 1
+
+
 def parse_dfa_json(source: str | Mapping) -> Dfa:
     """Parse the JSON DFA format, rejecting incomplete or out-of-range input.
 
@@ -313,7 +319,7 @@ def parse_dfa_json(source: str | Mapping) -> Dfa:
     for key in ("states", "alphabet", "transitions", "initial", "finals"):
         _require(key in obj, "missing field", key)
     n = obj["states"]
-    _require(isinstance(n, int) and n >= 1, "must be a positive integer", "states")
+    _require(_is_int(n) and n >= 1, "must be a positive integer", "states")
     alph = obj["alphabet"]
     _require(isinstance(alph, list) and alph, "must be a nonempty list", "alphabet")
     for i, a in enumerate(alph):
@@ -332,18 +338,19 @@ def parse_dfa_json(source: str | Mapping) -> Dfa:
         _require(len(row) == n, f"expected {n} entries, got {len(row)}",
                  f"transitions.{a}")
         for q, r in enumerate(row):
-            _require(isinstance(r, int) and 0 <= r < n,
+            _require(_is_int(r) and 0 <= r < n,
                      f"target {r!r} not a state in 0..{n - 1}",
                      f"transitions.{a}[{q}]")
         delta[a] = Transformation(tuple(row))
     init = obj["initial"]
-    _require(isinstance(init, int) and 0 <= init < n,
+    _require(_is_int(init) and 0 <= init < n,
              f"not a state in 0..{n - 1}", "initial")
     finals = obj["finals"]
     _require(isinstance(finals, list), "must be a list", "finals")
     for i, f in enumerate(finals):
-        _require(isinstance(f, int) and 0 <= f < n,
+        _require(_is_int(f) and 0 <= f < n,
                  f"not a state in 0..{n - 1}", f"finals[{i}]")
+    _require(len(set(finals)) == len(finals), "duplicate states", "finals")
     return Dfa(n, tuple(alph), delta, init, frozenset(finals))
 
 

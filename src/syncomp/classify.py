@@ -1,8 +1,9 @@
 """Ideal and closed-class classification of regular languages.
 
-Everything here works on the minimal DFA.  Ideal membership is decided
-twice — structurally on the automaton and semantically via language
-equations — and the two answers are asserted to agree.  The reported
+Everything here works on the minimal DFA.  Right-ideal membership is
+decided twice, structurally on the automaton and semantically via a
+language equation, and the two answers are asserted to agree; left-ideal
+membership is decided only semantically, by L = Σ*L.  The reported
 `bound` is the tightest provable sigma upper bound implied by the detected
 special quotients and unique-reachability flags; it is always sound
 (sigma <= bound), see _tightest_bound for the exact rule.
@@ -51,27 +52,21 @@ class Behavior:
     period: int
 
 
-def _orbit_period(images: tuple[int, ...], start: int) -> int:
+def _orbit(images: tuple[int, ...], start: int) -> tuple[tuple, int, int]:
+    """Behavior fields (orbit, loop_entry, period) of start, on tuples."""
     pos: dict[int, int] = {}
     q = start
     while q not in pos:
         pos[q] = len(pos)
         q = images[q]
-    return len(pos) - pos[q]
+    entry = pos[q]
+    return tuple(pos), entry, len(pos) - entry
 
 
 def behavior_of(d: Dfa, t: Transformation) -> Behavior:
     if t.n != d.n:
         raise SizeMismatchError(f"transformation on {t.n} states, DFA has {d.n}")
-    pos: dict[int, int] = {}
-    orbit: list[int] = []
-    q = d.initial
-    while q not in pos:
-        pos[q] = len(orbit)
-        orbit.append(q)
-        q = t(q)
-    entry = pos[q]
-    return Behavior(tuple(orbit), entry, len(orbit) - entry)
+    return Behavior(*_orbit(t.images, d.initial))
 
 
 def all_behaviors_aperiodic(d: Dfa, cap: int | None = None) -> bool:
@@ -81,7 +76,7 @@ def all_behaviors_aperiodic(d: Dfa, cap: int | None = None) -> bool:
     as one of them.
     """
     result = transition_semigroup(d, cap=cap, track_words=False)
-    return all(_orbit_period(t.images, d.initial) == 1 for t in result.elements)
+    return all(_orbit(t.images, d.initial)[2] == 1 for t in result.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +101,7 @@ def ruled_out_count_brute(n: int) -> int:
         raise ValueError("n must be positive")
     if n > 8:
         raise ValueError(f"brute enumeration of {n}^{n} transformations refused")
-    return sum(1 for t in product(range(n), repeat=n) if _orbit_period(t, 0) >= 2)
+    return sum(1 for t in product(range(n), repeat=n) if _orbit(t, 0)[2] >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,8 @@ def ruled_out_count_brute(n: int) -> int:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Class membership flags, special-quotient flags, and a sound bound."""
+    """Class membership flags, special-quotient flags, a sound bound, and
+    mu (sigma, plus one unless a nonempty word acts as the identity)."""
 
     kappa: int
     sigma: int
@@ -132,6 +128,7 @@ class ClassReport:
     l_uniquely_reachable: bool
     some_la_uniquely_reachable: bool
     bound: int
+    mu: int
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -195,7 +192,6 @@ def classify(d: Dfa, cap: int | None = None) -> ClassReport:
     """Minimize d, then report class membership, quotients, sigma, bound."""
     md = minimize(d)
     n = md.n
-    is_empty = n == 1 and not md.finals
     is_universal = n == 1 and bool(md.finals)
 
     sinks = [q for q in range(n) if _is_sink(md, q)]
@@ -234,17 +230,17 @@ def classify(d: Dfa, cap: int | None = None) -> ClassReport:
 
     pins = sum((has_empty_q, has_sigma_star_q, has_epsilon_q, has_sigma_plus_q))
     bound = _tightest_bound(n, pins, l_ur, la_ur)
-    sigma = transition_semigroup(md, cap=cap, track_words=False).sigma
+    semigroup = transition_semigroup(md, cap=cap, track_words=False)
 
     return ClassReport(
-        kappa=n, sigma=sigma,
+        kappa=n, sigma=semigroup.sigma,
         is_right_ideal=right, is_left_ideal=left, is_two_sided_ideal=two_sided,
         is_prefix_closed=prefix, is_suffix_closed=suffix,
         is_factor_closed=factor,
         has_empty_q=has_empty_q, has_sigma_star_q=has_sigma_star_q,
         has_epsilon_q=has_epsilon_q, has_sigma_plus_q=has_sigma_plus_q,
         l_uniquely_reachable=l_ur, some_la_uniquely_reachable=la_ur,
-        bound=bound,
+        bound=bound, mu=semigroup.mu,
     )
 
 

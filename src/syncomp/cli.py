@@ -1,13 +1,15 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 verification mismatch (tables, reverse --family
-against its closed form, oracle disagreement), 2 usage or parse error.
+against its closed form, oracle disagreement), 2 usage or parse error,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from .automata import (emit_dfa_json, minimize, determinize,
 from .classify import classify, ruled_out_count_brute, ruled_out_count_formula
 from .errors import FormatError
 from .oracles import word_bfs_sigma
-from .search import PruneFlags, SearchTask, search_max_sigma
+from .search import _REVERSAL_SETUP, PruneFlags, SearchTask, search_max_sigma
 from .semigroup import (sigma_of_language, transition_semigroup,
                         word_length_histogram)
 from .tables import TABLE_IDS, RuledOutRow, run_table
@@ -103,11 +105,10 @@ def _load_dfa(path: str):
 
 def _cmd_analyze(args) -> int:
     d = _load_dfa(args.input)
-    report = classify(d, cap=args.cap)
-    md = minimize(d)
-    sg = transition_semigroup(md, cap=args.cap)
-    payload = report.as_dict()
-    payload["mu"] = sg.mu
+    payload = classify(d, cap=args.cap).as_dict()
+    sg = None
+    if args.histogram or args.samples > 0:  # only these need the words
+        sg = transition_semigroup(minimize(d), cap=args.cap)
     if args.format == "json":
         if args.histogram:
             payload["histogram"] = word_length_histogram(sg)
@@ -192,16 +193,11 @@ def _cmd_reverse(args) -> int:
     else:
         if args.family is None or args.n is None:
             raise FormatError("reverse needs --input or --family with --n")
-        fam = _family(args.family)
-        build = {"right": right_ideal_witness, "left": left_ideal_witness,
-                 "two_sided": two_sided_witness}[fam]
+        build, designated, formula = _REVERSAL_SETUP[_family(args.family)]
         d = build(args.n) if args.letters is None else build(args.n, args.letters)
-        designated = {"right": "ad", "left": "acde", "two_sided": "adef"}[fam]
         expected = None
         if args.letters is not None and set(args.letters) == set(designated):
-            expected = {"right": 2 ** (args.n - 1),
-                        "left": 2 ** (args.n - 1) + 1,
-                        "two_sided": 2 ** (args.n - 2) + 1}[fam]
+            expected = formula(args.n)
     nfa = reverse(d)
     subset = determinize(nfa)
     md = minimize(subset)
@@ -264,7 +260,14 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
     }[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader left early (`| head`): stop quietly, with stdout on
+        # devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, RuntimeError) as exc:
         # FormatError/CapExceededError included; caps and budgets are
         # user-chosen limits, so overruns count as usage errors

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterable, NamedTuple
 
-from .automata import Dfa, determinize, equivalent, left_ideal_closure, minimize, reverse
-from .classify import _orbit_period, classify
-from .semigroup import sigma_of_language, transition_semigroup
+from .automata import (Dfa, _moore_classes, determinize, equivalent,
+                       left_ideal_closure, minimize, reverse)
+from .classify import _orbit, classify
+from .semigroup import _closure, sigma_of_language, transition_semigroup
 from .transform import Transformation
 from .witnesses import (left_ideal_witness, right_ideal_witness,
                         two_sided_witness)
@@ -111,21 +112,6 @@ class SearchResult:
 # Tuple-level helpers (hot path: plain image tuples, no wrapper objects)
 
 
-def _closure_size(gens: tuple[tuple[int, ...], ...]) -> int:
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                c = tuple(g[i] for i in t)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return len(seen)
-
-
 def _is_minimal(gens: tuple[tuple[int, ...], ...], n: int,
                 finals: frozenset[int]) -> bool:
     seen = {0}
@@ -137,20 +123,7 @@ def _is_minimal(gens: tuple[tuple[int, ...], ...], n: int,
             if r not in seen:
                 seen.add(r)
                 stack.append(r)
-    if len(seen) < n:
-        return False
-    cls = [1 if q in finals else 0 for q in range(n)]
-    while True:
-        sig: dict[tuple, int] = {}
-        new = []
-        for q in range(n):
-            key = (cls[q],) + tuple(cls[g[q]] for g in gens)
-            if key not in sig:
-                sig[key] = len(sig)
-            new.append(sig[key])
-        if new == cls:
-            return len(sig) == n
-        cls = new
+    return len(seen) == n and max(_moore_classes(gens, finals)) == n - 1
 
 
 def _has_nonfinal_sink(gens, n, finals) -> bool:
@@ -173,7 +146,7 @@ def _pool(task: SearchTask) -> list[tuple[int, ...]]:
     else:
         cands = list(every)
     if task.prune.lemma8_filter and task.family in ("left", "two_sided"):
-        cands = [t for t in cands if _orbit_period(t, 0) == 1]
+        cands = [t for t in cands if _orbit(t, 0)[2] == 1]
     return cands  # product() already yields lexicographic order
 
 
@@ -181,7 +154,6 @@ def _finals_options(task: SearchTask) -> list[frozenset[int]]:
     n = task.n
     if task.family in ("right", "two_sided"):
         return [frozenset({n - 1})]
-    lo = 1 if task.family == "left" else 0
     opts = []
     for mask in range(1, 1 << n):
         f = frozenset(q for q in range(n) if mask >> q & 1)
@@ -243,6 +215,7 @@ def _run_shard(task: SearchTask, shard: int, shards: int,
     perms = (_relabel_perms(task)
              if task.prune.canonical_first_letter else [])
     needs_left = task.family in ("left", "two_sided")
+    cap = task.n ** task.n
     best = 0
     wits: list[tuple] = []
     examined = pruned = 0
@@ -271,7 +244,7 @@ def _run_shard(task: SearchTask, shard: int, shards: int,
                         continue
                     if not _is_left_ideal_semantic(letters, task.n, finals):
                         continue
-                s = _closure_size(letters)
+                s = len(_closure(letters, cap)[0])
                 if s > best:
                     best = s
                     wits = [(letters, tuple(sorted(finals)))]
@@ -380,7 +353,7 @@ def _wrap_sorted(ts) -> tuple[Transformation, ...]:
 
 
 def verify_theorem9_pairing() -> Theorem9Report:
-    ruled = {t for t in product(range(3), repeat=3) if _orbit_period(t, 0) >= 2}
+    ruled = {t for t in product(range(3), repeat=3) if _orbit(t, 0)[2] >= 2}
     witness = left_ideal_witness(3, "bcde")
     realized = {t.images for t in
                 transition_semigroup(witness, track_words=False).elements}

@@ -8,8 +8,10 @@ nonempty word acts as the identity.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
 from .automata import Dfa, minimize
 from .errors import CapExceededError
@@ -42,6 +44,38 @@ class SemigroupResult:
     words: dict[Transformation, tuple[str, ...]] | None
 
 
+def _closure(gens: Sequence[tuple[int, ...]], cap: int
+             ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """BFS closure of letter image tuples, as a parent-pointer Cayley tree:
+    element i (BFS order) is element parent[i] followed by letter last[i],
+    or that letter alone when parent[i] is -1.  More than cap elements
+    raise CapExceededError."""
+    n = len(gens[0])
+    letters = list(enumerate(gens))
+    seen: set[tuple[int, ...]] = set()
+    elements: list[tuple[int, ...]] = []
+    parent: list[int] = []
+    last: list[int] = []
+    i, t = -1, tuple(range(n))  # the empty word: its children are the letters
+    while True:
+        # then(g) is t followed by g; with one state that is g itself, and
+        # itemgetter of a single index would return a bare int
+        then = itemgetter(*t) if n > 1 else tuple
+        for a, g in letters:
+            c = then(g)
+            if c not in seen:
+                seen.add(c)
+                elements.append(c)
+                parent.append(i)
+                last.append(a)
+        if len(elements) > cap:
+            raise CapExceededError(cap, cap)
+        i += 1
+        if i == len(elements):
+            return elements, parent, last
+        t = elements[i]
+
+
 def transition_semigroup(d: Dfa, cap: int | None = None,
                          track_words: bool = True) -> SemigroupResult:
     """BFS closure of the letter actions of d under word-order composition.
@@ -52,33 +86,19 @@ def transition_semigroup(d: Dfa, cap: int | None = None,
     """
     if cap is None:
         cap = d.n ** d.n
-    letters = [(a, d.delta[a].images) for a in d.alphabet]
-    seen: dict[tuple[int, ...], tuple[str, ...]] = {}
-    queue: deque[tuple[int, ...]] = deque()
-
-    def add(t: tuple[int, ...], word: tuple[str, ...]) -> None:
-        if t in seen:
-            return
-        if len(seen) >= cap:
-            raise CapExceededError(cap, len(seen))
-        seen[t] = word
-        queue.append(t)
-
-    for a, t in letters:
-        add(t, (a,))
-    while queue:
-        t = queue.popleft()
-        w = seen[t]
-        for a, g in letters:
-            add(tuple(g[i] for i in t), w + (a,))
-
-    ident = tuple(range(d.n))
-    has_ident = ident in seen
-    sigma = len(seen)
-    elements = frozenset(Transformation(t) for t in seen)
-    words = ({Transformation(t): w for t, w in seen.items()}
-             if track_words else None)
-    return SemigroupResult(d.n, d.alphabet, elements, sigma,
+    elements, parent, last = _closure(
+        [d.delta[a].images for a in d.alphabet], cap)
+    wrapped = [Transformation(t) for t in elements]
+    members = frozenset(wrapped)
+    sigma = len(members)
+    has_ident = Transformation(tuple(range(d.n))) in members
+    words = None
+    if track_words:  # BFS order puts each parent's word before its children
+        chain: list[tuple[str, ...]] = []
+        for p, a in zip(parent, last):
+            chain.append((chain[p] if p >= 0 else ()) + (d.alphabet[a],))
+        words = dict(zip(wrapped, chain))
+    return SemigroupResult(d.n, d.alphabet, members, sigma,
                            sigma if has_ident else sigma + 1,
                            has_ident, words)
 

@@ -9,8 +9,6 @@ first and s second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 from .errors import FormatError, SizeMismatchError
 
 __all__ = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from syncomp import Dfa, Transformation, minimize
 
@@ -30,22 +31,41 @@ def dfa(rows, finals, alphabet=None, initial=0) -> Dfa:
     return Dfa(len(rows[0]), alphabet, delta, initial, frozenset(finals))
 
 
-@pytest.fixture(scope="session")
-def minimal_binary_3() -> list[Dfa]:
-    """Every minimal DFA with 3 states, letters a/b, initial state 0.
-
-    All 3^3 * 3^3 letter-action pairs are combined with the six nonempty
-    proper final subsets and filtered for minimality (2056 survivors); a
-    language with three quotients cannot have empty or full finals, so this
-    covers every such language, some more than once.
-    """
+def binary_3_sweep() -> list[Dfa]:
+    """Every DFA with 3 states, letters a/b and initial state 0 whose finals
+    are one of the six nonempty proper subsets: 3^3 * 3^3 * 6 of them,
+    minimal or not."""
     out = []
     for ra, rb in product(product(range(3), repeat=3), repeat=2):
         delta = {"a": Transformation(ra), "b": Transformation(rb)}
         for mask in range(1, 7):
             finals = frozenset(q for q in range(3) if mask >> q & 1)
-            d = Dfa(3, ("a", "b"), delta, 0, finals)
-            if minimize(d).n == 3:
-                out.append(d)
+            out.append(Dfa(3, ("a", "b"), delta, 0, finals))
+    return out
+
+
+def random_dfas(max_n=4, min_k=2, max_k=2):
+    """Hypothesis strategy: DFAs with 2..max_n states, min_k..max_k letters,
+    initial state 0 and any finals."""
+    def build(n, rows, finals_mask):
+        return dfa([row[:n] for row in rows],
+                   [q for q in range(n) if finals_mask >> q & 1])
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.builds(
+            build, st.just(n),
+            st.lists(st.tuples(*[st.integers(0, n - 1)] * n),
+                     min_size=min_k, max_size=max_k),
+            st.integers(0, 2 ** n - 1)))
+
+
+@pytest.fixture(scope="session")
+def minimal_binary_3() -> list[Dfa]:
+    """Every minimal DFA with 3 states, letters a/b, initial state 0.
+
+    The binary_3_sweep is filtered for minimality (2056 survivors); a
+    language with three quotients cannot have empty or full finals, so this
+    covers every such language, some more than once.
+    """
+    out = [d for d in binary_3_sweep() if minimize(d).n == 3]
     assert len(out) == 2056
     return out

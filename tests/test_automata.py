@@ -3,26 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
-from conftest import dfa
+from conftest import dfa, random_dfas
 from syncomp import (AlphabetMismatchError, Dfa, FormatError, Nfa,
                      Semiautomaton, SizeMismatchError, Transformation,
                      complement, determinize, emit_dfa_json, equivalent,
                      left_ideal_closure, minimize, parse_dfa_json,
                      reachable_trim, reverse, to_dot)
-
-
-def random_dfas(max_n=4):
-    def build(n, rows, finals_mask):
-        return dfa([row[:n] for row in rows],
-                   [q for q in range(n) if finals_mask >> q & 1])
-    return st.integers(2, max_n).flatmap(
-        lambda n: st.builds(
-            build, st.just(n),
-            st.lists(st.tuples(*[st.integers(0, n - 1)] * n),
-                     min_size=2, max_size=2),
-            st.integers(0, 2 ** n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +220,23 @@ def test_parse_accepts_mapping():
     (lambda o: o.update(finals=[2]), "finals[0]"),
 ])
 def test_parse_reports_offending_path(mutate, path):
+    obj = {"states": 2, "alphabet": ["a"], "transitions": {"a": [1, 1]},
+           "initial": 0, "finals": [1]}
+    mutate(obj)
+    with pytest.raises(FormatError) as info:
+        parse_dfa_json(obj)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda o: o.update(states=True), "states"),
+    (lambda o: o["transitions"].update(a=[1, True]), "transitions.a[1]"),
+    (lambda o: o.update(initial=False), "initial"),
+    (lambda o: o.update(finals=[True]), "finals[0]"),
+    (lambda o: o.update(finals=[1, 1]), "finals"),
+])
+def test_parse_rejects_booleans_and_duplicate_finals(mutate, path):
+    # JSON true/false are Python bools, which isinstance(_, int) accepts
     obj = {"states": 2, "alphabet": ["a"], "transitions": {"a": [1, 1]},
            "initial": 0, "finals": [1]}
     mutate(obj)

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import syncomp
 from syncomp import (emit_dfa_json, parse_dfa_json, right_ideal_witness,
                      small_witness)
 from syncomp.cli import main
@@ -61,6 +67,35 @@ def test_analyze_malformed_json(tmp_path, capsys):
     bad.write_text('{"states": 2}')
     assert main(["analyze", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_rejects_boolean_json(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"states": true, "alphabet": ["a"], '
+                   '"transitions": {"a": [0]}, "initial": 0, "finals": [0, 0]}')
+    assert main(["analyze", str(bad), "--format", "json"]) == 2
+    assert "states" in capsys.readouterr().err
+
+
+def test_analyze_closes_once_without_words(right4_file, monkeypatch, capsys):
+    # mu comes from classify's closure; only --histogram/--samples need the
+    # word-tracking one
+    classify_module = importlib.import_module("syncomp.classify")
+    cli_module = importlib.import_module("syncomp.cli")
+    real = classify_module.transition_semigroup
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("track_words", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "transition_semigroup", counted)
+    monkeypatch.setattr(cli_module, "transition_semigroup", counted)
+    assert main(["analyze", right4_file, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == 64
+    assert calls == [False]
+    assert main(["analyze", right4_file, "--histogram"]) == 0
+    assert calls == [False, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +170,26 @@ def test_search_budget_tag(capsys):
 def test_search_two_sided_alias(capsys):
     assert main(["search", "--family", "two-sided", "--n", "3", "--k", "2"]) == 0
     assert "max_sigma=5" in capsys.readouterr().out
+
+
+def test_search_output_into_closed_pipe_is_quiet():
+    # right (4,3) prints ~95 kB, more than the pipe and the reader's one
+    # line can absorb, so writing after the reader closes must fail
+    env = dict(os.environ)
+    src = str(Path(syncomp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "syncomp.cli", "search", "--family", "right",
+         "--n", "4", "--k", "3", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 # ---------------------------------------------------------------------------

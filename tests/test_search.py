@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import binary_3_sweep
 from syncomp import (PruneFlags, ReversalRow, SearchTask, classify, minimize,
                      reversal_sweep, search_max_sigma, sigma_of_language,
                      small_witness, verify_theorem9_pairing)
+from syncomp.search import _is_minimal
 
 ALL_OFF = PruneFlags(lemma8_filter=False, canonical_first_letter=False,
                      dedupe_letter_multisets=False)
@@ -147,6 +149,19 @@ def test_canonical_filter_removes_relabeled_duplicates():
         SearchTask("left", 3, 2, prune=PruneFlags(canonical_first_letter=False)))
     assert without.max_sigma == with_filter.max_sigma
     assert len(without.witnesses) >= len(with_filter.witnesses)
+
+
+def test_search_minimality_test_agrees_with_minimize():
+    # the search's tuple-level test shares minimize's refinement but adds a
+    # reachability pre-check; cover minimal and non-minimal DFAs alike
+    agree = minimal = 0
+    for d in binary_3_sweep():
+        gens = tuple(d.delta[a].images for a in d.alphabet)
+        expected = minimize(d).n == 3
+        agree += _is_minimal(gens, 3, d.finals) == expected
+        minimal += expected
+    assert agree == 27 * 27 * 6
+    assert minimal == 2056
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, reject, settings
 
-from conftest import dfa
+from conftest import dfa, random_dfas
 from syncomp import (CapExceededError, Transformation, identity,
                      left_ideal_witness, minimize, right_ideal_witness,
                      sigma_of_language, small_witness, transition_semigroup,
@@ -106,6 +107,22 @@ def test_default_cap_is_never_hit():
     # n^n is an upper bound on any transition semigroup, so no abort
     assert transition_semigroup(right_ideal_witness(5),
                                 track_words=False).sigma == 625
+
+
+@settings(deadline=None)
+@given(random_dfas(max_n=4, min_k=1, max_k=3))
+def test_closure_agrees_with_word_bfs_and_its_words(d):
+    m = minimize(d)
+    sg = transition_semigroup(m)
+    try:  # the oracle's work is exponential in the longest shortest word;
+        # about 3 % of these DFAs need more than 20k words and are skipped
+        oracle = word_bfs_sigma(m, max_words=20_000)
+    except RuntimeError:
+        reject()
+    assert sg.sigma == oracle
+    for t, word in sg.words.items():
+        assert m.transformation_of(word) == t
+    assert sum(word_length_histogram(sg).values()) == sg.sigma
 
 
 @pytest.mark.parametrize("build, expected", [
