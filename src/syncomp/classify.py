@@ -1,9 +1,9 @@
 """Ideal and closed-class classification of regular languages.
 
-Everything here works on the minimal DFA.  Right-ideal membership is
-decided twice, structurally on the automaton and semantically via a
-language equation, and the two answers are asserted to agree; left-ideal
-membership is decided only semantically, by L = Σ*L.  The reported
+Everything here works on the minimal DFA.  Right- and left-ideal
+membership are each decided twice, structurally on the automaton and
+semantically via a language equation (L = LΣ*, L = Σ*L), and the two
+answers are asserted to agree.  The reported
 `bound` is the tightest provable sigma upper bound implied by the detected
 special quotients and unique-reachability flags; it is always sound
 (sigma <= bound), see _tightest_bound for the exact rule.
@@ -165,9 +165,42 @@ def _is_right_ideal(md: Dfa) -> bool:
     return structural
 
 
+def _left_ideal_pairs(rows: tuple[tuple[int, ...], ...], n: int,
+                      initial: int, finals: frozenset[int]) -> bool:
+    """Structural left-ideal test on image rows; every state must be
+    reachable, and the language is assumed nonempty.
+
+    L = Σ*L iff L is contained in each of its quotients, i.e. L(initial) ⊆
+    L(q) for every reachable q.  That fails iff some pair reachable from
+    (initial, q) has its first state final and its second not.
+    """
+    seen = {(initial, q) for q in range(n) if q != initial}
+    stack = list(seen)
+    while stack:
+        p, q = stack.pop()
+        if p in finals and q not in finals:
+            return False
+        for g in rows:
+            nxt = (g[p], g[q])
+            if nxt[0] != nxt[1] and nxt not in seen:  # diagonals never fail
+                seen.add(nxt)
+                stack.append(nxt)
+    return True
+
+
 def _is_left_ideal(md: Dfa) -> bool:
+    """md must be minimal.  Runs the structural and the semantic test and
+    insists they agree."""
     nonempty = not (md.n == 1 and not md.finals)
-    return nonempty and equivalent(md, left_ideal_closure(md))
+    rows = tuple(md.delta[a].images for a in md.alphabet)
+    structural = nonempty and _left_ideal_pairs(rows, md.n, md.initial,
+                                                md.finals)
+    semantic = nonempty and equivalent(md, left_ideal_closure(md))
+    if structural != semantic:
+        raise AssertionError(
+            f"left-ideal checks disagree: structural={structural}, "
+            f"semantic={semantic}")
+    return structural
 
 
 def _tightest_bound(n: int, pins: int, l_ur: bool, la_ur: bool) -> int:

@@ -19,15 +19,17 @@ elsewhere.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (accumulate, combinations_with_replacement,
+                       permutations, product)
+from math import comb
 from typing import Iterable, NamedTuple
 
-from .automata import (Dfa, _moore_classes, determinize, equivalent,
-                       left_ideal_closure, minimize, reverse)
-from .classify import _orbit, classify
-from .semigroup import _closure, sigma_of_language, transition_semigroup
+from .automata import Dfa, _moore_classes, determinize, minimize, reverse
+from .classify import _left_ideal_pairs, _orbit, classify
+from .semigroup import _closure, transition_semigroup
 from .transform import Transformation
 from .witnesses import (left_ideal_witness, right_ideal_witness,
                         two_sided_witness)
@@ -51,8 +53,8 @@ _SEARCH_FAMILIES = ("right", "left", "two_sided", "all")
 class PruneFlags:
     """lemma8_filter: drop letters with periodic behavior from state 0
     (left/two-sided families only; such letters cannot occur in a left
-    ideal's semigroup).  canonical_first_letter: keep only the least state
-    relabeling of each candidate (BFS/letter-order driven, hence the name).
+    ideal's semigroup).  canonical_first_letter: keep only the least
+    relabeling of each candidate under permutations of the free states.
     dedupe_letter_multisets: enumerate sorted letter tuples only."""
 
     lemma8_filter: bool = True
@@ -97,7 +99,8 @@ class SearchResult:
     """candidates_examined counts (letters, finals) pairs evaluated;
     candidates_pruned counts those discarded by the canonical-relabeling
     filter (pool-level letter filtering shrinks the space before
-    enumeration and is not counted).  exhaustive=False means the budget ran
+    enumeration and is not counted).  The budget is a prefix of one fixed
+    candidate order, whatever the job count; exhaustive=False means it ran
     out and max_sigma is only a lower bound for the cell."""
 
     task: SearchTask
@@ -124,18 +127,6 @@ def _is_minimal(gens: tuple[tuple[int, ...], ...], n: int,
                 seen.add(r)
                 stack.append(r)
     return len(seen) == n and max(_moore_classes(gens, finals)) == n - 1
-
-
-def _has_nonfinal_sink(gens, n, finals) -> bool:
-    return any(q not in finals and all(g[q] == q for g in gens)
-               for q in range(n))
-
-
-def _is_left_ideal_semantic(gens, n, finals) -> bool:
-    d = Dfa(n, tuple(str(i) for i in range(len(gens))),
-            {str(i): Transformation(g) for i, g in enumerate(gens)},
-            0, finals)
-    return equivalent(d, left_ideal_closure(d))
 
 
 def _pool(task: SearchTask) -> list[tuple[int, ...]]:
@@ -166,95 +157,108 @@ def _finals_options(task: SearchTask) -> list[frozenset[int]]:
     return opts
 
 
-def _free_states(task: SearchTask) -> tuple[int, ...]:
-    # states the normal form does not pin; relabelings permute exactly these
-    if task.family in ("right", "two_sided"):
-        return tuple(range(1, task.n - 1))
-    return tuple(range(1, task.n))
+class _LetterRelabel(dict):
+    """Pool index -> pool index of the letter under one relabeling pm,
+    filled on first use: a full table per relabeling would hold
+    (n-1)! * n^n entries, too many at n=7 even for a budgeted search."""
+
+    def __init__(self, pm: tuple[int, ...], pool, letter_index):
+        self.pm, self.pool, self.letter_index = pm, pool, letter_index
+        self.inv = sorted(range(len(pm)), key=pm.__getitem__)
+
+    def __missing__(self, i: int) -> int:
+        g = self.pool[i]
+        self[i] = self.letter_index[tuple(self.pm[g[q]] for q in self.inv)]
+        return self[i]
 
 
-def _relabel(g: tuple[int, ...], pm: dict[int, int]) -> tuple[int, ...]:
-    new = [0] * len(g)
-    for q, img in enumerate(g):
-        new[pm[q]] = pm[img]
-    return tuple(new)
+def _relabel_tables(task: SearchTask, pool, finals_opts) -> list[tuple]:
+    """Letter and finals tables (index -> index of the relabeled item) per
+    non-identity relabeling of the free states.  Pool and options are sorted
+    and closed under relabeling, so indices compare as the tuples do."""
+    top = task.n - 1 if task.family in ("right", "two_sided") else task.n
+    free = tuple(range(1, top))
+    letter_index = {g: i for i, g in enumerate(pool)}
+    finals_index = {f: i for i, f in enumerate(finals_opts)}
+    tables = []
+    for p in list(permutations(free))[1:]:  # the identity comes first
+        pm = (0, *p, *range(top, task.n))
+        tables.append(
+            (_LetterRelabel(pm, pool, letter_index),
+             [finals_index[frozenset(pm[q] for q in f)] for f in finals_opts]))
+    return tables
 
 
-def _canonical_key(letters, finals, pm, sort_letters: bool):
-    relabeled = tuple(_relabel(g, pm) for g in letters)
-    if sort_letters:
-        relabeled = tuple(sorted(relabeled))
-    return relabeled, tuple(sorted(pm[f] for f in finals))
+def _fixing_finals_tables(idx: tuple[int, ...], tables,
+                          sort_letters: bool) -> list[list[int]] | None:
+    """None if a relabeling maps letter tuple idx lower, else the finals
+    tables of those fixing it: (idx, finals i) is canonical iff none maps i
+    lower."""
+    fixing = []
+    for letters, finals in tables:
+        image = [letters[i] for i in idx]
+        image = tuple(sorted(image) if sort_letters else image)
+        if image < idx:
+            return None
+        if image == idx:
+            fixing.append(finals)
+    return fixing
 
 
-def _is_canonical(letters, finals, task: SearchTask,
-                  perms: list[dict[int, int]]) -> bool:
-    sort_letters = task.prune.dedupe_letter_multisets
-    own = (tuple(sorted(letters)) if sort_letters else tuple(letters),
-           tuple(sorted(finals)))
-    for pm in perms:
-        if _canonical_key(letters, finals, pm, sort_letters) < own:
-            return False
-    return True
-
-
-def _relabel_perms(task: SearchTask) -> list[dict[int, int]]:
-    free = _free_states(task)
-    perms = []
-    for p in permutations(free):
-        pm = {q: q for q in range(task.n)}
-        pm.update(dict(zip(free, p)))
-        perms.append(pm)
-    return perms
-
-
-def _run_shard(task: SearchTask, shard: int, shards: int,
-               allotment: int) -> tuple:
+def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
+    """Search heads shard, shard + shards, ...  The budget is a prefix of the
+    global order (head, rest, finals), the same for any number of shards."""
     pool = _pool(task)
     finals_opts = _finals_options(task)
-    perms = (_relabel_perms(task)
-             if task.prune.canonical_first_letter else [])
+    tables = (_relabel_tables(task, pool, finals_opts)
+              if task.prune.canonical_first_letter else [])
+    sort_letters = task.prune.dedupe_letter_multisets
+    # a tuple, not a range: its slices share ints instead of making new ones
+    indices, more = tuple(range(len(pool))), task.k - 1
+    starts = list(accumulate(
+        (len(finals_opts) * (comb(len(pool) - first + more - 1, more)
+                             if sort_letters else len(pool) ** more)
+         for first in indices), initial=0))
     needs_left = task.family in ("left", "two_sided")
     cap = task.n ** task.n
     best = 0
     wits: list[tuple] = []
     examined = pruned = 0
-    exhausted = False
 
-    for first in range(shard, len(pool), shards):
-        head = pool[first]
-        if task.prune.dedupe_letter_multisets:
-            rest_iter = combinations_with_replacement(pool[first:], task.k - 1)
-        else:
-            rest_iter = product(pool, repeat=task.k - 1)
+    for first in indices[shard::shards]:
+        pos = starts[first]
+        if pos >= task.budget:
+            break
+        rest_iter = (combinations_with_replacement(indices[first:], more)
+                     if sort_letters else product(indices, repeat=more))
         for rest in rest_iter:
-            letters = (head,) + rest
-            for finals in finals_opts:
-                if examined >= allotment:
-                    exhausted = True
-                    break
-                examined += 1
-                if perms and not _is_canonical(letters, finals, task, perms):
+            take = min(len(finals_opts), task.budget - pos)
+            if take <= 0:
+                break
+            pos += take
+            examined += take
+            idx = (first,) + rest
+            fixing = _fixing_finals_tables(idx, tables, sort_letters)
+            if fixing is None:
+                pruned += take
+                continue
+            letters = tuple(pool[i] for i in idx)
+            for fi in range(take):
+                if any(t[fi] < fi for t in fixing):
                     pruned += 1
                     continue
+                finals = finals_opts[fi]
                 if not _is_minimal(letters, task.n, finals):
                     continue
-                if needs_left:
-                    if _has_nonfinal_sink(letters, task.n, finals):
-                        continue
-                    if not _is_left_ideal_semantic(letters, task.n, finals):
-                        continue
+                if needs_left and not _left_ideal_pairs(letters, task.n, 0,
+                                                        finals):
+                    continue
                 s = len(_closure(letters, cap)[0])
                 if s > best:
-                    best = s
-                    wits = [(letters, tuple(sorted(finals)))]
-                elif s == best:
+                    best, wits = s, []
+                if s == best:
                     wits.append((letters, tuple(sorted(finals))))
-            if exhausted:
-                break
-        if exhausted:
-            break
-    return best, wits, examined, pruned, exhausted
+    return best, wits, examined, pruned, starts[-1] > task.budget
 
 
 def _trivial_one_state(task: SearchTask) -> SearchResult:
@@ -273,15 +277,14 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
     if task.n == 1:
         return _trivial_one_state(task)
 
-    shards = task.jobs
-    base, extra = divmod(task.budget, shards)
-    allotments = [base + (1 if i < extra else 0) for i in range(shards)]
-    if shards == 1:
-        parts = [_run_shard(task, 0, 1, allotments[0])]
+    # the executor forks every worker at once: cap them by heads and CPUs
+    jobs = min(task.jobs, len(_pool(task)), os.cpu_count() or 1)
+    if jobs == 1:
+        parts = [_run_shard(task, 0, 1)]
     else:
-        with ProcessPoolExecutor(max_workers=shards) as ex:
-            parts = list(ex.map(_run_shard, [task] * shards, range(shards),
-                                [shards] * shards, allotments))
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            parts = list(ex.map(_run_shard, [task] * jobs, range(jobs),
+                                [jobs] * jobs))
 
     best = max(p[0] for p in parts)
     raw = [w for p in parts if p[0] == best for w in p[1]]
@@ -300,18 +303,14 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
 
 
 def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:
-    d = w.as_dfa()
-    if minimize(d).n != task.n:
+    report = classify(w.as_dfa())
+    if report.kappa != task.n:
         raise AssertionError(f"witness not minimal with {task.n} states: {w}")
-    if sigma_of_language(d) != expect_sigma:
+    if report.sigma != expect_sigma:
         raise AssertionError(f"witness sigma mismatch: {w}")
-    if task.family != "all":
-        report = classify(d)
-        flag = {"right": report.is_right_ideal,
-                "left": report.is_left_ideal,
-                "two_sided": report.is_two_sided_ideal}[task.family]
-        if not flag:
-            raise AssertionError(f"witness not in class {task.family}: {w}")
+    if not (task.family == "all"
+            or getattr(report, f"is_{task.family}_ideal")):
+        raise AssertionError(f"witness not in class {task.family}: {w}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from syncomp import (Dfa, classify, closed_form_bound, complement, cycle,
                      reversal_sweep, right_ideal_witness,
                      ruled_out_count_brute, ruled_out_count_formula,
                      search_max_sigma, SearchTask, sigma_of_language,
-                     singular, small_witness, transition_semigroup,
-                     transposition, two_sided_witness,
+                     singular, small_witness, tables,
+                     transition_semigroup, transposition, two_sided_witness,
                      verify_theorem9_pairing)
 
 
@@ -101,7 +101,9 @@ def test_criterion_3_long_cell():
 
 def test_criterion_4_excluded_count_reference_row():
     with criterion(4, "excluded-transformation counts vs bundled row"):
-        reference = [1, 10, 114, 1556]
+        row = tables._RULED_OUT_REFERENCE  # the row the program ships
+        assert sorted(row) == [2, 3, 4, 5]
+        reference = [row[n] for n in range(2, 6)]
         formula = [ruled_out_count_formula(n) for n in range(2, 6)]
         brute = [ruled_out_count_brute(n) for n in range(2, 6)]
         assert formula == brute, f"formula {formula} != enumeration {brute}"

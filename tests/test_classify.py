@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from conftest import dfa
 from syncomp import (Semiautomaton, SizeMismatchError, Transformation,
                      all_behaviors_aperiodic, behavior_of, classify,
-                     complement, cycle, identity, left_ideal_witness,
+                     complement, cycle, equivalent, identity,
+                     left_ideal_closure, left_ideal_witness,
                      left_witness_core, pair_graph_uniformity,
                      right_ideal_witness, ruled_out_count_brute,
                      ruled_out_count_formula, transposition,
                      two_sided_witness, uniformly_minimal)
+from syncomp.classify import _left_ideal_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,39 @@ def test_report_as_dict_round_trips_fields():
     d = classify(dfa([[1, 1]], [1])).as_dict()
     assert d["kappa"] == 2 and d["is_two_sided_ideal"] is True
     assert set(d) >= {"sigma", "bound", "l_uniquely_reachable"}
+
+
+def test_left_ideal_twins_agree_on_every_minimal_binary_3(minimal_binary_3):
+    # each minimal DFA and its complement (also minimal, every state
+    # reachable, nonempty language) through both left-ideal tests directly
+    left_ideals = 0
+    for d in minimal_binary_3:
+        for m in (d, complement(d)):
+            rows = tuple(m.delta[a].images for a in m.alphabet)
+            structural = _left_ideal_pairs(rows, m.n, m.initial, m.finals)
+            assert structural == equivalent(m, left_ideal_closure(m)), m
+            left_ideals += structural
+    assert left_ideals == 140  # 70 left ideals, 70 suffix-closed complements
+
+
+def _never(*args):
+    return False
+
+
+@pytest.mark.parametrize("target, fault, build, message", [
+    ("_left_ideal_pairs", _never, left_ideal_witness, "left-ideal"),
+    ("left_ideal_closure", complement, left_ideal_witness, "left-ideal"),
+    ("_is_sink", _never, right_ideal_witness, "right-ideal"),
+    ("_right_extension", complement, right_ideal_witness, "right-ideal"),
+], ids=["left-structural", "left-semantic", "right-structural",
+        "right-semantic"])
+def test_disagreeing_twins_raise(monkeypatch, target, fault, build, message):
+    # each fault turns the true verdict false in one twin only (a language
+    # is never equivalent to its complement)
+    classify_module = importlib.import_module("syncomp.classify")
+    monkeypatch.setattr(classify_module, target, fault)
+    with pytest.raises(AssertionError, match=f"{message} checks disagree"):
+        classify(build(4))
 
 
 # ---------------------------------------------------------------------------

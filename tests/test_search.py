@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from conftest import binary_3_sweep
@@ -60,7 +62,6 @@ def test_unrestricted_family_reaches_the_generic_ceiling(n, k, expected):
     assert result.max_sigma <= n ** n
 
 
-@pytest.mark.slow
 def test_right_5_2_long_cell():
     result = search_max_sigma(SearchTask("right", 5, 2))
     assert result.max_sigma == 167
@@ -71,6 +72,23 @@ def test_right_5_2_long_cell():
     assert [t.images for t in least.letters] == \
         [recorded.delta[a].images for a in recorded.alphabet]
     assert least.finals == recorded.finals
+
+
+@pytest.mark.parametrize("family, n, k, prune, expected", [
+    ("right", 4, 3, PruneFlags(), (61, 324, 45760, 22708)),
+    ("left", 4, 2, PruneFlags(), (17, 3, 71071, 59008)),
+    ("two_sided", 4, 3, PruneFlags(), (19, 7, 24804, 12254)),
+    ("left", 3, 4, PruneFlags(), (11, 24, 14535, 7225)),
+    ("all", 3, 2, PruneFlags(), (24, 108, 2268, 1116)),
+    ("right", 4, 2, PruneFlags(dedupe_letter_multisets=False),
+     (31, 18, 4096, 2016)),
+])
+def test_cell_counts_are_pinned(family, n, k, prune, expected):
+    # the witness count and the candidate counters change if the canonical
+    # representatives or the enumeration order change
+    result = search_max_sigma(SearchTask(family, n, k, prune=prune))
+    assert (result.max_sigma, len(result.witnesses),
+            result.candidates_examined, result.candidates_pruned) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +200,51 @@ def test_parallel_run_is_deterministic():
     assert parallel.witnesses == serial.witnesses
     assert parallel.candidates_examined == serial.candidates_examined
     assert parallel.exhaustive
+
+
+@pytest.mark.parametrize("dedupe", [True, False])
+def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch, dedupe):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # really use two shards
+    prune = PruneFlags(dedupe_letter_multisets=dedupe)
+    serial, parallel = (
+        search_max_sigma(SearchTask("right", 4, 3, prune=prune, budget=3000,
+                                    jobs=jobs))
+        for jobs in (1, 2))
+    assert parallel.witnesses == serial.witnesses
+    assert parallel.candidates_examined == serial.candidates_examined == 3000
+    assert parallel.candidates_pruned == serial.candidates_pruned
+    assert parallel.max_sigma == serial.max_sigma
+    assert not parallel.exhaustive and not serial.exhaustive
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
+    workers = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: no process, serial map."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("syncomp.search.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = search_max_sigma(SearchTask("right", 4, 2, jobs=1))
+    assert workers == []
+    huge = search_max_sigma(SearchTask("right", 4, 2, jobs=10 ** 6))
+    assert workers == [2]
+    assert huge.max_sigma == serial.max_sigma
+    assert huge.witnesses == serial.witnesses
+    assert huge.candidates_examined == serial.candidates_examined
+    assert huge.candidates_pruned == serial.candidates_pruned
 
 
 def test_maximum_grows_with_alphabet():
