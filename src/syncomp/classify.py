@@ -75,8 +75,8 @@ def all_behaviors_aperiodic(d: Dfa, cap: int | None = None) -> bool:
     Checking the transition semigroup's elements suffices: every word acts
     as one of them.
     """
-    result = transition_semigroup(d, cap=cap, track_words=False)
-    return all(_orbit(t.images, d.initial)[2] == 1 for t in result.elements)
+    result = transition_semigroup(d, cap=cap)
+    return all(_orbit(t, d.initial)[2] == 1 for t in result.images)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def classify(d: Dfa, cap: int | None = None) -> ClassReport:
 
     pins = sum((has_empty_q, has_sigma_star_q, has_epsilon_q, has_sigma_plus_q))
     bound = _tightest_bound(n, pins, l_ur, la_ur)
-    semigroup = transition_semigroup(md, cap=cap, track_words=False)
+    semigroup = transition_semigroup(md, cap=cap)
 
     return ClassReport(
         kappa=n, sigma=semigroup.sigma,

@@ -78,6 +78,12 @@ class SearchTask:
             raise ValueError("n and k must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
+        # the candidate pool holds all n^n image tuples: 823,543 at n=7,
+        # about 16.8 M (gigabytes) at n=8
+        if self.n > 7:
+            raise ValueError("searches are limited to n <= 7 states")
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,10 @@ class SearchResult:
 # Tuple-level helpers (hot path: plain image tuples, no wrapper objects)
 
 
-def _is_minimal(gens: tuple[tuple[int, ...], ...], n: int,
-                finals: frozenset[int]) -> bool:
+def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
+                    options: list[frozenset[int]]) -> list[frozenset[int]]:
+    """The finals among options with which gens is minimal from state 0.
+    Reachability depends only on the letters, so it is walked once."""
     seen = {0}
     stack = [0]
     while stack:
@@ -126,7 +134,9 @@ def _is_minimal(gens: tuple[tuple[int, ...], ...], n: int,
             if r not in seen:
                 seen.add(r)
                 stack.append(r)
-    return len(seen) == n and max(_moore_classes(gens, finals)) == n - 1
+    if len(seen) < n:
+        return []
+    return [f for f in options if max(_moore_classes(gens, f)) == n - 1]
 
 
 def _pool(task: SearchTask) -> list[tuple[int, ...]]:
@@ -242,14 +252,11 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
             if fixing is None:
                 pruned += take
                 continue
+            keep = [finals_opts[fi] for fi in range(take)
+                    if not any(t[fi] < fi for t in fixing)]
+            pruned += take - len(keep)
             letters = tuple(pool[i] for i in idx)
-            for fi in range(take):
-                if any(t[fi] < fi for t in fixing):
-                    pruned += 1
-                    continue
-                finals = finals_opts[fi]
-                if not _is_minimal(letters, task.n, finals):
-                    continue
+            for finals in _minimal_finals(letters, task.n, keep):
                 if needs_left and not _left_ideal_pairs(letters, task.n, 0,
                                                         finals):
                     continue
@@ -354,8 +361,7 @@ def _wrap_sorted(ts) -> tuple[Transformation, ...]:
 def verify_theorem9_pairing() -> Theorem9Report:
     ruled = {t for t in product(range(3), repeat=3) if _orbit(t, 0)[2] >= 2}
     witness = left_ideal_witness(3, "bcde")
-    realized = {t.images for t in
-                transition_semigroup(witness, track_words=False).elements}
+    realized = set(transition_semigroup(witness).images)
     excluded = set(product(range(3), repeat=3)) - ruled - realized
 
     pairings = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
@@ -28,28 +29,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemigroupResult:
-    """Closure of the letter actions, with one shortest witness word each.
+    """Closure of the letter actions as a parent-pointer Cayley tree.
 
-    words maps every element to its earliest witness in BFS order (a tuple
-    of letters): shortest first, ties broken by alphabet order.  It is None
-    when word tracking was disabled.
+    images lists the elements in BFS order: element i is element parent[i]
+    followed by letter alphabet[last[i]], or that letter alone at parent -1.
+    words (each element's earliest BFS word) and elements are built lazily.
     """
 
     n: int
     alphabet: tuple[str, ...]
-    elements: frozenset[Transformation]
+    images: list[tuple[int, ...]]
+    parent: list[int]
+    last: list[int]
     sigma: int
     mu: int
     contains_identity_as_nonempty_word: bool
-    words: dict[Transformation, tuple[str, ...]] | None
+
+    @cached_property
+    def elements(self) -> frozenset[Transformation]:
+        return frozenset(map(Transformation, self.images))
+
+    @cached_property
+    def words(self) -> dict[Transformation, tuple[str, ...]]:
+        chain: list[tuple[str, ...]] = []  # parents come before children
+        for p, a in zip(self.parent, self.last):
+            chain.append((chain[p] if p >= 0 else ()) + (self.alphabet[a],))
+        return dict(zip(map(Transformation, self.images), chain))
 
 
 def _closure(gens: Sequence[tuple[int, ...]], cap: int
              ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """BFS closure of letter image tuples, as a parent-pointer Cayley tree:
-    element i (BFS order) is element parent[i] followed by letter last[i],
-    or that letter alone when parent[i] is -1.  More than cap elements
-    raise CapExceededError."""
+    """BFS closure of letter image tuples: the images, parent and last of a
+    SemigroupResult.  More than cap elements raise CapExceededError."""
     n = len(gens[0])
     letters = list(enumerate(gens))
     seen: set[tuple[int, ...]] = set()
@@ -69,15 +80,14 @@ def _closure(gens: Sequence[tuple[int, ...]], cap: int
                 parent.append(i)
                 last.append(a)
         if len(elements) > cap:
-            raise CapExceededError(cap, cap)
+            raise CapExceededError(cap, len(elements))
         i += 1
         if i == len(elements):
             return elements, parent, last
         t = elements[i]
 
 
-def transition_semigroup(d: Dfa, cap: int | None = None,
-                         track_words: bool = True) -> SemigroupResult:
+def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:
     """BFS closure of the letter actions of d under word-order composition.
 
     cap defaults to n^n, the sharp cardinality limit; a smaller cap makes
@@ -86,33 +96,21 @@ def transition_semigroup(d: Dfa, cap: int | None = None,
     """
     if cap is None:
         cap = d.n ** d.n
-    elements, parent, last = _closure(
+    images, parent, last = _closure(
         [d.delta[a].images for a in d.alphabet], cap)
-    wrapped = [Transformation(t) for t in elements]
-    members = frozenset(wrapped)
-    sigma = len(members)
-    has_ident = Transformation(tuple(range(d.n))) in members
-    words = None
-    if track_words:  # BFS order puts each parent's word before its children
-        chain: list[tuple[str, ...]] = []
-        for p, a in zip(parent, last):
-            chain.append((chain[p] if p >= 0 else ()) + (d.alphabet[a],))
-        words = dict(zip(wrapped, chain))
-    return SemigroupResult(d.n, d.alphabet, members, sigma,
-                           sigma if has_ident else sigma + 1,
-                           has_ident, words)
+    sigma, has_ident = len(images), tuple(range(d.n)) in images
+    return SemigroupResult(d.n, d.alphabet, images, parent, last, sigma,
+                           sigma if has_ident else sigma + 1, has_ident)
 
 
 def sigma_of_language(d: Dfa, cap: int | None = None) -> int:
     """Syntactic complexity: |transition semigroup of the minimal DFA|."""
-    return transition_semigroup(minimize(d), cap=cap, track_words=False).sigma
+    return transition_semigroup(minimize(d), cap=cap).sigma
 
 
 def witness_words(result: SemigroupResult, t: Transformation) -> str:
     """Shortest witness word for an element (lex-least by letter order),
     rendered as the concatenation of its letters."""
-    if result.words is None:
-        raise ValueError("semigroup was computed with track_words=False")
     try:
         return "".join(result.words[t])
     except KeyError:
@@ -120,7 +118,8 @@ def witness_words(result: SemigroupResult, t: Transformation) -> str:
 
 
 def word_length_histogram(result: SemigroupResult) -> dict[int, int]:
-    """Element count by shortest-witness length."""
-    if result.words is None:
-        raise ValueError("semigroup was computed with track_words=False")
-    return dict(sorted(Counter(len(w) for w in result.words.values()).items()))
+    """Element count by shortest-witness length: depth in the Cayley tree."""
+    depth: list[int] = []
+    for p in result.parent:
+        depth.append(depth[p] + 1 if p >= 0 else 1)
+    return dict(sorted(Counter(depth).items()))

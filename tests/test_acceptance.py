@@ -154,13 +154,13 @@ def test_criterion_7_property_suites(minimal_binary_3):
                             "b": transposition(n, 0, 1) if n > 1
                             else cycle(n, 0, 0)}
             d = Dfa(n, ("a", "b"), perm_letters, 0, frozenset({0}))
-            assert transition_semigroup(d, track_words=False).sigma \
+            assert transition_semigroup(d).sigma \
                 == factorial(n), f"permutations n={n}"
             if n > 1:
                 full_letters = dict(perm_letters)
                 full_letters["c"] = singular(n, 1, 0)
                 d = Dfa(n, ("a", "b", "c"), full_letters, 0, frozenset({0}))
-                assert transition_semigroup(d, track_words=False).sigma \
+                assert transition_semigroup(d).sigma \
                     == n ** n, f"all transformations n={n}"
 
         # aperiodic behaviors do not suffice for left ideality

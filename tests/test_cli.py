@@ -79,23 +79,23 @@ def test_analyze_rejects_boolean_json(tmp_path, capsys):
 
 def test_analyze_closes_once_without_words(right4_file, monkeypatch, capsys):
     # mu comes from classify's closure; only --histogram/--samples need the
-    # word-tracking one
+    # words, which cli reads from a closure of its own
     classify_module = importlib.import_module("syncomp.classify")
     cli_module = importlib.import_module("syncomp.cli")
     real = classify_module.transition_semigroup
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("track_words", True))
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(classify_module, "transition_semigroup", counted)
     monkeypatch.setattr(cli_module, "transition_semigroup", counted)
     assert main(["analyze", right4_file, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 64
-    assert calls == [False]
+    assert len(calls) == 1
     assert main(["analyze", right4_file, "--histogram"]) == 0
-    assert calls == [False, False, True]
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,17 @@ def test_search_text_and_prune_flags(capsys):
     out = capsys.readouterr().out
     assert "max_sigma=7" in out
     assert "exhaustive" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "3", "--budget", "0"],
+    ["--n", "3", "--budget", "-5"],
+    ["--n", "8"],  # refused before any candidate pool is built
+])
+def test_search_rejects_tasks_that_cannot_run(flags, capsys):
+    assert main(["search", "--family", "right", "--k", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "max_sigma" not in captured.out
 
 
 def test_search_budget_tag(capsys):

@@ -10,7 +10,7 @@ from conftest import binary_3_sweep
 from syncomp import (PruneFlags, ReversalRow, SearchTask, classify, minimize,
                      reversal_sweep, search_max_sigma, sigma_of_language,
                      small_witness, verify_theorem9_pairing)
-from syncomp.search import _is_minimal
+from syncomp.search import _minimal_finals
 
 ALL_OFF = PruneFlags(lemma8_filter=False, canonical_first_letter=False,
                      dedupe_letter_multisets=False)
@@ -129,6 +129,15 @@ def test_task_validation():
         SearchTask("right", 3, 0)
     with pytest.raises(ValueError):
         SearchTask("right", 3, 2, jobs=0)
+    # no DFA has sigma 0, so a search must examine at least one candidate
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            SearchTask("right", 3, 2, budget=budget)
+    SearchTask("right", 3, 2, budget=1)
+    # the pool of all n^n letters is refused from n = 8, before it is built
+    with pytest.raises(ValueError):
+        SearchTask("left", 8, 2)
+    SearchTask("left", 7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +179,19 @@ def test_canonical_filter_removes_relabeled_duplicates():
 
 
 def test_search_minimality_test_agrees_with_minimize():
-    # the search's tuple-level test shares minimize's refinement but adds a
-    # reachability pre-check; cover minimal and non-minimal DFAs alike
-    agree = minimal = 0
-    for d in binary_3_sweep():
-        gens = tuple(d.delta[a].images for a in d.alphabet)
-        expected = minimize(d).n == 3
-        agree += _is_minimal(gens, 3, d.finals) == expected
-        minimal += expected
-    assert agree == 27 * 27 * 6
+    # the search's tuple-level test shares minimize's refinement but walks
+    # reachability once per letter tuple, as search calls it: all six finals
+    # options at once; cover minimal and non-minimal DFAs alike
+    sweep = binary_3_sweep()
+    options = [d.finals for d in sweep[:6]]
+    minimal = 0
+    for i in range(0, len(sweep), 6):
+        group = sweep[i:i + 6]
+        gens = tuple(group[0].delta[a].images for a in group[0].alphabet)
+        assert [d.finals for d in group] == options
+        expected = [d.finals for d in group if minimize(d).n == 3]
+        assert _minimal_finals(gens, 3, options) == expected, gens
+        minimal += len(expected)
     assert minimal == 2056
 
 

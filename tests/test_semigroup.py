@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, reject, settings
 
 from conftest import dfa, random_dfas
-from syncomp import (CapExceededError, Transformation, identity,
+from syncomp import (CapExceededError, Transformation, classify, identity,
                      left_ideal_witness, minimize, right_ideal_witness,
                      sigma_of_language, small_witness, transition_semigroup,
                      two_sided_witness, witness_words, word_bfs_sigma,
@@ -14,7 +16,7 @@ from syncomp import (CapExceededError, Transformation, identity,
 
 
 def test_right_witness_semigroup_is_everything_fixing_the_sink():
-    sg = transition_semigroup(right_ideal_witness(4), track_words=False)
+    sg = transition_semigroup(right_ideal_witness(4))
     assert sg.sigma == 64
     assert all(t(3) == 3 for t in sg.elements)
     assert sg.contains_identity_as_nonempty_word
@@ -81,15 +83,6 @@ def test_recorded_words_reproduce_their_elements():
     assert min(lengths) == 1  # the letters themselves come first
 
 
-def test_track_words_disabled():
-    sg = transition_semigroup(left_ideal_witness(3), track_words=False)
-    assert sg.words is None
-    with pytest.raises(ValueError):
-        witness_words(sg, identity(3))
-    with pytest.raises(ValueError):
-        word_length_histogram(sg)
-
-
 def test_witness_words_rejects_foreign_element():
     sg = transition_semigroup(dfa([[1, 1]], [1]))
     with pytest.raises(ValueError):
@@ -100,13 +93,31 @@ def test_cap_aborts_closure():
     with pytest.raises(CapExceededError) as info:
         transition_semigroup(right_ideal_witness(4), cap=10)
     assert info.value.cap == 10
-    assert info.value.partial_count == 10
+    # the cap is checked once an element's children are in: 11 found
+    assert info.value.partial_count == 11
+    assert info.value.partial_count > info.value.cap
+    assert "found 11 elements" in str(info.value)
 
 
 def test_default_cap_is_never_hit():
     # n^n is an upper bound on any transition semigroup, so no abort
-    assert transition_semigroup(right_ideal_witness(5),
-                                track_words=False).sigma == 625
+    assert transition_semigroup(right_ideal_witness(5)).sigma == 625
+
+
+def test_sigma_and_mu_build_no_transformations(monkeypatch):
+    # classify reads sigma and mu from the closure's image tuples; only the
+    # words/elements views wrap elements (sigma is 6^5 = 7776 here)
+    built = []
+    real = Transformation.__post_init__
+
+    def counted(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(Transformation, "__post_init__", counted)
+    report = classify(right_ideal_witness(6))
+    assert report.sigma == 7776
+    assert len(built) < 1000
 
 
 @settings(deadline=None)
@@ -122,7 +133,10 @@ def test_closure_agrees_with_word_bfs_and_its_words(d):
     assert sg.sigma == oracle
     for t, word in sg.words.items():
         assert m.transformation_of(word) == t
-    assert sum(word_length_histogram(sg).values()) == sg.sigma
+    hist = word_length_histogram(sg)
+    assert hist == dict(sorted(Counter(len(w)
+                                       for w in sg.words.values()).items()))
+    assert sum(hist.values()) == sg.sigma
 
 
 @pytest.mark.parametrize("build, expected", [
