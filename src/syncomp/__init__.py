@@ -11,24 +11,25 @@ from .automata import (Dfa, Nfa, Semiautomaton, complement, determinize,
                        emit_dfa_json, equivalent, left_ideal_closure,
                        minimize, parse_dfa_json, reachable_trim, reverse,
                        to_dot)
-from .classify import (Behavior, ClassReport, UniformMinimalityReport,
-                       all_behaviors_aperiodic, behavior_of, classify,
-                       pair_graph_uniformity, ruled_out_count_brute,
-                       ruled_out_count_formula, uniformly_minimal)
+from .classify import (Behavior, ClassReport, Theorem9Report,
+                       UniformMinimalityReport, all_behaviors_aperiodic,
+                       behavior_of, classify, pair_graph_uniformity,
+                       ruled_out_count_brute, ruled_out_count_formula,
+                       uniformly_minimal, verify_theorem9_pairing)
 from .errors import (AlphabetMismatchError, CapExceededError, FormatError,
                      SizeMismatchError)
 from .oracles import word_bfs_sigma
-from .search import (FoundWitness, PruneFlags, ReversalRow, SearchResult,
-                     SearchTask, Theorem9Report, reversal_sweep,
-                     search_max_sigma, verify_theorem9_pairing)
+from .search import (FoundWitness, PruneFlags, SearchResult, SearchTask,
+                     search_max_sigma)
 from .semigroup import (SemigroupResult, sigma_of_language,
                         transition_semigroup, witness_words,
                         word_length_histogram)
 from .tables import TABLE_IDS, CellReport, RuledOutRow, TableReport, run_table
 from .transform import (Transformation, compose, constant, cycle, identity,
                         parse_transformation, singular, transposition)
-from .witnesses import (FAMILIES, closed_form_bound, left_ideal_witness,
-                        left_witness_core, left_witness_semiautomaton,
+from .witnesses import (FAMILIES, ReversalRow, closed_form_bound,
+                        left_ideal_witness, left_witness_core,
+                        left_witness_semiautomaton, reversal_sweep,
                         right_ideal_witness, small_witness,
                         two_sided_witness)
 

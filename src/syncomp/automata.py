@@ -81,9 +81,6 @@ class Dfa:
             if not 0 <= f < self.n:
                 raise ValueError(f"final state {f} out of range")
 
-    def step(self, state: int, letter: str) -> int:
-        return self.delta[letter](state)
-
     def run(self, word: Iterable[str]) -> int:
         q = self.initial
         for a in word:

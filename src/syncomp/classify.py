@@ -11,15 +11,17 @@ special quotients and unique-reachability flags; it is always sound
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import factorial
+from typing import Iterator, NamedTuple
 
 from .automata import (Dfa, Semiautomaton, complement, equivalent,
                        left_ideal_closure, minimize)
 from .errors import SizeMismatchError
-from .semigroup import transition_semigroup
+from .semigroup import SemigroupResult, transition_semigroup
 from .transform import Transformation
+from .witnesses import left_ideal_witness
 
 __all__ = [
     "ClassReport",
@@ -29,6 +31,8 @@ __all__ = [
     "all_behaviors_aperiodic",
     "ruled_out_count_formula",
     "ruled_out_count_brute",
+    "Theorem9Report",
+    "verify_theorem9_pairing",
     "UniformMinimalityReport",
     "pair_graph_uniformity",
     "uniformly_minimal",
@@ -101,7 +105,67 @@ def ruled_out_count_brute(n: int) -> int:
         raise ValueError("n must be positive")
     if n > 8:
         raise ValueError(f"brute enumeration of {n}^{n} transformations refused")
-    return sum(1 for t in product(range(n), repeat=n) if _orbit(t, 0)[2] >= 2)
+    return sum(1 for _ in _ruled_out(n))
+
+
+def _ruled_out(n: int) -> Iterator[tuple[int, ...]]:
+    """The image tuples whose behavior from state 0 has period >= 2."""
+    return (t for t in product(range(n), repeat=n) if _orbit(t, 0)[2] >= 2)
+
+
+# ---------------------------------------------------------------------------
+# The n=3 left-ideal exclusion argument, reconstructed mechanically
+
+
+class Theorem9Report(NamedTuple):
+    """Partition of all 27 transformations of a 3-set: those ruled out by
+    the aperiodicity condition, those realized by the n=3 left witness, and
+    the six excluded because composing them with a realized partner lands
+    in the ruled-out set."""
+
+    ruled_out: tuple[Transformation, ...]
+    realized: tuple[Transformation, ...]
+    excluded: tuple[Transformation, ...]
+    pairings: tuple[tuple[Transformation, Transformation, Transformation], ...]
+    partners_distinct: bool
+    products_all_ruled_out: bool
+    partition_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return (self.partners_distinct and self.products_all_ruled_out
+                and self.partition_ok)
+
+
+_PAIRING: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
+    ((1, 1, 0), (0, 2, 2)),
+    ((1, 1, 2), (0, 2, 0)),
+    ((1, 2, 2), (0, 1, 0)),
+    ((2, 0, 2), (0, 1, 1)),
+    ((2, 1, 1), (0, 0, 2)),
+    ((2, 1, 2), (0, 0, 1)),
+)
+
+
+def verify_theorem9_pairing() -> Theorem9Report:
+    ruled = set(_ruled_out(3))
+    realized = set(transition_semigroup(left_ideal_witness(3, "bcde")).images)
+    excluded = set(product(range(3), repeat=3)) - ruled - realized
+    paired, partners = zip(*_PAIRING)
+    products = [tuple(p[i] for i in t) for t, p in _PAIRING]
+    partition_ok = (len(ruled) == 10 and len(realized) == 11
+                    and len(excluded) == 6 and excluded == set(paired)
+                    and len(ruled) + len(realized) + len(excluded) == 27)
+    return Theorem9Report(
+        *(tuple(map(Transformation, sorted(s)))
+          for s in (ruled, realized, excluded)),
+        pairings=tuple(tuple(map(Transformation, row))
+                       for row in zip(paired, partners, products)),
+        partners_distinct=len(set(partners)) == len(partners),
+        products_all_ruled_out=(set(products) <= ruled
+                                and set(partners) <= realized),
+        partition_ok=partition_ok,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +175,8 @@ def ruled_out_count_brute(n: int) -> int:
 @dataclass(frozen=True)
 class ClassReport:
     """Class membership flags, special-quotient flags, a sound bound, and
-    mu (sigma, plus one unless a nonempty word acts as the identity)."""
+    mu (sigma, plus one unless a nonempty word acts as the identity), read
+    from semigroup, the transition semigroup of the minimal DFA."""
 
     kappa: int
     sigma: int
@@ -129,9 +194,11 @@ class ClassReport:
     some_la_uniquely_reachable: bool
     bound: int
     mu: int
+    semigroup: SemigroupResult = field(compare=False, repr=False)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The scalar fields in order, leaving out the semigroup."""
+        return {k: v for k, v in vars(self).items() if k != "semigroup"}
 
 
 def _is_sink(d: Dfa, q: int) -> bool:
@@ -273,7 +340,7 @@ def classify(d: Dfa, cap: int | None = None) -> ClassReport:
         has_empty_q=has_empty_q, has_sigma_star_q=has_sigma_star_q,
         has_epsilon_q=has_epsilon_q, has_sigma_plus_q=has_sigma_plus_q,
         l_uniquely_reachable=l_ur, some_la_uniquely_reachable=la_ur,
-        bound=bound, mu=semigroup.mu,
+        bound=bound, mu=semigroup.mu, semigroup=semigroup,
     )
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .automata import (emit_dfa_json, minimize, determinize,
@@ -18,12 +19,11 @@ from .automata import (emit_dfa_json, minimize, determinize,
 from .classify import classify, ruled_out_count_brute, ruled_out_count_formula
 from .errors import FormatError
 from .oracles import word_bfs_sigma
-from .search import _REVERSAL_SETUP, PruneFlags, SearchTask, search_max_sigma
-from .semigroup import (sigma_of_language, transition_semigroup,
-                        word_length_histogram)
+from .search import PruneFlags, SearchTask, search_max_sigma
+from .semigroup import sigma_of_language, word_length_histogram
 from .tables import TABLE_IDS, RuledOutRow, run_table
-from .witnesses import (left_ideal_witness, right_ideal_witness,
-                        small_witness, two_sided_witness)
+from .witnesses import (REVERSAL_SETUP, left_ideal_witness,
+                        right_ideal_witness, small_witness, two_sided_witness)
 
 __all__ = ["main"]
 
@@ -104,14 +104,21 @@ def _load_dfa(path: str):
 
 
 def _cmd_analyze(args) -> int:
-    d = _load_dfa(args.input)
-    payload = classify(d, cap=args.cap).as_dict()
-    sg = None
-    if args.histogram or args.samples > 0:  # only these need the words
-        sg = transition_semigroup(minimize(d), cap=args.cap)
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    report = classify(_load_dfa(args.input), cap=args.cap)
+    sg = report.semigroup
+    # sg.words is in BFS order: by length, then letters in alphabet order
+    samples = (list(islice(sg.words.items(), args.samples))
+               if args.samples else [])
+    payload = report.as_dict()
     if args.format == "json":
         if args.histogram:
             payload["histogram"] = word_length_histogram(sg)
+        if samples:
+            payload["samples"] = [
+                {"word": "".join(word), "element": list(t.images)}
+                for t, word in samples]
         print(json.dumps(payload, indent=2))
     else:
         width = max(map(len, payload))
@@ -121,10 +128,8 @@ def _cmd_analyze(args) -> int:
             print("elements by shortest-witness length:")
             for length, count in word_length_histogram(sg).items():
                 print(f"  {length:>3}  {count}")
-    if args.samples > 0:
-        pairs = sorted(sg.words.items(), key=lambda kv: (len(kv[1]), kv[1]))
-        for t, word in pairs[:args.samples]:
-            print(f"  {''.join(word) or 'ε'} -> {t}")
+        for t, word in samples:
+            print(f"  {''.join(word)} -> {t}")
     return 0
 
 
@@ -187,15 +192,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_reverse(args) -> int:
+    expected = None
     if args.input is not None:
         d = _load_dfa(args.input)
-        expected = None
     else:
         if args.family is None or args.n is None:
             raise FormatError("reverse needs --input or --family with --n")
-        build, designated, formula = _REVERSAL_SETUP[_family(args.family)]
-        d = build(args.n) if args.letters is None else build(args.n, args.letters)
-        expected = None
+        build, designated, formula = REVERSAL_SETUP[_family(args.family)]
+        d = build(args.n, args.letters)
         if args.letters is not None and set(args.letters) == set(designated):
             expected = formula(args.n)
     nfa = reverse(d)

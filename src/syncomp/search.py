@@ -25,14 +25,11 @@ from dataclasses import dataclass, field
 from itertools import (accumulate, combinations_with_replacement,
                        permutations, product)
 from math import comb
-from typing import Iterable, NamedTuple
 
-from .automata import Dfa, _moore_classes, determinize, minimize, reverse
+from .automata import Dfa, _moore_classes
 from .classify import _left_ideal_pairs, _orbit, classify
-from .semigroup import _closure, transition_semigroup
+from .semigroup import _closure
 from .transform import Transformation
-from .witnesses import (left_ideal_witness, right_ideal_witness,
-                        two_sided_witness)
 
 __all__ = [
     "PruneFlags",
@@ -40,10 +37,6 @@ __all__ = [
     "FoundWitness",
     "SearchResult",
     "search_max_sigma",
-    "Theorem9Report",
-    "verify_theorem9_pairing",
-    "ReversalRow",
-    "reversal_sweep",
 ]
 
 _SEARCH_FAMILIES = ("right", "left", "two_sided", "all")
@@ -53,9 +46,11 @@ _SEARCH_FAMILIES = ("right", "left", "two_sided", "all")
 class PruneFlags:
     """lemma8_filter: drop letters with periodic behavior from state 0
     (left/two-sided families only; such letters cannot occur in a left
-    ideal's semigroup).  canonical_first_letter: keep only the least
-    relabeling of each candidate under permutations of the free states.
-    dedupe_letter_multisets: enumerate sorted letter tuples only."""
+    ideal's semigroup).  canonical_first_letter: drop a candidate if a
+    relabeling of the free states maps it to a smaller one, comparing the
+    whole letter tuple (re-sorted under dedupe_letter_multisets) and then,
+    on a tie, the finals.  dedupe_letter_multisets: enumerate sorted letter
+    tuples only."""
 
     lemma8_filter: bool = True
     canonical_first_letter: bool = True
@@ -318,101 +313,3 @@ def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:
     if not (task.family == "all"
             or getattr(report, f"is_{task.family}_ideal")):
         raise AssertionError(f"witness not in class {task.family}: {w}")
-
-
-# ---------------------------------------------------------------------------
-# The n=3 left-ideal exclusion argument, reconstructed mechanically
-
-
-class Theorem9Report(NamedTuple):
-    """Partition of all 27 transformations of a 3-set: those ruled out by
-    the aperiodicity condition, those realized by the n=3 left witness, and
-    the six excluded because composing them with a realized partner lands
-    in the ruled-out set."""
-
-    ruled_out: tuple[Transformation, ...]
-    realized: tuple[Transformation, ...]
-    excluded: tuple[Transformation, ...]
-    pairings: tuple[tuple[Transformation, Transformation, Transformation], ...]
-    partners_distinct: bool
-    products_all_ruled_out: bool
-    partition_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.partners_distinct and self.products_all_ruled_out
-                and self.partition_ok)
-
-
-_PAIRING: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
-    ((1, 1, 0), (0, 2, 2)),
-    ((1, 1, 2), (0, 2, 0)),
-    ((1, 2, 2), (0, 1, 0)),
-    ((2, 0, 2), (0, 1, 1)),
-    ((2, 1, 1), (0, 0, 2)),
-    ((2, 1, 2), (0, 0, 1)),
-)
-
-
-def _wrap_sorted(ts) -> tuple[Transformation, ...]:
-    return tuple(Transformation(t) for t in sorted(ts))
-
-
-def verify_theorem9_pairing() -> Theorem9Report:
-    ruled = {t for t in product(range(3), repeat=3) if _orbit(t, 0)[2] >= 2}
-    witness = left_ideal_witness(3, "bcde")
-    realized = set(transition_semigroup(witness).images)
-    excluded = set(product(range(3), repeat=3)) - ruled - realized
-
-    pairings = []
-    products_ok = True
-    for t, partner in _PAIRING:
-        prod = tuple(partner[i] for i in t)
-        if prod not in ruled or partner not in realized:
-            products_ok = False
-        pairings.append((Transformation(t), Transformation(partner),
-                         Transformation(prod)))
-    partners = [p for _, p in _PAIRING]
-    partition_ok = (len(ruled) == 10 and len(realized) == 11
-                    and len(excluded) == 6
-                    and excluded == {t for t, _ in _PAIRING}
-                    and len(ruled) + len(realized) + len(excluded) == 27)
-    wrap = _wrap_sorted
-    return Theorem9Report(
-        ruled_out=wrap(ruled), realized=wrap(realized), excluded=wrap(excluded),
-        pairings=tuple(pairings),
-        partners_distinct=len(set(partners)) == len(partners),
-        products_all_ruled_out=products_ok,
-        partition_ok=partition_ok,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Reversal sweep over the designated witness restrictions
-
-
-class ReversalRow(NamedTuple):
-    n: int
-    measured: int
-    expected: int
-
-
-_REVERSAL_SETUP = {
-    "right": (right_ideal_witness, "ad", lambda n: 2 ** (n - 1)),
-    "left": (left_ideal_witness, "acde", lambda n: 2 ** (n - 1) + 1),
-    "two_sided": (two_sided_witness, "adef", lambda n: 2 ** (n - 2) + 1),
-}
-
-
-def reversal_sweep(family: str, n_range: Iterable[int]) -> list[ReversalRow]:
-    """kappa of the reversed witness restriction for each n, next to the
-    closed-form value it should equal."""
-    if family not in _REVERSAL_SETUP:
-        raise ValueError(f"no reversal witness for family {family!r}")
-    build, letters, expect = _REVERSAL_SETUP[family]
-    rows = []
-    for n in n_range:
-        d = build(n, letters)
-        measured = minimize(determinize(reverse(d))).n
-        rows.append(ReversalRow(n, measured, expect(n)))
-    return rows

@@ -1,4 +1,5 @@
-"""Extremal witness automata for the three ideal families.
+"""Extremal witness automata for the three ideal families, their closed-form
+sigma bounds, and the kappa of their reversed designated restrictions.
 
 Each family is a fixed semiautomaton on {0..n-1} with letters labeled
 "a".."f"; restrictions are specified by label.  Where two labels act
@@ -8,9 +9,9 @@ are kept so the API stays uniform.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .automata import Dfa, Semiautomaton
+from .automata import Dfa, Semiautomaton, determinize, minimize, reverse
 from .transform import (Transformation, constant, cycle, singular,
                         transposition)
 
@@ -23,6 +24,9 @@ __all__ = [
     "left_witness_core",
     "small_witness",
     "closed_form_bound",
+    "REVERSAL_SETUP",
+    "ReversalRow",
+    "reversal_sweep",
 ]
 
 FAMILIES = ("right", "left", "two_sided")
@@ -216,3 +220,32 @@ def closed_form_bound(family: str, n: int) -> int:
             raise ValueError("two-sided bound needs n >= 2")
         return n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1
     raise ValueError(f"unknown family {family!r}")
+
+
+# ---------------------------------------------------------------------------
+# Reversal: kappa of the reversed designated restrictions
+
+
+class ReversalRow(NamedTuple):
+    n: int
+    measured: int
+    expected: int
+
+
+# family -> (witness builder, designated letters, kappa of the reversal)
+REVERSAL_SETUP = {
+    "right": (right_ideal_witness, "ad", lambda n: 2 ** (n - 1)),
+    "left": (left_ideal_witness, "acde", lambda n: 2 ** (n - 1) + 1),
+    "two_sided": (two_sided_witness, "adef", lambda n: 2 ** (n - 2) + 1),
+}
+
+
+def reversal_sweep(family: str, n_range: Iterable[int]) -> list[ReversalRow]:
+    """kappa of the reversed witness restriction for each n, next to the
+    closed-form value it should equal."""
+    if family not in REVERSAL_SETUP:
+        raise ValueError(f"no reversal witness for family {family!r}")
+    build, letters, expect = REVERSAL_SETUP[family]
+    return [ReversalRow(n, minimize(determinize(reverse(build(n, letters)))).n,
+                        expect(n))
+            for n in n_range]

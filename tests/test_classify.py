@@ -14,7 +14,8 @@ from syncomp import (Semiautomaton, SizeMismatchError, Transformation,
                      left_witness_core, pair_graph_uniformity,
                      right_ideal_witness, ruled_out_count_brute,
                      ruled_out_count_formula, transposition,
-                     two_sided_witness, uniformly_minimal)
+                     two_sided_witness, uniformly_minimal,
+                     verify_theorem9_pairing)
 from syncomp.classify import _left_ideal_pairs
 
 
@@ -207,6 +208,32 @@ def test_ruled_out_input_validation():
         ruled_out_count_formula(0)
     with pytest.raises(ValueError):
         ruled_out_count_brute(9)
+
+
+# ---------------------------------------------------------------------------
+# the n=3 exclusion pairing
+
+
+def test_pairing_report_partitions_all_27():
+    report = verify_theorem9_pairing()
+    assert report.ok
+    assert len(report.ruled_out) == 10
+    assert len(report.realized) == 11
+    assert len(report.excluded) == 6
+    assert report.partners_distinct
+    assert report.products_all_ruled_out
+    realized = set(report.realized)
+    for excluded, partner, product in report.pairings:
+        assert partner in realized
+        assert product in set(report.ruled_out)
+        assert excluded in set(report.excluded)
+
+
+def test_pairing_and_exclusion_sets_are_disjoint():
+    report = verify_theorem9_pairing()
+    sets = [set(report.ruled_out), set(report.realized), set(report.excluded)]
+    assert sum(len(s) for s in sets) == 27
+    assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
 
 
 # ---------------------------------------------------------------------------

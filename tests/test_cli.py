@@ -78,24 +78,51 @@ def test_analyze_rejects_boolean_json(tmp_path, capsys):
 
 
 def test_analyze_closes_once_without_words(right4_file, monkeypatch, capsys):
-    # mu comes from classify's closure; only --histogram/--samples need the
-    # words, which cli reads from a closure of its own
-    classify_module = importlib.import_module("syncomp.classify")
-    cli_module = importlib.import_module("syncomp.cli")
-    real = classify_module.transition_semigroup
+    # sigma, mu, the histogram and the sample words all come from the one
+    # closure classify builds; every closure, through whichever binding of
+    # transition_semigroup, runs semigroup._closure
+    semigroup_module = importlib.import_module("syncomp.semigroup")
+    real = semigroup_module._closure
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(classify_module, "transition_semigroup", counted)
-    monkeypatch.setattr(cli_module, "transition_semigroup", counted)
+    monkeypatch.setattr(semigroup_module, "_closure", counted)
     assert main(["analyze", right4_file, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 64
     assert len(calls) == 1
     assert main(["analyze", right4_file, "--histogram"]) == 0
+    assert len(calls) == 2
+    assert main(["analyze", right4_file, "--samples", "3"]) == 0
     assert len(calls) == 3
+
+
+def test_analyze_json_samples_stay_valid_json(right4_file, capsys):
+    assert main(["analyze", right4_file, "--format", "json", "--histogram",
+                 "--samples", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sigma"] == 64
+    assert payload["samples"] == [
+        {"word": "a", "element": [1, 2, 0, 3]},
+        {"word": "b", "element": [1, 0, 2, 3]},
+        {"word": "c", "element": [0, 1, 0, 3]},
+    ]
+    assert main(["analyze", right4_file, "--format", "json"]) == 0
+    assert "samples" not in json.loads(capsys.readouterr().out)
+
+
+def test_analyze_rejects_negative_samples(right4_file, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure run before the flag was checked")
+
+    monkeypatch.setattr(importlib.import_module("syncomp.semigroup"),
+                        "_closure", refuse)
+    assert main(["analyze", right4_file, "--samples", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--samples" in captured.err
 
 
 # ---------------------------------------------------------------------------

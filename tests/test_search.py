@@ -1,4 +1,4 @@
-"""Exhaustive search cells, pruning soundness, pairing and reversal checks."""
+"""Exhaustive search cells, pruning soundness, budgets and sharding."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import os
 import pytest
 
 from conftest import binary_3_sweep
-from syncomp import (PruneFlags, ReversalRow, SearchTask, classify, minimize,
-                     reversal_sweep, search_max_sigma, sigma_of_language,
-                     small_witness, verify_theorem9_pairing)
+from syncomp import (PruneFlags, SearchTask, classify, minimize,
+                     search_max_sigma, sigma_of_language, small_witness)
 from syncomp.search import _minimal_finals
 
 ALL_OFF = PruneFlags(lemma8_filter=False, canonical_first_letter=False,
@@ -265,50 +264,3 @@ def test_maximum_grows_with_alphabet():
               for k in (1, 2, 3, 4)]
     assert values == sorted(values)
     assert values[-1] == values[2] == 9  # three letters already saturate n=3
-
-
-# ---------------------------------------------------------------------------
-# exclusion pairing and reversal rows
-
-
-def test_pairing_report_partitions_all_27():
-    report = verify_theorem9_pairing()
-    assert report.ok
-    assert len(report.ruled_out) == 10
-    assert len(report.realized) == 11
-    assert len(report.excluded) == 6
-    assert report.partners_distinct
-    assert report.products_all_ruled_out
-    realized = set(report.realized)
-    for excluded, partner, product in report.pairings:
-        assert partner in realized
-        assert product in set(report.ruled_out)
-        assert excluded in set(report.excluded)
-
-
-def test_pairing_and_exclusion_sets_are_disjoint():
-    report = verify_theorem9_pairing()
-    sets = [set(report.ruled_out), set(report.realized), set(report.excluded)]
-    assert sum(len(s) for s in sets) == 27
-    assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
-
-
-@pytest.mark.parametrize("family, n, expected", [
-    ("right", 6, 32),
-    ("left", 4, 9),
-    ("two_sided", 6, 17),
-])
-def test_reversal_rows(family, n, expected):
-    rows = reversal_sweep(family, [n])
-    assert rows == [ReversalRow(n, expected, expected)]
-
-
-def test_reversal_sweep_range():
-    rows = reversal_sweep("right", range(4, 7))
-    assert [r.n for r in rows] == [4, 5, 6]
-    assert all(r.measured == r.expected == 2 ** (r.n - 1) for r in rows)
-
-
-def test_reversal_sweep_unknown_family():
-    with pytest.raises(ValueError):
-        reversal_sweep("all", [3])

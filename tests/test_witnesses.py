@@ -1,4 +1,5 @@
-"""Witness families: closed forms, restrictions, small registry, bounds."""
+"""Witness families: closed forms, restrictions, small registry, bounds,
+reversal rows."""
 
 from __future__ import annotations
 
@@ -6,8 +7,9 @@ from itertools import chain, combinations
 
 import pytest
 
-from syncomp import (classify, closed_form_bound, left_ideal_witness,
-                     left_witness_core, left_witness_semiautomaton, minimize,
+from syncomp import (ReversalRow, classify, closed_form_bound,
+                     left_ideal_witness, left_witness_core,
+                     left_witness_semiautomaton, minimize, reversal_sweep,
                      right_ideal_witness, sigma_of_language, small_witness,
                      two_sided_witness)
 
@@ -219,3 +221,28 @@ def test_bounds_dominate_every_recorded_small_cell():
     for family, n, k in [("right", 4, 2), ("left", 4, 2), ("two_sided", 3, 3)]:
         assert sigma_of_language(small_witness(family, n, k)) \
             <= closed_form_bound(family, n)
+
+
+# ---------------------------------------------------------------------------
+# reversal rows
+
+
+@pytest.mark.parametrize("family, n, expected", [
+    ("right", 6, 32),
+    ("left", 4, 9),
+    ("two_sided", 6, 17),
+])
+def test_reversal_rows(family, n, expected):
+    rows = reversal_sweep(family, [n])
+    assert rows == [ReversalRow(n, expected, expected)]
+
+
+def test_reversal_sweep_range():
+    rows = reversal_sweep("right", range(4, 7))
+    assert [r.n for r in rows] == [4, 5, 6]
+    assert all(r.measured == r.expected == 2 ** (r.n - 1) for r in rows)
+
+
+def test_reversal_sweep_unknown_family():
+    with pytest.raises(ValueError):
+        reversal_sweep("all", [3])
