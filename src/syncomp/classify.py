@@ -149,7 +149,8 @@ _PAIRING: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
 
 def verify_theorem9_pairing() -> Theorem9Report:
     ruled = set(_ruled_out(3))
-    realized = set(transition_semigroup(left_ideal_witness(3, "bcde")).images)
+    realized = set(map(tuple, transition_semigroup(
+        left_ideal_witness(3, "bcde")).images))
     excluded = set(product(range(3), repeat=3)) - ruled - realized
     paired, partners = zip(*_PAIRING)
     products = [tuple(p[i] for i in t) for t, p in _PAIRING]

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .automata import (emit_dfa_json, minimize, determinize,
@@ -108,9 +107,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     report = classify(_load_dfa(args.input), cap=args.cap)
     sg = report.semigroup
-    # sg.words is in BFS order: by length, then letters in alphabet order
-    samples = (list(islice(sg.words.items(), args.samples))
-               if args.samples else [])
+    # BFS order: by length, then letters in alphabet order
+    samples = list(sg.first_words(args.samples).items())
     payload = report.as_dict()
     if args.format == "json":
         if args.histogram:

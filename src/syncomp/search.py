@@ -234,6 +234,13 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
         pos = starts[first]
         if pos >= task.budget:
             break
+        # a relabeling that maps the head lower maps every candidate under
+        # it lower: its relabeled (and re-sorted) tuple starts lower
+        if any(letters[first] < first for letters, _ in tables):
+            skipped = min(starts[first + 1], task.budget) - pos
+            examined += skipped
+            pruned += skipped
+            continue
         rest_iter = (combinations_with_replacement(indices[first:], more)
                      if sort_letters else product(indices, repeat=more))
         for rest in rest_iter:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -33,12 +34,14 @@ class SemigroupResult:
 
     images lists the elements in BFS order: element i is element parent[i]
     followed by letter alphabet[last[i]], or that letter alone at parent -1.
-    words (each element's earliest BFS word) and elements are built lazily.
+    An image is bytes (one byte per state) up to 256 states, else a tuple;
+    both index to ints.  words (each element's earliest BFS word) and
+    elements are built lazily, as Transformations.
     """
 
     n: int
     alphabet: tuple[str, ...]
-    images: list[tuple[int, ...]]
+    images: list[bytes] | list[tuple[int, ...]]
     parent: list[int]
     last: list[int]
     sigma: int
@@ -51,27 +54,45 @@ class SemigroupResult:
 
     @cached_property
     def words(self) -> dict[Transformation, tuple[str, ...]]:
-        chain: list[tuple[str, ...]] = []  # parents come before children
-        for p, a in zip(self.parent, self.last):
+        return self.first_words(self.sigma)
+
+    def first_words(self, count: int) -> dict[Transformation, tuple[str, ...]]:
+        """words of the first count elements only, in BFS order: parents
+        come before children, so no other element's word is needed."""
+        chain: list[tuple[str, ...]] = []
+        for p, a in zip(islice(self.parent, count), self.last):
             chain.append((chain[p] if p >= 0 else ()) + (self.alphabet[a],))
         return dict(zip(map(Transformation, self.images), chain))
 
 
+def _identity(n: int) -> bytes | tuple[int, ...]:
+    """The identity in the element encoding of an n-state closure: bytes
+    while every state number fits in a byte, else a tuple."""
+    return bytes(range(n)) if n <= 256 else tuple(range(n))
+
+
 def _closure(gens: Sequence[tuple[int, ...]], cap: int
-             ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+             ) -> tuple[list[bytes] | list[tuple[int, ...]], list[int],
+                        list[int]]:
     """BFS closure of letter image tuples: the images, parent and last of a
-    SemigroupResult.  More than cap elements raise CapExceededError."""
+    SemigroupResult.  More than cap elements raise CapExceededError.
+
+    Up to 256 states an element is bytes and t.translate(g) is t followed
+    by g, with g padded to a 256-byte table: composed and hashed in C.
+    Beyond that a state number does not fit in a byte, so elements are
+    tuples and itemgetter(*t)(g) is t followed by g."""
     n = len(gens[0])
-    letters = list(enumerate(gens))
-    seen: set[tuple[int, ...]] = set()
-    elements: list[tuple[int, ...]] = []
+    i, t = -1, _identity(n)  # the empty word: its children are the letters
+    small = type(t) is bytes
+    # the padding is never read: every byte of an element is below n
+    letters = [(a, bytes(g) + bytes(256 - n) if small else g)
+               for a, g in enumerate(gens)]
+    seen: set = set()
+    elements: list = []
     parent: list[int] = []
     last: list[int] = []
-    i, t = -1, tuple(range(n))  # the empty word: its children are the letters
     while True:
-        # then(g) is t followed by g; with one state that is g itself, and
-        # itemgetter of a single index would return a bare int
-        then = itemgetter(*t) if n > 1 else tuple
+        then = t.translate if small else itemgetter(*t)
         for a, g in letters:
             c = then(g)
             if c not in seen:
@@ -98,7 +119,7 @@ def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:
         cap = d.n ** d.n
     images, parent, last = _closure(
         [d.delta[a].images for a in d.alphabet], cap)
-    sigma, has_ident = len(images), tuple(range(d.n)) in images
+    sigma, has_ident = len(images), _identity(d.n) in images
     return SemigroupResult(d.n, d.alphabet, images, parent, last, sigma,
                            sigma if has_ident else sigma + 1, has_ident)
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import syncomp
-from syncomp import (emit_dfa_json, parse_dfa_json, right_ideal_witness,
-                     small_witness)
+from syncomp import (Transformation, emit_dfa_json, left_ideal_witness,
+                     parse_dfa_json, right_ideal_witness, small_witness)
 from syncomp.cli import main
 
 
@@ -111,6 +111,25 @@ def test_analyze_json_samples_stay_valid_json(right4_file, capsys):
     ]
     assert main(["analyze", right4_file, "--format", "json"]) == 0
     assert "samples" not in json.loads(capsys.readouterr().out)
+
+
+def test_analyze_samples_build_only_their_own_words(tmp_path, monkeypatch,
+                                                    capsys):
+    # the first K elements' parents lie among them, so K sample words need
+    # no word or Transformation of the other elements (sigma is 117,655 here)
+    path = tmp_path / "left7.json"
+    path.write_text(emit_dfa_json(left_ideal_witness(7)))
+    built = []
+    real = Transformation.__post_init__
+
+    def counted(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(Transformation, "__post_init__", counted)
+    assert main(["analyze", str(path), "--samples", "3"]) == 0
+    assert capsys.readouterr().out.count(" -> ") == 3
+    assert len(built) < 1000
 
 
 def test_analyze_rejects_negative_samples(right4_file, monkeypatch, capsys):

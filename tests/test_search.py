@@ -9,6 +9,7 @@ import pytest
 from conftest import binary_3_sweep
 from syncomp import (PruneFlags, SearchTask, classify, minimize,
                      search_max_sigma, sigma_of_language, small_witness)
+from syncomp import search
 from syncomp.search import _minimal_finals
 
 ALL_OFF = PruneFlags(lemma8_filter=False, canonical_first_letter=False,
@@ -227,6 +228,50 @@ def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch, dedupe):
     assert parallel.candidates_pruned == serial.candidates_pruned
     assert parallel.max_sigma == serial.max_sigma
     assert not parallel.exhaustive and not serial.exhaustive
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("family, n, k, budget, expected", [
+    ("right", 5, 2, 1, (1, 0, 0, 0)),
+    ("right", 5, 2, 500, (500, 400, 19, 1)),
+    ("right", 5, 2, 1500, (1500, 747, 52, 2)),
+    ("right", 5, 2, 5000, (5000, 2629, 167, 4)),
+    ("left", 4, 2, 2500, (2500, 1341, 14, 6)),
+    ("left", 4, 2, 3000, (3000, 1812, 14, 6)),
+])
+def test_head_skipping_keeps_budgeted_counts(monkeypatch, jobs, family, n, k,
+                                             budget, expected):
+    # examined, pruned, max sigma and witness count of a budget prefix.
+    # Budgets 1500 and 2500 end inside the candidates of pool head 2, which
+    # a relabeling maps lower ((0,0,0,2,4) and (0,0,0,2), candidates
+    # 1249-1871 and 1981-2960), so the skip must count a partial head
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    result = search_max_sigma(SearchTask(family, n, k, budget=budget,
+                                         jobs=jobs))
+    assert (result.candidates_examined, result.candidates_pruned,
+            result.max_sigma, len(result.witnesses)) == expected
+    assert not result.exhaustive
+
+
+@pytest.mark.parametrize("family, n, k, dedupe", [
+    ("right", 4, 3, True), ("left", 4, 2, True), ("right", 4, 2, False),
+])
+def test_relabel_filter_never_sees_a_non_minimal_head(monkeypatch, family, n,
+                                                       k, dedupe):
+    # heads some relabeling maps lower are skipped whole, before any of
+    # their candidates reaches the relabel filter
+    real = search._fixing_finals_tables
+    heads = set()
+
+    def checked(idx, tables, sort_letters):
+        assert all(letters[idx[0]] >= idx[0] for letters, _ in tables), idx
+        heads.add(idx[0])
+        return real(idx, tables, sort_letters)
+
+    monkeypatch.setattr(search, "_fixing_finals_tables", checked)
+    prune = PruneFlags(dedupe_letter_multisets=dedupe)
+    result = search_max_sigma(SearchTask(family, n, k, prune=prune))
+    assert heads and result.exhaustive
 
 
 def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, reject, settings
 
 from conftest import dfa, random_dfas
-from syncomp import (CapExceededError, Transformation, classify, identity,
-                     left_ideal_witness, minimize, right_ideal_witness,
-                     sigma_of_language, small_witness, transition_semigroup,
-                     two_sided_witness, witness_words, word_bfs_sigma,
-                     word_length_histogram)
+from syncomp import (CapExceededError, Dfa, Transformation, classify,
+                     identity, left_ideal_witness, minimize,
+                     right_ideal_witness, sigma_of_language, small_witness,
+                     transition_semigroup, two_sided_witness, witness_words,
+                     word_bfs_sigma, word_length_histogram)
 
 
 def test_right_witness_semigroup_is_everything_fixing_the_sink():
@@ -118,6 +118,23 @@ def test_sigma_and_mu_build_no_transformations(monkeypatch):
     report = classify(right_ideal_witness(6))
     assert report.sigma == 7776
     assert len(built) < 1000
+
+
+@pytest.mark.parametrize("n, encoding", [
+    (1, bytes), (255, bytes), (256, bytes), (257, tuple), (300, tuple),
+])
+def test_closure_encoding_switches_above_256_states(n, encoding):
+    # a cyclic shift and a constant map: the n powers of the shift and the
+    # n constants, so sigma = mu = 2n (one element at n = 1, where both
+    # letters are the identity)
+    shift = Transformation(tuple((q + 1) % n for q in range(n)))
+    d = Dfa(n, ("a", "b"), {"a": shift, "b": Transformation((0,) * n)}, 0,
+            frozenset({0}))
+    sg = transition_semigroup(d)
+    assert sg.sigma == sg.mu == (2 * n if n > 1 else 1)
+    assert type(sg.images[0]) is encoding
+    for t, word in sg.words.items():
+        assert d.transformation_of(word) == t
 
 
 @settings(deadline=None)
