@@ -19,8 +19,7 @@ from .classify import (Behavior, ClassReport, Theorem9Report,
 from .errors import (AlphabetMismatchError, CapExceededError, FormatError,
                      SizeMismatchError)
 from .oracles import word_bfs_sigma
-from .search import (FoundWitness, PruneFlags, SearchResult, SearchTask,
-                     search_max_sigma)
+from .search import FoundWitness, SearchResult, SearchTask, search_max_sigma
 from .semigroup import (SemigroupResult, sigma_of_language,
                         transition_semigroup, witness_words,
                         word_length_histogram)

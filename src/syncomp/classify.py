@@ -73,13 +73,13 @@ def behavior_of(d: Dfa, t: Transformation) -> Behavior:
     return Behavior(*_orbit(t.images, d.initial))
 
 
-def all_behaviors_aperiodic(d: Dfa, cap: int | None = None) -> bool:
+def all_behaviors_aperiodic(d: Dfa) -> bool:
     """True iff every word's action has an aperiodic behavior from d.initial.
 
     Checking the transition semigroup's elements suffices: every word acts
     as one of them.
     """
-    result = transition_semigroup(d, cap=cap)
+    result = transition_semigroup(d)
     return all(_orbit(t, d.initial)[2] == 1 for t in result.images)
 
 

@@ -18,7 +18,7 @@ from .automata import (emit_dfa_json, minimize, determinize,
 from .classify import classify, ruled_out_count_brute, ruled_out_count_formula
 from .errors import FormatError
 from .oracles import word_bfs_sigma
-from .search import PruneFlags, SearchTask, search_max_sigma
+from .search import SearchTask, search_max_sigma
 from .semigroup import sigma_of_language, word_length_histogram
 from .tables import TABLE_IDS, RuledOutRow, run_table
 from .witnesses import (REVERSAL_SETUP, left_ideal_witness,
@@ -65,9 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("right", "left", "two-sided", "two_sided", "all"))
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--no-prune-lemma8", action="store_true")
-    s.add_argument("--no-prune-canonical", action="store_true")
-    s.add_argument("--no-prune-multisets", action="store_true")
+    s.add_argument("--no-prune", action="store_true",
+                   help="plain enumeration, the reference for the filters")
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--budget", type=int, default=10 ** 9)
     s.add_argument("--format", choices=("text", "json"), default="text")
@@ -157,12 +156,7 @@ def _cmd_witness(args) -> int:
 def _cmd_search(args) -> int:
     task = SearchTask(
         _family(args.family), args.n, args.k,
-        prune=PruneFlags(
-            lemma8_filter=not args.no_prune_lemma8,
-            canonical_first_letter=not args.no_prune_canonical,
-            dedupe_letter_multisets=not args.no_prune_multisets,
-        ),
-        budget=args.budget, jobs=args.jobs)
+        prune=not args.no_prune, budget=args.budget, jobs=args.jobs)
     result = search_max_sigma(task)
     if args.format == "json":
         print(json.dumps({

@@ -10,6 +10,8 @@ Normal forms (initial state always 0):
   two_sided  same skeleton, plus the left-ideal checks
   left       any letters, finals ranging over nonempty subsets avoiding 0
   all        any letters, finals ranging over nonempty proper subsets
+At n=1 both take finals {0} instead: Σ*, the only 1-state ideal (for all,
+∅ ties with it at sigma 1).
 
 State-relabeling symmetry (on the states the skeleton leaves free) and
 letter-renaming symmetry never change sigma or class membership, so the
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import (accumulate, combinations_with_replacement,
                        permutations, product)
 from math import comb
@@ -32,7 +34,6 @@ from .semigroup import _closure
 from .transform import Transformation
 
 __all__ = [
-    "PruneFlags",
     "SearchTask",
     "FoundWitness",
     "SearchResult",
@@ -43,26 +44,30 @@ _SEARCH_FAMILIES = ("right", "left", "two_sided", "all")
 
 
 @dataclass(frozen=True)
-class PruneFlags:
-    """lemma8_filter: drop letters with periodic behavior from state 0
-    (left/two-sided families only; such letters cannot occur in a left
-    ideal's semigroup).  canonical_first_letter: drop a candidate if a
-    relabeling of the free states maps it to a smaller one, comparing the
-    whole letter tuple (re-sorted under dedupe_letter_multisets) and then,
-    on a tie, the finals.  dedupe_letter_multisets: enumerate sorted letter
-    tuples only."""
-
-    lemma8_filter: bool = True
-    canonical_first_letter: bool = True
-    dedupe_letter_multisets: bool = True
-
-
-@dataclass(frozen=True)
 class SearchTask:
+    """One (family, n, k) cell.
+
+    prune=False enumerates every letter tuple over the family's pool with
+    every finals option: the reference that the pruned search must match.
+    prune=True (the default) adds four filters, none of which changes the
+    maximum or drops the least representative of a witness:
+      - lemma 8 (left and two-sided families): letters whose behavior from
+        state 0 is periodic are dropped from the pool, since no such letter
+        acts in the semigroup of a left ideal;
+      - letter tuples are enumerated as sorted multisets, since renaming
+        letters changes neither sigma nor class membership;
+      - a candidate is dropped if a relabeling of the free states maps it to
+        a smaller one, comparing the re-sorted letter tuple and then, on a
+        tie, the finals: the relabeled DFA has the same sigma and class and
+        is enumerated itself;
+      - a head letter that some relabeling maps lower is skipped whole: the
+        re-sorted image of every tuple under it starts lower.
+    """
+
     family: str
     n: int
     k: int
-    prune: PruneFlags = field(default_factory=PruneFlags)
+    prune: bool = True
     budget: int = 10 ** 9
     jobs: int = 1
 
@@ -79,6 +84,9 @@ class SearchTask:
         # about 16.8 M (gigabytes) at n=8
         if self.n > 7:
             raise ValueError("searches are limited to n <= 7 states")
+        # FoundWitness.as_dfa names the letters a..z
+        if self.k > 26:
+            raise ValueError("searches are limited to k <= 26 letters")
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ def _pool(task: SearchTask) -> list[tuple[int, ...]]:
         cands = [t for t in every if t[n - 1] == n - 1]
     else:
         cands = list(every)
-    if task.prune.lemma8_filter and task.family in ("left", "two_sided"):
+    if task.prune and task.family in ("left", "two_sided"):
         cands = [t for t in cands if _orbit(t, 0)[2] == 1]
     return cands  # product() already yields lexicographic order
 
@@ -153,8 +161,8 @@ def _finals_options(task: SearchTask) -> list[frozenset[int]]:
     opts = []
     for mask in range(1, 1 << n):
         f = frozenset(q for q in range(n) if mask >> q & 1)
-        if task.family == "left" and 0 in f:
-            continue
+        if task.family == "left" and 0 in f and n > 1:
+            continue  # a left ideal accepting ε is Σ*, minimal only at n=1
         if task.family == "all" and len(f) == n and n > 1:
             continue  # all-final is Σ*, never minimal with n > 1 states
         opts.append(f)
@@ -194,15 +202,14 @@ def _relabel_tables(task: SearchTask, pool, finals_opts) -> list[tuple]:
     return tables
 
 
-def _fixing_finals_tables(idx: tuple[int, ...], tables,
-                          sort_letters: bool) -> list[list[int]] | None:
+def _fixing_finals_tables(idx: tuple[int, ...],
+                          tables) -> list[list[int]] | None:
     """None if a relabeling maps letter tuple idx lower, else the finals
     tables of those fixing it: (idx, finals i) is canonical iff none maps i
     lower."""
     fixing = []
     for letters, finals in tables:
-        image = [letters[i] for i in idx]
-        image = tuple(sorted(image) if sort_letters else image)
+        image = tuple(sorted([letters[i] for i in idx]))
         if image < idx:
             return None
         if image == idx:
@@ -215,20 +222,18 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     global order (head, rest, finals), the same for any number of shards."""
     pool = _pool(task)
     finals_opts = _finals_options(task)
-    tables = (_relabel_tables(task, pool, finals_opts)
-              if task.prune.canonical_first_letter else [])
-    sort_letters = task.prune.dedupe_letter_multisets
+    tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
     # a tuple, not a range: its slices share ints instead of making new ones
     indices, more = tuple(range(len(pool))), task.k - 1
     starts = list(accumulate(
         (len(finals_opts) * (comb(len(pool) - first + more - 1, more)
-                             if sort_letters else len(pool) ** more)
+                             if task.prune else len(pool) ** more)
          for first in indices), initial=0))
     needs_left = task.family in ("left", "two_sided")
     cap = task.n ** task.n
     best = 0
     wits: list[tuple] = []
-    examined = pruned = 0
+    pruned = 0
 
     for first in indices[shard::shards]:
         pos = starts[first]
@@ -237,20 +242,17 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
         # a relabeling that maps the head lower maps every candidate under
         # it lower: its relabeled (and re-sorted) tuple starts lower
         if any(letters[first] < first for letters, _ in tables):
-            skipped = min(starts[first + 1], task.budget) - pos
-            examined += skipped
-            pruned += skipped
+            pruned += min(starts[first + 1], task.budget) - pos
             continue
         rest_iter = (combinations_with_replacement(indices[first:], more)
-                     if sort_letters else product(indices, repeat=more))
+                     if task.prune else product(indices, repeat=more))
         for rest in rest_iter:
             take = min(len(finals_opts), task.budget - pos)
             if take <= 0:
                 break
             pos += take
-            examined += take
             idx = (first,) + rest
-            fixing = _fixing_finals_tables(idx, tables, sort_letters)
+            fixing = _fixing_finals_tables(idx, tables)
             if fixing is None:
                 pruned += take
                 continue
@@ -267,14 +269,7 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
                     best, wits = s, []
                 if s == best:
                     wits.append((letters, tuple(sorted(finals))))
-    return best, wits, examined, pruned, starts[-1] > task.budget
-
-
-def _trivial_one_state(task: SearchTask) -> SearchResult:
-    # the only 1-state ideal is Σ*; for family=all, ∅ ties at sigma 1
-    ident = Transformation((0,))
-    wit = FoundWitness((ident,) * task.k, frozenset({0}))
-    return SearchResult(task, 1, (wit,), 1, 0, True)
+    return best, wits, pruned, starts[-1]
 
 
 def search_max_sigma(task: SearchTask) -> SearchResult:
@@ -283,9 +278,6 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
     Every witness is re-verified (minimal, in class, sigma equal to the
     maximum) before the result is returned.
     """
-    if task.n == 1:
-        return _trivial_one_state(task)
-
     # the executor forks every worker at once: cap them by heads and CPUs
     jobs = min(task.jobs, len(_pool(task)), os.cpu_count() or 1)
     if jobs == 1:
@@ -302,13 +294,13 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
                       frozenset(finals))
          for letters, finals in raw),
         key=FoundWitness.sort_key))
-    examined = sum(p[2] for p in parts)
-    pruned = sum(p[3] for p in parts)
-    exhaustive = not any(p[4] for p in parts)
+    total = parts[0][3]  # every shard counts the whole candidate order
+    pruned = sum(p[2] for p in parts)
 
     for w in witnesses:
         _reverify(task, w, best)
-    return SearchResult(task, best, witnesses, examined, pruned, exhaustive)
+    return SearchResult(task, best, witnesses, min(total, task.budget),
+                        pruned, total <= task.budget)
 
 
 def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:

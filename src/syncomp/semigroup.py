@@ -124,9 +124,9 @@ def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:
                            sigma if has_ident else sigma + 1, has_ident)
 
 
-def sigma_of_language(d: Dfa, cap: int | None = None) -> int:
+def sigma_of_language(d: Dfa) -> int:
     """Syntactic complexity: |transition semigroup of the minimal DFA|."""
-    return transition_semigroup(minimize(d), cap=cap).sigma
+    return transition_semigroup(minimize(d)).sigma
 
 
 def witness_words(result: SemigroupResult, t: Transformation) -> str:

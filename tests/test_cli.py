@@ -200,17 +200,24 @@ def test_search_json(capsys):
 
 def test_search_text_and_prune_flags(capsys):
     assert main(["search", "--family", "right", "--n", "3", "--k", "2",
-                 "--no-prune-lemma8", "--no-prune-canonical",
-                 "--no-prune-multisets"]) == 0
+                 "--no-prune"]) == 0
     out = capsys.readouterr().out
     assert "max_sigma=7" in out
     assert "exhaustive" in out
+    # the single switch replaced one flag per filter
+    for flag in ("--no-prune-lemma8", "--no-prune-canonical",
+                 "--no-prune-multisets"):
+        with pytest.raises(SystemExit) as info:
+            main(["search", "--family", "right", "--n", "3", "--k", "2",
+                  flag])
+        assert info.value.code == 2
 
 
 @pytest.mark.parametrize("flags", [
     ["--n", "3", "--budget", "0"],
     ["--n", "3", "--budget", "-5"],
     ["--n", "8"],  # refused before any candidate pool is built
+    ["--n", "2", "--k", "27"],  # witnesses name their letters a..z
 ])
 def test_search_rejects_tasks_that_cannot_run(flags, capsys):
     assert main(["search", "--family", "right", "--k", "2", *flags]) == 2

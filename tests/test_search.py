@@ -7,13 +7,13 @@ import os
 import pytest
 
 from conftest import binary_3_sweep
-from syncomp import (PruneFlags, SearchTask, classify, minimize,
-                     search_max_sigma, sigma_of_language, small_witness)
+from syncomp import (SearchTask, classify, minimize, search_max_sigma,
+                     sigma_of_language, small_witness)
 from syncomp import search
 from syncomp.search import _minimal_finals
 
-ALL_OFF = PruneFlags(lemma8_filter=False, canonical_first_letter=False,
-                     dedupe_letter_multisets=False)
+# SearchTask options: the default pruned search and the plain enumeration
+PRUNED, UNPRUNED = {}, {"prune": False}
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +75,19 @@ def test_right_5_2_long_cell():
 
 
 @pytest.mark.parametrize("family, n, k, prune, expected", [
-    ("right", 4, 3, PruneFlags(), (61, 324, 45760, 22708)),
-    ("left", 4, 2, PruneFlags(), (17, 3, 71071, 59008)),
-    ("two_sided", 4, 3, PruneFlags(), (19, 7, 24804, 12254)),
-    ("left", 3, 4, PruneFlags(), (11, 24, 14535, 7225)),
-    ("all", 3, 2, PruneFlags(), (24, 108, 2268, 1116)),
-    ("right", 4, 2, PruneFlags(dedupe_letter_multisets=False),
-     (31, 18, 4096, 2016)),
+    ("right", 4, 3, PRUNED, (61, 324, 45760, 22708)),
+    ("left", 4, 2, PRUNED, (17, 3, 71071, 59008)),
+    ("two_sided", 4, 3, PRUNED, (19, 7, 24804, 12254)),
+    ("left", 3, 4, PRUNED, (11, 24, 14535, 7225)),
+    ("all", 3, 2, PRUNED, (24, 108, 2268, 1116)),
+    ("right", 4, 2, UNPRUNED, (31, 36, 4096, 0)),
+    ("left", 3, 2, UNPRUNED, (7, 8, 2187, 0)),
+    ("two_sided", 3, 3, UNPRUNED, (6, 6, 729, 0)),
 ])
 def test_cell_counts_are_pinned(family, n, k, prune, expected):
     # the witness count and the candidate counters change if the canonical
     # representatives or the enumeration order change
-    result = search_max_sigma(SearchTask(family, n, k, prune=prune))
+    result = search_max_sigma(SearchTask(family, n, k, **prune))
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == expected
 
@@ -114,10 +115,21 @@ def test_found_witness_as_dfa_letters():
 
 
 def test_one_state_cell_is_trivial():
-    result = search_max_sigma(SearchTask("right", 1, 3))
-    assert result.max_sigma == 1
-    assert result.exhaustive
-    assert result.witnesses[0].as_dfa().n == 1
+    # the general search, pruned or not: the only 1-state ideal is Σ*
+    for family in ("right", "left", "two_sided", "all"):
+        for k in (1, 2, 3):
+            for prune in (True, False):
+                result = search_max_sigma(SearchTask(family, 1, k,
+                                                     prune=prune))
+                case = (family, k, prune)
+                assert result.max_sigma == 1, case
+                assert [(tuple(t.images for t in w.letters), w.finals)
+                        for w in result.witnesses] == \
+                    [(((0,),) * k, frozenset({0}))], case
+                assert (result.candidates_examined,
+                        result.candidates_pruned) == (1, 0), case
+                assert result.exhaustive, case
+                assert result.witnesses[0].as_dfa().n == 1, case
 
 
 def test_task_validation():
@@ -138,32 +150,30 @@ def test_task_validation():
     with pytest.raises(ValueError):
         SearchTask("left", 8, 2)
     SearchTask("left", 7, 2)
+    # witnesses name their letters a..z
+    with pytest.raises(ValueError):
+        SearchTask("right", 2, 27)
+    SearchTask("right", 2, 26)
 
 
 # ---------------------------------------------------------------------------
-# pruning soundness: every filter combination reports the same maximum
+# pruning soundness: the plain enumeration reports the same maximum
 
 
-@pytest.mark.parametrize("flags", [
-    PruneFlags(lemma8_filter=False),
-    PruneFlags(canonical_first_letter=False),
-    PruneFlags(dedupe_letter_multisets=False),
-    ALL_OFF,
-])
 @pytest.mark.parametrize("family, n, k, expected", [
     ("right", 3, 2, 7),
     ("left", 3, 2, 7),
     ("two_sided", 3, 3, 6),
 ])
-def test_prune_flags_do_not_change_the_maximum(flags, family, n, k, expected):
-    result = search_max_sigma(SearchTask(family, n, k, prune=flags))
+def test_pruning_does_not_change_the_maximum(family, n, k, expected):
+    result = search_max_sigma(SearchTask(family, n, k, prune=False))
     assert result.max_sigma == expected
     assert result.exhaustive
 
 
 def test_pruning_reduces_work():
     pruned = search_max_sigma(SearchTask("left", 3, 2))
-    full = search_max_sigma(SearchTask("left", 3, 2, prune=ALL_OFF))
+    full = search_max_sigma(SearchTask("left", 3, 2, prune=False))
     assert pruned.candidates_examined < full.candidates_examined
     assert full.candidates_pruned == 0
     assert pruned.candidates_pruned > 0
@@ -172,10 +182,12 @@ def test_pruning_reduces_work():
 
 def test_canonical_filter_removes_relabeled_duplicates():
     with_filter = search_max_sigma(SearchTask("left", 3, 2))
-    without = search_max_sigma(
-        SearchTask("left", 3, 2, prune=PruneFlags(canonical_first_letter=False)))
+    without = search_max_sigma(SearchTask("left", 3, 2, prune=False))
     assert without.max_sigma == with_filter.max_sigma
-    assert len(without.witnesses) >= len(with_filter.witnesses)
+    assert len(without.witnesses) > len(with_filter.witnesses)
+    # the filters keep one representative of each witness, never a new one
+    kept = {w.sort_key() for w in without.witnesses}
+    assert {w.sort_key() for w in with_filter.witnesses} <= kept
 
 
 def test_search_minimality_test_agrees_with_minimize():
@@ -215,10 +227,9 @@ def test_parallel_run_is_deterministic():
     assert parallel.exhaustive
 
 
-@pytest.mark.parametrize("dedupe", [True, False])
-def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch, dedupe):
+@pytest.mark.parametrize("prune", [True, False])
+def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch, prune):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # really use two shards
-    prune = PruneFlags(dedupe_letter_multisets=dedupe)
     serial, parallel = (
         search_max_sigma(SearchTask("right", 4, 3, prune=prune, budget=3000,
                                     jobs=jobs))
@@ -253,24 +264,21 @@ def test_head_skipping_keeps_budgeted_counts(monkeypatch, jobs, family, n, k,
     assert not result.exhaustive
 
 
-@pytest.mark.parametrize("family, n, k, dedupe", [
-    ("right", 4, 3, True), ("left", 4, 2, True), ("right", 4, 2, False),
-])
-def test_relabel_filter_never_sees_a_non_minimal_head(monkeypatch, family, n,
-                                                       k, dedupe):
+@pytest.mark.parametrize("family, n, k", [("right", 4, 3), ("left", 4, 2)])
+def test_relabel_filter_never_sees_a_non_minimal_head(monkeypatch, family,
+                                                       n, k):
     # heads some relabeling maps lower are skipped whole, before any of
     # their candidates reaches the relabel filter
     real = search._fixing_finals_tables
     heads = set()
 
-    def checked(idx, tables, sort_letters):
+    def checked(idx, tables):
         assert all(letters[idx[0]] >= idx[0] for letters, _ in tables), idx
         heads.add(idx[0])
-        return real(idx, tables, sort_letters)
+        return real(idx, tables)
 
     monkeypatch.setattr(search, "_fixing_finals_tables", checked)
-    prune = PruneFlags(dedupe_letter_multisets=dedupe)
-    result = search_max_sigma(SearchTask(family, n, k, prune=prune))
+    result = search_max_sigma(SearchTask(family, n, k))
     assert heads and result.exhaustive
 
 
