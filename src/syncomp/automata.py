@@ -140,27 +140,28 @@ class Nfa:
                 raise SizeMismatchError(f"letter {a!r} row has wrong length")
 
 
+def _reachable(rows: Sequence[Sequence[int]], start: int) -> list[int]:
+    """States reached from start under the image rows, in BFS order with
+    the rows taken in order: the package's one state-reachability walk."""
+    order, seen = [start], {start}
+    for q in order:  # the list grows while it is walked
+        for row in rows:
+            r = row[q]
+            if r not in seen:
+                seen.add(r)
+                order.append(r)
+    return order
+
+
 def reachable_trim(d: Dfa) -> Dfa:
     """Drop unreachable states; renumber by BFS (letters in alphabet order)."""
-    order: dict[int, int] = {d.initial: 0}
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for a in d.alphabet:
-            r = d.delta[a](q)
-            if r not in order:
-                order[r] = len(order)
-                queue.append(r)
-    m = len(order)
-    delta = {
-        a: Transformation(tuple(
-            order[d.delta[a](q)]
-            for q in sorted(order, key=order.get)
-        ))
-        for a in d.alphabet
-    }
-    finals = frozenset(order[f] for f in d.finals if f in order)
-    return Dfa(m, d.alphabet, delta, 0, finals)
+    rows = [d.delta[a].images for a in d.alphabet]
+    order = _reachable(rows, d.initial)
+    index = {q: i for i, q in enumerate(order)}
+    delta = {a: Transformation(tuple(index[row[q]] for q in order))
+             for a, row in zip(d.alphabet, rows)}
+    finals = frozenset(index[f] for f in d.finals if f in index)
+    return Dfa(len(order), d.alphabet, delta, 0, finals)
 
 
 def _moore_classes(rows: Sequence[tuple[int, ...]],

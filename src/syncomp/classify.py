@@ -16,8 +16,8 @@ from itertools import product
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .automata import (Dfa, Semiautomaton, complement, equivalent,
-                       left_ideal_closure, minimize)
+from .automata import (Dfa, Semiautomaton, _moore_classes, _reachable,
+                       complement, equivalent, left_ideal_closure, minimize)
 from .errors import SizeMismatchError
 from .semigroup import SemigroupResult, transition_semigroup
 from .transform import Transformation
@@ -356,6 +356,8 @@ class UniformMinimalityReport:
     uniform is the verdict; the other fields explain a negative one.
     bad_pairs lists non-sink pairs with no path to a pair containing the
     sink.  A letter collapsing a pair (equal images) contributes no edge.
+    These are exactly the pairs p < q that Moore refinement with finals
+    {sink} leaves in one class: see pair_graph_uniformity.
     """
 
     uniform: bool
@@ -365,6 +367,18 @@ class UniformMinimalityReport:
 
 
 def pair_graph_uniformity(s: Semiautomaton, sink: int) -> UniformMinimalityReport:
+    """Decide whether every acceptor built on s (any non-sink initial
+    state, any nonempty non-sink finals) is minimal.
+
+    The sink is absorbing, so a path that enters it never leaves: the
+    non-sink states are strongly connected iff each of them reaches all
+    the others.  A pair p < q is good (not in bad_pairs) iff a word w sends
+    exactly one of p, q into the sink.  Such a w is a pair-graph path: no
+    prefix of w collapses the pair, since the rest of w would then send
+    both to one state.  Conversely a path to a pair holding the sink with
+    distinct images is such a word.  That is exactly Moore separation with
+    finals {sink}, so the bad pairs are the pairs left in one class.
+    """
     if not 0 <= sink < s.n:
         raise ValueError(f"sink {sink} out of range")
     if any(s.delta[a](sink) != sink for a in s.alphabet):
@@ -372,47 +386,14 @@ def pair_graph_uniformity(s: Semiautomaton, sink: int) -> UniformMinimalityRepor
     others = [q for q in range(s.n) if q != sink]
     if not others:
         raise ValueError("need at least one non-sink state")
+    rows = [s.delta[a].images for a in s.alphabet]
 
-    def reach(start: int, forward: bool) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for a in s.alphabet:
-                if forward:
-                    nxt = [s.delta[a](p)] if s.delta[a](p) != sink else []
-                else:
-                    nxt = [q for q in others if s.delta[a](q) == p]
-                for r in nxt:
-                    if r in seen or r == sink:
-                        continue
-                    seen.add(r)
-                    stack.append(r)
-        return seen
-
-    strongly_connected = (reach(others[0], True) == set(others)
-                          and reach(others[0], False) == set(others))
-    sink_reachable = any(s.delta[a](q) == sink for q in others
-                         for a in s.alphabet)
-
-    pairs = [(p, q) for p in range(s.n) for q in range(p + 1, s.n)]
-    radj: dict[tuple[int, int], list[tuple[int, int]]] = {pr: [] for pr in pairs}
-    for p, q in pairs:
-        for a in s.alphabet:
-            ip, iq = s.delta[a](p), s.delta[a](q)
-            if ip == iq:
-                continue  # collapsed pair: no edge
-            target = (ip, iq) if ip < iq else (iq, ip)
-            radj[target].append((p, q))
-    good = {pr for pr in pairs if sink in pr}
-    stack = list(good)
-    while stack:
-        pr = stack.pop()
-        for prev in radj[pr]:
-            if prev not in good:
-                good.add(prev)
-                stack.append(prev)
-    bad = tuple(pr for pr in pairs if pr not in good)
+    strongly_connected = all(set(others) <= set(_reachable(rows, p))
+                             for p in others)
+    sink_reachable = any(row[q] == sink for q in others for row in rows)
+    cls = _moore_classes(rows, frozenset({sink}))
+    bad = tuple((p, q) for p in range(s.n) for q in range(p + 1, s.n)
+                if cls[p] == cls[q])
 
     return UniformMinimalityReport(
         uniform=strongly_connected and sink_reachable and not bad,

@@ -28,7 +28,7 @@ from itertools import (accumulate, combinations_with_replacement,
                        permutations, product)
 from math import comb
 
-from .automata import Dfa, _moore_classes
+from .automata import Dfa, _moore_classes, _reachable
 from .classify import _left_ideal_pairs, _orbit, classify
 from .semigroup import _closure
 from .transform import Transformation
@@ -128,16 +128,7 @@ def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
                     options: list[frozenset[int]]) -> list[frozenset[int]]:
     """The finals among options with which gens is minimal from state 0.
     Reachability depends only on the letters, so it is walked once."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for g in gens:
-            r = g[q]
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    if len(seen) < n:
+    if len(_reachable(gens, 0)) < n:
         return []
     return [f for f in options if max(_moore_classes(gens, f)) == n - 1]
 
@@ -278,8 +269,10 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
     Every witness is re-verified (minimal, in class, sigma equal to the
     maximum) before the result is returned.
     """
-    # the executor forks every worker at once: cap them by heads and CPUs
-    jobs = min(task.jobs, len(_pool(task)), os.cpu_count() or 1)
+    # the executor forks every worker at once: cap them by the CPUs.  A
+    # shard left without heads returns an empty part, so the clamp needs
+    # no pool and only the shards build one
+    jobs = min(task.jobs, os.cpu_count() or 1)
     if jobs == 1:
         parts = [_run_shard(task, 0, 1)]
     else:

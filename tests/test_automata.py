@@ -67,6 +67,17 @@ def test_reachable_trim_drops_unreachable():
     assert t.finals == frozenset()
 
 
+def test_reachable_trim_renumbers_in_bfs_order():
+    # BFS from 0 meets 0, 1, 3 (a then b), then 2; depth-first preorder
+    # would keep 0, 1, 2, 3.  minimize and the emitted JSON use this order
+    d = dfa([[1, 2, 0, 0], [3, 0, 0, 0]], [2])
+    t = reachable_trim(d)
+    assert [t.delta[a].images for a in t.alphabet] == [(1, 3, 0, 0),
+                                                       (2, 0, 0, 0)]
+    assert t.finals == frozenset({3})
+    assert t.initial == 0
+
+
 def test_minimize_merges_equivalent_states():
     # states 1 and 2 accept the same residual language
     d = dfa([[1, 3, 3, 3], [2, 3, 3, 3]], [3])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -11,7 +13,7 @@ from syncomp import (Semiautomaton, SizeMismatchError, Transformation,
                      all_behaviors_aperiodic, behavior_of, classify,
                      complement, cycle, equivalent, identity,
                      left_ideal_closure, left_ideal_witness,
-                     left_witness_core, pair_graph_uniformity,
+                     left_witness_core, minimize, pair_graph_uniformity,
                      right_ideal_witness, ruled_out_count_brute,
                      ruled_out_count_formula, transposition,
                      two_sided_witness, uniformly_minimal,
@@ -266,6 +268,46 @@ def test_transposition_leaves_an_unresolvable_pair():
     report = pair_graph_uniformity(s, sink=0)
     assert (1, 2) in report.bad_pairs
     assert not report.uniform
+
+
+def _sink_semiautomata():
+    """Every semiautomaton with n <= 4 states, k <= 2 letters and absorbing
+    sink 0, letters taken as multisets: 2,203 of them."""
+    for n in (2, 3, 4):
+        letters = [t for t in product(range(n), repeat=n) if t[0] == 0]
+        for k in (1, 2):
+            alph = "ab"[:k]
+            for rows in combinations_with_replacement(letters, k):
+                yield Semiautomaton(n, alph, {a: Transformation(r)
+                                              for a, r in zip(alph, rows)})
+
+
+def test_pair_graph_uniformity_matches_brute_force():
+    # each field against its definition, by word runs, language equality
+    # and minimize, none of which shares code with pair_graph_uniformity
+    counts = Counter()
+    for s in _sink_semiautomata():
+        report = pair_graph_uniformity(s, sink=0)
+        others = range(1, s.n)
+        words = [w for m in range(s.n) for w in product(s.alphabet, repeat=m)]
+        reach = {p: {s.with_acceptor(p, ()).run(w) for w in words}
+                 for p in others}
+        assert report.strongly_connected == all(set(others) <= reach[p]
+                                                for p in others), s
+        assert report.sink_reachable == any(0 in reach[p] for p in others), s
+        assert report.bad_pairs == tuple(
+            (p, q) for p, q in combinations(range(s.n), 2)
+            if equivalent(s.with_acceptor(p, others),
+                          s.with_acceptor(q, others))), s
+        finals_sets = [f for m in range(1, s.n)
+                       for f in combinations(others, m)]
+        assert report.uniform == all(
+            minimize(s.with_acceptor(i, f)).n == s.n
+            for i in others for f in finals_sets), s
+        counts.update(uniform=report.uniform, bad=bool(report.bad_pairs),
+                      strong=report.strongly_connected, total=1)
+    assert counts == {"uniform": 244, "bad": 970, "strong": 436,
+                      "total": 2203}
 
 
 def test_pair_graph_preconditions():

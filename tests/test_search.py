@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -282,7 +283,10 @@ def test_relabel_filter_never_sees_a_non_minimal_head(monkeypatch, family,
     assert heads and result.exhaustive
 
 
-def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Two CPUs and a serial stand-in for ProcessPoolExecutor; returns the
+    list of the worker counts the search asked for."""
     workers = []
 
     class SerialPool:
@@ -302,6 +306,11 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr("syncomp.search.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return workers
+
+
+def test_jobs_are_clamped_to_the_cpu_count(serial_pool):
+    workers = serial_pool
     serial = search_max_sigma(SearchTask("right", 4, 2, jobs=1))
     assert workers == []
     huge = search_max_sigma(SearchTask("right", 4, 2, jobs=10 ** 6))
@@ -310,6 +319,30 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
     assert huge.witnesses == serial.witnesses
     assert huge.candidates_examined == serial.candidates_examined
     assert huge.candidates_pruned == serial.candidates_pruned
+
+
+def test_serial_search_builds_the_pool_once(monkeypatch):
+    # the --jobs clamp needs no pool: only the one shard builds it
+    real, calls = search._pool, []
+
+    def counted(task):
+        calls.append(task)
+        return real(task)
+
+    monkeypatch.setattr(search, "_pool", counted)
+    search_max_sigma(SearchTask("left", 3, 2, jobs=1))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", ["right", "left", "two_sided", "all"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_shards_without_heads_change_nothing(serial_pool, family, n):
+    # at n=1 the pool holds one letter, so the second shard gets no head
+    # and returns an empty part
+    serial, parallel = (search_max_sigma(SearchTask(family, n, 2, jobs=jobs))
+                        for jobs in (1, 2))
+    assert serial_pool == [2]
+    assert dataclasses.replace(parallel, task=serial.task) == serial
 
 
 def test_maximum_grows_with_alphabet():
