@@ -82,7 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--id", type=int, required=True, choices=TABLE_IDS)
     t.add_argument("--long", action="store_true",
                    help="include the longer-running exhaustive cells")
-    t.add_argument("--jobs", type=int, default=1)
+    t.add_argument("--jobs", type=int, default=1, metavar="J",
+                   help="search up to J cells at once on one process pool, "
+                        "capped at the CPU count; the same results at any J")
 
     o = sub.add_parser("oracle", help="independent brute-force cross-checks")
     o.add_argument("--dfa", default=None, metavar="FILE",

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import (accumulate, combinations_with_replacement,
-                       permutations, product)
+                       permutations, product, repeat)
 from math import comb
 
 from .automata import Dfa, _moore_classes, _reachable
@@ -263,22 +264,34 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     return best, wits, pruned, starts[-1]
 
 
+@contextmanager
+def _worker_map(jobs: int):
+    """Yield (workers, map) for running calls on up to `jobs` workers.
+
+    The executor starts every worker at once, so `jobs` is capped by the CPU
+    count.  At one worker `map` is the builtin and the calls run in this
+    process; otherwise it is the map of one process pool, which yields the
+    results in call order and re-raises a worker's exception here.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1:
+        yield 1, map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as ex:
+        yield jobs, ex.map
+
+
 def search_max_sigma(task: SearchTask) -> SearchResult:
     """Maximum sigma over the task's family cell, with extremal witnesses.
 
     Every witness is re-verified (minimal, in class, sigma equal to the
     maximum) before the result is returned.
     """
-    # the executor forks every worker at once: cap them by the CPUs.  A
-    # shard left without heads returns an empty part, so the clamp needs
-    # no pool and only the shards build one
-    jobs = min(task.jobs, os.cpu_count() or 1)
-    if jobs == 1:
-        parts = [_run_shard(task, 0, 1)]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(_run_shard, [task] * jobs, range(jobs),
-                                [jobs] * jobs))
+    # one shard per worker; a shard left without heads returns an empty
+    # part, so the clamp needs no pool and only the shards build one
+    with _worker_map(task.jobs) as (jobs, run):
+        parts = list(run(_run_shard, repeat(task), range(jobs),
+                         repeat(jobs)))
 
     best = max(p[0] for p in parts)
     raw = [w for p in parts if p[0] == best for w in p[1]]

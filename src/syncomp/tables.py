@@ -12,12 +12,13 @@ search maximum is reported without being part of the pass/fail verdict
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable
 
 from .automata import Dfa
 from .classify import ruled_out_count_brute, ruled_out_count_formula
-from .search import SearchTask, search_max_sigma
+from .search import SearchTask, _worker_map, search_max_sigma
 from .semigroup import sigma_of_language
 from .witnesses import (closed_form_bound, left_ideal_witness,
                         right_ideal_witness, small_witness, two_sided_witness)
@@ -150,14 +151,17 @@ _COMPLEXITY_TABLES: dict[int, tuple[str, list[_CellSpec]]] = {
 _RULED_OUT_REFERENCE = {2: 1, 3: 10, 4: 114, 5: 1556}
 
 
-def _run_cell(family: str, spec: _CellSpec, include_long: bool,
-              jobs: int) -> CellReport:
+def _run_cell(table_id: int, index: int, include_long: bool) -> CellReport:
+    """Cell `index` of a complexity table, computed in this process.  A pool
+    worker is sent the cell's position, not its spec, whose build lambda
+    cannot be pickled."""
+    family, specs = _COMPLEXITY_TABLES[table_id]
+    spec = specs[index]
     measured = sigma_of_language(spec.build())
     do_search = spec.search == _FAST or (spec.search == _LONG and include_long)
     search_max = search_exhaustive = None
     if do_search:
-        result = search_max_sigma(
-            SearchTask(family, spec.n, spec.k, jobs=jobs))
+        result = search_max_sigma(SearchTask(family, spec.n, spec.k))
         search_max, search_exhaustive = result.max_sigma, result.exhaustive
     status = ("exhaustive" if do_search and search_exhaustive
               else "achievability-only")
@@ -170,9 +174,35 @@ def _run_cell(family: str, spec: _CellSpec, include_long: bool,
                       search_max, search_exhaustive, status, ok)
 
 
+def _table_checks(family: str, rows: list[CellReport]) -> tuple:
+    """Fail the rows that break a table-wide fact; either failure is a bug.
+
+    No search maximum exceeds the family's closed-form bound, and exhaustive
+    maxima never decrease in k: duplicating a letter keeps the family,
+    minimality and sigma, so the maximum at k-1 is reached at k too.
+    """
+    exhaustive = {(r.n, r.k): r.search_max for r in rows
+                  if r.search_exhaustive}
+    checked = []
+    for r in rows:
+        above = (r.search_max is not None and r.n >= 2
+                 and r.search_max > closed_form_bound(family, r.n))
+        drops = (r.search_exhaustive
+                 and r.search_max < exhaustive.get((r.n, r.k - 1), 0))
+        checked.append(replace(r, ok=False) if above or drops else r)
+    return tuple(checked)
+
+
 def run_table(table_id: int, include_long: bool = False,
               jobs: int = 1) -> TableReport:
-    """Recompute one reference table and compare cell by cell."""
+    """Recompute one reference table and compare cell by cell.
+
+    With jobs > 1 the cells run on one pool of up to `jobs` worker
+    processes (capped by the CPU count), each cell's search in one worker;
+    the rows and verdict are the same at any job count.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     if table_id == 3:
         rows = []
         for n, ref in _RULED_OUT_REFERENCE.items():
@@ -184,6 +214,8 @@ def run_table(table_id: int, include_long: bool = False,
     if table_id not in _COMPLEXITY_TABLES:
         raise ValueError(f"unknown table id {table_id}; have {TABLE_IDS}")
     family, specs = _COMPLEXITY_TABLES[table_id]
-    rows = tuple(_run_cell(family, spec, include_long, jobs)
-                 for spec in specs)
+    with _worker_map(jobs) as (_, run):
+        cells = list(run(_run_cell, repeat(table_id), range(len(specs)),
+                         repeat(include_long)))
+    rows = _table_checks(family, cells)
     return TableReport(table_id, rows, all(r.ok for r in rows))

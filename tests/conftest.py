@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from itertools import product
 
 import pytest
@@ -69,3 +70,29 @@ def minimal_binary_3() -> list[Dfa]:
     out = [d for d in binary_3_sweep() if minimize(d).n == 3]
     assert len(out) == 2056
     return out
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Two CPUs and a serial stand-in for ProcessPoolExecutor; returns the
+    list of the worker counts asked for, one entry per pool opened."""
+    workers = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: no process, serial map."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("syncomp.search.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return workers

@@ -320,6 +320,12 @@ def test_tables_long_cells(capsys):
     assert "table 2: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("table_id", ["3", "5"])
+def test_tables_refuse_nonpositive_jobs(table_id, capsys):
+    assert main(["tables", "--id", table_id, "--jobs", "0"]) == 2
+    assert "error: jobs must be positive" in capsys.readouterr().err
+
+
 def test_tables_unknown_id():
     with pytest.raises(SystemExit) as info:
         main(["tables", "--id", "7"])

@@ -283,32 +283,6 @@ def test_relabel_filter_never_sees_a_non_minimal_head(monkeypatch, family,
     assert heads and result.exhaustive
 
 
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Two CPUs and a serial stand-in for ProcessPoolExecutor; returns the
-    list of the worker counts the search asked for."""
-    workers = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: no process, serial map."""
-
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("syncomp.search.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return workers
-
-
 def test_jobs_are_clamped_to_the_cpu_count(serial_pool):
     workers = serial_pool
     serial = search_max_sigma(SearchTask("right", 4, 2, jobs=1))

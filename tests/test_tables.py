@@ -1,0 +1,123 @@
+"""run_table: the cells on one worker pool, and the table-wide checks."""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from syncomp import run_table, search, tables
+
+
+def real_pool(monkeypatch, method: str) -> None:
+    """Two CPUs and process pools whose workers start by `method`."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        "syncomp.search.ProcessPoolExecutor",
+        functools.partial(ProcessPoolExecutor,
+                          mp_context=multiprocessing.get_context(method)))
+
+
+# ---------------------------------------------------------------------------
+# one pool per table
+
+
+@pytest.mark.parametrize("table_id", [2, 4, 5])
+def test_rows_are_the_same_at_any_job_count(monkeypatch, table_id):
+    real_pool(monkeypatch, "fork")
+    serial, parallel = (run_table(table_id, jobs=jobs) for jobs in (1, 2))
+    assert len(parallel.rows) == len(serial.rows)
+    for p, s in zip(parallel.rows, serial.rows):
+        assert p == s
+    assert parallel.ok and serial.ok
+
+
+def test_cells_reach_spawned_workers_by_position(monkeypatch):
+    # a spawned worker imports the tables afresh: it is sent the cell's
+    # position, never the spec with its build lambda
+    real_pool(monkeypatch, "spawn")
+    assert run_table(5, jobs=2) == run_table(5, jobs=1)
+
+
+@pytest.mark.parametrize("table_id", [2, 4, 5])
+def test_one_pool_per_table_and_none_per_search(serial_pool, table_id):
+    # the stand-in runs every cell in this process, so a search that
+    # opened a pool of its own would be recorded too
+    assert run_table(table_id, jobs=2).ok
+    assert serial_pool == [2]
+
+
+def test_table_jobs_are_clamped_to_the_cpu_count(serial_pool):
+    assert run_table(5, jobs=10 ** 6).ok
+    assert serial_pool == [2]
+
+
+@pytest.mark.parametrize("table_id", [2, 3, 4, 5])
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_nonpositive_jobs_are_refused_before_any_pool(serial_pool, table_id,
+                                                      jobs):
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        run_table(table_id, jobs=jobs)
+    assert serial_pool == []
+
+
+def test_a_failed_reverification_in_a_worker_surfaces(monkeypatch):
+    real_pool(monkeypatch, "fork")
+    parent = os.getpid()
+
+    def fail(task, w, expect_sigma):
+        raise AssertionError(f"witness rejected in process {os.getpid()}")
+
+    monkeypatch.setattr(search, "_reverify", fail)
+    with pytest.raises(AssertionError, match="witness rejected") as info:
+        run_table(5, jobs=2)
+    assert f"process {parent}" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# table-wide checks
+
+
+def fake_search(monkeypatch, cell, max_sigma, exhaustive=True):
+    """The real search, except that `cell` (n, k) reports max_sigma."""
+    real = tables.search_max_sigma
+
+    def fake(task):
+        result = real(task)
+        if (task.n, task.k) == cell:
+            result = dataclasses.replace(result, max_sigma=max_sigma,
+                                         exhaustive=exhaustive)
+        return result
+
+    monkeypatch.setattr(tables, "search_max_sigma", fake)
+
+
+def failed_cells(report):
+    return [(r.n, r.k) for r in report.rows if not r.ok]
+
+
+@pytest.mark.parametrize("max_sigma, failed", [(26, [(4, 2)]), (25, [])])
+def test_a_search_maximum_above_the_closed_form_bound_fails(monkeypatch,
+                                                            max_sigma,
+                                                            failed):
+    # two-sided (4,2) is not tight, so only the bound n^(n-2) +
+    # (n-2)*2^(n-2) + 1 = 25 can reject its maximum
+    fake_search(monkeypatch, (4, 2), max_sigma)
+    report = run_table(5, jobs=1)
+    assert failed_cells(report) == failed
+    assert report.ok == (not failed)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_an_exhaustive_maximum_below_the_one_at_k_minus_1_fails(monkeypatch,
+                                                               exhaustive):
+    # two-sided (3,3) is not tight; (3,2) reaches 5.  A budgeted maximum is
+    # only a lower bound, so it may fall below
+    fake_search(monkeypatch, (3, 3), 4, exhaustive)
+    report = run_table(5, jobs=1)
+    assert failed_cells(report) == ([(3, 3)] if exhaustive else [])
+    assert report.ok == (not exhaustive)
