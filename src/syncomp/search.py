@@ -10,8 +10,8 @@ Normal forms (initial state always 0):
   two_sided  same skeleton, plus the left-ideal checks
   left       any letters, finals ranging over nonempty subsets avoiding 0
   all        any letters, finals ranging over nonempty proper subsets
-At n=1 both take finals {0} instead: Σ*, the only 1-state ideal (for all,
-∅ ties with it at sigma 1).
+At n=1 left and all take finals {0} instead: Σ*, the only 1-state ideal
+(for all, ∅ ties with it at sigma 1).
 
 State-relabeling symmetry (on the states the skeleton leaves free) and
 letter-renaming symmetry never change sigma or class membership, so the
@@ -106,12 +106,14 @@ class FoundWitness:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """candidates_examined counts (letters, finals) pairs evaluated;
-    candidates_pruned counts those discarded by the canonical-relabeling
-    filter (pool-level letter filtering shrinks the space before
-    enumeration and is not counted).  The budget is a prefix of one fixed
-    candidate order, whatever the job count; exhaustive=False means it ran
-    out and max_sigma is only a lower bound for the cell."""
+    """candidates_examined counts the (letters, finals) pairs of one fixed
+    candidate order that the search reached: the whole order, or the
+    budget's prefix of it, whatever the job count.  The canonical
+    candidates are those the candidate stream yields, the ones no
+    relabeling of the free states maps lower; candidates_pruned is
+    examined - canonical.  Pool-level letter filtering shrinks the order
+    before enumeration and is not counted.  exhaustive=False means the
+    budget ran out and max_sigma is only a lower bound for the cell."""
 
     task: SearchTask
     max_sigma: int
@@ -123,15 +125,6 @@ class SearchResult:
 
 # ---------------------------------------------------------------------------
 # Tuple-level helpers (hot path: plain image tuples, no wrapper objects)
-
-
-def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
-                    options: list[frozenset[int]]) -> list[frozenset[int]]:
-    """The finals among options with which gens is minimal from state 0.
-    Reachability depends only on the letters, so it is walked once."""
-    if len(_reachable(gens, 0)) < n:
-        return []
-    return [f for f in options if max(_moore_classes(gens, f)) == n - 1]
 
 
 def _pool(task: SearchTask) -> list[tuple[int, ...]]:
@@ -209,32 +202,33 @@ def _fixing_finals_tables(idx: tuple[int, ...],
     return fixing
 
 
-def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
-    """Search heads shard, shard + shards, ...  The budget is a prefix of the
-    global order (head, rest, finals), the same for any number of shards."""
-    pool = _pool(task)
-    finals_opts = _finals_options(task)
+def _head_starts(task: SearchTask, letters: int, options: int) -> list[int]:
+    """Position of each head letter's first candidate in the global order
+    (head, rest, finals), then the size of the whole order."""
+    more = task.k - 1
+    return list(accumulate(
+        (options * (comb(letters - first + more - 1, more) if task.prune
+                    else letters ** more)
+         for first in range(letters)), initial=0))
+
+
+def _canonical_candidates(task: SearchTask, pool, finals_opts, starts,
+                          shard: int, shards: int):
+    """Yield (letters, kept finals) for the canonical candidates under heads
+    shard, shard + shards, ...: each letter tuple of the budget's prefix of
+    the global order that no relabeling maps lower, with the finals options
+    (of that prefix) that no relabeling fixing the tuple maps lower.  The
+    least finals option is always kept, so no yielded list is empty."""
     tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
     # a tuple, not a range: its slices share ints instead of making new ones
     indices, more = tuple(range(len(pool))), task.k - 1
-    starts = list(accumulate(
-        (len(finals_opts) * (comb(len(pool) - first + more - 1, more)
-                             if task.prune else len(pool) ** more)
-         for first in indices), initial=0))
-    needs_left = task.family in ("left", "two_sided")
-    cap = task.n ** task.n
-    best = 0
-    wits: list[tuple] = []
-    pruned = 0
-
     for first in indices[shard::shards]:
         pos = starts[first]
         if pos >= task.budget:
-            break
+            return
         # a relabeling that maps the head lower maps every candidate under
         # it lower: its relabeled (and re-sorted) tuple starts lower
         if any(letters[first] < first for letters, _ in tables):
-            pruned += min(starts[first + 1], task.budget) - pos
             continue
         rest_iter = (combinations_with_replacement(indices[first:], more)
                      if task.prune else product(indices, repeat=more))
@@ -246,22 +240,49 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
             idx = (first,) + rest
             fixing = _fixing_finals_tables(idx, tables)
             if fixing is None:
-                pruned += take
                 continue
-            keep = [finals_opts[fi] for fi in range(take)
-                    if not any(t[fi] < fi for t in fixing)]
-            pruned += take - len(keep)
-            letters = tuple(pool[i] for i in idx)
-            for finals in _minimal_finals(letters, task.n, keep):
-                if needs_left and not _left_ideal_pairs(letters, task.n, 0,
-                                                        finals):
-                    continue
-                s = len(_closure(letters, cap)[0])
-                if s > best:
-                    best, wits = s, []
-                if s == best:
-                    wits.append((letters, tuple(sorted(finals))))
-    return best, wits, pruned, starts[-1]
+            yield tuple(pool[i] for i in idx), [
+                finals_opts[fi] for fi in range(take)
+                if not any(t[fi] < fi for t in fixing)]
+
+
+def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,
+                     options: list[frozenset[int]],
+                     left_ideal: bool) -> list[frozenset[int]]:
+    """The finals among options with which gens is minimal from state 0 and,
+    if left_ideal, a left ideal.  Reachability depends only on the letters,
+    so it is walked once.  The pair walk is sound once every state is
+    reachable, minimal or not, and it is cheaper than the Moore refinement,
+    which then runs only on the options it keeps."""
+    if len(_reachable(gens, 0)) < n:
+        return []
+    if left_ideal:
+        options = [f for f in options if _left_ideal_pairs(gens, n, 0, f)]
+    return [f for f in options if max(_moore_classes(gens, f)) == n - 1]
+
+
+def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
+    """Search heads shard, shard + shards, ...: the best sigma with its
+    witnesses, the number of canonical candidates seen and the size of the
+    whole candidate order."""
+    pool = _pool(task)
+    finals_opts = _finals_options(task)
+    starts = _head_starts(task, len(pool), len(finals_opts))
+    left_ideal = task.family in ("left", "two_sided")
+    cap = task.n ** task.n
+    best = 0
+    wits: list[tuple] = []
+    canonical = 0
+    for letters, keep in _canonical_candidates(task, pool, finals_opts,
+                                               starts, shard, shards):
+        canonical += len(keep)
+        for finals in _in_class_finals(letters, task.n, keep, left_ideal):
+            s = len(_closure(letters, cap)[0])
+            if s > best:
+                best, wits = s, []
+            if s == best:
+                wits.append((letters, tuple(sorted(finals))))
+    return best, wits, canonical, starts[-1]
 
 
 @contextmanager
@@ -301,12 +322,15 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
          for letters, finals in raw),
         key=FoundWitness.sort_key))
     total = parts[0][3]  # every shard counts the whole candidate order
-    pruned = sum(p[2] for p in parts)
+    examined = min(total, task.budget)
+    # each examined candidate is under the head of exactly one shard, which
+    # yields it or prunes it
+    pruned = examined - sum(p[2] for p in parts)
 
     for w in witnesses:
         _reverify(task, w, best)
-    return SearchResult(task, best, witnesses, min(total, task.budget),
-                        pruned, total <= task.budget)
+    return SearchResult(task, best, witnesses, examined, pruned,
+                        total <= task.budget)
 
 
 def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:

@@ -168,7 +168,7 @@ def _run_cell(table_id: int, index: int, include_long: bool) -> CellReport:
     ok = measured == spec.reference
     if spec.tight and search_max is not None:
         ok = ok and search_max == spec.reference
-    if spec.n >= 2:  # never exceed the family's proven/conjectured bound
+    if spec.n >= 2:  # never exceed the family's proven bound
         ok = ok and measured <= closed_form_bound(family, spec.n)
     return CellReport(spec.n, spec.k, spec.reference, spec.tight, measured,
                       search_max, search_exhaustive, status, ok)

@@ -204,9 +204,12 @@ def small_witness(family: str, n: int, k: int, variant: int = 0) -> Dfa:
 
 
 def closed_form_bound(family: str, n: int) -> int:
-    """The family's complexity bound: n^(n-1) (right, proven), n^(n-1)+n-1
-    (left), n^(n-2)+(n-2)*2^(n-2)+1 (two-sided); the latter two are the
-    conjectured maxima that every computed cell is consistent with."""
+    """The family's complexity bound: n^(n-1) (right), n^(n-1)+n-1 (left),
+    n^(n-2)+(n-2)*2^(n-2)+1 (two-sided).  The source paper proves the right
+    bound and shows the other two reached; that they are upper bounds too is
+    proven by Brzozowski & Szykuła, Upper bounds on syntactic complexity of
+    left and two-sided ideals, DLT 2014 (arXiv:1403.2090).  The range of n
+    that proof covers is not checked here."""
     if family == "right":
         if n < 1:
             raise ValueError("right bound needs n >= 1")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -11,7 +12,7 @@ from conftest import binary_3_sweep
 from syncomp import (SearchTask, classify, minimize, search_max_sigma,
                      sigma_of_language, small_witness)
 from syncomp import search
-from syncomp.search import _minimal_finals
+from syncomp.search import _in_class_finals
 
 # SearchTask options: the default pruned search and the plain enumeration
 PRUNED, UNPRUNED = {}, {"prune": False}
@@ -191,21 +192,66 @@ def test_canonical_filter_removes_relabeled_duplicates():
     assert {w.sort_key() for w in with_filter.witnesses} <= kept
 
 
+def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
+    """Every canonical candidate the search's stream yields, over all
+    shards, as (letter image tuples, sorted finals)."""
+    pool, opts = search._pool(task), search._finals_options(task)
+    starts = search._head_starts(task, len(pool), len(opts))
+    return [(letters, tuple(sorted(f)))
+            for shard in range(shards)
+            for letters, keep in search._canonical_candidates(
+                task, pool, opts, starts, shard, shards)
+            for f in keep]
+
+
+@pytest.mark.parametrize("family, n, k", [
+    *((family, n, k) for family in ("right", "left", "two_sided", "all")
+      for n in (1, 2, 3) for k in (1, 2)),
+    ("right", 4, 2),
+])
+def test_stream_yields_each_orbit_minimum_once(family, n, k):
+    # orbits of (letter multiset, finals) under relabelings of the free
+    # states, found by applying every permutation to every candidate
+    task = SearchTask(family, n, k)
+    free = range(1, n - 1 if family in ("right", "two_sided") else n)
+    relabelings = [(0, *p, *range(1 + len(free), n))
+                   for p in permutations(free)]
+
+    def image(pm, letters, finals):
+        inv = sorted(range(n), key=pm.__getitem__)
+        return (tuple(sorted(tuple(pm[g[q]] for q in inv) for g in letters)),
+                tuple(sorted(pm[q] for q in finals)))
+
+    minima = {min(image(pm, letters, finals) for pm in relabelings)
+              for letters in combinations_with_replacement(search._pool(task),
+                                                           k)
+              for finals in search._finals_options(task)}
+    stream = _stream(task)
+    assert len(stream) == len(set(stream))
+    assert set(stream) == minima
+    assert sorted(_stream(task, shards=2)) == sorted(stream)
+
+
 def test_search_minimality_test_agrees_with_minimize():
-    # the search's tuple-level test shares minimize's refinement but walks
+    # the search's tuple-level filter shares minimize's refinement but walks
     # reachability once per letter tuple, as search calls it: all six finals
-    # options at once; cover minimal and non-minimal DFAs alike
+    # options at once; cover minimal and non-minimal DFAs alike.  With the
+    # left-ideal test on, the pair walk also sees reachable automata that
+    # are not minimal, before the refinement drops them
     sweep = binary_3_sweep()
     options = [d.finals for d in sweep[:6]]
-    minimal = 0
-    for i in range(0, len(sweep), 6):
-        group = sweep[i:i + 6]
-        gens = tuple(group[0].delta[a].images for a in group[0].alphabet)
-        assert [d.finals for d in group] == options
-        expected = [d.finals for d in group if minimize(d).n == 3]
-        assert _minimal_finals(gens, 3, options) == expected, gens
-        minimal += len(expected)
-    assert minimal == 2056
+    for left_ideal, count in ((False, 2056), (True, 70)):
+        kept = 0
+        for i in range(0, len(sweep), 6):
+            group = sweep[i:i + 6]
+            gens = tuple(group[0].delta[a].images for a in group[0].alphabet)
+            assert [d.finals for d in group] == options
+            expected = [d.finals for d in group if minimize(d).n == 3
+                        and (not left_ideal or classify(d).is_left_ideal)]
+            assert _in_class_finals(gens, 3, options, left_ideal) == \
+                expected, (gens, left_ideal)
+            kept += len(expected)
+        assert kept == count, left_ideal
 
 
 # ---------------------------------------------------------------------------
