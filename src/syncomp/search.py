@@ -17,6 +17,14 @@ State-relabeling symmetry (on the states the skeleton leaves free) and
 letter-renaming symmetry never change sigma or class membership, so the
 canonical filters below only discard duplicates of languages that are kept
 elsewhere.
+
+The candidate order is walked as a tree of letter prefixes, depth first
+(orderly generation, McKay 1998).  A prefix that some relabeling maps lower
+is stepped over with its whole subtree.  Facts that a prefix's letters
+already have (every state reachable from 0, every state distinguished
+under a finals option) hold for every tuple below it and are decided once,
+and each tuple's closure extends its prefix's closure by the last letter
+(Froidure & Pin 1997) instead of starting afresh.
 """
 
 from __future__ import annotations
@@ -25,8 +33,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import (accumulate, combinations_with_replacement,
-                       permutations, product, repeat)
+from itertools import permutations, product, repeat
 from math import comb
 
 from .automata import Dfa, _moore_classes, _reachable
@@ -61,8 +68,9 @@ class SearchTask:
         a smaller one, comparing the re-sorted letter tuple and then, on a
         tie, the finals: the relabeled DFA has the same sigma and class and
         is enumerated itself;
-      - a head letter that some relabeling maps lower is skipped whole: the
-        re-sorted image of every tuple under it starts lower.
+      - a letter prefix that some relabeling maps lower is skipped whole,
+        with every tuple under it: the re-sorted image of each of them is
+        lower too.
     """
 
     family: str
@@ -109,7 +117,7 @@ class SearchResult:
     """candidates_examined counts the (letters, finals) pairs of one fixed
     candidate order that the search reached: the whole order, or the
     budget's prefix of it, whatever the job count.  The canonical
-    candidates are those the candidate stream yields, the ones no
+    candidates are those the prefix walk yields, the ones no
     relabeling of the free states maps lower; candidates_pruned is
     examined - canonical.  Pool-level letter filtering shrinks the order
     before enumeration and is not counted.  exhaustive=False means the
@@ -202,87 +210,159 @@ def _fixing_finals_tables(idx: tuple[int, ...],
     return fixing
 
 
-def _head_starts(task: SearchTask, letters: int, options: int) -> list[int]:
-    """Position of each head letter's first candidate in the global order
-    (head, rest, finals), then the size of the whole order."""
-    more = task.k - 1
-    return list(accumulate(
-        (options * (comb(letters - first + more - 1, more) if task.prune
-                    else letters ** more)
-         for first in range(letters)), initial=0))
+def _maps_lower(prefix: tuple[int, ...], tables) -> bool:
+    """True if a relabeling maps the sorted letter prefix to a lower one.
+    It then maps every sorted tuple that extends the prefix lower: adding
+    letters can only lower each order statistic of the image, so the
+    re-sorted image of the whole tuple is already lower where the prefix's
+    is."""
+    return any(tuple(sorted([letters[i] for i in prefix])) < prefix
+               for letters, _ in tables)
 
 
-def _canonical_candidates(task: SearchTask, pool, finals_opts, starts,
-                          shard: int, shards: int):
-    """Yield (letters, kept finals) for the canonical candidates under heads
-    shard, shard + shards, ...: each letter tuple of the budget's prefix of
-    the global order that no relabeling maps lower, with the finals options
-    (of that prefix) that no relabeling fixing the tuple maps lower.  The
-    least finals option is always kept, so no yielded list is empty."""
+def _subtree_size(task: SearchTask, letters: int, options: int, last: int,
+                  more: int) -> int:
+    """Candidates under a prefix that ends with pool index last and takes
+    more letters: its sorted extensions (any extensions without pruning),
+    times the finals options.  last=0, more=k is the whole order."""
+    return options * (comb(letters - last + more - 1, more) if task.prune
+                      else letters ** more)
+
+
+class _Prefix:
+    """A node of the walk: the letters of a prefix, and the facts that hold
+    for every letter tuple extending it.  Reachability of every state from
+    0 and Moore distinguishability of every state under given finals only
+    grow as letters are added, so once a prefix has them no tuple below it
+    needs them decided again.  Each fact, and the prefix's closure, is
+    decided at most once and only when asked.  The root, with no letters,
+    has no fact to pass on."""
+
+    __slots__ = ("gens", "up", "n", "_reach", "_distinct", "_closed")
+
+    def __init__(self, gens: tuple, up: "_Prefix | None", n: int):
+        self.gens, self.up, self.n = gens, up, n
+        self._reach: bool | None = None
+        self._distinct: dict[frozenset[int], bool] = {}
+        self._closed = None
+
+    def reaches_all(self) -> bool:
+        if self._reach is None:
+            self._reach = self.up is not None and (
+                self.up.reaches_all()
+                or len(_reachable(self.gens, 0)) == self.n)
+        return self._reach
+
+    def distinguishes(self, finals: frozenset[int]) -> bool:
+        known = self._distinct.get(finals)
+        if known is None:
+            known = self._distinct[finals] = self.up is not None and (
+                self.up.distinguishes(finals)
+                or max(_moore_classes(self.gens, finals)) == self.n - 1)
+        return known
+
+    def close(self, gens: tuple) -> tuple:
+        """The closure of gens, this prefix's letters and one more: an
+        extension of this prefix's closure."""
+        return _closure(gens, self.n ** self.n,
+                        self.closure() if self.up is not None else None)
+
+    def closure(self) -> tuple:
+        if self._closed is None:
+            self._closed = self.up.close(self.gens)
+        return self._closed
+
+
+def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
+    """Walk the global candidate order (letter tuple, then finals) as a
+    tree of letter prefixes, depth first, and yield (parent prefix node,
+    letters, kept finals) for each canonical candidate tuple under heads
+    shard, shard + shards, ... in the budget's prefix of the order.  A
+    prefix some relabeling maps lower is stepped over whole, by the size
+    of its subtree; at the leaves the finals options (of that prefix) that
+    no relabeling fixing the tuple maps lower are kept.  The least finals
+    option is always kept, so no yielded list is empty."""
     tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
+    letters, options, budget = len(pool), len(finals_opts), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
-    indices, more = tuple(range(len(pool))), task.k - 1
-    for first in indices[shard::shards]:
-        pos = starts[first]
-        if pos >= task.budget:
+    indices = tuple(range(letters))
+
+    def visit(up: _Prefix, idx: tuple[int, ...], pos: int):
+        # the children of prefix idx, the first starting at position pos;
+        # the heads (the root's children) are dealt out to the shards
+        more = task.k - len(idx) - 1
+        first = idx[-1] if idx and task.prune else 0
+        if not more:
+            # leaf c starts at pos + (c - first) * options
+            end = min(letters, first - (pos - budget) // options)
+            for c in indices[first:end] if idx else indices[shard:end:shards]:
+                child = idx + (c,)
+                fixing = _fixing_finals_tables(child, tables)
+                if fixing is None:
+                    continue
+                keep = finals_opts[:budget - pos - (c - first) * options]
+                if fixing:
+                    keep = [f for fi, f in enumerate(keep)
+                            if not any(t[fi] < fi for t in fixing)]
+                yield up, up.gens + (pool[c],), keep
             return
-        # a relabeling that maps the head lower maps every candidate under
-        # it lower: its relabeled (and re-sorted) tuple starts lower
-        if any(letters[first] < first for letters, _ in tables):
-            continue
-        rest_iter = (combinations_with_replacement(indices[first:], more)
-                     if task.prune else product(indices, repeat=more))
-        for rest in rest_iter:
-            take = min(len(finals_opts), task.budget - pos)
-            if take <= 0:
-                break
-            pos += take
-            idx = (first,) + rest
-            fixing = _fixing_finals_tables(idx, tables)
-            if fixing is None:
-                continue
-            yield tuple(pool[i] for i in idx), [
-                finals_opts[fi] for fi in range(take)
-                if not any(t[fi] < fi for t in fixing)]
+        for c in indices[first:]:
+            if pos >= budget:
+                return
+            if idx or c % shards == shard:
+                child = idx + (c,)
+                if not _maps_lower(child, tables):
+                    yield from visit(
+                        _Prefix(up.gens + (pool[c],), up, task.n), child, pos)
+            pos += _subtree_size(task, letters, options, c, more)
+
+    yield from visit(_Prefix((), None, task.n), (), 0)
 
 
 def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,
-                     options: list[frozenset[int]],
-                     left_ideal: bool) -> list[frozenset[int]]:
+                     options: list[frozenset[int]], left_ideal: bool,
+                     up: _Prefix | None = None) -> list[frozenset[int]]:
     """The finals among options with which gens is minimal from state 0 and,
-    if left_ideal, a left ideal.  Reachability depends only on the letters,
-    so it is walked once.  The pair walk is sound once every state is
-    reachable, minimal or not, and it is cheaper than the Moore refinement,
-    which then runs only on the options it keeps."""
-    if len(_reachable(gens, 0)) < n:
+    if left_ideal, a left ideal.  up is the prefix node gens extends by one
+    letter: reachability and distinguishability it already has hold for
+    gens and are not decided again.  Without up nothing is inherited.
+    Reachability depends only on the letters, so it is walked at most once.
+    The pair walk is sound once every state is reachable, minimal or not,
+    and it is cheaper than the Moore refinement, which then runs only on
+    the options it keeps."""
+    if up is None:
+        up = _Prefix((), None, n)
+    if not up.reaches_all() and len(_reachable(gens, 0)) < n:
         return []
     if left_ideal:
         options = [f for f in options if _left_ideal_pairs(gens, n, 0, f)]
-    return [f for f in options if max(_moore_classes(gens, f)) == n - 1]
+    return [f for f in options
+            if up.distinguishes(f) or max(_moore_classes(gens, f)) == n - 1]
 
 
 def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     """Search heads shard, shard + shards, ...: the best sigma with its
     witnesses, the number of canonical candidates seen and the size of the
-    whole candidate order."""
+    whole candidate order.  A letter tuple is closed once, whatever number
+    of its finals options is in class."""
     pool = _pool(task)
     finals_opts = _finals_options(task)
-    starts = _head_starts(task, len(pool), len(finals_opts))
     left_ideal = task.family in ("left", "two_sided")
-    cap = task.n ** task.n
     best = 0
     wits: list[tuple] = []
     canonical = 0
-    for letters, keep in _canonical_candidates(task, pool, finals_opts,
-                                               starts, shard, shards):
+    for up, letters, keep in _walk(task, pool, finals_opts, shard, shards):
         canonical += len(keep)
-        for finals in _in_class_finals(letters, task.n, keep, left_ideal):
-            s = len(_closure(letters, cap)[0])
-            if s > best:
-                best, wits = s, []
-            if s == best:
-                wits.append((letters, tuple(sorted(finals))))
-    return best, wits, canonical, starts[-1]
+        finals = _in_class_finals(letters, task.n, keep, left_ideal, up)
+        if not finals:
+            continue
+        s = len(up.close(letters)[0])
+        if s > best:
+            best, wits = s, []
+        if s == best:
+            wits.extend((letters, tuple(sorted(f))) for f in finals)
+    return (best, wits, canonical,
+            _subtree_size(task, len(pool), len(finals_opts), 0, task.k))
 
 
 @contextmanager

@@ -71,11 +71,22 @@ def _identity(n: int) -> bytes | tuple[int, ...]:
     return bytes(range(n)) if n <= 256 else tuple(range(n))
 
 
-def _closure(gens: Sequence[tuple[int, ...]], cap: int
+def _closure(gens: Sequence[tuple[int, ...]], cap: int,
+             base: tuple | None = None
              ) -> tuple[list[bytes] | list[tuple[int, ...]], list[int],
                         list[int]]:
-    """BFS closure of letter image tuples: the images, parent and last of a
-    SemigroupResult.  More than cap elements raise CapExceededError.
+    """Closure of letter image tuples: the images, parent and last of a
+    SemigroupResult, each element being element parent[i] followed by
+    letter last[i].  More than cap elements raise CapExceededError.
+
+    Only a call without base is a BFS, with the elements in shortest-word
+    order, and transition_semigroup never passes base.  base may be this
+    function's result for gens[:-1], which is left unchanged: the result
+    then starts with a copy of it.  Every word that uses the last letter c
+    is u c v with u over the other letters, so the new elements are the
+    products s c, for s the empty word or an element of base, closed
+    under all the letters (Froidure & Pin 1997); they are not in
+    shortest-word order.
 
     Up to 256 states an element is bytes and t.translate(g) is t followed
     by g, with g padded to a 256-byte table: composed and hashed in C.
@@ -87,10 +98,29 @@ def _closure(gens: Sequence[tuple[int, ...]], cap: int
     # the padding is never read: every byte of an element is below n
     letters = [(a, bytes(g) + bytes(256 - n) if small else g)
                for a, g in enumerate(gens)]
-    seen: set = set()
-    elements: list = []
-    parent: list[int] = []
-    last: list[int] = []
+    if base is None:
+        seen: set = set()
+        elements: list = []
+        parent: list[int] = []
+        last: list[int] = []
+    else:
+        elements, parent, last = map(list, base)
+        seen = set(elements)
+        # base is closed under the other letters, so the empty word and the
+        # elements of base only take the last letter; the BFS goes on from
+        # the first element that is new
+        a, g = letters[-1]
+        for p, s in enumerate([t, *elements], -1):
+            c = s.translate(g) if small else itemgetter(*s)(g)
+            if c not in seen:
+                seen.add(c)
+                elements.append(c)
+                parent.append(p)
+                last.append(a)
+        i = len(base[0])
+        if i == len(elements):
+            return elements, parent, last
+        t = elements[i]
     while True:
         then = t.translate if small else itemgetter(*t)
         for a, g in letters:

@@ -193,14 +193,13 @@ def test_canonical_filter_removes_relabeled_duplicates():
 
 
 def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
-    """Every canonical candidate the search's stream yields, over all
+    """Every canonical candidate the search's prefix walk yields, over all
     shards, as (letter image tuples, sorted finals)."""
     pool, opts = search._pool(task), search._finals_options(task)
-    starts = search._head_starts(task, len(pool), len(opts))
     return [(letters, tuple(sorted(f)))
             for shard in range(shards)
-            for letters, keep in search._canonical_candidates(
-                task, pool, opts, starts, shard, shards)
+            for _, letters, keep in search._walk(task, pool, opts, shard,
+                                                 shards)
             for f in keep]
 
 
@@ -208,6 +207,8 @@ def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
     *((family, n, k) for family in ("right", "left", "two_sided", "all")
       for n in (1, 2, 3) for k in (1, 2)),
     ("right", 4, 2),
+    # three letters: prefixes below the head are pruned too
+    ("right", 3, 3), ("left", 3, 3), ("all", 2, 3), ("two_sided", 4, 3),
 ])
 def test_stream_yields_each_orbit_minimum_once(family, n, k):
     # orbits of (letter multiset, finals) under relabelings of the free
@@ -296,13 +297,23 @@ def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch, prune):
     ("right", 5, 2, 5000, (5000, 2629, 167, 4)),
     ("left", 4, 2, 2500, (2500, 1341, 14, 6)),
     ("left", 4, 2, 3000, (3000, 1812, 14, 6)),
+    ("right", 4, 3, 280, (280, 61, 24, 3)),
+    ("right", 4, 3, 6140, (6140, 1157, 61, 72)),
+    ("two_sided", 4, 3, 220, (220, 43, 14, 1)),
+    ("two_sided", 4, 3, 4050, (4050, 777, 19, 7)),
 ])
 def test_head_skipping_keeps_budgeted_counts(monkeypatch, jobs, family, n, k,
                                              budget, expected):
     # examined, pruned, max sigma and witness count of a budget prefix.
     # Budgets 1500 and 2500 end inside the candidates of pool head 2, which
     # a relabeling maps lower ((0,0,0,2,4) and (0,0,0,2), candidates
-    # 1249-1871 and 1981-2960), so the skip must count a partial head
+    # 1249-1871 and 1981-2960), so the skip must count a partial head.
+    # The (4,3) budgets end inside the candidates of a two-letter prefix
+    # that a relabeling maps lower under a head it does not: pool indices
+    # (0, 4) and (3, 4), candidates 250-309 and 6110-6169 in right (4,3),
+    # 202-249 and 4028-4075 in two-sided (4,3), under heads of shards 0
+    # and 1.  Their expected values come from a search that skipped heads
+    # only, so they do not rest on the prefix walk.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     result = search_max_sigma(SearchTask(family, n, k, budget=budget,
                                          jobs=jobs))
@@ -311,22 +322,93 @@ def test_head_skipping_keeps_budgeted_counts(monkeypatch, jobs, family, n, k,
     assert not result.exhaustive
 
 
-@pytest.mark.parametrize("family, n, k", [("right", 4, 3), ("left", 4, 2)])
-def test_relabel_filter_never_sees_a_non_minimal_head(monkeypatch, family,
-                                                       n, k):
-    # heads some relabeling maps lower are skipped whole, before any of
-    # their candidates reaches the relabel filter
+@pytest.mark.parametrize("family, n, k, tested", [
+    ("right", 4, 3, 25_298),
+    ("two_sided", 4, 3, 13_602),
+    ("left", 4, 2, 3_031),
+    ("right", 3, 4, None),
+])
+def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
+                                                          family, n, k,
+                                                          tested):
+    # a proper prefix some relabeling maps lower is stepped over whole,
+    # before any tuple under it reaches the leaf filter; tested counts how
+    # many tuples do
     real = search._fixing_finals_tables
-    heads = set()
+    seen = []
 
     def checked(idx, tables):
-        assert all(letters[idx[0]] >= idx[0] for letters, _ in tables), idx
-        heads.add(idx[0])
+        for d in range(1, len(idx)):
+            prefix = idx[:d]
+            assert all(tuple(sorted(letters[i] for i in prefix)) >= prefix
+                       for letters, _ in tables), idx
+        seen.append(idx)
         return real(idx, tables)
 
     monkeypatch.setattr(search, "_fixing_finals_tables", checked)
     result = search_max_sigma(SearchTask(family, n, k))
-    assert heads and result.exhaustive
+    assert seen and result.exhaustive
+    assert tested is None or len(seen) == tested
+
+
+_SMALL_CELLS = [(family, n, k) for family in ("right", "left", "two_sided",
+                                              "all")
+                for n in (1, 2, 3) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3)])
+def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
+    # reachability and distinguishability a prefix already has are not
+    # decided again below it: the filter must keep the same finals as when
+    # it inherits nothing, and exactly the tuples with a kept option are
+    # closed, each once
+    real_filter, real_closure = search._in_class_finals, search._closure
+    in_class, closed = [], []
+
+    def compared(gens, n_, options, left_ideal, up=None):
+        kept = real_filter(gens, n_, options, left_ideal, up)
+        assert kept == real_filter(gens, n_, options, left_ideal), gens
+        if kept:
+            in_class.append(gens)
+        return kept
+
+    def recorded(gens, cap, base=None):
+        if len(gens) == k:  # a letter tuple, not a prefix of one
+            closed.append(tuple(gens))
+        return real_closure(gens, cap, base)
+
+    monkeypatch.setattr(search, "_in_class_finals", compared)
+    monkeypatch.setattr(search, "_closure", recorded)
+    result = search_max_sigma(SearchTask(family, n, k))
+    assert in_class and closed == in_class
+    assert result.witnesses
+
+
+@pytest.mark.parametrize("family, n, k, tuples, pairs", [
+    ("left", 3, 4, 447, 770),
+    ("left", 4, 2, 106, 189),
+])
+def test_a_letter_tuple_is_closed_once(monkeypatch, family, n, k, tuples,
+                                       pairs):
+    # a letter tuple in class with several finals options is closed once,
+    # not once per option
+    real_filter, real_closure = search._in_class_finals, search._closure
+    kept, closed = [], []
+
+    def counted_filter(*args):
+        result = real_filter(*args)
+        kept.extend(result)
+        return result
+
+    def counted(gens, cap, base=None):
+        if len(gens) == k:
+            closed.append(gens)
+        return real_closure(gens, cap, base)
+
+    monkeypatch.setattr(search, "_in_class_finals", counted_filter)
+    monkeypatch.setattr(search, "_closure", counted)
+    search_max_sigma(SearchTask(family, n, k))
+    assert (len(closed), len(kept)) == (tuples, pairs)
 
 
 def test_jobs_are_clamped_to_the_cpu_count(serial_pool):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import dfa, random_dfas
 from syncomp import (CapExceededError, Dfa, Transformation, classify,
@@ -13,6 +14,7 @@ from syncomp import (CapExceededError, Dfa, Transformation, classify,
                      right_ideal_witness, sigma_of_language, small_witness,
                      transition_semigroup, two_sided_witness, witness_words,
                      word_bfs_sigma, word_length_histogram)
+from syncomp.semigroup import _closure
 
 
 def test_right_witness_semigroup_is_everything_fixing_the_sink():
@@ -97,6 +99,52 @@ def test_cap_aborts_closure():
     assert info.value.partial_count == 11
     assert info.value.partial_count > info.value.cap
     assert "found 11 elements" in str(info.value)
+
+
+def _plain_bfs(gens):
+    """The closure as a textbook BFS on image tuples: the identity's
+    children first, each element followed by every letter in order."""
+    n = len(gens[0])
+    queue, seen = [(-1, tuple(range(n)))], set()
+    images, parent, last = [], [], []
+    for i, t in queue:
+        for a, g in enumerate(gens):
+            c = tuple(g[q] for q in t)
+            if c not in seen:
+                seen.add(c)
+                queue.append((len(images), c))
+                images.append(bytes(c))
+                parent.append(i)
+                last.append(a)
+    return images, parent, last
+
+
+@st.composite
+def generator_tuples(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 4))
+    letter = st.tuples(*[st.integers(0, n - 1)] * n)
+    return tuple(draw(letter) for _ in range(k))
+
+
+@settings(deadline=None)
+@given(generator_tuples())
+def test_closure_extends_the_closure_of_a_prefix(gens):
+    cap = len(gens[0]) ** len(gens[0])
+    plain = _closure(gens, cap)
+    # without base: the shortest-word BFS, byte for byte
+    assert plain == _plain_bfs(gens)
+    base = _closure(gens[:-1], cap)
+    kept = tuple(list(x) for x in base)
+    images, parent, last = _closure(gens, cap, base)
+    assert base == kept  # the base is copied, not grown
+    assert images[:len(base[0])] == base[0]
+    assert len(images) == len(set(images)) == len(plain[0])
+    assert set(images) == set(plain[0])
+    identity = bytes(range(len(gens[0])))
+    for c, p, a in zip(images, parent, last):
+        t = images[p] if p >= 0 else identity
+        assert c == bytes(gens[a][q] for q in t)
 
 
 def test_default_cap_is_never_hit():
