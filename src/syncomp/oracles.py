@@ -3,13 +3,18 @@
 These deliberately avoid the closure machinery in semigroup.py: the sigma
 oracle enumerates words level by level and refolds every word's action from
 its letters, so agreement with transition_semigroup is meaningful evidence.
+The canonical-count oracle counts the orbits that search's canonical filter
+keeps one candidate of, by Burnside's lemma, without running that filter.
 """
 
 from __future__ import annotations
 
-from .automata import Dfa
+from itertools import permutations
 
-__all__ = ["word_bfs_sigma"]
+from .automata import Dfa
+from .search import SearchTask, _finals_options, _pool
+
+__all__ = ["word_bfs_sigma", "canonical_count"]
 
 
 def word_bfs_sigma(d: Dfa, max_words: int = 1_000_000) -> int:
@@ -44,3 +49,56 @@ def word_bfs_sigma(d: Dfa, max_words: int = 1_000_000) -> int:
         if fresh == 0:
             return len(seen)
         level = nxt
+
+
+def canonical_count(task: SearchTask) -> int:
+    """The number of canonical candidates of the task's cell, the examined
+    minus the pruned count of its exhaustive search, counted without
+    searching.
+
+    With prune=True a candidate is a multiset of k pool letters with a
+    finals option, and the canonical ones are one per orbit under the
+    relabelings g of the free states (g acts on a letter t as g t g^-1).
+    Burnside's lemma: the orbits number the mean over g of the candidates
+    g fixes, (k-multisets g fixes) * (finals options g fixes).  A multiset
+    is fixed iff its multiplicities are constant on each cycle of g on the
+    pool, so its count is the coefficient of x^k in the product of
+    1/(1 - x^c) over those cycle lengths c.  The pool and the options are
+    closed under the relabelings: the lemma-8 filter keeps the letters
+    whose orbit of state 0 ends in a fixed point, and a relabeling fixing
+    0 keeps that shape.  With prune=False each of the pool^k letter tuples
+    with each option is a candidate of its own.
+    """
+    pool, options = _pool(task), _finals_options(task)
+    n, k = task.n, task.k
+    if not task.prune:
+        return len(pool) ** k * len(options)
+    index = {t: i for i, t in enumerate(pool)}
+    top = n - 1 if task.family in ("right", "two_sided") else n
+    group = [(0, *p, *range(top, n)) for p in permutations(range(1, top))]
+    total = 0
+    for g in group:
+        moved = []
+        for t in pool:
+            image = [0] * n
+            for q in range(n):
+                image[g[q]] = g[t[q]]
+            moved.append(index[tuple(image)])
+        # coefficients of x^0 .. x^k in the product over the cycles of g
+        coef = [1] + [0] * k
+        seen = [False] * len(pool)
+        for i in range(len(pool)):
+            if seen[i]:
+                continue
+            length, j = 0, i
+            while not seen[j]:
+                seen[j], j, length = True, moved[j], length + 1
+            for d in range(length, k + 1):
+                coef[d] += coef[d - length]
+        fixed = sum(frozenset(g[q] for q in f) == f for f in options)
+        total += coef[k] * fixed
+    count, rest = divmod(total, len(group))
+    if rest:
+        raise AssertionError(f"Burnside sum {total} is not a multiple of "
+                             f"{len(group)} relabelings")
+    return count

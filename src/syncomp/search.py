@@ -20,16 +20,21 @@ elsewhere.
 
 The candidate order is walked as a tree of letter prefixes, depth first
 (orderly generation, McKay 1998).  A prefix that some relabeling maps lower
-is stepped over with its whole subtree.  Facts that a prefix's letters
-already have (every state reachable from 0, every state distinguished
-under a finals option) hold for every tuple below it and are decided once,
-and each tuple's closure extends its prefix's closure by the last letter
-(Froidure & Pin 1997) instead of starting afresh.
+is stepped over with its whole subtree.  Each prefix keeps its re-sorted
+image under every relabeling, its parent's with one letter inserted, so a
+tuple's test against a relabeling compares its last letter's image with
+one bound fixed per prefix, and builds the tuple's image only on a tie.
+Facts that a prefix's letters already have (every state reachable from 0,
+every state distinguished under a finals option) hold for every tuple
+below it and are decided once, and each tuple's closure extends its
+prefix's closure by the last letter (Froidure & Pin 1997) instead of
+starting afresh.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -67,7 +72,10 @@ class SearchTask:
       - a candidate is dropped if a relabeling of the free states maps it to
         a smaller one, comparing the re-sorted letter tuple and then, on a
         tie, the finals: the relabeled DFA has the same sigma and class and
-        is enumerated itself;
+        is enumerated itself.  Letter tuples are compared through the
+        stored re-sorted image of their prefix: per relabeling, the last
+        letter's image is compared with one bound, and the whole image is
+        built only where the two are equal;
       - a letter prefix that some relabeling maps lower is skipped whole,
         with every tuple under it: the re-sorted image of each of them is
         lower too.
@@ -195,29 +203,73 @@ def _relabel_tables(task: SearchTask, pool, finals_opts) -> list[tuple]:
     return tables
 
 
-def _fixing_finals_tables(idx: tuple[int, ...],
-                          tables) -> list[list[int]] | None:
-    """None if a relabeling maps letter tuple idx lower, else the finals
-    tables of those fixing it: (idx, finals i) is canonical iff none maps i
-    lower."""
-    fixing = []
-    for letters, finals in tables:
-        image = tuple(sorted([letters[i] for i in idx]))
-        if image < idx:
+def _insert(image: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The sorted tuple image with x inserted."""
+    i = bisect_right(image, x)
+    return image[:i] + (x,) + image[i:]
+
+
+def _child_images(child: tuple[int, ...], c: int, images,
+                  tables) -> list[tuple[int, ...]] | None:
+    """The re-sorted images of the sorted prefix child, which extends the
+    prefix of images by pool index c, under each relabeling; None if one
+    maps child lower.  It then maps every sorted tuple that extends child
+    lower: adding letters can only lower each order statistic of the image,
+    so the re-sorted image of the whole tuple is already lower where the
+    prefix's is."""
+    below = []
+    for (letters, _), image in zip(tables, images):
+        image = _insert(image, letters[c])
+        if image < child:
             return None
-        if image == idx:
-            fixing.append(finals)
-    return fixing
+        below.append(image)
+    return below
 
 
-def _maps_lower(prefix: tuple[int, ...], tables) -> bool:
-    """True if a relabeling maps the sorted letter prefix to a lower one.
-    It then maps every sorted tuple that extends the prefix lower: adding
-    letters can only lower each order statistic of the image, so the
-    re-sorted image of the whole tuple is already lower where the prefix's
-    is."""
-    return any(tuple(sorted([letters[i] for i in prefix])) < prefix
-               for letters, _ in tables)
+def _canonical_leaves(idx: tuple[int, ...], images, tables, last):
+    """Yield (c, finals tables of the relabelings fixing idx + (c,)) for each
+    pool index c in last such that no relabeling maps the letter tuple
+    idx + (c,) lower: (idx + (c,), finals i) is then canonical iff none of
+    those tables maps i lower.
+
+    idx is a sorted prefix that no relabeling maps lower, images holds its
+    re-sorted images, and every c in last is at least idx[-1], so that
+    t = idx + (c,) is sorted.  For one relabeling g let p = idx, P its
+    image (P >= p), x = g(c), and T the image of t: P with x inserted.
+      - P = p (g fixes the prefix).  If x < c, x goes in at some i, before
+        which T and t agree, and T_i = x is below t_i (p_i, or c if x goes
+        last), so T < t; if x = c, T = t; if x > c, T = p + (x,) > t.
+      - P > p.  Let j be the first position with P_j > p_j.  If x < p_j, x
+        goes in at some i <= j, where T and t agree before i and
+        T_i = x < p_i = t_i, so T < t.  If x > p_j, x goes in at or after
+        j, since p_l <= p_j for l < j; T agrees with t before j and
+        T_j (x or P_j) > p_j = t_j, so T > t.  Only x = p_j, a tie, leaves
+        T to be built and compared.
+    So the test of a relabeling is one comparison of x with a bound fixed
+    per prefix (c, or p_j), save ties."""
+    # per relabeling, rise is p_j, or None where it fixes the prefix
+    tests = [(letters, finals, image,
+              next((q for q, r in zip(idx, image) if q != r), None))
+             for (letters, finals), image in zip(tables, images)]
+    for c in last:
+        fixing = []
+        for letters, finals, image, rise in tests:
+            x = letters[c]
+            if rise is None:
+                if x < c:
+                    break
+                if x == c:
+                    fixing.append(finals)
+            elif x <= rise:
+                if x < rise:
+                    break
+                whole, child = _insert(image, x), idx + (c,)
+                if whole < child:
+                    break
+                if whole == child:
+                    fixing.append(finals)
+        else:
+            yield c, fixing
 
 
 def _subtree_size(task: SearchTask, letters: int, options: int, last: int,
@@ -277,17 +329,19 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
     """Walk the global candidate order (letter tuple, then finals) as a
     tree of letter prefixes, depth first, and yield (parent prefix node,
     letters, kept finals) for each canonical candidate tuple under heads
-    shard, shard + shards, ... in the budget's prefix of the order.  A
-    prefix some relabeling maps lower is stepped over whole, by the size
-    of its subtree; at the leaves the finals options (of that prefix) that
-    no relabeling fixing the tuple maps lower are kept.  The least finals
-    option is always kept, so no yielded list is empty."""
+    shard, shard + shards, ... in the budget's prefix of the order.  Each
+    prefix carries its re-sorted image under every relabeling, its
+    parent's with one letter inserted.  A prefix some relabeling maps lower
+    is stepped over whole, by the size of its subtree; at the leaves the
+    finals options (of that prefix) that no relabeling fixing the tuple
+    maps lower are kept.  The least finals option is always kept, so no
+    yielded list is empty."""
     tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
     letters, options, budget = len(pool), len(finals_opts), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
     indices = tuple(range(letters))
 
-    def visit(up: _Prefix, idx: tuple[int, ...], pos: int):
+    def visit(up: _Prefix, idx: tuple[int, ...], images, pos: int):
         # the children of prefix idx, the first starting at position pos;
         # the heads (the root's children) are dealt out to the shards
         more = task.k - len(idx) - 1
@@ -295,11 +349,8 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
         if not more:
             # leaf c starts at pos + (c - first) * options
             end = min(letters, first - (pos - budget) // options)
-            for c in indices[first:end] if idx else indices[shard:end:shards]:
-                child = idx + (c,)
-                fixing = _fixing_finals_tables(child, tables)
-                if fixing is None:
-                    continue
+            last = indices[first:end] if idx else indices[shard:end:shards]
+            for c, fixing in _canonical_leaves(idx, images, tables, last):
                 keep = finals_opts[:budget - pos - (c - first) * options]
                 if fixing:
                     keep = [f for fi, f in enumerate(keep)
@@ -311,12 +362,14 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
                 return
             if idx or c % shards == shard:
                 child = idx + (c,)
-                if not _maps_lower(child, tables):
+                below = _child_images(child, c, images, tables)
+                if below is not None:
                     yield from visit(
-                        _Prefix(up.gens + (pool[c],), up, task.n), child, pos)
+                        _Prefix(up.gens + (pool[c],), up, task.n), child,
+                        below, pos)
             pos += _subtree_size(task, letters, options, c, more)
 
-    yield from visit(_Prefix((), None, task.n), (), 0)
+    yield from visit(_Prefix((), None, task.n), (), [()] * len(tables), 0)
 
 
 def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,

@@ -12,6 +12,7 @@ from conftest import binary_3_sweep
 from syncomp import (SearchTask, classify, minimize, search_max_sigma,
                      sigma_of_language, small_witness)
 from syncomp import search
+from syncomp.oracles import canonical_count
 from syncomp.search import _in_class_finals
 
 # SearchTask options: the default pruned search and the plain enumeration
@@ -88,10 +89,25 @@ def test_right_5_2_long_cell():
 ])
 def test_cell_counts_are_pinned(family, n, k, prune, expected):
     # the witness count and the candidate counters change if the canonical
-    # representatives or the enumeration order change
-    result = search_max_sigma(SearchTask(family, n, k, **prune))
+    # representatives or the enumeration order change; the canonical count
+    # is also predicted without searching
+    task = SearchTask(family, n, k, **prune)
+    result = search_max_sigma(task)
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == expected
+    assert canonical_count(task) == \
+        result.candidates_examined - result.candidates_pruned
+
+
+@pytest.mark.parametrize("family, n, k, expected", [
+    ("right", 6, 2, 1_280_610),
+    ("two_sided", 6, 2, 648_861),
+    ("left", 4, 4, 20_623_533),
+])
+def test_canonical_count_of_minute_scale_cells(family, n, k, expected):
+    # examined - pruned of exhaustive runs that take minutes (ROADMAP
+    # "Measurements")
+    assert canonical_count(SearchTask(family, n, k)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +225,8 @@ def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
     ("right", 4, 2),
     # three letters: prefixes below the head are pruned too
     ("right", 3, 3), ("left", 3, 3), ("all", 2, 3), ("two_sided", 4, 3),
+    # leaf ties (see test_only_leaf_ties_build_the_image) in each family
+    ("all", 3, 3), ("left", 3, 4), ("right", 4, 3),
 ])
 def test_stream_yields_each_orbit_minimum_once(family, n, k):
     # orbits of (letter multiset, finals) under relabelings of the free
@@ -333,27 +351,62 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
                                                           tested):
     # a proper prefix some relabeling maps lower is stepped over whole,
     # before any tuple under it reaches the leaf filter; tested counts how
-    # many tuples do
-    real = search._fixing_finals_tables
+    # many tuples do.  The prefix's stored images are its re-sorted images
+    real = search._canonical_leaves
     seen = []
 
-    def checked(idx, tables):
-        for d in range(1, len(idx)):
+    def checked(idx, images, tables, last):
+        for d in range(1, len(idx) + 1):
             prefix = idx[:d]
             assert all(tuple(sorted(letters[i] for i in prefix)) >= prefix
                        for letters, _ in tables), idx
-        seen.append(idx)
-        return real(idx, tables)
+        assert list(images) == [tuple(sorted(letters[i] for i in idx))
+                                for letters, _ in tables], idx
+        seen.extend(idx + (c,) for c in last)
+        return real(idx, images, tables, last)
 
-    monkeypatch.setattr(search, "_fixing_finals_tables", checked)
+    monkeypatch.setattr(search, "_canonical_leaves", checked)
     result = search_max_sigma(SearchTask(family, n, k))
     assert seen and result.exhaustive
     assert tested is None or len(seen) == tested
 
 
+@pytest.mark.parametrize("family, n, k, ties", [
+    ("right", 5, 2, 503),
+    ("all", 3, 3, 99),
+    ("left", 3, 4, 153),
+    ("right", 4, 3, 336),
+    ("right", 3, 3, 0),
+    ("all", 2, 3, 0),
+])
+def test_only_leaf_ties_build_the_image(monkeypatch, family, n, k, ties):
+    # at a leaf a relabeling's verdict is one comparison with a bound fixed
+    # per prefix; the tuple's image is built only on a tie.  The prefix
+    # walk inserts into images of fewer than k - 1 letters
+    real, built = search._insert, []
+
+    def counted(image, x):
+        if len(image) == k - 1:
+            built.append(image)
+        return real(image, x)
+
+    monkeypatch.setattr(search, "_insert", counted)
+    _stream(SearchTask(family, n, k))
+    assert len(built) == ties
+
+
 _SMALL_CELLS = [(family, n, k) for family in ("right", "left", "two_sided",
                                               "all")
                 for n in (1, 2, 3) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
+def test_canonical_count_matches_the_search(family, n, k):
+    task = SearchTask(family, n, k)
+    result = search_max_sigma(task)
+    assert result.exhaustive
+    assert canonical_count(task) == \
+        result.candidates_examined - result.candidates_pruned
 
 
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3)])
