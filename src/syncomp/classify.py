@@ -17,7 +17,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .automata import (Dfa, Semiautomaton, _moore_classes, _reachable,
-                       complement, equivalent, left_ideal_closure, minimize)
+                       complement, minimize)
 from .errors import SizeMismatchError
 from .semigroup import SemigroupResult, transition_semigroup
 from .transform import Transformation
@@ -206,26 +206,48 @@ def _is_sink(d: Dfa, q: int) -> bool:
     return all(d.delta[a](q) == q for a in d.alphabet)
 
 
-def _right_extension(d: Dfa) -> Dfa:
-    """DFA of L·Σ*: lock into a fresh accepting sink once a final is hit."""
-    top = d.n
-    delta = {}
-    for a in d.alphabet:
-        row = [top if d.delta[a](q) in d.finals else d.delta[a](q)
-               for q in range(d.n)]
-        row.append(top)
-        delta[a] = Transformation(tuple(row))
-    initial = top if d.initial in d.finals else d.initial
-    return Dfa(d.n + 1, d.alphabet, delta, initial, frozenset({top}))
+def _right_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,
+                      initial: int, finals: frozenset[int]) -> bool:
+    """Semantic right-ideal test on image rows: walk the pairs (state of
+    the DFA, state of the DFA of L·Σ*) and fail at the first pair whose
+    acceptance differs.  The L·Σ* automaton is the DFA with a fresh
+    accepting state n that it locks into once it enters a final state."""
+    lock = n
+    start = (initial, lock if initial in finals else initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        p, q = stack.pop()
+        if (p in finals) != (q == lock):
+            return False
+        for g in rows:
+            r = lock if q == lock or g[q] in finals else g[q]
+            nxt = (g[p], r)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return True
 
 
 def _is_right_ideal(md: Dfa) -> bool:
     """md must be minimal.  Runs the structural and the semantic test and
-    insists they agree."""
+    insists they agree.
+
+    The semantic walk decides L = LΣ*.  Let E be md with a fresh state n:
+    E moves as md does until md would enter a final state, and then (or at
+    once, if the initial state is final) sits in n for good, the only
+    final state of E.  By induction on w, E reaches n iff some prefix of w,
+    ε and w included, is in L, so E accepts exactly LΣ*.  The pairs the
+    walk visits are exactly the pairs (md(w), E(w)) over all words w, so
+    it meets a pair whose acceptance differs iff some word is in one of L
+    and LΣ* but not the other.
+    """
     nonempty = not (md.n == 1 and not md.finals)
     structural = (nonempty and len(md.finals) == 1
                   and _is_sink(md, next(iter(md.finals))))
-    semantic = nonempty and equivalent(md, _right_extension(md))
+    rows = tuple(md.delta[a].images for a in md.alphabet)
+    semantic = nonempty and _right_ideal_walk(rows, md.n, md.initial,
+                                              md.finals)
     if structural != semantic:
         raise AssertionError(
             f"right-ideal checks disagree: structural={structural}, "
@@ -256,14 +278,53 @@ def _left_ideal_pairs(rows: tuple[tuple[int, ...], ...], n: int,
     return True
 
 
+def _left_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,
+                     initial: int, finals: frozenset[int]) -> bool:
+    """Semantic left-ideal test on image rows: walk the pairs (state of
+    the DFA, state of the subset DFA of Σ*L, a bitmask built on the fly)
+    and fail at the first pair whose acceptance differs."""
+    home = 1 << initial
+    final_mask = sum(1 << f for f in finals)
+    bits = [[1 << g[q] for q in range(n)] for g in rows]
+    start = (initial, home)
+    seen = {start}
+    stack = [start]
+    while stack:
+        p, s = stack.pop()
+        if (p in finals) != bool(s & final_mask):
+            return False
+        for g, g_bits in zip(rows, bits):
+            t, rest = home, s
+            while rest:
+                low = rest & -rest
+                t |= g_bits[low.bit_length() - 1]
+                rest ^= low
+            nxt = (g[p], t)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return True
+
+
 def _is_left_ideal(md: Dfa) -> bool:
     """md must be minimal.  Runs the structural and the semantic test and
-    insists they agree."""
+    insists they agree.
+
+    The semantic walk decides L = Σ*L.  For a word w let S(w) be the set
+    of states md reaches from the initial state by the suffixes of w.
+    Then S(ε) = {initial} and S(wa) = a(S(w)) ∪ {initial}, since the
+    suffixes of wa are ε and va for the suffixes v of w: S is the subset
+    automaton of Σ*L, and w ∈ Σ*L iff some suffix of w is in L iff S(w)
+    holds a final state.  The pairs the walk visits are exactly the pairs
+    (md(w), S(w)) over all words w, so it meets a pair whose acceptance
+    differs iff some word is in one of L and Σ*L but not the other.
+    """
     nonempty = not (md.n == 1 and not md.finals)
     rows = tuple(md.delta[a].images for a in md.alphabet)
     structural = nonempty and _left_ideal_pairs(rows, md.n, md.initial,
                                                 md.finals)
-    semantic = nonempty and equivalent(md, left_ideal_closure(md))
+    semantic = nonempty and _left_ideal_walk(rows, md.n, md.initial,
+                                             md.finals)
     if structural != semantic:
         raise AssertionError(
             f"left-ideal checks disagree: structural={structural}, "

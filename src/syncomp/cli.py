@@ -106,6 +106,8 @@ def _load_dfa(path: str):
 def _cmd_analyze(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     report = classify(_load_dfa(args.input), cap=args.cap)
     sg = report.semigroup
     # BFS order: by length, then letters in alphabet order
@@ -222,6 +224,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_words < 1:
+        raise ValueError(
+            f"--max-words must be at least 1, got {args.max_words}")
     status = 0
     ran = False
     if args.dfa is not None:

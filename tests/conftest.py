@@ -45,13 +45,13 @@ def binary_3_sweep() -> list[Dfa]:
     return out
 
 
-def random_dfas(max_n=4, min_k=2, max_k=2):
-    """Hypothesis strategy: DFAs with 2..max_n states, min_k..max_k letters,
-    initial state 0 and any finals."""
+def random_dfas(max_n=4, min_k=2, max_k=2, min_n=2):
+    """Hypothesis strategy: DFAs with min_n..max_n states, min_k..max_k
+    letters, initial state 0 and any finals."""
     def build(n, rows, finals_mask):
         return dfa([row[:n] for row in rows],
                    [q for q in range(n) if finals_mask >> q & 1])
-    return st.integers(2, max_n).flatmap(
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.builds(
             build, st.just(n),
             st.lists(st.tuples(*[st.integers(0, n - 1)] * n),

@@ -7,18 +7,22 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import dfa
-from syncomp import (Semiautomaton, SizeMismatchError, Transformation,
-                     all_behaviors_aperiodic, behavior_of, classify,
-                     complement, cycle, equivalent, identity,
+from conftest import dfa, random_dfas
+from syncomp import (Dfa, Semiautomaton, SearchTask, SizeMismatchError,
+                     Transformation, all_behaviors_aperiodic, behavior_of,
+                     classify, complement, cycle, equivalent, identity,
                      left_ideal_closure, left_ideal_witness,
                      left_witness_core, minimize, pair_graph_uniformity,
                      right_ideal_witness, ruled_out_count_brute,
                      ruled_out_count_formula, transposition,
                      two_sided_witness, uniformly_minimal,
                      verify_theorem9_pairing)
-from syncomp.classify import _left_ideal_pairs
+from syncomp.classify import (_is_left_ideal, _is_right_ideal,
+                              _left_ideal_pairs, _left_ideal_walk,
+                              _right_ideal_walk)
+from syncomp.search import FoundWitness, _reverify
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +95,91 @@ def test_report_as_dict_round_trips_fields():
     assert set(d) >= {"sigma", "bound", "l_uniquely_reachable"}
 
 
+def _right_extension(d: Dfa) -> Dfa:
+    """DFA of L·Σ*: lock into a fresh accepting sink once a final is hit.
+    The right-ideal oracle: L is a right ideal iff it is equivalent."""
+    top = d.n
+    delta = {}
+    for a in d.alphabet:
+        row = [top if d.delta[a](q) in d.finals else d.delta[a](q)
+               for q in range(d.n)]
+        row.append(top)
+        delta[a] = Transformation(tuple(row))
+    initial = top if d.initial in d.finals else d.initial
+    return Dfa(d.n + 1, d.alphabet, delta, initial, frozenset({top}))
+
+
+def _walks(d: Dfa) -> tuple[bool, bool]:
+    """(right, left) verdicts of classify's two product walks on d."""
+    rows = tuple(d.delta[a].images for a in d.alphabet)
+    return (_right_ideal_walk(rows, d.n, d.initial, d.finals),
+            _left_ideal_walk(rows, d.n, d.initial, d.finals))
+
+
 def test_left_ideal_twins_agree_on_every_minimal_binary_3(minimal_binary_3):
     # each minimal DFA and its complement (also minimal, every state
-    # reachable, nonempty language) through both left-ideal tests directly
-    left_ideals = 0
+    # reachable, nonempty language) through three deciders per ideal side:
+    # the structural test, the product walk and the oracle that builds the
+    # automaton of Σ*L or L·Σ*; _is_right_ideal returns the structural
+    # verdict after asserting that its walk agrees
+    left_ideals = right_ideals = 0
     for d in minimal_binary_3:
         for m in (d, complement(d)):
             rows = tuple(m.delta[a].images for a in m.alphabet)
-            structural = _left_ideal_pairs(rows, m.n, m.initial, m.finals)
-            assert structural == equivalent(m, left_ideal_closure(m)), m
-            left_ideals += structural
+            right_walk, left_walk = _walks(m)
+            left = _left_ideal_pairs(rows, m.n, m.initial, m.finals)
+            assert left == left_walk == equivalent(m, left_ideal_closure(m)), m
+            right = _is_right_ideal(m)
+            assert right == right_walk == equivalent(m, _right_extension(m)), m
+            left_ideals += left
+            right_ideals += right
     assert left_ideals == 140  # 70 left ideals, 70 suffix-closed complements
+    assert right_ideals == 116  # 58 right ideals, 58 prefix-closed ones
+
+
+@settings(deadline=None)
+@given(random_dfas(max_n=6, min_k=1, max_k=3, min_n=1))
+def test_ideal_walks_match_the_oracles(d):
+    # on any complete DFA, minimal or not and with any finals (none
+    # included), each walk decides its language equation; on the minimal
+    # DFA of a nonempty language classify's structural test agrees
+    right, left = _walks(d)
+    assert right == equivalent(d, _right_extension(d))
+    assert left == equivalent(d, left_ideal_closure(d))
+    md = minimize(d)
+    nonempty = bool(md.finals)
+    assert _is_right_ideal(md) == (nonempty and right)
+    assert _is_left_ideal(md) == (nonempty and left)
+    assert _walks(md) == (right, left)
+
+
+def test_semantic_twins_determinize_nothing(monkeypatch):
+    # the walks build no automaton: classify, and the re-check of a search
+    # witness that runs it, reach neither determinize nor
+    # left_ideal_closure through any binding of either
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    modules = [importlib.import_module(f"syncomp.{name}")
+               for name in ("automata", "classify", "search")]
+    for module in modules:
+        for name in ("determinize", "left_ideal_closure"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    assert classify(right_ideal_witness(6)).is_right_ideal
+    witness = FoundWitness((Transformation((0, 0, 1, 3)),
+                            Transformation((0, 1, 3, 3)),
+                            Transformation((1, 2, 0, 3))), frozenset({3}))
+    _reverify(SearchTask("right", 4, 3), witness, 61)  # right (4,3)'s least
+    assert calls == []
+    modules[0].left_ideal_closure(right_ideal_witness(3))  # counting is live
+    assert calls == ["left_ideal_closure", "determinize"]
 
 
 def _never(*args):
@@ -110,14 +188,13 @@ def _never(*args):
 
 @pytest.mark.parametrize("target, fault, build, message", [
     ("_left_ideal_pairs", _never, left_ideal_witness, "left-ideal"),
-    ("left_ideal_closure", complement, left_ideal_witness, "left-ideal"),
+    ("_left_ideal_walk", _never, left_ideal_witness, "left-ideal"),
     ("_is_sink", _never, right_ideal_witness, "right-ideal"),
-    ("_right_extension", complement, right_ideal_witness, "right-ideal"),
+    ("_right_ideal_walk", _never, right_ideal_witness, "right-ideal"),
 ], ids=["left-structural", "left-semantic", "right-structural",
         "right-semantic"])
 def test_disagreeing_twins_raise(monkeypatch, target, fault, build, message):
-    # each fault turns the true verdict false in one twin only (a language
-    # is never equivalent to its complement)
+    # each fault turns the true verdict false in one twin only
     classify_module = importlib.import_module("syncomp.classify")
     monkeypatch.setattr(classify_module, target, fault)
     with pytest.raises(AssertionError, match=f"{message} checks disagree"):

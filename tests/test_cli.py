@@ -144,6 +144,29 @@ def test_analyze_rejects_negative_samples(right4_file, monkeypatch, capsys):
     assert "error:" in captured.err and "--samples" in captured.err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze", "--cap", "0"),
+    ("analyze", "--cap", "-1"),
+    ("oracle", "--max-words", "0"),
+    ("oracle", "--max-words", "-1"),
+])
+def test_limits_below_one_are_refused(right4_file, monkeypatch, capsys,
+                                      command, flag, value):
+    # refused before any closure or word is built, naming the flag
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the flag was checked")
+
+    monkeypatch.setattr(importlib.import_module("syncomp.semigroup"),
+                        "_closure", refuse)
+    monkeypatch.setattr(importlib.import_module("syncomp.cli"),
+                        "word_bfs_sigma", refuse)
+    target = [right4_file] if command == "analyze" else ["--dfa", right4_file]
+    assert main([command, *target, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be at least 1, got {value}" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # witness
 
