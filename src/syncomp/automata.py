@@ -183,22 +183,24 @@ def _moore_classes(rows: Sequence[tuple[int, ...]],
 def minimize(d: Dfa) -> Dfa:
     """Unique minimal complete DFA, canonically numbered.
 
-    Moore partition refinement on the reachable part; classes are numbered
-    by first occurrence so the refinement itself is deterministic, then the
-    quotient is renumbered by reachable_trim's BFS order.
+    Moore partition refinement on all states: a state's class depends only
+    on the states reachable from it, so unreachable states split no
+    reachable ones.  The quotient's classes are then numbered by BFS from
+    the initial state's class, letters in alphabet order, which is
+    reachable_trim's order, and only the reachable classes are kept.
     """
-    d = reachable_trim(d)
-    cls = _moore_classes([d.delta[a].images for a in d.alphabet], d.finals)
-    k = max(cls) + 1
-    rep = [0] * k
+    rows = [d.delta[a].images for a in d.alphabet]
+    cls = _moore_classes(rows, d.finals)
+    rep = [0] * (max(cls) + 1)
     for q in range(d.n - 1, -1, -1):
         rep[cls[q]] = q
-    delta = {
-        a: Transformation(tuple(cls[d.delta[a](rep[c])] for c in range(k)))
-        for a in d.alphabet
-    }
-    finals = frozenset(cls[f] for f in d.finals)
-    return reachable_trim(Dfa(k, d.alphabet, delta, cls[d.initial], finals))
+    quotient = [[cls[row[q]] for q in rep] for row in rows]
+    order = _reachable(quotient, cls[d.initial])
+    index = {c: i for i, c in enumerate(order)}
+    delta = {a: Transformation(tuple(index[row[c]] for c in order))
+             for a, row in zip(d.alphabet, quotient)}
+    finals = frozenset(index[cls[f]] for f in d.finals if cls[f] in index)
+    return Dfa(len(order), d.alphabet, delta, 0, finals)
 
 
 def determinize(m: Nfa) -> Dfa:

@@ -255,6 +255,59 @@ def _is_right_ideal(md: Dfa) -> bool:
     return structural
 
 
+def _left_ideal_relation(rows: tuple[tuple[int, ...], ...], n: int,
+                         initial: int, base: list[int] | None = None
+                         ) -> list[int]:
+    """The pairs of distinct states reachable under the image rows from the
+    pairs (initial, q), q != initial, as one bitmask need[p] of the second
+    states per first state p.  Diagonal pairs are left out: their
+    successors are diagonal too.
+
+    base may be this function's result for rows[:-1], which is left
+    unchanged: the result then extends it by the last row.  A pair that
+    needs the last row is reached as (u c v) applied to a seed, with u
+    free of it; u applied to the seed is a pair of base, so the new pairs
+    are the last row's images of base's pairs, closed under all the rows.
+    Without base the seeds themselves, closed under no row, are the base
+    and every row is new."""
+    if base is None:
+        base = [0] * n
+        base[initial] = (1 << n) - 1 ^ 1 << initial
+        new = rows
+    else:
+        new = rows[-1:]
+    need = list(base)
+    stack = []
+    for g in new:
+        for p, mask in enumerate(base):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                a, b = g[p], g[low.bit_length() - 1]
+                if a != b and not need[a] >> b & 1:
+                    need[a] |= 1 << b
+                    stack.append((a, b))
+    while stack:
+        p, q = stack.pop()
+        for g in rows:
+            a, b = g[p], g[q]
+            if a != b and not need[a] >> b & 1:
+                need[a] |= 1 << b
+                stack.append((a, b))
+    return need
+
+
+def _left_ideal_admits(need: list[int], finals: frozenset[int]) -> bool:
+    """Whether no pair of the relation need (see _left_ideal_relation) has
+    its first state final and its second not: the states paired with a
+    final state are all final."""
+    paired = mask = 0
+    for p in finals:
+        paired |= need[p]
+        mask |= 1 << p
+    return not paired & ~mask
+
+
 def _left_ideal_pairs(rows: tuple[tuple[int, ...], ...], n: int,
                       initial: int, finals: frozenset[int]) -> bool:
     """Structural left-ideal test on image rows; every state must be
@@ -264,18 +317,7 @@ def _left_ideal_pairs(rows: tuple[tuple[int, ...], ...], n: int,
     L(q) for every reachable q.  That fails iff some pair reachable from
     (initial, q) has its first state final and its second not.
     """
-    seen = {(initial, q) for q in range(n) if q != initial}
-    stack = list(seen)
-    while stack:
-        p, q = stack.pop()
-        if p in finals and q not in finals:
-            return False
-        for g in rows:
-            nxt = (g[p], g[q])
-            if nxt[0] != nxt[1] and nxt not in seen:  # diagonals never fail
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
+    return _left_ideal_admits(_left_ideal_relation(rows, n, initial), finals)
 
 
 def _left_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,

@@ -26,9 +26,10 @@ tuple's test against a relabeling compares its last letter's image with
 one bound fixed per prefix, and builds the tuple's image only on a tie.
 Facts that a prefix's letters already have (every state reachable from 0,
 every state distinguished under a finals option) hold for every tuple
-below it and are decided once, and each tuple's closure extends its
-prefix's closure by the last letter (Froidure & Pin 1997) instead of
-starting afresh.
+below it and are decided once.  Each tuple's closure element set and
+its left-ideal pair relation extend its prefix's by the last letter
+(Froidure & Pin 1997) instead of starting afresh, and a finals option's
+left-ideal test is then one bitmask check.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from itertools import permutations, product, repeat
 from math import comb
 
 from .automata import Dfa, _moore_classes, _reachable
-from .classify import _left_ideal_pairs, _orbit, classify
+from .classify import (_left_ideal_admits, _left_ideal_relation, _orbit,
+                       classify)
 from .semigroup import _closure
 from .transform import Transformation
 
@@ -282,21 +284,26 @@ def _subtree_size(task: SearchTask, letters: int, options: int, last: int,
 
 
 class _Prefix:
-    """A node of the walk: the letters of a prefix, and the facts that hold
-    for every letter tuple extending it.  Reachability of every state from
-    0 and Moore distinguishability of every state under given finals only
+    """A node of the walk: the letters of a prefix, the facts that hold for
+    every letter tuple extending it, and the partial results its tuples
+    extend by their further letters.  Reachability of every state from 0
+    and Moore distinguishability of every state under given finals only
     grow as letters are added, so once a prefix has them no tuple below it
-    needs them decided again.  Each fact, and the prefix's closure, is
-    decided at most once and only when asked.  The root, with no letters,
-    has no fact to pass on."""
+    needs them decided again.  The closure's element set and the left-ideal
+    pair relation (classify._left_ideal_relation) of a tuple are its
+    prefix's, extended by the last letter.  Each is decided at most once
+    and only when asked.  The root, with no letters, has no fact to pass
+    on: its closure is empty, and it builds a pair relation afresh."""
 
-    __slots__ = ("gens", "up", "n", "_reach", "_distinct", "_closed")
+    __slots__ = ("gens", "up", "n", "_reach", "_distinct", "_closed",
+                 "_need")
 
     def __init__(self, gens: tuple, up: "_Prefix | None", n: int):
         self.gens, self.up, self.n = gens, up, n
         self._reach: bool | None = None
         self._distinct: dict[frozenset[int], bool] = {}
         self._closed = None
+        self._need = None
 
     def reaches_all(self) -> bool:
         if self._reach is None:
@@ -313,16 +320,28 @@ class _Prefix:
                 or max(_moore_classes(self.gens, finals)) == self.n - 1)
         return known
 
-    def close(self, gens: tuple) -> tuple:
-        """The closure of gens, this prefix's letters and one more: an
-        extension of this prefix's closure."""
-        return _closure(gens, self.n ** self.n,
-                        self.closure() if self.up is not None else None)
+    def close(self, gens: tuple) -> set:
+        """The closure's element set of gens, this prefix's letters and
+        one more."""
+        return _closure(gens, self.n ** self.n, self.closure())
 
-    def closure(self) -> tuple:
+    def closure(self) -> set | frozenset:
         if self._closed is None:
-            self._closed = self.up.close(self.gens)
+            self._closed = (frozenset() if self.up is None
+                            else self.up.close(self.gens))
         return self._closed
+
+    def pairs(self, gens: tuple) -> list[int]:
+        """The left-ideal pair relation of gens, this prefix's letters and
+        one more.  The root inherits nothing and builds it from the seeds,
+        so there gens may have any number of letters."""
+        return _left_ideal_relation(
+            gens, self.n, 0, None if self.up is None else self.relation())
+
+    def relation(self) -> list[int]:
+        if self._need is None:
+            self._need = self.up.pairs(self.gens)
+        return self._need
 
 
 def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
@@ -378,17 +397,20 @@ def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,
     """The finals among options with which gens is minimal from state 0 and,
     if left_ideal, a left ideal.  up is the prefix node gens extends by one
     letter: reachability and distinguishability it already has hold for
-    gens and are not decided again.  Without up nothing is inherited.
-    Reachability depends only on the letters, so it is walked at most once.
-    The pair walk is sound once every state is reachable, minimal or not,
-    and it is cheaper than the Moore refinement, which then runs only on
-    the options it keeps."""
+    gens and are not decided again, and its pair relation is extended by
+    the last letter.  Without up nothing is inherited.  Reachability and
+    the pair relation depend only on the letters, so each is built at most
+    once; the left-ideal test of an option is then one bitmask check.  It
+    is sound once every state is reachable, minimal or not, and it is
+    cheaper than the Moore refinement, which then runs only on the options
+    it keeps."""
     if up is None:
         up = _Prefix((), None, n)
     if not up.reaches_all() and len(_reachable(gens, 0)) < n:
         return []
     if left_ideal:
-        options = [f for f in options if _left_ideal_pairs(gens, n, 0, f)]
+        need = up.pairs(gens)
+        options = [f for f in options if _left_ideal_admits(need, f)]
     return [f for f in options
             if up.distinguishes(f) or max(_moore_classes(gens, f)) == n - 1]
 
@@ -409,7 +431,7 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
         finals = _in_class_finals(letters, task.n, keep, left_ideal, up)
         if not finals:
             continue
-        s = len(up.close(letters)[0])
+        s = len(up.close(letters))
         if s > best:
             best, wits = s, []
         if s == best:

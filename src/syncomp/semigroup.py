@@ -72,55 +72,57 @@ def _identity(n: int) -> bytes | tuple[int, ...]:
 
 
 def _closure(gens: Sequence[tuple[int, ...]], cap: int,
-             base: tuple | None = None
-             ) -> tuple[list[bytes] | list[tuple[int, ...]], list[int],
-                        list[int]]:
-    """Closure of letter image tuples: the images, parent and last of a
-    SemigroupResult, each element being element parent[i] followed by
-    letter last[i].  More than cap elements raise CapExceededError.
+             base: set | frozenset | None = None
+             ) -> tuple[list, list[int], list[int]] | set:
+    """Closure of letter image tuples.  More than cap elements raise
+    CapExceededError.
 
-    Only a call without base is a BFS, with the elements in shortest-word
-    order, and transition_semigroup never passes base.  base may be this
-    function's result for gens[:-1], which is left unchanged: the result
-    then starts with a copy of it.  Every word that uses the last letter c
-    is u c v with u over the other letters, so the new elements are the
-    products s c, for s the empty word or an element of base, closed
-    under all the letters (Froidure & Pin 1997); they are not in
-    shortest-word order.
+    Without base it is a BFS that returns the images, parent and last of a
+    SemigroupResult, with the elements in shortest-word order, each being
+    element parent[i] followed by letter last[i]; transition_semigroup
+    never passes base.  base may be the element set of the closure of
+    gens[:-1] (empty for no letters), which is left unchanged: the result
+    is then the element set of the closure of gens, with no tree.  Every
+    word that uses the last letter c is u c v with u over the other
+    letters, so the new elements are the products s c, for s the empty
+    word or an element of base, closed under all the letters (Froidure &
+    Pin 1997).
 
     Up to 256 states an element is bytes and t.translate(g) is t followed
     by g, with g padded to a 256-byte table: composed and hashed in C.
     Beyond that a state number does not fit in a byte, so elements are
     tuples and itemgetter(*t)(g) is t followed by g."""
     n = len(gens[0])
-    i, t = -1, _identity(n)  # the empty word: its children are the letters
+    t = _identity(n)  # the empty word: its children are the letters
     small = type(t) is bytes
     # the padding is never read: every byte of an element is below n
     letters = [(a, bytes(g) + bytes(256 - n) if small else g)
                for a, g in enumerate(gens)]
-    if base is None:
-        seen: set = set()
-        elements: list = []
-        parent: list[int] = []
-        last: list[int] = []
-    else:
-        elements, parent, last = map(list, base)
-        seen = set(elements)
-        # base is closed under the other letters, so the empty word and the
-        # elements of base only take the last letter; the BFS goes on from
-        # the first element that is new
-        a, g = letters[-1]
-        for p, s in enumerate([t, *elements], -1):
+    if base is not None:
+        seen = set(base)
+        # base is closed under the other letters, so the empty word and its
+        # elements only take the last letter; what is new takes them all
+        g = letters[-1][1]
+        fresh = []
+        for s in (t, *base):
             c = s.translate(g) if small else itemgetter(*s)(g)
             if c not in seen:
                 seen.add(c)
-                elements.append(c)
-                parent.append(p)
-                last.append(a)
-        i = len(base[0])
-        if i == len(elements):
-            return elements, parent, last
-        t = elements[i]
+                fresh.append(c)
+        for s in fresh:  # the list grows while it is walked
+            then = s.translate if small else itemgetter(*s)
+            for _, g in letters:
+                c = then(g)
+                if c not in seen:
+                    seen.add(c)
+                    fresh.append(c)
+            if len(seen) > cap:
+                raise CapExceededError(cap, len(seen))
+        return seen
+    i, seen = -1, set()
+    elements: list = []
+    parent: list[int] = []
+    last: list[int] = []
     while True:
         then = t.translate if small else itemgetter(*t)
         for a, g in letters:

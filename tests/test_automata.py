@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import dfa, random_dfas
+from conftest import binary_3_sweep, dfa, random_dfas
 from syncomp import (AlphabetMismatchError, Dfa, FormatError, Nfa,
                      Semiautomaton, SizeMismatchError, Transformation,
                      complement, determinize, emit_dfa_json, equivalent,
-                     left_ideal_closure, minimize, parse_dfa_json,
-                     reachable_trim, reverse, to_dot)
+                     left_ideal_closure, left_ideal_witness, minimize,
+                     parse_dfa_json, reachable_trim, reverse,
+                     right_ideal_witness, to_dot, two_sided_witness)
+from syncomp.automata import _moore_classes
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +111,52 @@ def test_minimize_preserves_language(d):
     m = minimize(d)
     assert m.n <= d.n
     assert equivalent(m, d)
+
+
+def _minimize_by_trims(d: Dfa) -> Dfa:
+    """Reference minimization: trim, refine, take the quotient, trim it."""
+    d = reachable_trim(d)
+    rows = [d.delta[a].images for a in d.alphabet]
+    cls = _moore_classes(rows, d.finals)
+    rep = {c: q for q, c in reversed(list(enumerate(cls)))}
+    delta = {a: Transformation(tuple(cls[row[rep[c]]] for c in sorted(rep)))
+             for a, row in zip(d.alphabet, rows)}
+    return reachable_trim(Dfa(len(rep), d.alphabet, delta, cls[d.initial],
+                              frozenset(cls[f] for f in d.finals)))
+
+
+def test_minimize_equals_the_trimmed_quotient():
+    # refining every state, reachable or not, and numbering the quotient
+    # by BFS gives what two trims around the quotient give
+    for d in binary_3_sweep():
+        for initial in range(3):
+            e = dataclasses.replace(d, initial=initial)
+            assert minimize(e) == _minimize_by_trims(e), e
+
+
+@given(random_dfas(max_n=6, min_k=1, max_k=3, min_n=1),
+       st.integers(0, 5))
+def test_minimize_equals_the_trimmed_quotient_at_random(d, initial):
+    d = dataclasses.replace(d, initial=initial % d.n)
+    assert minimize(d) == _minimize_by_trims(d)
+
+
+@pytest.mark.parametrize("family", [right_ideal_witness, left_ideal_witness,
+                                    two_sided_witness])
+def test_minimize_builds_one_transformation_per_letter(monkeypatch, family):
+    # an already minimal DFA is built once, not trimmed and re-trimmed
+    d = _minimize_by_trims(family(5))
+    assert d.n == 5
+    built = []
+    real = Transformation.__post_init__
+
+    def counted(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(Transformation, "__post_init__", counted)
+    assert minimize(d) == d
+    assert len(built) <= len(d.alphabet)
 
 
 # ---------------------------------------------------------------------------

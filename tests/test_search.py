@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -12,6 +12,8 @@ from conftest import binary_3_sweep
 from syncomp import (SearchTask, classify, minimize, search_max_sigma,
                      sigma_of_language, small_witness)
 from syncomp import search
+from syncomp.automata import _reachable
+from syncomp.classify import _left_ideal_admits, _left_ideal_walk
 from syncomp.oracles import canonical_count
 from syncomp.search import _in_class_finals
 
@@ -93,6 +95,23 @@ def test_cell_counts_are_pinned(family, n, k, prune, expected):
     # is also predicted without searching
     task = SearchTask(family, n, k, **prune)
     result = search_max_sigma(task)
+    assert (result.max_sigma, len(result.witnesses),
+            result.candidates_examined, result.candidates_pruned) == expected
+    assert canonical_count(task) == \
+        result.candidates_examined - result.candidates_pruned
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n, k, expected", [
+    ("left", 4, 3, (34, 63, 3_411_408, 2_841_102)),
+    ("two_sided", 4, 4, (23, 64, 341_055, 169_840)),
+])
+def test_frontier_cell_counts_are_pinned(family, n, k, expected):
+    # the table cells about a second long at jobs=1; left (4,3) is above
+    # the bundled 25, and two-sided (4,4) equals the bundled value
+    task = SearchTask(family, n, k)
+    result = search_max_sigma(task)
+    assert result.exhaustive
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == expected
     assert canonical_count(task) == \
@@ -271,6 +290,35 @@ def test_search_minimality_test_agrees_with_minimize():
                 expected, (gens, left_ideal)
             kept += len(expected)
         assert kept == count, left_ideal
+
+
+@pytest.mark.parametrize("family, n, k, tuples, ideals", [
+    ("left", 3, 3, 15_930, 4_266),
+    ("two_sided", 3, 3, 457, 157),
+    ("left", 2, 3, 56, 19),
+])
+def test_pair_relation_verdict_agrees_with_the_walk(family, n, k, tuples,
+                                                    ideals):
+    # every letter tuple over the unpruned pool that reaches every state,
+    # its pair relation extended letter by letter through prefix nodes as
+    # the search does, then tested per finals option by one bitmask check,
+    # against classify's semantic walk of L = Σ*L
+    task = SearchTask(family, n, k, prune=False)
+    options = search._finals_options(task)
+    reachable = passed = 0
+    for gens in product(search._pool(task), repeat=k):
+        if len(_reachable(gens, 0)) < n:
+            continue
+        up = search._Prefix((), None, n)
+        for i in range(1, k):
+            up = search._Prefix(gens[:i], up, n)
+        need = up.pairs(gens)
+        for f in options:
+            verdict = _left_ideal_admits(need, f)
+            assert verdict == _left_ideal_walk(gens, n, 0, f), (gens, f)
+            passed += verdict
+        reachable += 1
+    assert (reachable, passed) == (tuples, ideals)
 
 
 # ---------------------------------------------------------------------------

@@ -134,17 +134,28 @@ def test_closure_extends_the_closure_of_a_prefix(gens):
     plain = _closure(gens, cap)
     # without base: the shortest-word BFS, byte for byte
     assert plain == _plain_bfs(gens)
-    base = _closure(gens[:-1], cap)
-    kept = tuple(list(x) for x in base)
-    images, parent, last = _closure(gens, cap, base)
-    assert base == kept  # the base is copied, not grown
-    assert images[:len(base[0])] == base[0]
-    assert len(images) == len(set(images)) == len(plain[0])
-    assert set(images) == set(plain[0])
-    identity = bytes(range(len(gens[0])))
-    for c, p, a in zip(images, parent, last):
-        t = images[p] if p >= 0 else identity
-        assert c == bytes(gens[a][q] for q in t)
+    # with base: the element set, extended from the prefix's, which is
+    # copied, not grown
+    base = set(_closure(gens[:-1], cap)[0])
+    kept = set(base)
+    assert _closure(gens, cap, base) == set(plain[0])
+    assert base == kept
+    # letter by letter from the empty closure of no letters
+    grown = frozenset()
+    for i in range(1, len(gens) + 1):
+        grown = _closure(gens[:i], cap, grown)
+    assert grown == set(plain[0])
+
+
+def test_cap_aborts_the_extension_of_a_closure():
+    d = right_ideal_witness(4)
+    gens = [d.delta[a].images for a in d.alphabet]
+    base = set(_closure(gens[:-1], 64)[0])
+    assert len(base) < 40 < 64 == len(_closure(gens, 64, base))
+    with pytest.raises(CapExceededError) as info:
+        _closure(gens, 40, base)
+    assert info.value.cap == 40
+    assert 40 < info.value.partial_count <= 64
 
 
 def test_default_cap_is_never_hit():
