@@ -24,12 +24,18 @@ is stepped over with its whole subtree.  Each prefix keeps its re-sorted
 image under every relabeling, its parent's with one letter inserted, so a
 tuple's test against a relabeling compares its last letter's image with
 one bound fixed per prefix, and builds the tuple's image only on a tie.
-Facts that a prefix's letters already have (every state reachable from 0,
-every state distinguished under a finals option) hold for every tuple
-below it and are decided once.  Each tuple's closure element set and
-its left-ideal pair relation extend its prefix's by the last letter
-(Froidure & Pin 1997) instead of starting afresh, and a finals option's
-left-ideal test is then one bitmask check.
+Reachability of every state from 0, once a prefix's letters have it,
+holds for every tuple below it and is decided once.  Each tuple's
+closure element set and its left-ideal pair relation extend its
+prefix's by the last letter (Froidure & Pin 1997) instead of starting
+afresh, and a finals option's left-ideal test is then one bitmask check.
+
+A tuple first passes the tests on its letters (reachability, then the
+left-ideal test in left and two-sided cells) and is then closed.  Sigma
+depends only on the letters, so a tuple whose closure is smaller than
+the best found so far cannot be a witness, and the Moore refinement that
+decides minimality runs only on the finals options of the others: an
+exact branch-and-bound with sigma itself as the bound.
 """
 
 from __future__ import annotations
@@ -284,24 +290,22 @@ def _subtree_size(task: SearchTask, letters: int, options: int, last: int,
 
 
 class _Prefix:
-    """A node of the walk: the letters of a prefix, the facts that hold for
+    """A node of the walk: the letters of a prefix, a fact that holds for
     every letter tuple extending it, and the partial results its tuples
     extend by their further letters.  Reachability of every state from 0
-    and Moore distinguishability of every state under given finals only
-    grow as letters are added, so once a prefix has them no tuple below it
-    needs them decided again.  The closure's element set and the left-ideal
-    pair relation (classify._left_ideal_relation) of a tuple are its
-    prefix's, extended by the last letter.  Each is decided at most once
-    and only when asked.  The root, with no letters, has no fact to pass
-    on: its closure is empty, and it builds a pair relation afresh."""
+    only grows as letters are added, so once a prefix has it no tuple
+    below it needs it decided again.  The closure's element set and the
+    left-ideal pair relation (classify._left_ideal_relation) of a tuple
+    are its prefix's, extended by the last letter.  Each is decided at
+    most once and only when asked.  The root, with no letters, has no
+    fact to pass on: its closure is empty, and it builds a pair relation
+    afresh."""
 
-    __slots__ = ("gens", "up", "n", "_reach", "_distinct", "_closed",
-                 "_need")
+    __slots__ = ("gens", "up", "n", "_reach", "_closed", "_need")
 
     def __init__(self, gens: tuple, up: "_Prefix | None", n: int):
         self.gens, self.up, self.n = gens, up, n
         self._reach: bool | None = None
-        self._distinct: dict[frozenset[int], bool] = {}
         self._closed = None
         self._need = None
 
@@ -311,14 +315,6 @@ class _Prefix:
                 self.up.reaches_all()
                 or len(_reachable(self.gens, 0)) == self.n)
         return self._reach
-
-    def distinguishes(self, finals: frozenset[int]) -> bool:
-        known = self._distinct.get(finals)
-        if known is None:
-            known = self._distinct[finals] = self.up is not None and (
-                self.up.distinguishes(finals)
-                or max(_moore_classes(self.gens, finals)) == self.n - 1)
-        return known
 
     def close(self, gens: tuple) -> set:
         """The closure's element set of gens, this prefix's letters and
@@ -394,16 +390,13 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
 def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,
                      options: list[frozenset[int]], left_ideal: bool,
                      up: _Prefix | None = None) -> list[frozenset[int]]:
-    """The finals among options with which gens is minimal from state 0 and,
-    if left_ideal, a left ideal.  up is the prefix node gens extends by one
-    letter: reachability and distinguishability it already has hold for
-    gens and are not decided again, and its pair relation is extended by
-    the last letter.  Without up nothing is inherited.  Reachability and
-    the pair relation depend only on the letters, so each is built at most
-    once; the left-ideal test of an option is then one bitmask check.  It
-    is sound once every state is reachable, minimal or not, and it is
-    cheaper than the Moore refinement, which then runs only on the options
-    it keeps."""
+    """The finals among options with which gens reaches every state from 0
+    and, if left_ideal, is a left ideal: the tests that read the letters
+    only, minimality aside.  up is the prefix node gens extends by one
+    letter: reachability it already has holds for gens and is not decided
+    again, and its pair relation is extended by the last letter.  Without
+    up nothing is inherited.  The left-ideal test of an option is one
+    bitmask check, sound once every state is reachable, minimal or not."""
     if up is None:
         up = _Prefix((), None, n)
     if not up.reaches_all() and len(_reachable(gens, 0)) < n:
@@ -411,15 +404,28 @@ def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,
     if left_ideal:
         need = up.pairs(gens)
         options = [f for f in options if _left_ideal_admits(need, f)]
-    return [f for f in options
-            if up.distinguishes(f) or max(_moore_classes(gens, f)) == n - 1]
+    return options
+
+
+def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
+                    options: list[frozenset[int]]) -> list[frozenset[int]]:
+    """The finals among options with which gens, reaching every state from
+    0, is minimal: the Moore refinement splits all n states."""
+    return [f for f in options if max(_moore_classes(gens, f)) == n - 1]
 
 
 def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     """Search heads shard, shard + shards, ...: the best sigma with its
     witnesses, the number of canonical candidates seen and the size of the
-    whole candidate order.  A letter tuple is closed once, whatever number
-    of its finals options is in class."""
+    whole candidate order.
+
+    A letter tuple that _in_class_finals leaves an option is closed once,
+    whatever number of options it leaves.  A tuple whose closure is
+    smaller than the shard's best so far is then dropped before any Moore
+    refinement: sigma depends only on the letters, and the shard's best
+    never exceeds the maximum of the cell (or of the budget's prefix of
+    it), so no witness is lost.  Only the options of the other tuples are
+    tested for minimality, and only a minimal one raises the best."""
     pool = _pool(task)
     finals_opts = _finals_options(task)
     left_ideal = task.family in ("left", "two_sided")
@@ -432,10 +438,14 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
         if not finals:
             continue
         s = len(up.close(letters))
+        if s < best:
+            continue
+        finals = _minimal_finals(letters, task.n, finals)
+        if not finals:
+            continue
         if s > best:
             best, wits = s, []
-        if s == best:
-            wits.extend((letters, tuple(sorted(f))) for f in finals)
+        wits.extend((letters, tuple(sorted(f))) for f in finals)
     return (best, wits, canonical,
             _subtree_size(task, len(pool), len(finals_opts), 0, task.k))
 
@@ -471,9 +481,14 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
 
     best = max(p[0] for p in parts)
     raw = [w for p in parts if p[0] == best for w in p[1]]
+    # the witnesses share one object per distinct letter and one per
+    # distinct finals set: a cell's witnesses draw on few of either
+    transformation = {g: Transformation(g) for letters, _ in raw
+                      for g in letters}
+    finals_set = {f: frozenset(f) for _, f in raw}
     witnesses = tuple(sorted(
-        (FoundWitness(tuple(Transformation(g) for g in letters),
-                      frozenset(finals))
+        (FoundWitness(tuple(map(transformation.__getitem__, letters)),
+                      finals_set[finals])
          for letters, finals in raw),
         key=FoundWitness.sort_key))
     total = parts[0][3]  # every shard counts the whole candidate order

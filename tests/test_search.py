@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import binary_3_sweep
+from conftest import binary_3_sweep, dfa
 from syncomp import (SearchTask, classify, minimize, search_max_sigma,
-                     sigma_of_language, small_witness)
+                     sigma_of_language, small_witness, transition_semigroup)
 from syncomp import search
 from syncomp.automata import _reachable
 from syncomp.classify import _left_ideal_admits, _left_ideal_walk
 from syncomp.oracles import canonical_count
-from syncomp.search import _in_class_finals
+from syncomp.search import _in_class_finals, _minimal_finals
 
 # SearchTask options: the default pruned search and the plain enumeration
 PRUNED, UNPRUNED = {}, {"prune": False}
@@ -271,11 +272,11 @@ def test_stream_yields_each_orbit_minimum_once(family, n, k):
 
 
 def test_search_minimality_test_agrees_with_minimize():
-    # the search's tuple-level filter shares minimize's refinement but walks
-    # reachability once per letter tuple, as search calls it: all six finals
-    # options at once; cover minimal and non-minimal DFAs alike.  With the
-    # left-ideal test on, the pair walk also sees reachable automata that
-    # are not minimal, before the refinement drops them
+    # the search's tuple-level filters share minimize's refinement but walk
+    # reachability once per letter tuple, as search calls them: all six
+    # finals options at once; cover minimal and non-minimal DFAs alike.
+    # With the left-ideal test on, the pair walk also sees reachable
+    # automata that are not minimal, before the refinement drops them
     sweep = binary_3_sweep()
     options = [d.finals for d in sweep[:6]]
     for left_ideal, count in ((False, 2056), (True, 70)):
@@ -286,7 +287,8 @@ def test_search_minimality_test_agrees_with_minimize():
             assert [d.finals for d in group] == options
             expected = [d.finals for d in group if minimize(d).n == 3
                         and (not left_ideal or classify(d).is_left_ideal)]
-            assert _in_class_finals(gens, 3, options, left_ideal) == \
+            assert _minimal_finals(
+                gens, 3, _in_class_finals(gens, 3, options, left_ideal)) == \
                 expected, (gens, left_ideal)
             kept += len(expected)
         assert kept == count, left_ideal
@@ -457,59 +459,131 @@ def test_canonical_count_matches_the_search(family, n, k):
         result.candidates_examined - result.candidates_pruned
 
 
+@functools.cache
+def _reference(family: str, n: int, k: int) -> tuple:
+    """The maximum sigma and the sorted witness keys of a cell, over every
+    candidate the prefix walk yields: minimality decided by minimize, class
+    by classify, sigma by transition_semigroup, none of them inherited or
+    bounded."""
+    best, witnesses = 0, []
+    for letters, finals in _stream(SearchTask(family, n, k)):
+        d = dfa(letters, finals)
+        sigma = transition_semigroup(d).sigma
+        if minimize(d).n == n and (
+                family == "all" or getattr(classify(d), f"is_{family}_ideal")):
+            if sigma > best:
+                best, witnesses = sigma, []
+            if sigma == best:
+                witnesses.append((letters, finals))
+    return best, tuple(sorted(witnesses))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("family, n, k",
+                         [*_SMALL_CELLS, ("right", 4, 3), ("left", 4, 2)])
+def test_search_matches_a_reference_over_every_candidate(serial_pool, jobs,
+                                                         family, n, k):
+    # the search skips the Moore refinement where a tuple's closure is
+    # below its shard's best; the maximum and the witnesses must still be
+    # those of deciding every yielded candidate in full
+    result = search_max_sigma(SearchTask(family, n, k, jobs=jobs))
+    assert serial_pool == ([2] if jobs == 2 else [])
+    assert (result.max_sigma,
+            tuple(w.sort_key() for w in result.witnesses)) == \
+        _reference(family, n, k)
+
+
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3)])
 def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
-    # reachability and distinguishability a prefix already has are not
-    # decided again below it: the filter must keep the same finals as when
-    # it inherits nothing, and exactly the tuples with a kept option are
-    # closed, each once
-    real_filter, real_closure = search._in_class_finals, search._closure
-    in_class, closed = [], []
+    # the letter-level filter inherits a prefix's reachability and extends
+    # its pair relation: it must keep the same finals as when it inherits
+    # nothing.  Replaying the calls in order: exactly the tuples it keeps
+    # an option of are closed, each once and right after the filter, and
+    # the Moore refinement then runs on every kept option of the tuple if
+    # its closure reaches the best sigma so far, and on nothing else
+    real_filter, real_closure, real_moore = (
+        search._in_class_finals, search._closure, search._moore_classes)
+    calls = []
 
     def compared(gens, n_, options, left_ideal, up=None):
         kept = real_filter(gens, n_, options, left_ideal, up)
         assert kept == real_filter(gens, n_, options, left_ideal), gens
         if kept:
-            in_class.append(gens)
+            calls.append(("kept", gens, kept))
         return kept
 
     def recorded(gens, cap, base=None):
+        elements = real_closure(gens, cap, base)
         if len(gens) == k:  # a letter tuple, not a prefix of one
-            closed.append(tuple(gens))
-        return real_closure(gens, cap, base)
+            calls.append(("closed", tuple(gens), len(elements)))
+        return elements
+
+    def refined(gens, finals):
+        classes = real_moore(gens, finals)
+        calls.append(("moore", gens, finals, max(classes) == n - 1))
+        return classes
 
     monkeypatch.setattr(search, "_in_class_finals", compared)
     monkeypatch.setattr(search, "_closure", recorded)
+    monkeypatch.setattr(search, "_moore_classes", refined)
     result = search_max_sigma(SearchTask(family, n, k))
-    assert in_class and closed == in_class
-    assert result.witnesses
+
+    best, at = 0, 0
+    while at < len(calls):
+        kind, gens, kept = calls[at]
+        assert kind == "kept", calls[at]
+        closed, at = calls[at + 1], at + 2
+        assert closed[:2] == ("closed", gens), gens
+        if closed[2] >= best:
+            refinements = calls[at:at + len(kept)]
+            assert [c[:3] for c in refinements] == \
+                [("moore", gens, f) for f in kept], gens
+            at += len(kept)
+            if any(c[3] for c in refinements):
+                best = closed[2]
+    assert result.witnesses and best == result.max_sigma
 
 
-@pytest.mark.parametrize("family, n, k, tuples, pairs", [
-    ("left", 3, 4, 447, 770),
-    ("left", 4, 2, 106, 189),
+@pytest.mark.parametrize("family, n, k, closures, refinements", [
+    ("right", 5, 2, 7_502, 54),
+    ("right", 4, 3, 12_666, 343),
+    ("left", 4, 2, 312, 47),
+    ("two_sided", 4, 3, 896, 15),
+    ("left", 3, 4, 740, 102),
 ])
-def test_a_letter_tuple_is_closed_once(monkeypatch, family, n, k, tuples,
-                                       pairs):
-    # a letter tuple in class with several finals options is closed once,
-    # not once per option
-    real_filter, real_closure = search._in_class_finals, search._closure
-    kept, closed = [], []
+def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
+                                             closures, refinements):
+    # the letter tuples closed (every one that passes the letter-level
+    # tests, once whatever number of its finals options does) and the
+    # Moore refinements run (one per kept option of a tuple whose closure
+    # reaches the best so far) at jobs=1
+    real_closure, real_moore = search._closure, search._moore_classes
+    closed, refined = [], []
 
-    def counted_filter(*args):
-        result = real_filter(*args)
-        kept.extend(result)
-        return result
-
-    def counted(gens, cap, base=None):
+    def counted_closure(gens, cap, base=None):
         if len(gens) == k:
             closed.append(gens)
         return real_closure(gens, cap, base)
 
-    monkeypatch.setattr(search, "_in_class_finals", counted_filter)
-    monkeypatch.setattr(search, "_closure", counted)
+    def counted_moore(gens, finals):
+        refined.append((gens, finals))
+        return real_moore(gens, finals)
+
+    monkeypatch.setattr(search, "_closure", counted_closure)
+    monkeypatch.setattr(search, "_moore_classes", counted_moore)
     search_max_sigma(SearchTask(family, n, k))
-    assert (len(closed), len(kept)) == (tuples, pairs)
+    assert (len(closed), len(refined)) == (closures, refinements)
+
+
+def test_witnesses_share_letter_and_finals_objects():
+    # one Transformation per distinct letter and one frozenset per distinct
+    # finals set, however many witnesses use them
+    result = search_max_sigma(SearchTask("right", 4, 3))
+    letters = [t for w in result.witnesses for t in w.letters]
+    assert len(result.witnesses) == 324
+    assert len({id(t) for t in letters}) == len({t.images for t in letters}) \
+        == 35
+    assert len({id(w.finals) for w in result.witnesses}) == 1
 
 
 def test_jobs_are_clamped_to_the_cpu_count(serial_pool):
