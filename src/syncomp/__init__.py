@@ -27,7 +27,7 @@ from .tables import TABLE_IDS, CellReport, RuledOutRow, TableReport, run_table
 from .transform import (Transformation, compose, constant, cycle, identity,
                         parse_transformation, singular, transposition)
 from .witnesses import (FAMILIES, ReversalRow, closed_form_bound,
-                        left_ideal_witness, left_witness_core,
+                        family_witness, left_ideal_witness, left_witness_core,
                         left_witness_semiautomaton, reversal_sweep,
                         right_ideal_witness, small_witness,
                         two_sided_witness)

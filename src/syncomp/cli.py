@@ -21,8 +21,7 @@ from .oracles import word_bfs_sigma
 from .search import SearchTask, search_max_sigma
 from .semigroup import sigma_of_language, word_length_histogram
 from .tables import TABLE_IDS, RuledOutRow, run_table
-from .witnesses import (REVERSAL_SETUP, left_ideal_witness,
-                        right_ideal_witness, small_witness, two_sided_witness)
+from .witnesses import REVERSAL_SETUP, family_witness, small_witness
 
 __all__ = ["main"]
 
@@ -57,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="finals override (left family only)")
     w.add_argument("--small", type=int, default=None, metavar="K",
                    help="use the named small witness with K letters instead")
-    w.add_argument("--variant", type=int, default=0)
+    w.add_argument("--variant", type=int, default=None)
     w.add_argument("--format", choices=("json", "dot", "text"), default="json")
 
     s = sub.add_parser("search", help="maximal sigma over a family cell")
@@ -93,6 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--ruled-out", type=int, default=None, metavar="N",
                    help="compare the ruled-out formula against enumeration")
     return p
+
+
+def _refuse(args, flags: tuple[str, ...], context: str) -> None:
+    """A usage error naming the first of flags that was given."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise FormatError(f"{flag} cannot be used {context}")
 
 
 def _load_dfa(path: str):
@@ -137,15 +143,15 @@ def _cmd_analyze(args) -> int:
 def _cmd_witness(args) -> int:
     fam = _family(args.family)
     if args.small is not None:
-        d = small_witness(fam, args.n, args.small, args.variant)
-    elif fam == "right":
-        d = right_ideal_witness(args.n, args.letters)
-    elif fam == "left":
+        _refuse(args, ("--letters", "--finals"), "with --small")
+        d = small_witness(fam, args.n, args.small, args.variant or 0)
+    else:
+        _refuse(args, ("--variant",), "without --small")
+        if fam != "left":
+            _refuse(args, ("--finals",), f"with --family {args.family}")
         finals = (frozenset(int(x) for x in args.finals.split(","))
                   if args.finals else None)
-        d = left_ideal_witness(args.n, args.letters, finals)
-    else:
-        d = two_sided_witness(args.n, args.letters)
+        d = family_witness(fam, args.n, args.letters, finals)
     if args.format == "json":
         sys.stdout.write(emit_dfa_json(d))
     elif args.format == "dot":
@@ -190,12 +196,14 @@ def _cmd_search(args) -> int:
 def _cmd_reverse(args) -> int:
     expected = None
     if args.input is not None:
+        _refuse(args, ("--family", "--n", "--letters"), "with --input")
         d = _load_dfa(args.input)
     else:
         if args.family is None or args.n is None:
             raise FormatError("reverse needs --input or --family with --n")
-        build, designated, formula = REVERSAL_SETUP[_family(args.family)]
-        d = build(args.n, args.letters)
+        fam = _family(args.family)
+        designated, formula = REVERSAL_SETUP[fam]
+        d = family_witness(fam, args.n, args.letters)
         if args.letters is not None and set(args.letters) == set(designated):
             expected = formula(args.n)
     nfa = reverse(d)

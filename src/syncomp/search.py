@@ -319,7 +319,7 @@ class _Prefix:
     def close(self, gens: tuple) -> set:
         """The closure's element set of gens, this prefix's letters and
         one more."""
-        return _closure(gens, self.n ** self.n, self.closure())
+        return _closure(gens, None, self.closure())
 
     def closure(self) -> set | frozenset:
         if self._closed is None:

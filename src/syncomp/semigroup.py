@@ -71,11 +71,11 @@ def _identity(n: int) -> bytes | tuple[int, ...]:
     return bytes(range(n)) if n <= 256 else tuple(range(n))
 
 
-def _closure(gens: Sequence[tuple[int, ...]], cap: int,
+def _closure(gens: Sequence[tuple[int, ...]], cap: int | None,
              base: set | frozenset | None = None
              ) -> tuple[list, list[int], list[int]] | set:
-    """Closure of letter image tuples.  More than cap elements raise
-    CapExceededError.
+    """Closure of letter image tuples.  Given a cap, more than cap elements
+    raise CapExceededError; None sets no cap (there are at most n^n).
 
     Without base it is a BFS that returns the images, parent and last of a
     SemigroupResult, with the elements in shortest-word order, each being
@@ -116,7 +116,7 @@ def _closure(gens: Sequence[tuple[int, ...]], cap: int,
                 if c not in seen:
                     seen.add(c)
                     fresh.append(c)
-            if len(seen) > cap:
+            if cap is not None and len(seen) > cap:
                 raise CapExceededError(cap, len(seen))
         return seen
     i, seen = -1, set()
@@ -132,7 +132,7 @@ def _closure(gens: Sequence[tuple[int, ...]], cap: int,
                 elements.append(c)
                 parent.append(i)
                 last.append(a)
-        if len(elements) > cap:
+        if cap is not None and len(elements) > cap:
             raise CapExceededError(cap, len(elements))
         i += 1
         if i == len(elements):
@@ -143,12 +143,10 @@ def _closure(gens: Sequence[tuple[int, ...]], cap: int,
 def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:
     """BFS closure of the letter actions of d under word-order composition.
 
-    cap defaults to n^n, the sharp cardinality limit; a smaller cap makes
-    the closure abort with CapExceededError once more elements than that
-    have been found (defensive for large n).
+    A cap makes the closure abort with CapExceededError once more elements
+    than that have been found (defensive for large n).  None sets no cap:
+    the closure has at most n^n elements anyway.
     """
-    if cap is None:
-        cap = d.n ** d.n
     images, parent, last = _closure(
         [d.delta[a].images for a in d.alphabet], cap)
     sigma, has_ident = len(images), _identity(d.n) in images

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable
 
-from .automata import Dfa
 from .classify import ruled_out_count_brute, ruled_out_count_formula
 from .search import SearchTask, _worker_map, search_max_sigma
 from .semigroup import sigma_of_language
-from .witnesses import (closed_form_bound, left_ideal_witness,
-                        right_ideal_witness, small_witness, two_sided_witness)
+from .witnesses import closed_form_bound, family_witness, small_witness
 
 __all__ = ["CellReport", "RuledOutRow", "TableReport", "run_table", "TABLE_IDS"]
 
@@ -39,7 +36,7 @@ class _CellSpec:
     k: int
     reference: int
     tight: bool
-    build: Callable[[], Dfa]
+    letters: str | None  # restricts the family witness; None: small_witness
     search: str | None
 
 
@@ -72,68 +69,51 @@ class TableReport:
     ok: bool
 
 
-def _right(n, letters=None):
-    return lambda: right_ideal_witness(n, letters)
+_UNARY_CELLS = [_CellSpec(n, 1, max(1, n - 1), True, None, _FAST)
+                for n in range(1, 6)]
 
 
-def _left(n, letters=None):
-    return lambda: left_ideal_witness(n, letters)
-
-
-def _two(n, letters=None):
-    return lambda: two_sided_witness(n, letters)
-
-
-def _small(family, n, k):
-    return lambda: small_witness(family, n, k)
-
-
-def _unary_cells(family) -> list[_CellSpec]:
-    return [_CellSpec(n, 1, max(1, n - 1), True, _small(family, n, 1), _FAST)
-            for n in range(1, 6)]
-
-
-_TABLE2 = _unary_cells("right") + [
-    _CellSpec(2, 2, 2, True, _small("right", 2, 2), _FAST),
-    _CellSpec(3, 2, 7, True, _right(3, "ad"), _FAST),
-    _CellSpec(4, 2, 31, True, _small("right", 4, 2), _FAST),
-    _CellSpec(5, 2, 167, True, _small("right", 5, 2), _LONG),
-    _CellSpec(3, 3, 9, True, _right(3, "acd"), _FAST),
-    _CellSpec(4, 3, 61, True, _right(4, "acd"), _FAST),
-    _CellSpec(5, 3, 545, True, _small("right", 5, 3), _NONE),
-    _CellSpec(4, 4, 64, True, _right(4), _NONE),
-    _CellSpec(5, 4, 625, True, _right(5), _NONE),
+_TABLE2 = _UNARY_CELLS + [
+    _CellSpec(2, 2, 2, True, None, _FAST),
+    _CellSpec(3, 2, 7, True, "ad", _FAST),
+    _CellSpec(4, 2, 31, True, None, _FAST),
+    _CellSpec(5, 2, 167, True, None, _LONG),
+    _CellSpec(3, 3, 9, True, "acd", _FAST),
+    _CellSpec(4, 3, 61, True, "acd", _FAST),
+    _CellSpec(5, 3, 545, True, None, _NONE),
+    _CellSpec(4, 4, 64, True, "abcd", _NONE),
+    _CellSpec(5, 4, 625, True, "abcd", _NONE),
 ]
 
-_TABLE4 = _unary_cells("left") + [
-    _CellSpec(2, 2, 2, True, _small("left", 2, 2), _FAST),
-    _CellSpec(3, 2, 7, True, _small("left", 3, 2), _FAST),
-    _CellSpec(4, 2, 17, False, _small("left", 4, 2), _LONG),
-    _CellSpec(5, 2, 34, False, _small("left", 5, 2), _NONE),
-    _CellSpec(2, 3, 3, True, _small("left", 2, 3), _FAST),
-    _CellSpec(3, 3, 9, True, _left(3, "bde"), _FAST),
-    _CellSpec(4, 3, 25, False, _left(4, "ade"), _NONE),
-    _CellSpec(5, 3, 65, False, _left(5, "ade"), _NONE),
-    _CellSpec(3, 4, 11, True, _left(3, "bcde"), _FAST),
-    _CellSpec(4, 4, 64, False, _left(4, "acde"), _NONE),
-    _CellSpec(5, 4, 453, False, _left(5, "acde"), _NONE),
-    _CellSpec(4, 5, 67, False, _left(4), _NONE),
-    _CellSpec(5, 5, 629, False, _left(5), _NONE),
+_TABLE4 = _UNARY_CELLS + [
+    _CellSpec(2, 2, 2, True, None, _FAST),
+    _CellSpec(3, 2, 7, True, None, _FAST),
+    _CellSpec(4, 2, 17, False, None, _LONG),
+    _CellSpec(5, 2, 34, False, None, _NONE),
+    _CellSpec(2, 3, 3, True, None, _FAST),
+    _CellSpec(3, 3, 9, True, "bde", _FAST),
+    _CellSpec(4, 3, 25, False, "ade", _NONE),
+    _CellSpec(5, 3, 65, False, "ade", _NONE),
+    _CellSpec(3, 4, 11, True, "bcde", _FAST),
+    _CellSpec(4, 4, 64, False, "acde", _NONE),
+    _CellSpec(5, 4, 453, False, "acde", _NONE),
+    _CellSpec(4, 5, 67, False, "abcde", _NONE),
+    _CellSpec(5, 5, 629, False, "abcde", _NONE),
 ]
 
-_TABLE5 = _unary_cells("two_sided") + [
-    _CellSpec(2, 2, 2, True, _small("two_sided", 2, 2), _FAST),
-    _CellSpec(3, 2, 5, False, _small("two_sided", 3, 2), _FAST),
-    _CellSpec(4, 2, 11, False, _small("two_sided", 4, 2), _FAST),
-    _CellSpec(5, 2, 19, False, _small("two_sided", 5, 2), _NONE),
-    _CellSpec(3, 3, 6, False, _small("two_sided", 3, 3), _FAST),
-    _CellSpec(4, 3, 16, False, _two(4, "aef"), _NONE),
-    _CellSpec(5, 3, 47, False, _two(5, "aef"), _NONE),
-    _CellSpec(4, 4, 23, False, _two(4, "adef"), _NONE),
-    _CellSpec(5, 4, 90, False, _two(5, "adef"), _NONE),
-    _CellSpec(4, 5, 25, False, _two(4, "acdef"), _NONE),
-    _CellSpec(5, 5, 147, False, _two(5, "acdef"), _NONE),
-    _CellSpec(5, 6, 150, False, _two(5), _NONE),
+_TABLE5 = _UNARY_CELLS + [
+    _CellSpec(2, 2, 2, True, None, _FAST),
+    _CellSpec(3, 2, 5, False, None, _FAST),
+    _CellSpec(4, 2, 11, False, None, _FAST),
+    _CellSpec(5, 2, 19, False, None, _NONE),
+    _CellSpec(3, 3, 6, False, None, _FAST),
+    _CellSpec(4, 3, 16, False, "aef", _NONE),
+    _CellSpec(5, 3, 47, False, "aef", _NONE),
+    _CellSpec(4, 4, 23, False, "adef", _NONE),
+    _CellSpec(5, 4, 90, False, "adef", _NONE),
+    _CellSpec(4, 5, 25, False, "acdef", _NONE),
+    _CellSpec(5, 5, 147, False, "acdef", _NONE),
+    _CellSpec(5, 6, 150, False, "abcdef", _NONE),
 ]
 
 _COMPLEXITY_TABLES: dict[int, tuple[str, list[_CellSpec]]] = {
@@ -151,13 +131,11 @@ _COMPLEXITY_TABLES: dict[int, tuple[str, list[_CellSpec]]] = {
 _RULED_OUT_REFERENCE = {2: 1, 3: 10, 4: 114, 5: 1556}
 
 
-def _run_cell(table_id: int, index: int, include_long: bool) -> CellReport:
-    """Cell `index` of a complexity table, computed in this process.  A pool
-    worker is sent the cell's position, not its spec, whose build lambda
-    cannot be pickled."""
-    family, specs = _COMPLEXITY_TABLES[table_id]
-    spec = specs[index]
-    measured = sigma_of_language(spec.build())
+def _run_cell(family: str, spec: _CellSpec, include_long: bool) -> CellReport:
+    """One cell of the family's complexity table, computed in this process."""
+    witness = (small_witness(family, spec.n, spec.k) if spec.letters is None
+               else family_witness(family, spec.n, spec.letters))
+    measured = sigma_of_language(witness)
     do_search = spec.search == _FAST or (spec.search == _LONG and include_long)
     search_max = search_exhaustive = None
     if do_search:
@@ -215,7 +193,7 @@ def run_table(table_id: int, include_long: bool = False,
         raise ValueError(f"unknown table id {table_id}; have {TABLE_IDS}")
     family, specs = _COMPLEXITY_TABLES[table_id]
     with _worker_map(jobs) as (_, run):
-        cells = list(run(_run_cell, repeat(table_id), range(len(specs)),
+        cells = list(run(_run_cell, repeat(family), specs,
                          repeat(include_long)))
     rows = _table_checks(family, cells)
     return TableReport(table_id, rows, all(r.ok for r in rows))

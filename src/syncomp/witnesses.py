@@ -20,6 +20,7 @@ __all__ = [
     "right_ideal_witness",
     "left_ideal_witness",
     "two_sided_witness",
+    "family_witness",
     "left_witness_semiautomaton",
     "left_witness_core",
     "small_witness",
@@ -127,22 +128,31 @@ def two_sided_witness(n: int, letters: Iterable[str] | None = None) -> Dfa:
     return Dfa(n, alph, {a: full[a] for a in alph}, 0, frozenset({n - 1}))
 
 
+def family_witness(family: str, n: int, letters: Iterable[str] | None = None,
+                   finals: Iterable[int] | None = None) -> Dfa:
+    """The family's witness on n states, restricted to letters (all of them
+    when None).  finals overrides the finals of the left witness, the one
+    family whose finals may move."""
+    if family == "left":
+        return left_ideal_witness(n, letters, finals)
+    if finals is not None:
+        raise ValueError(f"the {family} witness takes no finals override")
+    if family == "right":
+        return right_ideal_witness(n, letters)
+    if family == "two_sided":
+        return two_sided_witness(n, letters)
+    raise ValueError(f"unknown family {family!r}")
+
+
 def left_witness_semiautomaton(n: int) -> Semiautomaton:
     """The left family's five-letter semiautomaton (no acceptor)."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    full = _letters_left(n)
-    return Semiautomaton(n, tuple(full), full)
+    return left_ideal_witness(n).semiautomaton()
 
 
 def left_witness_core(n: int) -> Semiautomaton:
     """Letters a-d only (e dropped): state 0 is absorbing, which is what the
     pair-graph uniform-minimality test needs."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    full = _letters_left(n)
-    alph = ("a", "b", "c", "d")
-    return Semiautomaton(n, alph, {a: full[a] for a in alph})
+    return left_ideal_witness(n, "abcd").semiautomaton()
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +245,11 @@ class ReversalRow(NamedTuple):
     expected: int
 
 
-# family -> (witness builder, designated letters, kappa of the reversal)
+# family -> (designated letters, kappa of the reversal)
 REVERSAL_SETUP = {
-    "right": (right_ideal_witness, "ad", lambda n: 2 ** (n - 1)),
-    "left": (left_ideal_witness, "acde", lambda n: 2 ** (n - 1) + 1),
-    "two_sided": (two_sided_witness, "adef", lambda n: 2 ** (n - 2) + 1),
+    "right": ("ad", lambda n: 2 ** (n - 1)),
+    "left": ("acde", lambda n: 2 ** (n - 1) + 1),
+    "two_sided": ("adef", lambda n: 2 ** (n - 2) + 1),
 }
 
 
@@ -248,7 +258,7 @@ def reversal_sweep(family: str, n_range: Iterable[int]) -> list[ReversalRow]:
     closed-form value it should equal."""
     if family not in REVERSAL_SETUP:
         raise ValueError(f"no reversal witness for family {family!r}")
-    build, letters, expect = REVERSAL_SETUP[family]
-    return [ReversalRow(n, minimize(determinize(reverse(build(n, letters)))).n,
-                        expect(n))
+    letters, expect = REVERSAL_SETUP[family]
+    return [ReversalRow(n, minimize(determinize(reverse(
+                family_witness(family, n, letters)))).n, expect(n))
             for n in n_range]

@@ -201,6 +201,30 @@ def test_witness_small_variant(capsys):
     assert d == small_witness("right", 5, 2, variant=1)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["witness", "--family", "right", "--n", "4", "--finals", "1,2"],
+     "--finals"),
+    (["witness", "--family", "two-sided", "--n", "4", "--finals", "1"],
+     "--finals"),
+    (["witness", "--family", "left", "--n", "4", "--small", "2",
+      "--finals", "1"], "--finals"),
+    (["witness", "--family", "right", "--n", "4", "--small", "2",
+      "--letters", "ab"], "--letters"),
+    (["witness", "--family", "right", "--n", "5", "--variant", "1"],
+     "--variant"),
+    (["reverse", "--input", "FILE", "--family", "right"], "--family"),
+    (["reverse", "--input", "FILE", "--n", "4"], "--n"),
+    (["reverse", "--input", "FILE", "--letters", "ad"], "--letters"),
+])
+def test_flags_that_would_be_ignored_are_refused(right4_file, capsys, argv,
+                                                 flag):
+    argv = [right4_file if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} cannot be used")
+
+
 def test_witness_out_of_range_n(capsys):
     assert main(["witness", "--family", "right", "--n", "2"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -10,8 +10,9 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from conftest import binary_3_sweep, dfa
-from syncomp import (SearchTask, classify, minimize, search_max_sigma,
-                     sigma_of_language, small_witness, transition_semigroup)
+from syncomp import (SearchTask, Transformation, classify, minimize,
+                     search_max_sigma, sigma_of_language, small_witness,
+                     transition_semigroup)
 from syncomp import search
 from syncomp.automata import _reachable
 from syncomp.classify import _left_ideal_admits, _left_ideal_walk
@@ -150,6 +151,22 @@ def test_found_witness_as_dfa_letters():
     d = result.witnesses[0].as_dfa()
     assert d.alphabet == ("a", "b")
     assert d.initial == 0
+
+
+@pytest.mark.parametrize("letters, expect_sigma, message", [
+    # state 0 never leaves itself: one state once minimized
+    ([(0, 0, 2), (0, 1, 2)], 1, "not minimal with 3 states"),
+    # right_ideal_witness(3, "ad"), whose sigma is 7
+    ([(1, 0, 2), (0, 2, 2)], 8, "sigma mismatch"),
+    # small_witness("left", 3, 2): minimal with sigma 7, not a right ideal
+    ([(0, 0, 1), (1, 2, 2)], 7, "not in class right"),
+])
+def test_reverification_refuses_what_it_cannot_confirm(letters, expect_sigma,
+                                                       message):
+    w = search.FoundWitness(tuple(map(Transformation, letters)),
+                            frozenset({2}))
+    with pytest.raises(AssertionError, match=message):
+        search._reverify(SearchTask("right", 3, 2), w, expect_sigma)
 
 
 def test_one_state_cell_is_trivial():

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import multiprocessing
 import os
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -36,9 +37,9 @@ def test_rows_are_the_same_at_any_job_count(monkeypatch, table_id):
     assert parallel.ok and serial.ok
 
 
-def test_cells_reach_spawned_workers_by_position(monkeypatch):
-    # a spawned worker imports the tables afresh: it is sent the cell's
-    # position, never the spec with its build lambda
+def test_cells_reach_spawned_workers_as_specs(monkeypatch):
+    # a spawned worker imports the tables afresh and is sent each cell's
+    # spec, plain data that pickles
     real_pool(monkeypatch, "spawn")
     assert run_table(5, jobs=2) == run_table(5, jobs=1)
 
@@ -76,6 +77,59 @@ def test_a_failed_reverification_in_a_worker_surfaces(monkeypatch):
     with pytest.raises(AssertionError, match="witness rejected") as info:
         run_table(5, jobs=2)
     assert f"process {parent}" not in str(info.value)
+
+
+def test_an_unknown_table_id_is_refused_before_any_pool(serial_pool):
+    with pytest.raises(ValueError, match="unknown table id 7"):
+        run_table(7, jobs=2)
+    assert serial_pool == []
+
+
+# ---------------------------------------------------------------------------
+# the cells
+
+
+def no_search(monkeypatch) -> list:
+    """Stub out the cells' searches; the list records each searched (n, k)."""
+    searched = []
+
+    def fake(task):
+        searched.append((task.n, task.k))
+        return types.SimpleNamespace(max_sigma=0, exhaustive=True)
+
+    monkeypatch.setattr(tables, "search_max_sigma", fake)
+    return searched
+
+
+@pytest.mark.parametrize("table_id", [2, 4, 5])
+def test_every_cell_witness_has_k_letters(monkeypatch, table_id):
+    no_search(monkeypatch)
+    built = []
+    monkeypatch.setattr(tables, "sigma_of_language",
+                        lambda d: built.append(d) or 0)
+    report = run_table(table_id, include_long=True)
+    assert [(d.n, len(d.alphabet)) for d in built] == \
+        [(r.n, r.k) for r in report.rows]
+
+
+_UNARY = [(n, 1) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("table_id, include_long, searched", [
+    (2, False, _UNARY + [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3)]),
+    (2, True, _UNARY + [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3)]),
+    (4, False, _UNARY + [(2, 2), (3, 2), (2, 3), (3, 3), (3, 4)]),
+    (4, True, _UNARY + [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 4)]),
+    (5, False, _UNARY + [(2, 2), (3, 2), (4, 2), (3, 3)]),
+    (5, True, _UNARY + [(2, 2), (3, 2), (4, 2), (3, 3)]),
+])
+def test_searched_cells_are_pinned(monkeypatch, table_id, include_long,
+                                   searched):
+    # the cells the benchmark's tables-long workload expects searched: a
+    # cell moved to another search level must change these pins too
+    recorded = no_search(monkeypatch)
+    run_table(table_id, include_long=include_long)
+    assert recorded == searched
 
 
 # ---------------------------------------------------------------------------

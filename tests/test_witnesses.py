@@ -7,7 +7,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from syncomp import (ReversalRow, classify, closed_form_bound,
+from syncomp import (ReversalRow, classify, closed_form_bound, family_witness,
                      left_ideal_witness, left_witness_core,
                      left_witness_semiautomaton, minimize, reversal_sweep,
                      right_ideal_witness, sigma_of_language, small_witness,
@@ -204,6 +204,19 @@ def test_family_witness_range_checks():
         right_ideal_witness(4, "xz")
     with pytest.raises(ValueError):
         left_ideal_witness(4, "")
+
+
+def test_family_witness_picks_the_family_builder():
+    assert family_witness("right", 4, "ad") == right_ideal_witness(4, "ad")
+    assert family_witness("left", 5) == left_ideal_witness(5)
+    assert family_witness("left", 4, "ade", (1, 3)) == \
+        left_ideal_witness(4, "ade", (1, 3))
+    assert family_witness("two_sided", 5, "abcdef") == two_sided_witness(5)
+    for family in ("right", "two_sided"):
+        with pytest.raises(ValueError, match="no finals override"):
+            family_witness(family, 4, finals=(1,))
+    with pytest.raises(ValueError, match="unknown family"):
+        family_witness("all", 4)
 
 
 def test_closed_form_bound_validation():
