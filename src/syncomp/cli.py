@@ -140,6 +140,15 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _parse_finals(text: str) -> frozenset[int]:
+    """The states of a --finals value such as "1,3"."""
+    try:
+        return frozenset(int(x) for x in text.split(","))
+    except ValueError:
+        raise FormatError(f"--finals must be comma-separated state numbers, "
+                          f"got {text!r}") from None
+
+
 def _cmd_witness(args) -> int:
     fam = _family(args.family)
     if args.small is not None:
@@ -149,9 +158,9 @@ def _cmd_witness(args) -> int:
         _refuse(args, ("--variant",), "without --small")
         if fam != "left":
             _refuse(args, ("--finals",), f"with --family {args.family}")
-        finals = (frozenset(int(x) for x in args.finals.split(","))
-                  if args.finals else None)
-        d = family_witness(fam, args.n, args.letters, finals)
+        d = family_witness(fam, args.n, args.letters,
+                           None if args.finals is None
+                           else _parse_finals(args.finals))
     if args.format == "json":
         sys.stdout.write(emit_dfa_json(d))
     elif args.format == "dot":

@@ -29,13 +29,18 @@ holds for every tuple below it and is decided once.  Each tuple's
 closure element set and its left-ideal pair relation extend its
 prefix's by the last letter (Froidure & Pin 1997) instead of starting
 afresh, and a finals option's left-ideal test is then one bitmask check.
+Each prefix also keeps its letters in the closure's encoding, so a letter
+is encoded once for its prefix node, and a tuple's last letter only when
+the tuple is closed.
 
 A tuple first passes the tests on its letters (reachability, then the
 left-ideal test in left and two-sided cells) and is then closed.  Sigma
 depends only on the letters, so a tuple whose closure is smaller than
 the best found so far cannot be a witness, and the Moore refinement that
 decides minimality runs only on the finals options of the others: an
-exact branch-and-bound with sigma itself as the bound.
+exact branch-and-bound with sigma itself as the bound.  Every witness is
+then re-verified by minimize, transition_semigroup and the ideal tests of
+its family alone, not by the whole of classify.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ from dataclasses import dataclass
 from itertools import permutations, product, repeat
 from math import comb
 
-from .automata import Dfa, _moore_classes, _reachable
-from .classify import (_left_ideal_admits, _left_ideal_relation, _orbit,
-                       classify)
-from .semigroup import _closure
+from .automata import Dfa, _moore_classes, _reachable, minimize
+from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
+                       _left_ideal_relation, _orbit)
+from .semigroup import _closure, _encode, transition_semigroup
 from .transform import Transformation
 
 __all__ = [
@@ -299,12 +304,15 @@ class _Prefix:
     are its prefix's, extended by the last letter.  Each is decided at
     most once and only when asked.  The root, with no letters, has no
     fact to pass on: its closure is empty, and it builds a pair relation
-    afresh."""
+    afresh.  codes holds the letters in the closure's encoding
+    (semigroup._encode): a node encodes its own last letter when it is
+    made, and a tuple below it its last letter only when it is closed."""
 
-    __slots__ = ("gens", "up", "n", "_reach", "_closed", "_need")
+    __slots__ = ("gens", "codes", "up", "n", "_reach", "_closed", "_need")
 
     def __init__(self, gens: tuple, up: "_Prefix | None", n: int):
         self.gens, self.up, self.n = gens, up, n
+        self.codes = () if up is None else up.codes + (_encode(gens[-1]),)
         self._reach: bool | None = None
         self._closed = None
         self._need = None
@@ -319,12 +327,13 @@ class _Prefix:
     def close(self, gens: tuple) -> set:
         """The closure's element set of gens, this prefix's letters and
         one more."""
-        return _closure(gens, None, self.closure())
+        return _closure(self.codes + (_encode(gens[-1]),), self.n, None,
+                        self.closure())
 
     def closure(self) -> set | frozenset:
         if self._closed is None:
-            self._closed = (frozenset() if self.up is None
-                            else self.up.close(self.gens))
+            self._closed = (frozenset() if self.up is None else _closure(
+                self.codes, self.n, None, self.up.closure()))
         return self._closed
 
     def pairs(self, gens: tuple) -> list[int]:
@@ -504,11 +513,20 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
 
 
 def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:
-    report = classify(w.as_dfa())
-    if report.kappa != task.n:
+    """Confirm what a search result states of a witness, from the single
+    implementations: it is minimal with n states (minimize), its sigma is
+    the maximum (transition_semigroup of the minimal DFA), and it is in
+    the task's class (_is_right_ideal and/or _is_left_ideal, each of which
+    decides its ideal twice and asserts that the two agree).  classify
+    would also decide the complement's classes, the other ideal and the
+    special quotients, none of which a search result states."""
+    md = minimize(w.as_dfa())
+    if md.n != task.n:
         raise AssertionError(f"witness not minimal with {task.n} states: {w}")
-    if report.sigma != expect_sigma:
+    if transition_semigroup(md).sigma != expect_sigma:
         raise AssertionError(f"witness sigma mismatch: {w}")
-    if not (task.family == "all"
-            or getattr(report, f"is_{task.family}_ideal")):
+    tests = {"right": (_is_right_ideal,), "left": (_is_left_ideal,),
+             "two_sided": (_is_right_ideal, _is_left_ideal),
+             "all": ()}[task.family]
+    if not all(test(md) for test in tests):
         raise AssertionError(f"witness not in class {task.family}: {w}")

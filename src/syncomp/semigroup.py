@@ -71,47 +71,57 @@ def _identity(n: int) -> bytes | tuple[int, ...]:
     return bytes(range(n)) if n <= 256 else tuple(range(n))
 
 
-def _closure(gens: Sequence[tuple[int, ...]], cap: int | None,
+def _encode(g: Sequence[int]) -> bytes | tuple[int, ...]:
+    """A letter's image tuple in the closure's letter encoding.  Up to 256
+    states it is g padded to a 256-byte translate table, so t.translate
+    of it is the element t followed by g; the padding is never read, as
+    every byte of an element is below n.  Beyond that it is the tuple
+    itself, and itemgetter(*t) of it is t followed by g."""
+    return bytes(g).ljust(256, b"\0") if len(g) <= 256 else tuple(g)
+
+
+def _closure(letters: Sequence, n: int, cap: int | None,
              base: set | frozenset | None = None
              ) -> tuple[list, list[int], list[int]] | set:
-    """Closure of letter image tuples.  Given a cap, more than cap elements
-    raise CapExceededError; None sets no cap (there are at most n^n).
+    """Closure of n-state letters, each already in the encoding of
+    _encode, so a caller that closes the same letter many times encodes
+    it once.  Given a cap, more than cap elements raise
+    CapExceededError; None sets no cap (there are at most n^n).
 
     Without base it is a BFS that returns the images, parent and last of a
     SemigroupResult, with the elements in shortest-word order, each being
     element parent[i] followed by letter last[i]; transition_semigroup
     never passes base.  base may be the element set of the closure of
-    gens[:-1] (empty for no letters), which is left unchanged: the result
-    is then the element set of the closure of gens, with no tree.  Every
-    word that uses the last letter c is u c v with u over the other
-    letters, so the new elements are the products s c, for s the empty
-    word or an element of base, closed under all the letters (Froidure &
-    Pin 1997).
+    letters[:-1] (empty for no letters), which is left unchanged: the
+    result is then the element set of the closure of letters, with no
+    tree.  Every word that uses the last letter c is u c v with u over the
+    other letters, so the new elements are the products s c, for s the
+    empty word or an element of base, closed under all the letters
+    (Froidure & Pin 1997).
 
     Up to 256 states an element is bytes and t.translate(g) is t followed
-    by g, with g padded to a 256-byte table: composed and hashed in C.
-    Beyond that a state number does not fit in a byte, so elements are
-    tuples and itemgetter(*t)(g) is t followed by g."""
-    n = len(gens[0])
-    t = _identity(n)  # the empty word: its children are the letters
-    small = type(t) is bytes
-    # the padding is never read: every byte of an element is below n
-    letters = [(a, bytes(g) + bytes(256 - n) if small else g)
-               for a, g in enumerate(gens)]
+    by g: composed and hashed in C.  Beyond that a state number does not
+    fit in a byte, so elements are tuples and itemgetter(*t)(g) is t
+    followed by g."""
+    small = n <= 256
     if base is not None:
         seen = set(base)
         # base is closed under the other letters, so the empty word and its
-        # elements only take the last letter; what is new takes them all
-        g = letters[-1][1]
-        fresh = []
-        for s in (t, *base):
+        # elements only take the last letter; what is new takes them all.
+        # The empty word followed by the last letter is its image: the first
+        # n entries of its code
+        g = letters[-1]
+        c = g[:n]
+        fresh = [] if c in seen else [c]
+        seen.add(c)
+        for s in base:
             c = s.translate(g) if small else itemgetter(*s)(g)
             if c not in seen:
                 seen.add(c)
                 fresh.append(c)
         for s in fresh:  # the list grows while it is walked
             then = s.translate if small else itemgetter(*s)
-            for _, g in letters:
+            for g in letters:
                 c = then(g)
                 if c not in seen:
                     seen.add(c)
@@ -119,13 +129,15 @@ def _closure(gens: Sequence[tuple[int, ...]], cap: int | None,
             if cap is not None and len(seen) > cap:
                 raise CapExceededError(cap, len(seen))
         return seen
+    t = _identity(n)  # the empty word: its children are the letters
+    indexed = tuple(enumerate(letters))
     i, seen = -1, set()
     elements: list = []
     parent: list[int] = []
     last: list[int] = []
     while True:
         then = t.translate if small else itemgetter(*t)
-        for a, g in letters:
+        for a, g in indexed:
             c = then(g)
             if c not in seen:
                 seen.add(c)
@@ -141,14 +153,15 @@ def _closure(gens: Sequence[tuple[int, ...]], cap: int | None,
 
 
 def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:
-    """BFS closure of the letter actions of d under word-order composition.
+    """BFS closure of the letter actions of d under word-order composition,
+    each letter encoded for the closure once.
 
     A cap makes the closure abort with CapExceededError once more elements
     than that have been found (defensive for large n).  None sets no cap:
     the closure has at most n^n elements anyway.
     """
     images, parent, last = _closure(
-        [d.delta[a].images for a in d.alphabet], cap)
+        [_encode(d.delta[a].images) for a in d.alphabet], d.n, cap)
     sigma, has_ident = len(images), _identity(d.n) in images
     return SemigroupResult(d.n, d.alphabet, images, parent, last, sigma,
                            sigma if has_ident else sigma + 1, has_ident)

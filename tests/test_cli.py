@@ -225,6 +225,19 @@ def test_flags_that_would_be_ignored_are_refused(right4_file, capsys, argv,
     assert captured.err.startswith(f"error: {flag} cannot be used")
 
 
+@pytest.mark.parametrize("value", ["", "1,,2"])
+def test_malformed_finals_are_refused(capsys, value):
+    # an empty value is not the default finals, and an empty item is no
+    # state: both name the flag instead of falling back or leaking int()'s
+    # message
+    assert main(["witness", "--family", "left", "--n", "4",
+                 "--finals", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --finals must be comma-separated state "
+                            f"numbers, got {value!r}\n")
+
+
 def test_witness_out_of_range_n(capsys):
     assert main(["witness", "--family", "right", "--n", "2"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import os
 from itertools import combinations_with_replacement, permutations, product
 
@@ -17,6 +18,7 @@ from syncomp import search
 from syncomp.automata import _reachable
 from syncomp.classify import _left_ideal_admits, _left_ideal_walk
 from syncomp.oracles import canonical_count
+from syncomp.semigroup import _encode
 from syncomp.search import _in_class_finals, _minimal_finals
 
 # SearchTask options: the default pruned search and the plain enumeration
@@ -160,13 +162,81 @@ def test_found_witness_as_dfa_letters():
     ([(1, 0, 2), (0, 2, 2)], 8, "sigma mismatch"),
     # small_witness("left", 3, 2): minimal with sigma 7, not a right ideal
     ([(0, 0, 1), (1, 2, 2)], 7, "not in class right"),
+    # right_ideal_witness(3, "ad") is not a left ideal, so not two-sided
+    ([(1, 0, 2), (0, 2, 2)], 7, "not in class left"),
+    ([(1, 0, 2), (0, 2, 2)], 7, "not in class two_sided"),
+    # small_witness("left", 3, 2) is not two-sided either
+    ([(0, 0, 1), (1, 2, 2)], 7, "not in class two_sided"),
 ])
 def test_reverification_refuses_what_it_cannot_confirm(letters, expect_sigma,
                                                        message):
+    # a class row's family is the one its message names; the others are
+    # right-family rows
+    family = (message.rpartition(" ")[2] if message.startswith("not in class")
+              else "right")
     w = search.FoundWitness(tuple(map(Transformation, letters)),
                             frozenset({2}))
     with pytest.raises(AssertionError, match=message):
-        search._reverify(SearchTask("right", 3, 2), w, expect_sigma)
+        search._reverify(SearchTask(family, 3, 2), w, expect_sigma)
+
+
+_FAMILIES = ("right", "left", "two_sided", "all")
+
+
+@pytest.mark.parametrize("family, n, k",
+                         [(family, n, k) for family in _FAMILIES
+                          for n in (1, 2, 3) for k in (1, 2, 3)]
+                         + [("right", 4, 3)])
+def test_reverification_agrees_with_classify(family, n, k):
+    # each witness of the cell, put to the re-verification of every
+    # family, with its own sigma and one more, and with one state more:
+    # it passes exactly where classify's kappa, sigma and flag say it holds
+    result = search_max_sigma(SearchTask(family, n, k))
+    for w in result.witnesses:
+        report = classify(w.as_dfa())
+        assert (report.kappa, report.sigma) == (n, result.max_sigma), w
+        for other in _FAMILIES:
+            task = SearchTask(other, n, k)
+            holds = (other == "all"
+                     or getattr(report, f"is_{other}_ideal"))
+            if holds:
+                search._reverify(task, w, report.sigma)
+            else:
+                with pytest.raises(AssertionError, match="not in class"):
+                    search._reverify(task, w, report.sigma)
+            with pytest.raises(AssertionError, match="sigma mismatch"):
+                search._reverify(task, w, report.sigma + 1)
+        with pytest.raises(AssertionError, match="not minimal"):
+            search._reverify(SearchTask(family, n + 1, k), w, report.sigma)
+
+
+@pytest.mark.parametrize("family, right, left", [
+    ("right", 1, 0), ("left", 0, 1), ("two_sided", 1, 1), ("all", 0, 0),
+])
+def test_reverification_runs_only_the_checks_it_states(monkeypatch, family,
+                                                       right, left):
+    # one witness of the family's (3,2) cell: the class tests of its own
+    # family only, and none of classify's complement-side tests
+    w = search_max_sigma(SearchTask(family, 3, 2)).witnesses[0]
+    calls = []
+    classify_module = importlib.import_module("syncomp.classify")
+
+    def counted(name, real):
+        def run(*args):
+            calls.append(name)
+            return real(*args)
+        return run
+
+    for module in (search, classify_module):
+        for name in ("_is_right_ideal", "_is_left_ideal"):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+    monkeypatch.setattr(classify_module, "complement",
+                        counted("complement", classify_module.complement))
+    search._reverify(SearchTask(family, 3, 2), w,
+                     transition_semigroup(w.as_dfa()).sigma)
+    assert sorted(calls) == ["_is_left_ideal"] * left + \
+        ["_is_right_ideal"] * right
 
 
 def test_one_state_cell_is_trivial():
@@ -529,10 +599,10 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
             calls.append(("kept", gens, kept))
         return kept
 
-    def recorded(gens, cap, base=None):
-        elements = real_closure(gens, cap, base)
-        if len(gens) == k:  # a letter tuple, not a prefix of one
-            calls.append(("closed", tuple(gens), len(elements)))
+    def recorded(codes, n_, cap, base=None):
+        elements = real_closure(codes, n_, cap, base)
+        if len(codes) == k:  # a letter tuple, not a prefix of one
+            calls.append(("closed", tuple(codes), len(elements)))
         return elements
 
     def refined(gens, finals):
@@ -550,7 +620,7 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
         kind, gens, kept = calls[at]
         assert kind == "kept", calls[at]
         closed, at = calls[at + 1], at + 2
-        assert closed[:2] == ("closed", gens), gens
+        assert closed[:2] == ("closed", tuple(map(_encode, gens))), gens
         if closed[2] >= best:
             refinements = calls[at:at + len(kept)]
             assert [c[:3] for c in refinements] == \
@@ -577,10 +647,10 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
     real_closure, real_moore = search._closure, search._moore_classes
     closed, refined = [], []
 
-    def counted_closure(gens, cap, base=None):
-        if len(gens) == k:
-            closed.append(gens)
-        return real_closure(gens, cap, base)
+    def counted_closure(codes, n_, cap, base=None):
+        if len(codes) == k:
+            closed.append(codes)
+        return real_closure(codes, n_, cap, base)
 
     def counted_moore(gens, finals):
         refined.append((gens, finals))
@@ -590,6 +660,43 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
     monkeypatch.setattr(search, "_moore_classes", counted_moore)
     search_max_sigma(SearchTask(family, n, k))
     assert (len(closed), len(refined)) == (closures, refinements)
+
+
+@pytest.mark.parametrize("family, n, k, nodes, closures", [
+    ("right", 4, 3, 1_108, 12_666),
+    ("right", 5, 2, 130, 7_502),
+])
+def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
+                                                     k, nodes, closures):
+    # a prefix node encodes its own last letter when it is made, and a
+    # letter tuple its last letter only when it is closed: the others are
+    # its prefix's, encoded once however many tuples below it are closed
+    real_encode, real_closure = search._encode, search._closure
+    encoded, made, closed = [], [], []
+
+    class Counted(search._Prefix):
+        __slots__ = ()
+
+        def __init__(self, gens, up, n_):
+            if up is not None:
+                made.append(gens)
+            super().__init__(gens, up, n_)
+
+    def counted_encode(g):
+        encoded.append(g)
+        return real_encode(g)
+
+    def counted_closure(codes, n_, cap, base=None):
+        if len(codes) == k:
+            closed.append(codes)
+        return real_closure(codes, n_, cap, base)
+
+    monkeypatch.setattr(search, "_Prefix", Counted)
+    monkeypatch.setattr(search, "_encode", counted_encode)
+    monkeypatch.setattr(search, "_closure", counted_closure)
+    search_max_sigma(SearchTask(family, n, k))
+    assert (len(made), len(closed)) == (nodes, closures)
+    assert len(encoded) == nodes + closures
 
 
 def test_witnesses_share_letter_and_finals_objects():
