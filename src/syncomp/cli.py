@@ -140,13 +140,18 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_finals(text: str) -> frozenset[int]:
-    """The states of a --finals value such as "1,3"."""
+def _parse_finals(text: str, n: int) -> frozenset[int]:
+    """The states of a --finals value such as "1,3": states of the n-state
+    witness other than its initial state 0."""
     try:
-        return frozenset(int(x) for x in text.split(","))
+        finals = frozenset(int(x) for x in text.split(","))
     except ValueError:
         raise FormatError(f"--finals must be comma-separated state numbers, "
                           f"got {text!r}") from None
+    if not all(0 < q < n for q in finals):
+        raise FormatError(f"--finals must name states 1..{n - 1} of the "
+                          f"{n}-state witness, got {text!r}")
+    return finals
 
 
 def _cmd_witness(args) -> int:
@@ -160,7 +165,7 @@ def _cmd_witness(args) -> int:
             _refuse(args, ("--finals",), f"with --family {args.family}")
         d = family_witness(fam, args.n, args.letters,
                            None if args.finals is None
-                           else _parse_finals(args.finals))
+                           else _parse_finals(args.finals, args.n))
     if args.format == "json":
         sys.stdout.write(emit_dfa_json(d))
     elif args.format == "dot":

@@ -38,9 +38,15 @@ left-ideal test in left and two-sided cells) and is then closed.  Sigma
 depends only on the letters, so a tuple whose closure is smaller than
 the best found so far cannot be a witness, and the Moore refinement that
 decides minimality runs only on the finals options of the others: an
-exact branch-and-bound with sigma itself as the bound.  Every witness is
-then re-verified by minimize, transition_semigroup and the ideal tests of
-its family alone, not by the whole of classify.
+exact branch-and-bound with sigma itself as the bound.  Before the
+closure comes a bound that costs one rank lookup: sigma is at most the
+sum over ordered pairs (f, l) of the tuple's letters of
+r(l) ** (r(f) - e), r the rank of a letter and e = 1 where every letter
+fixes the sink (the count behind the paper's n^(n-1), taken per pair of
+first and last letters; _RankBound).  A tuple whose bound is below
+the best is not closed at all.  Every witness is then re-verified by
+minimize, transition_semigroup and the ideal tests of its family alone,
+not by the whole of classify.
 """
 
 from __future__ import annotations
@@ -306,13 +312,16 @@ class _Prefix:
     fact to pass on: its closure is empty, and it builds a pair relation
     afresh.  codes holds the letters in the closure's encoding
     (semigroup._encode): a node encodes its own last letter when it is
-    made, and a tuple below it its last letter only when it is closed."""
+    made, and a tuple below it its last letter only when it is closed.
+    ranks holds the ranks of the letters, which _RankBound reads."""
 
-    __slots__ = ("gens", "codes", "up", "n", "_reach", "_closed", "_need")
+    __slots__ = ("gens", "codes", "ranks", "up", "n", "_reach", "_closed",
+                 "_need")
 
     def __init__(self, gens: tuple, up: "_Prefix | None", n: int):
         self.gens, self.up, self.n = gens, up, n
         self.codes = () if up is None else up.codes + (_encode(gens[-1]),)
+        self.ranks = () if up is None else up.ranks + (len(set(gens[-1])),)
         self._reach: bool | None = None
         self._closed = None
         self._need = None
@@ -347,6 +356,32 @@ class _Prefix:
         if self._need is None:
             self._need = self.up.pairs(self.gens)
         return self._need
+
+
+class _RankBound(dict):
+    """The ranks of a letter tuple's letters (image sizes, also their
+    numbers of kernel classes) -> B, an upper bound on the tuple's sigma,
+    filled on first use: there are few rank tuples and many letter
+    tuples.  B is the sum over ordered pairs (f, l) of the letters, a
+    repeated letter once per position, of r(l) ** (r(f) - e), with e = 1
+    if sink (every letter of the pool fixes state n-1, as in right and
+    two-sided cells) and 0 otherwise.
+
+    A nonempty word g1 ... gm (g1 applied first, as translate composes)
+    is constant on each kernel class of g1 and maps into the image of gm;
+    where every letter fixes n-1, so does the word, which then maps the
+    class of n-1 to n-1.  So at most r(l) ** (r(f) - e) elements have a
+    word with first letter f and last letter l, and every element has
+    one."""
+
+    def __init__(self, sink: bool):
+        super().__init__()
+        self.sink = sink
+
+    def __missing__(self, ranks: tuple[int, ...]) -> int:
+        e = self.sink
+        self[ranks] = b = sum(l ** (f - e) for f in ranks for l in ranks)
+        return b
 
 
 def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
@@ -429,22 +464,26 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     whole candidate order.
 
     A letter tuple that _in_class_finals leaves an option is closed once,
-    whatever number of options it leaves.  A tuple whose closure is
-    smaller than the shard's best so far is then dropped before any Moore
+    whatever number of options it leaves, unless its rank bound
+    (_RankBound) is below the shard's best so far.  A tuple whose
+    closure is smaller than that best is then dropped before any Moore
     refinement: sigma depends only on the letters, and the shard's best
     never exceeds the maximum of the cell (or of the budget's prefix of
-    it), so no witness is lost.  Only the options of the other tuples are
-    tested for minimality, and only a minimal one raises the best."""
+    it), so no witness is lost.  A tuple skipped by its bound is dropped
+    by the same argument, since its sigma is at most the bound.  Only the
+    options of the other tuples are tested for minimality, and only a
+    minimal one raises the best."""
     pool = _pool(task)
     finals_opts = _finals_options(task)
     left_ideal = task.family in ("left", "two_sided")
+    bound = _RankBound(task.family in ("right", "two_sided"))
     best = 0
     wits: list[tuple] = []
     canonical = 0
     for up, letters, keep in _walk(task, pool, finals_opts, shard, shards):
         canonical += len(keep)
         finals = _in_class_finals(letters, task.n, keep, left_ideal, up)
-        if not finals:
+        if not finals or bound[up.ranks + (len(set(letters[-1])),)] < best:
             continue
         s = len(up.close(letters))
         if s < best:

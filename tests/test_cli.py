@@ -238,6 +238,18 @@ def test_malformed_finals_are_refused(capsys, value):
                             f"numbers, got {value!r}\n")
 
 
+@pytest.mark.parametrize("value", ["9", "-1", "0", "1,4"])
+def test_finals_outside_the_witness_are_refused(capsys, value):
+    # the range is checked against --n and reported under the flag's name,
+    # not under the witness builder's parameter
+    assert main(["witness", "--family", "left", "--n", "4",
+                 "--finals", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --finals must name states 1..3 of the "
+                            f"4-state witness, got {value!r}\n")
+
+
 def test_witness_out_of_range_n(capsys):
     assert main(["witness", "--family", "right", "--n", "2"]) == 2
     assert "error:" in capsys.readouterr().err

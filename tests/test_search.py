@@ -18,7 +18,7 @@ from syncomp import search
 from syncomp.automata import _reachable
 from syncomp.classify import _left_ideal_admits, _left_ideal_walk
 from syncomp.oracles import canonical_count
-from syncomp.semigroup import _encode
+from syncomp.semigroup import _closure, _encode
 from syncomp.search import _in_class_finals, _minimal_finals
 
 # SearchTask options: the default pruned search and the plain enumeration
@@ -120,6 +120,17 @@ def test_frontier_cell_counts_are_pinned(family, n, k, expected):
             result.candidates_examined, result.candidates_pruned) == expected
     assert canonical_count(task) == \
         result.candidates_examined - result.candidates_pruned
+
+
+@pytest.mark.slow
+def test_budgeted_right_5_3_is_pinned():
+    # the cell where the rank bound skips the most closure work, cut by a
+    # budget to a few seconds of its exhaustive minute
+    result = search_max_sigma(SearchTask("right", 5, 3, budget=1_000_000))
+    assert not result.exhaustive
+    assert (result.max_sigma, len(result.witnesses),
+            result.candidates_examined, result.candidates_pruned) == \
+        (377, 288, 1_000_000, 582_178)
 
 
 @pytest.mark.parametrize("family, n, k, expected", [
@@ -580,16 +591,36 @@ def test_search_matches_a_reference_over_every_candidate(serial_pool, jobs,
         _reference(family, n, k)
 
 
+@pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 2)])
+def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
+    # every letter tuple over the unpruned pool, its ranks handed down
+    # through prefix nodes as the search does, against the size of its
+    # closure by the plain BFS
+    task = SearchTask(family, n, k, prune=False)
+    bound = search._RankBound(family in ("right", "two_sided"))
+    for gens in product(search._pool(task), repeat=k):
+        up = search._Prefix((), None, n)
+        for i in range(1, k):
+            up = search._Prefix(gens[:i], up, n)
+        ranks = up.ranks + (len(set(gens[-1])),)
+        assert ranks == tuple(len(set(g)) for g in gens)
+        sigma = len(_closure([_encode(g) for g in gens], n, None)[0])
+        assert sigma <= bound[ranks], gens
+
+
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3)])
 def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # the letter-level filter inherits a prefix's reachability and extends
     # its pair relation: it must keep the same finals as when it inherits
-    # nothing.  Replaying the calls in order: exactly the tuples it keeps
-    # an option of are closed, each once and right after the filter, and
-    # the Moore refinement then runs on every kept option of the tuple if
-    # its closure reaches the best sigma so far, and on nothing else
+    # nothing.  Replaying the calls in order: of the tuples it keeps an
+    # option of, exactly those whose rank bound reaches the best sigma so
+    # far are closed, each once and right after the filter; the closure of
+    # every other one is below that best.  The Moore refinement then runs
+    # on every kept option of a closed tuple if its closure reaches the
+    # best so far, and on nothing else
     real_filter, real_closure, real_moore = (
         search._in_class_finals, search._closure, search._moore_classes)
+    bound = search._RankBound(family in ("right", "two_sided"))
     calls = []
 
     def compared(gens, n_, options, left_ideal, up=None):
@@ -619,7 +650,14 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     while at < len(calls):
         kind, gens, kept = calls[at]
         assert kind == "kept", calls[at]
-        closed, at = calls[at + 1], at + 2
+        at += 1
+        if bound[tuple(len(set(g)) for g in gens)] < best:
+            assert at == len(calls) or calls[at][0] == "kept", gens
+            codes = [_encode(g) for g in gens]
+            assert len(real_closure(codes, n, None)[0]) < best, gens
+            continue
+        closed = calls[at]
+        at += 1
         assert closed[:2] == ("closed", tuple(map(_encode, gens))), gens
         if closed[2] >= best:
             refinements = calls[at:at + len(kept)]
@@ -632,18 +670,19 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
 
 
 @pytest.mark.parametrize("family, n, k, closures, refinements", [
-    ("right", 5, 2, 7_502, 54),
-    ("right", 4, 3, 12_666, 343),
-    ("left", 4, 2, 312, 47),
-    ("two_sided", 4, 3, 896, 15),
+    ("right", 5, 2, 2_189, 54),
+    ("right", 4, 3, 6_171, 343),
+    ("left", 4, 2, 245, 47),
+    ("two_sided", 4, 3, 819, 15),
     ("left", 3, 4, 740, 102),
 ])
 def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
                                              closures, refinements):
     # the letter tuples closed (every one that passes the letter-level
-    # tests, once whatever number of its finals options does) and the
-    # Moore refinements run (one per kept option of a tuple whose closure
-    # reaches the best so far) at jobs=1
+    # tests and whose rank bound reaches the best so far, once whatever
+    # number of its finals options passes) and the Moore refinements run
+    # (one per kept option of a tuple whose closure reaches the best so
+    # far) at jobs=1
     real_closure, real_moore = search._closure, search._moore_classes
     closed, refined = [], []
 
@@ -663,8 +702,8 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
 
 
 @pytest.mark.parametrize("family, n, k, nodes, closures", [
-    ("right", 4, 3, 1_108, 12_666),
-    ("right", 5, 2, 130, 7_502),
+    ("right", 4, 3, 1_108, 6_171),
+    ("right", 5, 2, 130, 2_189),
 ])
 def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
                                                      k, nodes, closures):
