@@ -142,7 +142,11 @@ class Nfa:
 
 def _reachable(rows: Sequence[Sequence[int]], start: int) -> list[int]:
     """States reached from start under the image rows, in BFS order with
-    the rows taken in order: the package's one state-reachability walk."""
+    the rows taken in order: the package's one state-reachability walk.
+    The search alone decides reachability otherwise, as a bitmask spread
+    through per-letter tables of image masks (search._spread), which
+    test_reach_masks_agree_with_the_walk holds against this walk on every
+    letter tuple of the cells with n <= 3 and k <= 3."""
     order, seen = [start], {start}
     for q in order:  # the list grows while it is walked
         for row in rows:

@@ -24,29 +24,31 @@ is stepped over with its whole subtree.  Each prefix keeps its re-sorted
 image under every relabeling, its parent's with one letter inserted, so a
 tuple's test against a relabeling compares its last letter's image with
 one bound fixed per prefix, and builds the tuple's image only on a tie.
-Reachability of every state from 0, once a prefix's letters have it,
-holds for every tuple below it and is decided once.  Each tuple's
-closure element set and its left-ideal pair relation extend its
-prefix's by the last letter (Froidure & Pin 1997) instead of starting
-afresh, and a finals option's left-ideal test is then one bitmask check.
-Each prefix also keeps its letters in the closure's encoding, so a letter
-is encoded once for its prefix node, and a tuple's last letter only when
-the tuple is closed.
+Each tuple's set of states reached from 0, its closure element set and
+its left-ideal pair relation extend its prefix's by the last letter
+(Froidure & Pin 1997) instead of starting afresh.  The reached states
+are a bitmask, spread through per-letter tables of image masks, and a
+finals option's left-ideal test is one bitmask check.  Each prefix also
+keeps its letters in the closure's encoding, so a letter is encoded once
+for its prefix node, and a tuple's last letter only when the tuple is
+closed.
 
-A tuple first passes the tests on its letters (reachability, then the
-left-ideal test in left and two-sided cells) and is then closed.  Sigma
-depends only on the letters, so a tuple whose closure is smaller than
-the best found so far cannot be a witness, and the Moore refinement that
-decides minimality runs only on the finals options of the others: an
-exact branch-and-bound with sigma itself as the bound.  Before the
-closure comes a bound that costs one rank lookup: sigma is at most the
+Sigma depends only on the letters, so a tuple whose closure is smaller
+than the best found so far cannot be a witness: an exact
+branch-and-bound with sigma itself as the bound.  Sigma is at most the
 sum over ordered pairs (f, l) of the tuple's letters of
 r(l) ** (r(f) - e), r the rank of a letter and e = 1 where every letter
 fixes the sink (the count behind the paper's n^(n-1), taken per pair of
-first and last letters; _RankBound).  A tuple whose bound is below
-the best is not closed at all.  Every witness is then re-verified by
-minimize, transition_semigroup and the ideal tests of its family alone,
-not by the whole of classify.
+first and last letters; _RankBound).  Each prefix holds that bound for
+every rank of a last letter, so it costs a tuple two list lookups, and
+it comes first: a tuple whose bound is below the best meets no further
+test.  The others meet the tests on their letters (reachability, then
+the left-ideal test in left and two-sided cells), and a tuple that
+passes them is closed.  The Moore refinement that decides minimality
+runs only on the finals options of a tuple whose closure reaches the
+best.  Every witness is then re-verified by minimize,
+transition_semigroup and the ideal tests of its family alone, not by
+the whole of classify.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations, product, repeat
 from math import comb
+from operator import or_
 
 from .automata import Dfa, _moore_classes, _reachable, minimize
 from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
@@ -300,38 +303,113 @@ def _subtree_size(task: SearchTask, letters: int, options: int, last: int,
                       else letters ** more)
 
 
+# _ADD_STATE[q] maps a mask byte m to m | 1 << q
+_ADD_STATE = [bytes(m | 1 << q for m in range(256)) for q in range(8)]
+
+
+def _image_masks(g: tuple[int, ...]) -> bytes:
+    """The mask table of letter g, whose states fit in a byte (n <= 8):
+    entry m is the mask of the images under g of the states in mask m.
+    The entries with top state q are those below 1 << q with g(q) added,
+    so the table doubles once per state."""
+    table = b"\0"
+    for x in g:
+        table += table.translate(_ADD_STATE[x])
+    return table
+
+
+def _spread(reach: int, union: bytes, image: bytes) -> int:
+    """The mask of the states reached from those in mask reach by words
+    over some letters, the OR of whose mask tables is union, and one more
+    letter with mask table image: reach grown by one step of every letter
+    until it stops growing, after at most n steps."""
+    while True:
+        grown = reach | union[reach] | image[reach]
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+class _LetterFacts:
+    """What a leaf's tests read off the pool letter it ends with, in lists
+    indexed by pool index: ranks (image sizes), built at once since every
+    leaf reads one, and mask tables (_image_masks), each built when a
+    leaf first needs it; with bound, the shard's _RankBound.  A list
+    entry costs a pointer where a dict entry would cost a hash slot as
+    well, which matters at n=7, where a right cell's pool holds 117,649
+    letters and a left cell's 823,543."""
+
+    __slots__ = ("pool", "ranks", "images", "bound")
+
+    def __init__(self, pool, sink: bool):
+        self.pool = pool
+        self.ranks = list(map(len, map(set, pool)))
+        self.images: list[bytes | None] = [None] * len(pool)
+        self.bound = _RankBound(sink)
+
+    def image(self, c: int) -> bytes:
+        table = self.images[c]
+        if table is None:
+            table = self.images[c] = _image_masks(self.pool[c])
+        return table
+
+
 class _Prefix:
-    """A node of the walk: the letters of a prefix, a fact that holds for
+    """A node of the walk: the letters of a prefix, facts that hold for
     every letter tuple extending it, and the partial results its tuples
-    extend by their further letters.  Reachability of every state from 0
-    only grows as letters are added, so once a prefix has it no tuple
-    below it needs it decided again.  The closure's element set and the
-    left-ideal pair relation (classify._left_ideal_relation) of a tuple
-    are its prefix's, extended by the last letter.  Each is decided at
-    most once and only when asked.  The root, with no letters, has no
-    fact to pass on: its closure is empty, and it builds a pair relation
-    afresh.  codes holds the letters in the closure's encoding
-    (semigroup._encode): a node encodes its own last letter when it is
-    made, and a tuple below it its last letter only when it is closed.
-    ranks holds the ranks of the letters, which _RankBound reads."""
+    extend by their further letters (Froidure & Pin 1997).
+      - reach is the mask of the states its letters reach from 0, and
+        union the byte-wise OR of their mask tables (_image_masks): a
+        node spreads its parent's reach by its parent's union and its own
+        last letter's table (_spread), and a tuple below it spreads reach
+        by union and the tuple's last letter's table.
+      - The closure's element set and the left-ideal pair relation
+        (classify._left_ideal_relation) of a tuple are its prefix's,
+        extended by the last letter.  Each is decided at most once and
+        only when asked.  The root, with no letters, reaches state 0
+        alone, its closure is empty, and it builds a pair relation
+        afresh.
+      - codes holds the letters in the closure's encoding
+        (semigroup._encode): a node encodes its own last letter when it
+        is made, and a tuple below it its last letter only when it is
+        closed.
+      - ranks holds the ranks of the letters, and bounds[r] the rank
+        bound (_RankBound) of the node's letters and one more letter of
+        rank r, for r = 1..n (no letter has rank 0, so bounds[0] only
+        fills the place), read when the node is made, so a tuple's bound
+        is one list index.
+    facts is the shard's _LetterFacts, which the root is given and every
+    node below it shares.  A root made without it hands down no bounds,
+    and no tuple below it can test reachability by pool index."""
 
-    __slots__ = ("gens", "codes", "ranks", "up", "n", "_reach", "_closed",
-                 "_need")
+    __slots__ = ("gens", "codes", "ranks", "bounds", "reach", "union",
+                 "facts", "up", "n", "_closed", "_need")
 
-    def __init__(self, gens: tuple, up: "_Prefix | None", n: int):
+    def __init__(self, gens: tuple, up: "_Prefix | None", n: int,
+                 facts: _LetterFacts | None = None):
         self.gens, self.up, self.n = gens, up, n
-        self.codes = () if up is None else up.codes + (_encode(gens[-1]),)
-        self.ranks = () if up is None else up.ranks + (len(set(gens[-1])),)
-        self._reach: bool | None = None
+        if up is None:
+            self.codes = self.ranks = ()
+            self.reach, self.union, self.facts = 1, bytes(1 << n), facts
+        else:
+            g = gens[-1]
+            own = _image_masks(g)
+            self.codes = up.codes + (_encode(g),)
+            self.ranks = up.ranks + (len(set(g)),)
+            self.reach = _spread(up.reach, up.union, own)
+            self.union = bytes(map(or_, up.union, own))
+            self.facts = up.facts
+        self.bounds = None if self.facts is None else [
+            0, *(self.facts.bound[self.ranks + (r,)] for r in range(1, n + 1))]
         self._closed = None
         self._need = None
 
-    def reaches_all(self) -> bool:
-        if self._reach is None:
-            self._reach = self.up is not None and (
-                self.up.reaches_all()
-                or len(_reachable(self.gens, 0)) == self.n)
-        return self._reach
+    def reaches_all(self, c: int) -> bool:
+        """Whether this prefix's letters and pool letter c reach every
+        state from 0."""
+        full = (1 << self.n) - 1
+        return self.reach == full or _spread(
+            self.reach, self.union, self.facts.image(c)) == full
 
     def close(self, gens: tuple) -> set:
         """The closure's element set of gens, this prefix's letters and
@@ -384,17 +462,19 @@ class _RankBound(dict):
         return b
 
 
-def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
+def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int,
+          facts: _LetterFacts | None = None):
     """Walk the global candidate order (letter tuple, then finals) as a
     tree of letter prefixes, depth first, and yield (parent prefix node,
-    letters, kept finals) for each canonical candidate tuple under heads
-    shard, shard + shards, ... in the budget's prefix of the order.  Each
+    pool index of the last letter, letters, kept finals) for each
+    canonical candidate tuple under heads shard, shard + shards, ... in
+    the budget's prefix of the order.  Each
     prefix carries its re-sorted image under every relabeling, its
     parent's with one letter inserted.  A prefix some relabeling maps lower
     is stepped over whole, by the size of its subtree; at the leaves the
     finals options (of that prefix) that no relabeling fixing the tuple
     maps lower are kept.  The least finals option is always kept, so no
-    yielded list is empty."""
+    yielded list is empty.  The root prefix node is given facts."""
     tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
     letters, options, budget = len(pool), len(finals_opts), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
@@ -414,7 +494,7 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
                 if fixing:
                     keep = [f for fi, f in enumerate(keep)
                             if not any(t[fi] < fi for t in fixing)]
-                yield up, up.gens + (pool[c],), keep
+                yield up, c, up.gens + (pool[c],), keep
             return
         for c in indices[first:]:
             if pos >= budget:
@@ -428,22 +508,28 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int):
                         below, pos)
             pos += _subtree_size(task, letters, options, c, more)
 
-    yield from visit(_Prefix((), None, task.n), (), [()] * len(tables), 0)
+    yield from visit(_Prefix((), None, task.n, facts), (),
+                     [()] * len(tables), 0)
 
 
 def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,
                      options: list[frozenset[int]], left_ideal: bool,
-                     up: _Prefix | None = None) -> list[frozenset[int]]:
+                     up: _Prefix | None = None,
+                     c: int | None = None) -> list[frozenset[int]]:
     """The finals among options with which gens reaches every state from 0
     and, if left_ideal, is a left ideal: the tests that read the letters
-    only, minimality aside.  up is the prefix node gens extends by one
-    letter: reachability it already has holds for gens and is not decided
-    again, and its pair relation is extended by the last letter.  Without
-    up nothing is inherited.  The left-ideal test of an option is one
-    bitmask check, sound once every state is reachable, minimal or not."""
+    only, minimality aside.  up is the prefix node gens extends by pool
+    letter c: the states up reaches are spread by its letters and c's
+    mask table (_Prefix.reaches_all), and its pair relation is extended
+    by the last letter.  Without up nothing is inherited, and
+    reachability is the plain walk (automata._reachable).  The left-ideal
+    test of an option is one bitmask check, sound once every state is
+    reachable, minimal or not."""
     if up is None:
+        if len(_reachable(gens, 0)) < n:
+            return []
         up = _Prefix((), None, n)
-    if not up.reaches_all() and len(_reachable(gens, 0)) < n:
+    elif not up.reaches_all(c):
         return []
     if left_ideal:
         need = up.pairs(gens)
@@ -463,27 +549,34 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     witnesses, the number of canonical candidates seen and the size of the
     whole candidate order.
 
-    A letter tuple that _in_class_finals leaves an option is closed once,
-    whatever number of options it leaves, unless its rank bound
-    (_RankBound) is below the shard's best so far.  A tuple whose
-    closure is smaller than that best is then dropped before any Moore
-    refinement: sigma depends only on the letters, and the shard's best
-    never exceeds the maximum of the cell (or of the budget's prefix of
-    it), so no witness is lost.  A tuple skipped by its bound is dropped
-    by the same argument, since its sigma is at most the bound.  Only the
-    options of the other tuples are tested for minimality, and only a
-    minimal one raises the best."""
+    A letter tuple whose rank bound (_RankBound, read off its prefix
+    node by its last letter's rank) is below the shard's best so far is
+    dropped first.  The others meet the letter tests (_in_class_finals),
+    and one they leave an option is closed once, whatever number of
+    options it leaves.  A tuple whose closure is smaller than the best is
+    then dropped before any Moore refinement: sigma depends only on the
+    letters, and the shard's best never exceeds the maximum of the cell
+    (or of the budget's prefix of it), so no witness is lost.  A tuple
+    dropped by its bound is dropped by the same argument, since its sigma
+    is at most the bound, whether or not it would pass the letter tests;
+    so the tuples closed are the same in either order.  Only the options
+    of the other tuples are tested for minimality, and only a minimal one
+    raises the best."""
     pool = _pool(task)
     finals_opts = _finals_options(task)
     left_ideal = task.family in ("left", "two_sided")
-    bound = _RankBound(task.family in ("right", "two_sided"))
+    facts = _LetterFacts(pool, task.family in ("right", "two_sided"))
+    rank = facts.ranks
     best = 0
     wits: list[tuple] = []
     canonical = 0
-    for up, letters, keep in _walk(task, pool, finals_opts, shard, shards):
+    for up, c, letters, keep in _walk(task, pool, finals_opts, shard, shards,
+                                      facts):
         canonical += len(keep)
-        finals = _in_class_finals(letters, task.n, keep, left_ideal, up)
-        if not finals or bound[up.ranks + (len(set(letters[-1])),)] < best:
+        if up.bounds[rank[c]] < best:
+            continue
+        finals = _in_class_finals(letters, task.n, keep, left_ideal, up, c)
+        if not finals:
             continue
         s = len(up.close(letters))
         if s < best:

@@ -6,7 +6,9 @@ import dataclasses
 import functools
 import importlib
 import os
+import random
 from itertools import combinations_with_replacement, permutations, product
+from operator import or_
 
 import pytest
 
@@ -328,13 +330,16 @@ def test_canonical_filter_removes_relabeled_duplicates():
 
 def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
     """Every canonical candidate the search's prefix walk yields, over all
-    shards, as (letter image tuples, sorted finals)."""
+    shards, as (letter image tuples, sorted finals), checking that the
+    pool index yielded with each names its last letter."""
     pool, opts = search._pool(task), search._finals_options(task)
-    return [(letters, tuple(sorted(f)))
-            for shard in range(shards)
-            for _, letters, keep in search._walk(task, pool, opts, shard,
-                                                 shards)
-            for f in keep]
+    stream = []
+    for shard in range(shards):
+        for _, c, letters, keep in search._walk(task, pool, opts, shard,
+                                                shards):
+            assert letters[-1] == pool[c], (letters, c)
+            stream.extend((letters, tuple(sorted(f))) for f in keep)
+    return stream
 
 
 @pytest.mark.parametrize("family, n, k", [
@@ -608,26 +613,65 @@ def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
         assert sigma <= bound[ranks], gens
 
 
+@pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
+def test_reach_masks_agree_with_the_walk(family, n, k):
+    # every letter tuple over the unpruned pool, its reached states handed
+    # down through prefix nodes as the search builds them: each node's
+    # mask holds the states automata._reachable finds from 0, and a
+    # tuple's reachability test by its last letter's pool index passes iff
+    # that walk reaches every state
+    task = SearchTask(family, n, k, prune=False)
+    pool = search._pool(task)
+    facts = search._LetterFacts(pool, family in ("right", "two_sided"))
+    root = search._Prefix((), None, n, facts)
+    assert root.reach == 1
+    nodes = {(): root}
+    for idx in product(range(len(pool)), repeat=k):
+        gens = tuple(pool[c] for c in idx)
+        for i in range(1, k):
+            if idx[:i] not in nodes:
+                up = search._Prefix(gens[:i], nodes[idx[:i - 1]], n)
+                assert up.reach == sum(1 << q for q in _reachable(gens[:i], 0))
+                nodes[idx[:i]] = up
+        assert nodes[idx[:-1]].reaches_all(idx[-1]) == \
+            (len(_reachable(gens, 0)) == n), gens
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_mask_table_entries_are_image_sets(n):
+    # entry m of a letter's mask table is the mask of the images of the
+    # states in mask m, on the identity, a constant and sampled letters
+    rng = random.Random(n)
+    letters = [tuple(range(n)), (n - 1,) * n,
+               *(tuple(rng.randrange(n) for _ in range(n)) for _ in range(30))]
+    for g in letters:
+        table = search._image_masks(g)
+        assert len(table) == 1 << n
+        for m in range(1 << n):
+            assert table[m] == functools.reduce(
+                or_, (1 << g[q] for q in range(n) if m >> q & 1), 0), (g, m)
+
+
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3)])
 def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
-    # the letter-level filter inherits a prefix's reachability and extends
+    # the letter-level filter spreads a prefix's reached states and extends
     # its pair relation: it must keep the same finals as when it inherits
-    # nothing.  Replaying the calls in order: of the tuples it keeps an
-    # option of, exactly those whose rank bound reaches the best sigma so
-    # far are closed, each once and right after the filter; the closure of
-    # every other one is below that best.  The Moore refinement then runs
-    # on every kept option of a closed tuple if its closure reaches the
-    # best so far, and on nothing else
+    # nothing.  Replaying the walk's tuples in order: a tuple whose rank
+    # bound is below the best sigma so far meets no letter test and is not
+    # closed, and its closure is below that best; every other one meets
+    # the letter tests, and if they keep an option it is closed once,
+    # right after them.  The Moore refinement then runs on every kept
+    # option of a closed tuple if its closure reaches the best so far, and
+    # on nothing else
     real_filter, real_closure, real_moore = (
         search._in_class_finals, search._closure, search._moore_classes)
     bound = search._RankBound(family in ("right", "two_sided"))
     calls = []
 
-    def compared(gens, n_, options, left_ideal, up=None):
-        kept = real_filter(gens, n_, options, left_ideal, up)
+    def compared(gens, n_, options, left_ideal, up=None, c=None):
+        kept = real_filter(gens, n_, options, left_ideal, up, c)
         assert kept == real_filter(gens, n_, options, left_ideal), gens
-        if kept:
-            calls.append(("kept", gens, kept))
+        calls.append(("tested", gens, kept))
         return kept
 
     def recorded(codes, n_, cap, base=None):
@@ -644,17 +688,21 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     monkeypatch.setattr(search, "_in_class_finals", compared)
     monkeypatch.setattr(search, "_closure", recorded)
     monkeypatch.setattr(search, "_moore_classes", refined)
-    result = search_max_sigma(SearchTask(family, n, k))
+    task = SearchTask(family, n, k)
+    result = search_max_sigma(task)
+    walked = [letters for _, _, letters, _ in search._walk(
+        task, search._pool(task), search._finals_options(task), 0, 1)]
 
     best, at = 0, 0
-    while at < len(calls):
-        kind, gens, kept = calls[at]
-        assert kind == "kept", calls[at]
-        at += 1
+    for gens in walked:
         if bound[tuple(len(set(g)) for g in gens)] < best:
-            assert at == len(calls) or calls[at][0] == "kept", gens
             codes = [_encode(g) for g in gens]
             assert len(real_closure(codes, n, None)[0]) < best, gens
+            continue
+        assert calls[at][:2] == ("tested", gens), (calls[at], gens)
+        kept = calls[at][2]
+        at += 1
+        if not kept:
             continue
         closed = calls[at]
         at += 1
@@ -666,7 +714,39 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
             at += len(kept)
             if any(c[3] for c in refinements):
                 best = closed[2]
+    assert at == len(calls)
     assert result.witnesses and best == result.max_sigma
+
+
+@pytest.mark.parametrize("family, n, k, tuples, tested", [
+    ("right", 5, 2, 33_285, 8_416),
+    ("right", 4, 3, 23_052, 10_657),
+    ("two_sided", 4, 3, 12_550, 11_619),
+    ("left", 4, 2, 1_767, 1_525),
+    ("left", 3, 4, 2_465, 2_465),
+])
+def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
+                                            tuples, tested):
+    # the canonical letter tuples the walk yields, and those that meet the
+    # letter tests (_in_class_finals) at jobs=1: only the tuples whose rank
+    # bound reaches the best sigma so far.  In left (3,4) the bound, with
+    # no fixed sink, rules out none
+    real_walk, real_filter = search._walk, search._in_class_finals
+    walked, seen = [], []
+
+    def counted_walk(*args):
+        for leaf in real_walk(*args):
+            walked.append(leaf)
+            yield leaf
+
+    def counted_filter(gens, *args):
+        seen.append(gens)
+        return real_filter(gens, *args)
+
+    monkeypatch.setattr(search, "_walk", counted_walk)
+    monkeypatch.setattr(search, "_in_class_finals", counted_filter)
+    search_max_sigma(SearchTask(family, n, k))
+    assert (len(walked), len(seen)) == (tuples, tested)
 
 
 @pytest.mark.parametrize("family, n, k, closures, refinements", [
@@ -716,10 +796,10 @@ def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
     class Counted(search._Prefix):
         __slots__ = ()
 
-        def __init__(self, gens, up, n_):
+        def __init__(self, gens, up, n_, *facts):
             if up is not None:
                 made.append(gens)
-            super().__init__(gens, up, n_)
+            super().__init__(gens, up, n_, *facts)
 
     def counted_encode(g):
         encoded.append(g)
