@@ -24,8 +24,11 @@ is stepped over with its whole subtree.  Each prefix keeps its re-sorted
 image under every relabeling, its parent's with one letter inserted, so a
 tuple's test against a relabeling compares its last letter's image with
 one bound fixed per prefix, and builds the tuple's image only on a tie.
-Each tuple's set of states reached from 0, its closure element set and
-its left-ideal pair relation extend its prefix's by the last letter
+The leaves under a prefix of k - 1 letters reach the search as one
+batch: the pool indices of their canonical last letters, and finals
+lists for the few leaves that do not keep every option.  Each tuple's
+set of states reached from 0, its closure element set and its
+left-ideal pair relation extend its prefix's by the last letter
 (Froidure & Pin 1997) instead of starting afresh.  The reached states
 are a bitmask, spread through per-letter tables of image masks, and a
 finals option's left-ideal test is one bitmask check.  Each prefix also
@@ -41,12 +44,13 @@ r(l) ** (r(f) - e), r the rank of a letter and e = 1 where every letter
 fixes the sink (the count behind the paper's n^(n-1), taken per pair of
 first and last letters; _RankBound).  Each prefix holds that bound for
 every rank of a last letter, so it costs a tuple two list lookups, and
-it comes first: a tuple whose bound is below the best meets no further
-test.  The others meet the tests on their letters (reachability, then
-the left-ideal test in left and two-sided cells), and a tuple that
-passes them is closed.  The Moore refinement that decides minimality
-runs only on the finals options of a tuple whose closure reaches the
-best.  Every witness is then re-verified by minimize,
+it comes first: a batch's leaves whose bound is below the best are
+dropped in one pass, before any of their letter tuples is built, and
+meet no further test.  The others meet the tests on their letters
+(reachability, then the left-ideal test in left and two-sided cells),
+and a tuple that passes them is closed.  The Moore refinement that
+decides minimality runs only on the finals options of a tuple whose
+closure reaches the best.  Every witness is then re-verified by minimize,
 transition_semigroup and the ideal tests of its family alone, not by
 the whole of classify.
 """
@@ -58,7 +62,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import permutations, product, repeat
+from itertools import compress, permutations, product, repeat
 from math import comb
 from operator import or_
 
@@ -248,11 +252,13 @@ def _child_images(child: tuple[int, ...], c: int, images,
     return below
 
 
-def _canonical_leaves(idx: tuple[int, ...], images, tables, last):
-    """Yield (c, finals tables of the relabelings fixing idx + (c,)) for each
-    pool index c in last such that no relabeling maps the letter tuple
-    idx + (c,) lower: (idx + (c,), finals i) is then canonical iff none of
-    those tables maps i lower.
+def _canonical_leaves(idx: tuple[int, ...], images, tables,
+                      last) -> tuple[list[int], list[tuple[int, list]]]:
+    """The pool indices c in last, in order, such that no relabeling maps
+    the letter tuple idx + (c,) lower, and (c, finals tables of the
+    relabelings fixing idx + (c,)) for the few of them that some
+    relabeling fixes: (idx + (c,), finals i) is then canonical iff none
+    of those tables maps i lower.
 
     idx is a sorted prefix that no relabeling maps lower, images holds its
     re-sorted images, and every c in last is at least idx[-1], so that
@@ -273,6 +279,7 @@ def _canonical_leaves(idx: tuple[int, ...], images, tables, last):
     tests = [(letters, finals, image,
               next((q for q, r in zip(idx, image) if q != r), None))
              for (letters, finals), image in zip(tables, images)]
+    leaves, fixed = [], []
     for c in last:
         fixing = []
         for letters, finals, image, rise in tests:
@@ -291,7 +298,10 @@ def _canonical_leaves(idx: tuple[int, ...], images, tables, last):
                 if whole == child:
                     fixing.append(finals)
         else:
-            yield c, fixing
+            leaves.append(c)
+            if fixing:
+                fixed.append((c, fixing))
+    return leaves, fixed
 
 
 def _subtree_size(task: SearchTask, letters: int, options: int, last: int,
@@ -465,16 +475,20 @@ class _RankBound(dict):
 def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int,
           facts: _LetterFacts | None = None):
     """Walk the global candidate order (letter tuple, then finals) as a
-    tree of letter prefixes, depth first, and yield (parent prefix node,
-    pool index of the last letter, letters, kept finals) for each
-    canonical candidate tuple under heads shard, shard + shards, ... in
-    the budget's prefix of the order.  Each
-    prefix carries its re-sorted image under every relabeling, its
-    parent's with one letter inserted.  A prefix some relabeling maps lower
-    is stepped over whole, by the size of its subtree; at the leaves the
-    finals options (of that prefix) that no relabeling fixing the tuple
-    maps lower are kept.  The least finals option is always kept, so no
-    yielded list is empty.  The root prefix node is given facts."""
+    tree of letter prefixes, depth first, and yield one batch (prefix
+    node, leaves, keep) per prefix of k - 1 letters with any canonical
+    leaf under heads shard, shard + shards, ... in the budget's prefix
+    of the order.  leaves lists, in order, the pool indices of the last
+    letters that make canonical letter tuples with the prefix.  Each
+    such tuple is canonical with every finals option save where keep,
+    a dict from pool index to finals list, says otherwise: for the leaf
+    the budget cuts, and for leaves that some relabeling fixes, where
+    only the options that no such relabeling maps lower are kept.  The
+    least finals option is always kept, so no list in keep is empty.
+    Each prefix carries its re-sorted image under every relabeling, its
+    parent's with one letter inserted.  A prefix some relabeling maps
+    lower is stepped over whole, by the size of its subtree.  The root
+    prefix node is given facts."""
     tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
     letters, options, budget = len(pool), len(finals_opts), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
@@ -486,15 +500,20 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int,
         more = task.k - len(idx) - 1
         first = idx[-1] if idx and task.prune else 0
         if not more:
-            # leaf c starts at pos + (c - first) * options
+            # leaf c starts at pos + (c - first) * options, so the budget
+            # leaves leaf end - 1 its first cut options only
             end = min(letters, first - (pos - budget) // options)
             last = indices[first:end] if idx else indices[shard:end:shards]
-            for c, fixing in _canonical_leaves(idx, images, tables, last):
-                keep = finals_opts[:budget - pos - (c - first) * options]
-                if fixing:
-                    keep = [f for fi, f in enumerate(keep)
-                            if not any(t[fi] < fi for t in fixing)]
-                yield up, c, up.gens + (pool[c],), keep
+            leaves, fixed = _canonical_leaves(idx, images, tables, last)
+            cut = budget - pos - (end - 1 - first) * options
+            keep = ({end - 1: finals_opts[:cut]}
+                    if cut < options and leaves and leaves[-1] == end - 1
+                    else {})
+            for c, fixing in fixed:
+                keep[c] = [f for fi, f in enumerate(keep.get(c, finals_opts))
+                           if not any(t[fi] < fi for t in fixing)]
+            if leaves:
+                yield up, leaves, keep
             return
         for c in indices[first:]:
             if pos >= budget:
@@ -549,9 +568,15 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     witnesses, the number of canonical candidates seen and the size of the
     whole candidate order.
 
-    A letter tuple whose rank bound (_RankBound, read off its prefix
-    node by its last letter's rank) is below the shard's best so far is
-    dropped first.  The others meet the letter tests (_in_class_finals),
+    The walk hands over one batch of leaves per prefix (_walk).  Its
+    canonical candidates are counted from the batch's length and the
+    few finals lists it holds, without visiting a leaf.  A letter tuple
+    whose rank bound (_RankBound, read off its prefix node by its last
+    letter's rank) is below the shard's best so far is dropped first:
+    one pass over the batch drops the leaves below the best at its
+    start, before their letter tuples are built, and since the best
+    rises inside a batch, each leaf left is held against it once more.
+    The others meet the letter tests (_in_class_finals),
     and one they leave an option is closed once, whatever number of
     options it leaves.  A tuple whose closure is smaller than the best is
     then dropped before any Moore refinement: sigma depends only on the
@@ -564,31 +589,39 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     raises the best."""
     pool = _pool(task)
     finals_opts = _finals_options(task)
+    options = len(finals_opts)
     left_ideal = task.family in ("left", "two_sided")
     facts = _LetterFacts(pool, task.family in ("right", "two_sided"))
     rank = facts.ranks
     best = 0
     wits: list[tuple] = []
     canonical = 0
-    for up, c, letters, keep in _walk(task, pool, finals_opts, shard, shards,
-                                      facts):
-        canonical += len(keep)
-        if up.bounds[rank[c]] < best:
-            continue
-        finals = _in_class_finals(letters, task.n, keep, left_ideal, up, c)
-        if not finals:
-            continue
-        s = len(up.close(letters))
-        if s < best:
-            continue
-        finals = _minimal_finals(letters, task.n, finals)
-        if not finals:
-            continue
-        if s > best:
-            best, wits = s, []
-        wits.extend((letters, tuple(sorted(f))) for f in finals)
-    return (best, wits, canonical,
-            _subtree_size(task, len(pool), len(finals_opts), 0, task.k))
+    for up, leaves, keep in _walk(task, pool, finals_opts, shard, shards,
+                                  facts):
+        canonical += len(leaves) * options + sum(
+            len(kept) - options for kept in keep.values())
+        bounds, gens = up.bounds, up.gens
+        for c in compress(leaves, map(best.__le__, map(
+                bounds.__getitem__, map(rank.__getitem__, leaves)))):
+            if bounds[rank[c]] < best:  # the best rose inside the batch
+                continue
+            letters = gens + (pool[c],)
+            finals = _in_class_finals(letters, task.n,
+                                      keep.get(c, finals_opts), left_ideal,
+                                      up, c)
+            if not finals:
+                continue
+            s = len(up.close(letters))
+            if s < best:
+                continue
+            finals = _minimal_finals(letters, task.n, finals)
+            if not finals:
+                continue
+            if s > best:
+                best, wits = s, []
+            wits.extend((letters, tuple(sorted(f))) for f in finals)
+    return best, wits, canonical, _subtree_size(task, len(pool), options, 0,
+                                                task.k)
 
 
 @contextmanager

@@ -80,6 +80,11 @@ def _encode(g: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(g).ljust(256, b"\0") if len(g) <= 256 else tuple(g)
 
 
+def _then(s: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The element s followed by letter g, both tuples."""
+    return itemgetter(*s)(g)
+
+
 def _closure(letters: Sequence, n: int, cap: int | None,
              base: set | frozenset | None = None
              ) -> tuple[list, list[int], list[int]] | set:
@@ -99,6 +104,13 @@ def _closure(letters: Sequence, n: int, cap: int | None,
     empty word or an element of base, closed under all the letters
     (Froidure & Pin 1997).
 
+    The BFS takes each element in turn through every letter, since that
+    order is what makes each parent chain a shortest word (lex-least
+    among them).  The base path returns only a set, so it may find its
+    elements in any order: it takes one level of new elements at a
+    time and each letter through the whole level, so the inner loop
+    runs over the level instead of over the few letters.
+
     Up to 256 states an element is bytes and t.translate(g) is t followed
     by g: composed and hashed in C.  Beyond that a state number does not
     fit in a byte, so elements are tuples and itemgetter(*t)(g) is t
@@ -114,18 +126,20 @@ def _closure(letters: Sequence, n: int, cap: int | None,
         c = g[:n]
         fresh = [] if c in seen else [c]
         seen.add(c)
+        compose = bytes.translate if small else _then
         for s in base:
-            c = s.translate(g) if small else itemgetter(*s)(g)
+            c = compose(s, g)
             if c not in seen:
                 seen.add(c)
                 fresh.append(c)
-        for s in fresh:  # the list grows while it is walked
-            then = s.translate if small else itemgetter(*s)
+        while fresh:  # one level of new elements, letter by letter
+            level, fresh = fresh, []
             for g in letters:
-                c = then(g)
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
+                for s in level:
+                    c = compose(s, g)
+                    if c not in seen:
+                        seen.add(c)
+                        fresh.append(c)
             if cap is not None and len(seen) > cap:
                 raise CapExceededError(cap, len(seen))
         return seen

@@ -7,6 +7,7 @@ import functools
 import importlib
 import os
 import random
+from bisect import bisect_left
 from itertools import combinations_with_replacement, permutations, product
 from operator import or_
 
@@ -133,6 +134,27 @@ def test_budgeted_right_5_3_is_pinned():
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == \
         (377, 288, 1_000_000, 582_178)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n, k, budget, expected", [
+    ("right", 6, 2, None, (1518, 120, 30_236_976, 28_956_366)),
+    ("two_sided", 6, 2, None, (120, 1, 15_237_960, 14_589_099)),
+    ("right", 6, 2, 400_000, (1518, 4, 400_000, 317_609)),
+])
+def test_six_state_cells_are_pinned(family, n, k, budget, expected):
+    # the seconds-scale n = 6 cells, where a prefix's batch holds thousands
+    # of leaves and 23 relabelings meet them.  A budget's prefix has no
+    # count without searching, so only the exhaustive runs are held
+    # against canonical_count
+    task = SearchTask(family, n, k, **({"budget": budget} if budget else {}))
+    result = search_max_sigma(task)
+    assert result.exhaustive == (budget is None)
+    assert (result.max_sigma, len(result.witnesses),
+            result.candidates_examined, result.candidates_pruned) == expected
+    if budget is None:
+        assert canonical_count(task) == \
+            result.candidates_examined - result.candidates_pruned
 
 
 @pytest.mark.parametrize("family, n, k, expected", [
@@ -330,15 +352,21 @@ def test_canonical_filter_removes_relabeled_duplicates():
 
 def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
     """Every canonical candidate the search's prefix walk yields, over all
-    shards, as (letter image tuples, sorted finals), checking that the
-    pool index yielded with each names its last letter."""
+    shards, as (letter image tuples, sorted finals), checking that each
+    batch lists its leaves in increasing order and that what it keeps
+    for a leaf is a nonempty part of the finals options, in their
+    order."""
     pool, opts = search._pool(task), search._finals_options(task)
     stream = []
     for shard in range(shards):
-        for _, c, letters, keep in search._walk(task, pool, opts, shard,
-                                                shards):
-            assert letters[-1] == pool[c], (letters, c)
-            stream.extend((letters, tuple(sorted(f))) for f in keep)
+        for up, leaves, keep in search._walk(task, pool, opts, shard,
+                                             shards):
+            assert leaves == sorted(set(leaves)) and set(keep) <= set(leaves)
+            for c in leaves:
+                kept = keep.get(c, opts)
+                assert kept and kept == [f for f in opts if f in kept], kept
+                stream.extend((up.gens + (pool[c],), tuple(sorted(f)))
+                              for f in kept)
     return stream
 
 
@@ -562,6 +590,54 @@ def test_canonical_count_matches_the_search(family, n, k):
         result.candidates_examined - result.candidates_pruned
 
 
+def _stream_positions(task: SearchTask) -> tuple[list[int], list[int]]:
+    """The positions in the candidate order (sorted letter tuples of pool
+    indices, then finals) of the canonical candidates _stream yields,
+    sorted, and the start positions of the letter tuples that it keeps
+    with some but not all of their finals options."""
+    pool, opts = search._pool(task), search._finals_options(task)
+    index = {g: i for i, g in enumerate(pool)}
+    option = {tuple(sorted(f)): i for i, f in enumerate(opts)}
+    order = {t: i for i, t in enumerate(
+        combinations_with_replacement(range(len(pool)), task.k))}
+    positions, kept = [], {}
+    for letters, finals in _stream(task):
+        start = order[tuple(index[g] for g in letters)] * len(opts)
+        positions.append(start + option[finals])
+        kept[start] = kept.get(start, 0) + 1
+    return sorted(positions), [s for s, m in kept.items() if m < len(opts)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
+def test_budgeted_canonical_counts_match_the_stream(serial_pool, jobs,
+                                                    family, n, k):
+    # budgets through the whole order, every 7th in orders of up to 500
+    # candidates, every 49th up to 3,000 and every 427th in all (3,3);
+    # each step leaves 1 over a multiple of the finals options, so cuts
+    # fall inside batches at every offset into a leaf's options.
+    # examined - pruned must be the number of canonical candidates before
+    # the budget, counted by their positions in the unbudgeted stream.
+    # In left and all cells with n = 3, the only ones with both a
+    # relabeling and more than one option, some budgets cut a leaf that a
+    # relabeling fixes, which keeps only part of its options
+    task = SearchTask(family, n, k)
+    options = len(search._finals_options(task))
+    total = search._subtree_size(task, len(search._pool(task)), options, 0, k)
+    positions, partial = _stream_positions(task)
+    step = 7 if total <= 500 else 49 if total <= 3000 else 427
+    cuts = 0
+    for budget in range(1, total + step, step):
+        result = search_max_sigma(SearchTask(family, n, k, budget=budget,
+                                             jobs=jobs))
+        assert result.candidates_examined == min(budget, total)
+        assert result.exhaustive == (budget >= total)
+        assert result.candidates_examined - result.candidates_pruned == \
+            bisect_left(positions, budget), budget
+        cuts += any(s < budget < s + options for s in partial)
+    assert (cuts > 0) == (family in ("left", "all") and n == 3), cuts
+
+
 @functools.cache
 def _reference(family: str, n: int, k: int) -> tuple:
     """The maximum sigma and the sorted witness keys of a cell, over every
@@ -690,8 +766,9 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     monkeypatch.setattr(search, "_moore_classes", refined)
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
-    walked = [letters for _, _, letters, _ in search._walk(
-        task, search._pool(task), search._finals_options(task), 0, 1)]
+    pool = search._pool(task)
+    walked = [up.gens + (pool[c],) for up, leaves, _ in search._walk(
+        task, pool, search._finals_options(task), 0, 1) for c in leaves]
 
     best, at = 0, 0
     for gens in walked:
@@ -727,17 +804,18 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
 ])
 def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
                                             tuples, tested):
-    # the canonical letter tuples the walk yields, and those that meet the
-    # letter tests (_in_class_finals) at jobs=1: only the tuples whose rank
-    # bound reaches the best sigma so far.  In left (3,4) the bound, with
-    # no fixed sink, rules out none
+    # the canonical letter tuples the walk yields, counted over the leaves
+    # of its batches, and those that meet the letter tests
+    # (_in_class_finals) at jobs=1: only the tuples whose rank bound
+    # reaches the best sigma so far.  In left (3,4) the bound, with no
+    # fixed sink, rules out none
     real_walk, real_filter = search._walk, search._in_class_finals
     walked, seen = [], []
 
     def counted_walk(*args):
-        for leaf in real_walk(*args):
-            walked.append(leaf)
-            yield leaf
+        for batch in real_walk(*args):
+            walked.extend(batch[1])
+            yield batch
 
     def counted_filter(gens, *args):
         seen.append(gens)
