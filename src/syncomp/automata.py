@@ -143,10 +143,13 @@ class Nfa:
 def _reachable(rows: Sequence[Sequence[int]], start: int) -> list[int]:
     """States reached from start under the image rows, in BFS order with
     the rows taken in order: the package's one state-reachability walk.
-    The search alone decides reachability otherwise, as a bitmask spread
-    through per-letter tables of image masks (search._spread), which
-    test_reach_masks_agree_with_the_walk holds against this walk on every
-    letter tuple of the cells with n <= 3 and k <= 3."""
+    The search alone decides reachability otherwise: each prefix node
+    spreads a bitmask through the mask tables of its letters
+    (search._Prefix.reaches_all), read off the shard's search._LetterFacts.
+    test_reach_masks_agree_with_the_walk holds that path against this walk
+    on every letter tuple of the cells with n <= 3 and k <= 3, and
+    test_inherited_facts_never_change_a_verdict on every tuple the
+    search tests in those cells and in right (4,3)."""
     order, seen = [start], {start}
     for q in order:  # the list grows while it is walked
         for row in rows:

@@ -249,6 +249,10 @@ def _cmd_oracle(args) -> int:
     if args.max_words < 1:
         raise ValueError(
             f"--max-words must be at least 1, got {args.max_words}")
+    # the brute count refuses a large N at once: the closed form's cost
+    # grows about as N^3, so it must not run first
+    brute = (None if args.ruled_out is None
+             else ruled_out_count_brute(args.ruled_out))
     status = 0
     ran = False
     if args.dfa is not None:
@@ -263,7 +267,6 @@ def _cmd_oracle(args) -> int:
     if args.ruled_out is not None:
         ran = True
         formula = ruled_out_count_formula(args.ruled_out)
-        brute = ruled_out_count_brute(args.ruled_out)
         agree = formula == brute
         print(f"ruled-out n={args.ruled_out}  formula={formula}  "
               f"brute={brute}  {'ok' if agree else 'MISMATCH'}")

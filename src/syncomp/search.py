@@ -34,7 +34,10 @@ are a bitmask, spread through per-letter tables of image masks, and a
 finals option's left-ideal test is one bitmask check.  Each prefix also
 keeps its letters in the closure's encoding, so a letter is encoded once
 for its prefix node, and a tuple's last letter only when the tuple is
-closed.
+closed.  Each step of the walk makes one prefix node (_Prefix), its
+parent plus one pool index, which holds all of the above for its prefix.
+A letter's rank and mask table are built once per shard (_LetterFacts)
+and read by pool index, by nodes and leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -66,7 +69,7 @@ from itertools import compress, permutations, product, repeat
 from math import comb
 from operator import or_
 
-from .automata import Dfa, _moore_classes, _reachable, minimize
+from .automata import Dfa, _moore_classes, minimize
 from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
                        _left_ideal_relation, _orbit)
 from .semigroup import _closure, _encode, transition_semigroup
@@ -341,21 +344,21 @@ def _spread(reach: int, union: bytes, image: bytes) -> int:
 
 
 class _LetterFacts:
-    """What a leaf's tests read off the pool letter it ends with, in lists
+    """What the walk's nodes and leaves read off a pool letter, in lists
     indexed by pool index: ranks (image sizes), built at once since every
     leaf reads one, and mask tables (_image_masks), each built when a
-    leaf first needs it; with bound, the shard's _RankBound.  A list
+    node or leaf first needs it; with bound, the shard's _RankBound.  A list
     entry costs a pointer where a dict entry would cost a hash slot as
     well, which matters at n=7, where a right cell's pool holds 117,649
     letters and a left cell's 823,543."""
 
-    __slots__ = ("pool", "ranks", "images", "bound")
+    __slots__ = ("pool", "n", "ranks", "images", "bound")
 
-    def __init__(self, pool, sink: bool):
-        self.pool = pool
-        self.ranks = list(map(len, map(set, pool)))
-        self.images: list[bytes | None] = [None] * len(pool)
-        self.bound = _RankBound(sink)
+    def __init__(self, task: SearchTask):
+        self.pool, self.n = _pool(task), task.n
+        self.ranks = list(map(len, map(set, self.pool)))
+        self.images: list[bytes | None] = [None] * len(self.pool)
+        self.bound = _RankBound(task.family in ("right", "two_sided"))
 
     def image(self, c: int) -> bytes:
         table = self.images[c]
@@ -365,9 +368,13 @@ class _LetterFacts:
 
 
 class _Prefix:
-    """A node of the walk: the letters of a prefix, facts that hold for
+    """A node of the walk: a prefix of pool indices, facts that hold for
     every letter tuple extending it, and the partial results its tuples
-    extend by their further letters (Froidure & Pin 1997).
+    extend by their further letters (Froidure & Pin 1997).  A node is its
+    parent up plus pool index c, and reads c's letter, rank and mask table
+    off the shard's _LetterFacts, which every node shares.
+      - idx holds the pool indices, gens their letters, and images the
+        prefix's re-sorted image under each relabeling (_child_images).
       - reach is the mask of the states its letters reach from 0, and
         union the byte-wise OR of their mask tables (_image_masks): a
         node spreads its parent's reach by its parent's union and its own
@@ -377,8 +384,7 @@ class _Prefix:
         (classify._left_ideal_relation) of a tuple are its prefix's,
         extended by the last letter.  Each is decided at most once and
         only when asked.  The root, with no letters, reaches state 0
-        alone, its closure is empty, and it builds a pair relation
-        afresh.
+        alone, its closure is empty and its pair relation is the seeds.
       - codes holds the letters in the closure's encoding
         (semigroup._encode): a node encodes its own last letter when it
         is made, and a tuple below it its last letter only when it is
@@ -387,62 +393,68 @@ class _Prefix:
         bound (_RankBound) of the node's letters and one more letter of
         rank r, for r = 1..n (no letter has rank 0, so bounds[0] only
         fills the place), read when the node is made, so a tuple's bound
-        is one list index.
-    facts is the shard's _LetterFacts, which the root is given and every
-    node below it shares.  A root made without it hands down no bounds,
-    and no tuple below it can test reachability by pool index."""
+        is one list index."""
 
-    __slots__ = ("gens", "codes", "ranks", "bounds", "reach", "union",
-                 "facts", "up", "n", "_closed", "_need")
+    __slots__ = ("up", "facts", "idx", "gens", "images", "codes", "ranks",
+                 "bounds", "reach", "union", "_closed", "_need")
 
-    def __init__(self, gens: tuple, up: "_Prefix | None", n: int,
-                 facts: _LetterFacts | None = None):
-        self.gens, self.up, self.n = gens, up, n
-        if up is None:
-            self.codes = self.ranks = ()
-            self.reach, self.union, self.facts = 1, bytes(1 << n), facts
-        else:
-            g = gens[-1]
-            own = _image_masks(g)
-            self.codes = up.codes + (_encode(g),)
-            self.ranks = up.ranks + (len(set(g)),)
-            self.reach = _spread(up.reach, up.union, own)
-            self.union = bytes(map(or_, up.union, own))
-            self.facts = up.facts
-        self.bounds = None if self.facts is None else [
-            0, *(self.facts.bound[self.ranks + (r,)] for r in range(1, n + 1))]
-        self._closed = None
-        self._need = None
+    def __init__(self, up: _Prefix, c: int, images: list):
+        facts = self.facts = up.facts
+        g, own = facts.pool[c], facts.image(c)
+        self.up, self.idx, self.gens = up, up.idx + (c,), up.gens + (g,)
+        self.images, self.codes = images, up.codes + (_encode(g),)
+        self.reach = _spread(up.reach, up.union, own)
+        self.union = bytes(map(or_, up.union, own))
+        self._rank(up.ranks + (facts.ranks[c],))
+        self._closed = self._need = None
+
+    @classmethod
+    def root(cls, facts: _LetterFacts, images: list) -> _Prefix:
+        """The node of the empty prefix; images holds its image, (),
+        once per relabeling."""
+        node = cls.__new__(cls)
+        node.up, node.facts, node.images = None, facts, images
+        node.idx = node.gens = node.codes = ()
+        node.reach, node.union = 1, bytes(1 << facts.n)
+        node._rank(())
+        node._closed = frozenset()
+        node._need = _left_ideal_relation((), facts.n, 0)
+        return node
+
+    def _rank(self, ranks: tuple[int, ...]) -> None:
+        """Set ranks, and bounds from them."""
+        self.ranks, bound = ranks, self.facts.bound
+        self.bounds = [0, *(bound[ranks + (r,)]
+                            for r in range(1, self.facts.n + 1))]
 
     def reaches_all(self, c: int) -> bool:
         """Whether this prefix's letters and pool letter c reach every
         state from 0."""
-        full = (1 << self.n) - 1
+        full = (1 << self.facts.n) - 1
         return self.reach == full or _spread(
             self.reach, self.union, self.facts.image(c)) == full
 
-    def close(self, gens: tuple) -> set:
-        """The closure's element set of gens, this prefix's letters and
-        one more."""
-        return _closure(self.codes + (_encode(gens[-1]),), self.n, None,
-                        self.closure())
+    def close(self, c: int) -> set:
+        """The closure's element set of this prefix's letters and pool
+        letter c."""
+        return _closure(self.codes + (_encode(self.facts.pool[c]),),
+                        self.facts.n, None, self.closure())
 
     def closure(self) -> set | frozenset:
         if self._closed is None:
-            self._closed = (frozenset() if self.up is None else _closure(
-                self.codes, self.n, None, self.up.closure()))
+            self._closed = _closure(self.codes, self.facts.n, None,
+                                    self.up.closure())
         return self._closed
 
-    def pairs(self, gens: tuple) -> list[int]:
-        """The left-ideal pair relation of gens, this prefix's letters and
-        one more.  The root inherits nothing and builds it from the seeds,
-        so there gens may have any number of letters."""
-        return _left_ideal_relation(
-            gens, self.n, 0, None if self.up is None else self.relation())
+    def pairs(self, c: int) -> list[int]:
+        """The left-ideal pair relation of this prefix's letters and pool
+        letter c."""
+        return _left_ideal_relation(self.gens + (self.facts.pool[c],),
+                                    self.facts.n, 0, self.relation())
 
     def relation(self) -> list[int]:
         if self._need is None:
-            self._need = self.up.pairs(self.gens)
+            self._need = self.up.pairs(self.idx[-1])
         return self._need
 
 
@@ -472,8 +484,8 @@ class _RankBound(dict):
         return b
 
 
-def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int,
-          facts: _LetterFacts | None = None):
+def _walk(task: SearchTask, facts: _LetterFacts, finals_opts, shard: int,
+          shards: int):
     """Walk the global candidate order (letter tuple, then finals) as a
     tree of letter prefixes, depth first, and yield one batch (prefix
     node, leaves, keep) per prefix of k - 1 letters with any canonical
@@ -485,18 +497,19 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int,
     the budget cuts, and for leaves that some relabeling fixes, where
     only the options that no such relabeling maps lower are kept.  The
     least finals option is always kept, so no list in keep is empty.
-    Each prefix carries its re-sorted image under every relabeling, its
-    parent's with one letter inserted.  A prefix some relabeling maps
-    lower is stepped over whole, by the size of its subtree.  The root
-    prefix node is given facts."""
+    The pool is that of facts, and each node (_Prefix) carries its
+    prefix's re-sorted images.  A prefix some relabeling maps lower is
+    stepped over whole, by the size of its subtree."""
+    pool = facts.pool
     tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
     letters, options, budget = len(pool), len(finals_opts), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
     indices = tuple(range(letters))
 
-    def visit(up: _Prefix, idx: tuple[int, ...], images, pos: int):
-        # the children of prefix idx, the first starting at position pos;
-        # the heads (the root's children) are dealt out to the shards
+    def visit(node: _Prefix, pos: int):
+        # the children of node, the first starting at position pos; the
+        # heads (the root's children) are dealt out to the shards
+        idx = node.idx
         more = task.k - len(idx) - 1
         first = idx[-1] if idx and task.prune else 0
         if not more:
@@ -504,7 +517,7 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int,
             # leaves leaf end - 1 its first cut options only
             end = min(letters, first - (pos - budget) // options)
             last = indices[first:end] if idx else indices[shard:end:shards]
-            leaves, fixed = _canonical_leaves(idx, images, tables, last)
+            leaves, fixed = _canonical_leaves(idx, node.images, tables, last)
             cut = budget - pos - (end - 1 - first) * options
             keep = ({end - 1: finals_opts[:cut]}
                     if cut < options and leaves and leaves[-1] == end - 1
@@ -513,45 +526,33 @@ def _walk(task: SearchTask, pool, finals_opts, shard: int, shards: int,
                 keep[c] = [f for fi, f in enumerate(keep.get(c, finals_opts))
                            if not any(t[fi] < fi for t in fixing)]
             if leaves:
-                yield up, leaves, keep
+                yield node, leaves, keep
             return
         for c in indices[first:]:
             if pos >= budget:
                 return
             if idx or c % shards == shard:
-                child = idx + (c,)
-                below = _child_images(child, c, images, tables)
+                below = _child_images(idx + (c,), c, node.images, tables)
                 if below is not None:
-                    yield from visit(
-                        _Prefix(up.gens + (pool[c],), up, task.n), child,
-                        below, pos)
+                    yield from visit(_Prefix(node, c, below), pos)
             pos += _subtree_size(task, letters, options, c, more)
 
-    yield from visit(_Prefix((), None, task.n, facts), (),
-                     [()] * len(tables), 0)
+    yield from visit(_Prefix.root(facts, [()] * len(tables)), 0)
 
 
-def _in_class_finals(gens: tuple[tuple[int, ...], ...], n: int,
-                     options: list[frozenset[int]], left_ideal: bool,
-                     up: _Prefix | None = None,
-                     c: int | None = None) -> list[frozenset[int]]:
-    """The finals among options with which gens reaches every state from 0
-    and, if left_ideal, is a left ideal: the tests that read the letters
-    only, minimality aside.  up is the prefix node gens extends by pool
-    letter c: the states up reaches are spread by its letters and c's
-    mask table (_Prefix.reaches_all), and its pair relation is extended
-    by the last letter.  Without up nothing is inherited, and
-    reachability is the plain walk (automata._reachable).  The left-ideal
-    test of an option is one bitmask check, sound once every state is
-    reachable, minimal or not."""
-    if up is None:
-        if len(_reachable(gens, 0)) < n:
-            return []
-        up = _Prefix((), None, n)
-    elif not up.reaches_all(c):
+def _in_class_finals(up: _Prefix, c: int, options: list[frozenset[int]],
+                     left_ideal: bool) -> list[frozenset[int]]:
+    """The finals among options with which the letters of prefix node up
+    and pool letter c reach every state from 0 and, if left_ideal, make a
+    left ideal: the tests that read the letters only, minimality aside.
+    The states up reaches are spread by its letters and c's mask table
+    (_Prefix.reaches_all), and its pair relation is extended by c's
+    letter (_Prefix.pairs).  The left-ideal test of an option is one
+    bitmask check, sound once every state is reachable, minimal or not."""
+    if not up.reaches_all(c):
         return []
     if left_ideal:
-        need = up.pairs(gens)
+        need = up.pairs(c)
         options = [f for f in options if _left_ideal_admits(need, f)]
     return options
 
@@ -587,33 +588,30 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     so the tuples closed are the same in either order.  Only the options
     of the other tuples are tested for minimality, and only a minimal one
     raises the best."""
-    pool = _pool(task)
+    facts = _LetterFacts(task)
+    pool, rank = facts.pool, facts.ranks
     finals_opts = _finals_options(task)
     options = len(finals_opts)
     left_ideal = task.family in ("left", "two_sided")
-    facts = _LetterFacts(pool, task.family in ("right", "two_sided"))
-    rank = facts.ranks
     best = 0
     wits: list[tuple] = []
     canonical = 0
-    for up, leaves, keep in _walk(task, pool, finals_opts, shard, shards,
-                                  facts):
+    for up, leaves, keep in _walk(task, facts, finals_opts, shard, shards):
         canonical += len(leaves) * options + sum(
             len(kept) - options for kept in keep.values())
-        bounds, gens = up.bounds, up.gens
+        bounds = up.bounds
         for c in compress(leaves, map(best.__le__, map(
                 bounds.__getitem__, map(rank.__getitem__, leaves)))):
             if bounds[rank[c]] < best:  # the best rose inside the batch
                 continue
-            letters = gens + (pool[c],)
-            finals = _in_class_finals(letters, task.n,
-                                      keep.get(c, finals_opts), left_ideal,
-                                      up, c)
+            finals = _in_class_finals(up, c, keep.get(c, finals_opts),
+                                      left_ideal)
             if not finals:
                 continue
-            s = len(up.close(letters))
+            s = len(up.close(c))
             if s < best:
                 continue
+            letters = up.gens + (pool[c],)
             finals = _minimal_finals(letters, task.n, finals)
             if not finals:
                 continue

@@ -414,6 +414,18 @@ def test_oracle_ruled_out_agreement(capsys):
     assert "formula=114" in out and "brute=114" in out and "ok" in out
 
 
+def test_oracle_refuses_a_large_ruled_out_n_before_the_formula(monkeypatch,
+                                                               capsys):
+    # the closed form takes about a minute at N = 8,000 and grows as N^3;
+    # an N the brute count refuses must exit before it is computed
+    def never(n):
+        raise AssertionError("closed form computed")
+
+    monkeypatch.setattr("syncomp.cli.ruled_out_count_formula", never)
+    assert main(["oracle", "--ruled-out", "100000"]) == 2
+    assert "refused" in capsys.readouterr().err
+
+
 def test_oracle_dfa_agreement(right4_file, capsys):
     assert main(["oracle", "--dfa", right4_file]) == 0
     assert "sigma engine=64  word-bfs=64  ok" in capsys.readouterr().out

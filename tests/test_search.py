@@ -19,7 +19,8 @@ from syncomp import (SearchTask, Transformation, classify, minimize,
                      transition_semigroup)
 from syncomp import search
 from syncomp.automata import _reachable
-from syncomp.classify import _left_ideal_admits, _left_ideal_walk
+from syncomp.classify import (_left_ideal_admits, _left_ideal_pairs,
+                              _left_ideal_walk)
 from syncomp.oracles import canonical_count
 from syncomp.semigroup import _closure, _encode
 from syncomp.search import _in_class_finals, _minimal_finals
@@ -95,6 +96,7 @@ def test_right_5_2_long_cell():
     ("right", 4, 2, UNPRUNED, (31, 36, 4096, 0)),
     ("left", 3, 2, UNPRUNED, (7, 8, 2187, 0)),
     ("two_sided", 3, 3, UNPRUNED, (6, 6, 729, 0)),
+    ("two_sided", 5, 2, PRUNED, (31, 1, 111_628, 92_487)),
 ])
 def test_cell_counts_are_pinned(family, n, k, prune, expected):
     # the witness count and the candidate counters change if the canonical
@@ -112,10 +114,15 @@ def test_cell_counts_are_pinned(family, n, k, prune, expected):
 @pytest.mark.parametrize("family, n, k, expected", [
     ("left", 4, 3, (34, 63, 3_411_408, 2_841_102)),
     ("two_sided", 4, 4, (23, 64, 341_055, 169_840)),
+    ("left", 5, 2, (59, 9, 18_474_975, 17_696_952)),
+    ("two_sided", 4, 5, (25, 128, 3_819_816, 1_907_180)),
+    ("two_sided", 5, 3, (73, 5, 17_637_224, 14_687_502)),
 ])
 def test_frontier_cell_counts_are_pinned(family, n, k, expected):
-    # the table cells about a second long at jobs=1; left (4,3) is above
-    # the bundled 25, and two-sided (4,4) equals the bundled value
+    # the table cells up to about ten seconds long at jobs=1: left (4,3),
+    # left (5,2) and two-sided (5,3) are above the bundled 25, 34 and 47,
+    # two-sided (4,4) and (4,5) equal the bundled 23 and 25; k = 5 walks
+    # chains of four prefix nodes
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     assert result.exhaustive
@@ -356,10 +363,10 @@ def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
     batch lists its leaves in increasing order and that what it keeps
     for a leaf is a nonempty part of the finals options, in their
     order."""
-    pool, opts = search._pool(task), search._finals_options(task)
-    stream = []
+    facts, opts = search._LetterFacts(task), search._finals_options(task)
+    pool, stream = facts.pool, []
     for shard in range(shards):
-        for up, leaves, keep in search._walk(task, pool, opts, shard,
+        for up, leaves, keep in search._walk(task, facts, opts, shard,
                                              shards):
             assert leaves == sorted(set(leaves)) and set(keep) <= set(leaves)
             for c in leaves:
@@ -368,6 +375,15 @@ def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
                 stream.extend((up.gens + (pool[c],), tuple(sorted(f)))
                               for f in kept)
     return stream
+
+
+def _node(facts, idx):
+    """The walk's prefix node of the pool indices idx, made one letter at
+    a time from the root, as the walk makes it, with no relabelings."""
+    node = search._Prefix.root(facts, [])
+    for c in idx:
+        node = search._Prefix(node, c, [])
+    return node
 
 
 @pytest.mark.parametrize("family, n, k", [
@@ -403,13 +419,16 @@ def test_stream_yields_each_orbit_minimum_once(family, n, k):
 
 
 def test_search_minimality_test_agrees_with_minimize():
-    # the search's tuple-level filters share minimize's refinement but walk
-    # reachability once per letter tuple, as search calls them: all six
+    # the search's tuple-level filters share minimize's refinement but test
+    # reachability once per letter tuple, as search calls them: the first
+    # letter's prefix node and the second letter's pool index, all six
     # finals options at once; cover minimal and non-minimal DFAs alike.
-    # With the left-ideal test on, the pair walk also sees reachable
+    # With the left-ideal test on, the pair relation also sees reachable
     # automata that are not minimal, before the refinement drops them
     sweep = binary_3_sweep()
     options = [d.finals for d in sweep[:6]]
+    facts = search._LetterFacts(SearchTask("all", 3, 2, prune=False))
+    index = {g: c for c, g in enumerate(facts.pool)}
     for left_ideal, count in ((False, 2056), (True, 70)):
         kept = 0
         for i in range(0, len(sweep), 6):
@@ -418,8 +437,9 @@ def test_search_minimality_test_agrees_with_minimize():
             assert [d.finals for d in group] == options
             expected = [d.finals for d in group if minimize(d).n == 3
                         and (not left_ideal or classify(d).is_left_ideal)]
-            assert _minimal_finals(
-                gens, 3, _in_class_finals(gens, 3, options, left_ideal)) == \
+            up = _node(facts, [index[gens[0]]])
+            assert _minimal_finals(gens, 3, _in_class_finals(
+                up, index[gens[1]], options, left_ideal)) == \
                 expected, (gens, left_ideal)
             kept += len(expected)
         assert kept == count, left_ideal
@@ -437,15 +457,13 @@ def test_pair_relation_verdict_agrees_with_the_walk(family, n, k, tuples,
     # the search does, then tested per finals option by one bitmask check,
     # against classify's semantic walk of L = Σ*L
     task = SearchTask(family, n, k, prune=False)
-    options = search._finals_options(task)
+    facts, options = search._LetterFacts(task), search._finals_options(task)
     reachable = passed = 0
-    for gens in product(search._pool(task), repeat=k):
+    for idx in product(range(len(facts.pool)), repeat=k):
+        gens = tuple(facts.pool[c] for c in idx)
         if len(_reachable(gens, 0)) < n:
             continue
-        up = search._Prefix((), None, n)
-        for i in range(1, k):
-            up = search._Prefix(gens[:i], up, n)
-        need = up.pairs(gens)
+        need = _node(facts, idx[:-1]).pairs(idx[-1])
         for f in options:
             verdict = _left_ideal_admits(need, f)
             assert verdict == _left_ideal_walk(gens, n, 0, f), (gens, f)
@@ -678,13 +696,14 @@ def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
     # through prefix nodes as the search does, against the size of its
     # closure by the plain BFS
     task = SearchTask(family, n, k, prune=False)
+    facts = search._LetterFacts(task)
     bound = search._RankBound(family in ("right", "two_sided"))
-    for gens in product(search._pool(task), repeat=k):
-        up = search._Prefix((), None, n)
-        for i in range(1, k):
-            up = search._Prefix(gens[:i], up, n)
-        ranks = up.ranks + (len(set(gens[-1])),)
+    for idx in product(range(len(facts.pool)), repeat=k):
+        gens = tuple(facts.pool[c] for c in idx)
+        up = _node(facts, idx[:-1])
+        ranks = up.ranks + (facts.ranks[idx[-1]],)
         assert ranks == tuple(len(set(g)) for g in gens)
+        assert up.bounds[ranks[-1]] == bound[ranks]
         sigma = len(_closure([_encode(g) for g in gens], n, None)[0])
         assert sigma <= bound[ranks], gens
 
@@ -697,16 +716,15 @@ def test_reach_masks_agree_with_the_walk(family, n, k):
     # tuple's reachability test by its last letter's pool index passes iff
     # that walk reaches every state
     task = SearchTask(family, n, k, prune=False)
-    pool = search._pool(task)
-    facts = search._LetterFacts(pool, family in ("right", "two_sided"))
-    root = search._Prefix((), None, n, facts)
+    facts = search._LetterFacts(task)
+    root = search._Prefix.root(facts, [])
     assert root.reach == 1
     nodes = {(): root}
-    for idx in product(range(len(pool)), repeat=k):
-        gens = tuple(pool[c] for c in idx)
+    for idx in product(range(len(facts.pool)), repeat=k):
+        gens = tuple(facts.pool[c] for c in idx)
         for i in range(1, k):
             if idx[:i] not in nodes:
-                up = search._Prefix(gens[:i], nodes[idx[:i - 1]], n)
+                up = search._Prefix(nodes[idx[:i - 1]], idx[i - 1], [])
                 assert up.reach == sum(1 << q for q in _reachable(gens[:i], 0))
                 nodes[idx[:i]] = up
         assert nodes[idx[:-1]].reaches_all(idx[-1]) == \
@@ -731,22 +749,27 @@ def test_mask_table_entries_are_image_sets(n):
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3)])
 def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # the letter-level filter spreads a prefix's reached states and extends
-    # its pair relation: it must keep the same finals as when it inherits
-    # nothing.  Replaying the walk's tuples in order: a tuple whose rank
-    # bound is below the best sigma so far meets no letter test and is not
-    # closed, and its closure is below that best; every other one meets
-    # the letter tests, and if they keep an option it is closed once,
-    # right after them.  The Moore refinement then runs on every kept
-    # option of a closed tuple if its closure reaches the best so far, and
-    # on nothing else
+    # its pair relation: it must keep the same finals as the plain walk
+    # (automata._reachable) and the pair relation built afresh
+    # (classify._left_ideal_pairs) of the whole tuple.  Replaying the
+    # walk's tuples in order: a tuple whose rank bound is below the best
+    # sigma so far meets no letter test and is not closed, and its closure
+    # is below that best; every other one meets the letter tests, and if
+    # they keep an option it is closed once, right after them.  The Moore
+    # refinement then runs on every kept option of a closed tuple if its
+    # closure reaches the best so far, and on nothing else
     real_filter, real_closure, real_moore = (
         search._in_class_finals, search._closure, search._moore_classes)
     bound = search._RankBound(family in ("right", "two_sided"))
     calls = []
 
-    def compared(gens, n_, options, left_ideal, up=None, c=None):
-        kept = real_filter(gens, n_, options, left_ideal, up, c)
-        assert kept == real_filter(gens, n_, options, left_ideal), gens
+    def compared(up, c, options, left_ideal):
+        kept = real_filter(up, c, options, left_ideal)
+        gens = up.gens + (up.facts.pool[c],)
+        expected = [] if len(_reachable(gens, 0)) < n else [
+            f for f in options
+            if not left_ideal or _left_ideal_pairs(gens, n, 0, f)]
+        assert kept == expected, gens
         calls.append(("tested", gens, kept))
         return kept
 
@@ -766,9 +789,9 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     monkeypatch.setattr(search, "_moore_classes", refined)
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
-    pool = search._pool(task)
-    walked = [up.gens + (pool[c],) for up, leaves, _ in search._walk(
-        task, pool, search._finals_options(task), 0, 1) for c in leaves]
+    facts = search._LetterFacts(task)
+    walked = [up.gens + (facts.pool[c],) for up, leaves, _ in search._walk(
+        task, facts, search._finals_options(task), 0, 1) for c in leaves]
 
     best, at = 0, 0
     for gens in walked:
@@ -817,9 +840,9 @@ def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
             walked.extend(batch[1])
             yield batch
 
-    def counted_filter(gens, *args):
-        seen.append(gens)
-        return real_filter(gens, *args)
+    def counted_filter(up, c, *args):
+        seen.append(up.idx + (c,))
+        return real_filter(up, c, *args)
 
     monkeypatch.setattr(search, "_walk", counted_walk)
     monkeypatch.setattr(search, "_in_class_finals", counted_filter)
@@ -874,10 +897,9 @@ def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
     class Counted(search._Prefix):
         __slots__ = ()
 
-        def __init__(self, gens, up, n_, *facts):
-            if up is not None:
-                made.append(gens)
-            super().__init__(gens, up, n_, *facts)
+        def __init__(self, up, c, images):
+            made.append(up.idx + (c,))
+            super().__init__(up, c, images)
 
     def counted_encode(g):
         encoded.append(g)
