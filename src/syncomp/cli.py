@@ -215,6 +215,11 @@ def _cmd_reverse(args) -> int:
     else:
         if args.family is None or args.n is None:
             raise FormatError("reverse needs --input or --family with --n")
+        # the reversed witness's subset DFA has 2^(n-1) states: n = 18
+        # takes seconds and 145 MB, and each two more states cost 4x
+        if args.n > 20:
+            raise FormatError(
+                f"reverse --family is limited to --n <= 20, got {args.n}")
         fam = _family(args.family)
         designated, formula = REVERSAL_SETUP[fam]
         d = family_witness(fam, args.n, args.letters)

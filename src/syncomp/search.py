@@ -19,11 +19,12 @@ canonical filters below only discard duplicates of languages that are kept
 elsewhere.
 
 The candidate order is walked as a tree of letter prefixes, depth first
-(orderly generation, McKay 1998).  A prefix that some relabeling maps lower
-is stepped over with its whole subtree.  Each prefix keeps its re-sorted
-image under every relabeling, its parent's with one letter inserted, so a
-tuple's test against a relabeling compares its last letter's image with
-one bound fixed per prefix, and builds the tuple's image only on a tie.
+(orderly generation, McKay 1998), every level alike.  A prefix that some
+relabeling maps lower is stepped over with its whole subtree.  Each prefix
+keeps its re-sorted image under every relabeling, its parent's with one
+letter inserted, so a child's test against a relabeling compares its last
+letter's image with one bound fixed per prefix, and builds the child's
+image only on a tie.  One closed form places each child in the order.
 The leaves under a prefix of k - 1 letters reach the search as one
 batch: the pool indices of their canonical last letters, and finals
 lists for the few leaves that do not keep every option.  Each tuple's
@@ -36,8 +37,8 @@ keeps its letters in the closure's encoding, so a letter is encoded once
 for its prefix node, and a tuple's last letter only when the tuple is
 closed.  Each step of the walk makes one prefix node (_Prefix), its
 parent plus one pool index, which holds all of the above for its prefix.
-A letter's rank and mask table are built once per shard (_LetterFacts)
-and read by pool index, by nodes and leaves alike.
+A letter's rank, mask table and relabeled letters are built once per
+shard (_LetterFacts) and read by pool index, by nodes and leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -61,7 +62,7 @@ the whole of classify.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -101,10 +102,10 @@ class SearchTask:
       - a candidate is dropped if a relabeling of the free states maps it to
         a smaller one, comparing the re-sorted letter tuple and then, on a
         tie, the finals: the relabeled DFA has the same sigma and class and
-        is enumerated itself.  Letter tuples are compared through the
-        stored re-sorted image of their prefix: per relabeling, the last
-        letter's image is compared with one bound, and the whole image is
-        built only where the two are equal;
+        is enumerated itself.  Letter tuples and their prefixes are
+        compared through the stored re-sorted image of their own prefix:
+        per relabeling, the last letter's image is compared with one
+        bound, and the whole image is built only where the two are equal;
       - a letter prefix that some relabeling maps lower is skipped whole,
         with every tuple under it: the re-sorted image of each of them is
         lower too.
@@ -238,35 +239,20 @@ def _insert(image: tuple[int, ...], x: int) -> tuple[int, ...]:
     return image[:i] + (x,) + image[i:]
 
 
-def _child_images(child: tuple[int, ...], c: int, images,
-                  tables) -> list[tuple[int, ...]] | None:
-    """The re-sorted images of the sorted prefix child, which extends the
-    prefix of images by pool index c, under each relabeling; None if one
-    maps child lower.  It then maps every sorted tuple that extends child
-    lower: adding letters can only lower each order statistic of the image,
-    so the re-sorted image of the whole tuple is already lower where the
-    prefix's is."""
-    below = []
-    for (letters, _), image in zip(tables, images):
-        image = _insert(image, letters[c])
-        if image < child:
-            return None
-        below.append(image)
-    return below
+def _canonical_children(node: _Prefix,
+                        kids) -> tuple[list[int], list[tuple[int, list]]]:
+    """The pool indices c in kids, in order, such that no relabeling maps
+    t = idx + (c,) lower, idx being node's prefix, and (c, finals tables
+    of the relabelings fixing t) for the few c that some relabeling
+    fixes: where t is a whole letter tuple, (t, finals i) is canonical
+    iff none of those tables maps i lower.  A shorter t mapped lower has
+    every tuple extending it mapped lower, since adding letters only
+    lowers each order statistic of the image, so its subtree is pruned.
 
-
-def _canonical_leaves(idx: tuple[int, ...], images, tables,
-                      last) -> tuple[list[int], list[tuple[int, list]]]:
-    """The pool indices c in last, in order, such that no relabeling maps
-    the letter tuple idx + (c,) lower, and (c, finals tables of the
-    relabelings fixing idx + (c,)) for the few of them that some
-    relabeling fixes: (idx + (c,), finals i) is then canonical iff none
-    of those tables maps i lower.
-
-    idx is a sorted prefix that no relabeling maps lower, images holds its
-    re-sorted images, and every c in last is at least idx[-1], so that
-    t = idx + (c,) is sorted.  For one relabeling g let p = idx, P its
-    image (P >= p), x = g(c), and T the image of t: P with x inserted.
+    idx is a sorted prefix that no relabeling maps lower, node.images
+    holds its re-sorted images, and every c in kids is at least idx[-1],
+    so that t is sorted.  For one relabeling g let p = idx, P its image
+    (P >= p), x = g(c), and T the image of t: P with x inserted.
       - P = p (g fixes the prefix).  If x < c, x goes in at some i, before
         which T and t agree, and T_i = x is below t_i (p_i, or c if x goes
         last), so T < t; if x = c, T = t; if x > c, T = p + (x,) > t.
@@ -278,12 +264,14 @@ def _canonical_leaves(idx: tuple[int, ...], images, tables,
         T to be built and compared.
     So the test of a relabeling is one comparison of x with a bound fixed
     per prefix (c, or p_j), save ties."""
+    idx = node.idx
     # per relabeling, rise is p_j, or None where it fixes the prefix
     tests = [(letters, finals, image,
               next((q for q, r in zip(idx, image) if q != r), None))
-             for (letters, finals), image in zip(tables, images)]
-    leaves, fixed = [], []
-    for c in last:
+             for (letters, finals), image in zip(node.facts.tables,
+                                                 node.images)]
+    children, fixed = [], []
+    for c in kids:
         fixing = []
         for letters, finals, image, rise in tests:
             x = letters[c]
@@ -301,19 +289,25 @@ def _canonical_leaves(idx: tuple[int, ...], images, tables,
                 if whole == child:
                     fixing.append(finals)
         else:
-            leaves.append(c)
+            children.append(c)
             if fixing:
                 fixed.append((c, fixing))
-    return leaves, fixed
+    return children, fixed
 
 
-def _subtree_size(task: SearchTask, letters: int, options: int, last: int,
-                  more: int) -> int:
-    """Candidates under a prefix that ends with pool index last and takes
-    more letters: its sorted extensions (any extensions without pruning),
-    times the finals options.  last=0, more=k is the whole order."""
-    return options * (comb(letters - last + more - 1, more) if task.prune
-                      else letters ** more)
+def _tuples_before(prune: bool, letters: int, first: int, c: int,
+                   more: int) -> int:
+    """The letter tuples under a node before those under its child c, in a
+    pool of letters letters, the node's children starting at first and
+    more letters following the child's.  Pruned, child c' heads
+    C(letters - c' + more - 1, more) sorted tuples, summed over
+    first <= c' < c by the hockey-stick identity; unpruned, first is 0
+    and each heads letters ** more.  first = 0, c = letters and
+    more = k - 1 count the whole order."""
+    if prune:
+        return (comb(letters - first + more, more + 1)
+                - comb(letters - c + more, more + 1))
+    return c * letters ** more
 
 
 # _ADD_STATE[q] maps a mask byte m to m | 1 << q
@@ -347,18 +341,21 @@ class _LetterFacts:
     """What the walk's nodes and leaves read off a pool letter, in lists
     indexed by pool index: ranks (image sizes), built at once since every
     leaf reads one, and mask tables (_image_masks), each built when a
-    node or leaf first needs it; with bound, the shard's _RankBound.  A list
-    entry costs a pointer where a dict entry would cost a hash slot as
-    well, which matters at n=7, where a right cell's pool holds 117,649
-    letters and a left cell's 823,543."""
+    node or leaf first needs it; with bound, the shard's _RankBound, and
+    tables, the pool's relabel tables (_relabel_tables; none without
+    pruning).  A list entry costs a pointer where a dict entry would
+    cost a hash slot as well, which matters at n=7, where a right cell's
+    pool holds 117,649 letters and a left cell's 823,543."""
 
-    __slots__ = ("pool", "n", "ranks", "images", "bound")
+    __slots__ = ("pool", "n", "ranks", "images", "bound", "tables")
 
     def __init__(self, task: SearchTask):
         self.pool, self.n = _pool(task), task.n
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
         self.bound = _RankBound(task.family in ("right", "two_sided"))
+        self.tables = (_relabel_tables(task, self.pool, _finals_options(task))
+                       if task.prune else [])
 
     def image(self, c: int) -> bytes:
         table = self.images[c]
@@ -371,10 +368,11 @@ class _Prefix:
     """A node of the walk: a prefix of pool indices, facts that hold for
     every letter tuple extending it, and the partial results its tuples
     extend by their further letters (Froidure & Pin 1997).  A node is its
-    parent up plus pool index c, and reads c's letter, rank and mask table
-    off the shard's _LetterFacts, which every node shares.
+    parent up plus pool index c, and reads c's letter, rank, mask table
+    and relabelings off the shard's _LetterFacts, shared by every node.
       - idx holds the pool indices, gens their letters, and images the
-        prefix's re-sorted image under each relabeling (_child_images).
+        prefix's re-sorted image under each relabeling: its parent's with
+        c's relabeled letter inserted (_canonical_children reads them).
       - reach is the mask of the states its letters reach from 0, and
         union the byte-wise OR of their mask tables (_image_masks): a
         node spreads its parent's reach by its parent's union and its own
@@ -398,22 +396,25 @@ class _Prefix:
     __slots__ = ("up", "facts", "idx", "gens", "images", "codes", "ranks",
                  "bounds", "reach", "union", "_closed", "_need")
 
-    def __init__(self, up: _Prefix, c: int, images: list):
+    def __init__(self, up: _Prefix, c: int):
         facts = self.facts = up.facts
         g, own = facts.pool[c], facts.image(c)
         self.up, self.idx, self.gens = up, up.idx + (c,), up.gens + (g,)
-        self.images, self.codes = images, up.codes + (_encode(g),)
+        self.images = [_insert(image, letters[c]) for (letters, _), image
+                       in zip(facts.tables, up.images)]
+        self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
         self._rank(up.ranks + (facts.ranks[c],))
         self._closed = self._need = None
 
     @classmethod
-    def root(cls, facts: _LetterFacts, images: list) -> _Prefix:
-        """The node of the empty prefix; images holds its image, (),
-        once per relabeling."""
+    def root(cls, facts: _LetterFacts) -> _Prefix:
+        """The node of the empty prefix, whose image is () under every
+        relabeling."""
         node = cls.__new__(cls)
-        node.up, node.facts, node.images = None, facts, images
+        node.up, node.facts = None, facts
+        node.images = [()] * len(facts.tables)
         node.idx = node.gens = node.codes = ()
         node.reach, node.union = 1, bytes(1 << facts.n)
         node._rank(())
@@ -497,12 +498,10 @@ def _walk(task: SearchTask, facts: _LetterFacts, finals_opts, shard: int,
     the budget cuts, and for leaves that some relabeling fixes, where
     only the options that no such relabeling maps lower are kept.  The
     least finals option is always kept, so no list in keep is empty.
-    The pool is that of facts, and each node (_Prefix) carries its
-    prefix's re-sorted images.  A prefix some relabeling maps lower is
-    stepped over whole, by the size of its subtree."""
-    pool = facts.pool
-    tables = _relabel_tables(task, pool, finals_opts) if task.prune else []
-    letters, options, budget = len(pool), len(finals_opts), task.budget
+    Each node takes the same steps: its children inside the budget, the
+    canonical ones among them (_canonical_children), then the batch or a
+    visit to each, placed in the order by _tuples_before."""
+    letters, options, budget = len(facts.pool), len(finals_opts), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
     indices = tuple(range(letters))
 
@@ -512,32 +511,31 @@ def _walk(task: SearchTask, facts: _LetterFacts, finals_opts, shard: int,
         idx = node.idx
         more = task.k - len(idx) - 1
         first = idx[-1] if idx and task.prune else 0
-        if not more:
-            # leaf c starts at pos + (c - first) * options, so the budget
-            # leaves leaf end - 1 its first cut options only
-            end = min(letters, first - (pos - budget) // options)
-            last = indices[first:end] if idx else indices[shard:end:shards]
-            leaves, fixed = _canonical_leaves(idx, node.images, tables, last)
-            cut = budget - pos - (end - 1 - first) * options
-            keep = ({end - 1: finals_opts[:cut]}
-                    if cut < options and leaves and leaves[-1] == end - 1
-                    else {})
-            for c, fixing in fixed:
-                keep[c] = [f for fi, f in enumerate(keep.get(c, finals_opts))
-                           if not any(t[fi] < fi for t in fixing)]
-            if leaves:
-                yield node, leaves, keep
-            return
-        for c in indices[first:]:
-            if pos >= budget:
-                return
-            if idx or c % shards == shard:
-                below = _child_images(idx + (c,), c, node.images, tables)
-                if below is not None:
-                    yield from visit(_Prefix(node, c, below), pos)
-            pos += _subtree_size(task, letters, options, c, more)
 
-    yield from visit(_Prefix.root(facts, [()] * len(tables)), 0)
+        def start(c: int) -> int:
+            return pos + options * _tuples_before(task.prune, letters, first,
+                                                  c, more)
+
+        # the children before end start inside the budget, bisected at a cut
+        end = (letters if start(letters) <= budget
+               else bisect_left(indices, budget, first, letters, key=start))
+        kids, fixed = _canonical_children(
+            node, indices[first:end] if idx else indices[shard:end:shards])
+        if more:
+            for c in kids:
+                yield from visit(_Prefix(node, c), start(c))
+            return
+        # the budget leaves leaf end - 1 its first cut options only
+        cut = budget - start(end - 1)
+        keep = ({end - 1: finals_opts[:cut]}
+                if cut < options and kids and kids[-1] == end - 1 else {})
+        for c, fixing in fixed:
+            keep[c] = [f for fi, f in enumerate(keep.get(c, finals_opts))
+                       if not any(t[fi] < fi for t in fixing)]
+        if kids:
+            yield node, kids, keep
+
+    yield from visit(_Prefix.root(facts), 0)
 
 
 def _in_class_finals(up: _Prefix, c: int, options: list[frozenset[int]],
@@ -618,8 +616,8 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
             if s > best:
                 best, wits = s, []
             wits.extend((letters, tuple(sorted(f))) for f in finals)
-    return best, wits, canonical, _subtree_size(task, len(pool), options, 0,
-                                                task.k)
+    return best, wits, canonical, options * _tuples_before(
+        task.prune, len(pool), 0, len(pool), task.k - 1)
 
 
 @contextmanager

@@ -80,11 +80,6 @@ def _encode(g: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(g).ljust(256, b"\0") if len(g) <= 256 else tuple(g)
 
 
-def _then(s: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """The element s followed by letter g, both tuples."""
-    return itemgetter(*s)(g)
-
-
 def _closure(letters: Sequence, n: int, cap: int | None,
              base: set | frozenset | None = None
              ) -> tuple[list, list[int], list[int]] | set:
@@ -102,7 +97,8 @@ def _closure(letters: Sequence, n: int, cap: int | None,
     tree.  Every word that uses the last letter c is u c v with u over the
     other letters, so the new elements are the products s c, for s the
     empty word or an element of base, closed under all the letters
-    (Froidure & Pin 1997).
+    (Froidure & Pin 1997).  Only the search passes base, with n <= 7, so
+    the base path takes n <= 256 and the bytes encoding alone.
 
     The BFS takes each element in turn through every letter, since that
     order is what makes each parent chain a shortest word (lex-least
@@ -115,7 +111,6 @@ def _closure(letters: Sequence, n: int, cap: int | None,
     by g: composed and hashed in C.  Beyond that a state number does not
     fit in a byte, so elements are tuples and itemgetter(*t)(g) is t
     followed by g."""
-    small = n <= 256
     if base is not None:
         seen = set(base)
         # base is closed under the other letters, so the empty word and its
@@ -126,9 +121,8 @@ def _closure(letters: Sequence, n: int, cap: int | None,
         c = g[:n]
         fresh = [] if c in seen else [c]
         seen.add(c)
-        compose = bytes.translate if small else _then
         for s in base:
-            c = compose(s, g)
+            c = s.translate(g)
             if c not in seen:
                 seen.add(c)
                 fresh.append(c)
@@ -136,13 +130,14 @@ def _closure(letters: Sequence, n: int, cap: int | None,
             level, fresh = fresh, []
             for g in letters:
                 for s in level:
-                    c = compose(s, g)
+                    c = s.translate(g)
                     if c not in seen:
                         seen.add(c)
                         fresh.append(c)
             if cap is not None and len(seen) > cap:
                 raise CapExceededError(cap, len(seen))
         return seen
+    small = n <= 256
     t = _identity(n)  # the empty word: its children are the letters
     indexed = tuple(enumerate(letters))
     i, seen = -1, set()

@@ -308,6 +308,22 @@ def test_search_two_sided_alias(capsys):
     assert "max_sigma=5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("family, n, k", [
+    ("right", 4, 3), ("two-sided", 4, 3), ("left", 3, 4)])
+def test_search_json_is_the_same_at_any_job_count(serial_pool, capsys,
+                                                  family, n, k):
+    # budgets of 500 and 3,000 cut the prefix walk at its inner levels
+    for budget in ([], ["--budget", "500"], ["--budget", "3000"]):
+        outs = []
+        for jobs in ("1", "2"):
+            assert main(["search", "--family", family, "--n", str(n),
+                         "--k", str(k), "--format", "json", "--jobs", jobs,
+                         *budget]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], budget
+    assert serial_pool == [2, 2, 2]
+
+
 def test_search_output_into_closed_pipe_is_quiet():
     # right (4,3) prints ~95 kB, more than the pipe and the reader's one
     # line can absorb, so writing after the reader closes must fail
@@ -354,6 +370,20 @@ def test_reverse_other_restriction_has_no_expectation(capsys):
 def test_reverse_from_file(right4_file, capsys):
     assert main(["reverse", "--input", right4_file]) == 0
     assert "kappa" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", ["right", "left", "two-sided"])
+def test_reverse_refuses_a_large_n_before_building(monkeypatch, capsys,
+                                                    family):
+    # the subset DFA of the reversed witness has 2^(n-1) states; an n past
+    # the limit must exit before the witness or that DFA is built
+    def never(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr("syncomp.cli.family_witness", never)
+    monkeypatch.setattr("syncomp.cli.determinize", never)
+    assert main(["reverse", "--family", family, "--n", "21"]) == 2
+    assert "--n <= 20" in capsys.readouterr().err
 
 
 def test_reverse_needs_a_source(capsys):

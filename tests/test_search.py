@@ -380,9 +380,9 @@ def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
 def _node(facts, idx):
     """The walk's prefix node of the pool indices idx, made one letter at
     a time from the root, as the walk makes it, with no relabelings."""
-    node = search._Prefix.root(facts, [])
+    node = search._Prefix.root(facts)
     for c in idx:
-        node = search._Prefix(node, c, [])
+        node = search._Prefix(node, c)
     return node
 
 
@@ -549,22 +549,25 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
                                                           family, n, k,
                                                           tested):
     # a proper prefix some relabeling maps lower is stepped over whole,
-    # before any tuple under it reaches the leaf filter; tested counts how
-    # many tuples do.  The prefix's stored images are its re-sorted images
-    real = search._canonical_leaves
+    # before the canonical test sees any child of it; tested counts the
+    # tuples that reach the test as leaves, under prefixes of k - 1
+    # letters.  The prefix's stored images are its re-sorted images
+    real = search._canonical_children
     seen = []
 
-    def checked(idx, images, tables, last):
+    def checked(node, kids):
+        idx, tables = node.idx, node.facts.tables
         for d in range(1, len(idx) + 1):
             prefix = idx[:d]
             assert all(tuple(sorted(letters[i] for i in prefix)) >= prefix
                        for letters, _ in tables), idx
-        assert list(images) == [tuple(sorted(letters[i] for i in idx))
-                                for letters, _ in tables], idx
-        seen.extend(idx + (c,) for c in last)
-        return real(idx, images, tables, last)
+        assert list(node.images) == [tuple(sorted(letters[i] for i in idx))
+                                     for letters, _ in tables], idx
+        if len(idx) == k - 1:
+            seen.extend(idx + (c,) for c in kids)
+        return real(node, kids)
 
-    monkeypatch.setattr(search, "_canonical_leaves", checked)
+    monkeypatch.setattr(search, "_canonical_children", checked)
     result = search_max_sigma(SearchTask(family, n, k))
     assert seen and result.exhaustive
     assert tested is None or len(seen) == tested
@@ -608,6 +611,26 @@ def test_canonical_count_matches_the_search(family, n, k):
         result.candidates_examined - result.candidates_pruned
 
 
+@pytest.mark.parametrize("prune", [True, False])
+def test_tuples_before_a_child_match_enumeration(prune):
+    # where the walk places child c of a node: the letter tuples of the
+    # node's subtree whose first letter comes before c, counted from the
+    # tuples themselves, in pools of up to 8 letters with up to 3 letters
+    # after the child (k <= 4), for every node's first child (0 alone
+    # without pruning) and every c from it up to the pool's end
+    for letters in range(1, 9):
+        for more in range(4):
+            for first in range(letters if prune else 1):
+                heads = [t[0] for t in (
+                    combinations_with_replacement(range(first, letters),
+                                                  more + 1)
+                    if prune else product(range(letters), repeat=more + 1))]
+                for c in range(first, letters + 1):
+                    assert search._tuples_before(
+                        prune, letters, first, c, more) == \
+                        sum(h < c for h in heads), (letters, more, first, c)
+
+
 def _stream_positions(task: SearchTask) -> tuple[list[int], list[int]]:
     """The positions in the candidate order (sorted letter tuples of pool
     indices, then finals) of the canonical candidates _stream yields,
@@ -641,7 +664,8 @@ def test_budgeted_canonical_counts_match_the_stream(serial_pool, jobs,
     # relabeling fixes, which keeps only part of its options
     task = SearchTask(family, n, k)
     options = len(search._finals_options(task))
-    total = search._subtree_size(task, len(search._pool(task)), options, 0, k)
+    letters = len(search._pool(task))
+    total = options * search._tuples_before(True, letters, 0, letters, k - 1)
     positions, partial = _stream_positions(task)
     step = 7 if total <= 500 else 49 if total <= 3000 else 427
     cuts = 0
@@ -717,14 +741,14 @@ def test_reach_masks_agree_with_the_walk(family, n, k):
     # that walk reaches every state
     task = SearchTask(family, n, k, prune=False)
     facts = search._LetterFacts(task)
-    root = search._Prefix.root(facts, [])
+    root = search._Prefix.root(facts)
     assert root.reach == 1
     nodes = {(): root}
     for idx in product(range(len(facts.pool)), repeat=k):
         gens = tuple(facts.pool[c] for c in idx)
         for i in range(1, k):
             if idx[:i] not in nodes:
-                up = search._Prefix(nodes[idx[:i - 1]], idx[i - 1], [])
+                up = search._Prefix(nodes[idx[:i - 1]], idx[i - 1])
                 assert up.reach == sum(1 << q for q in _reachable(gens[:i], 0))
                 nodes[idx[:i]] = up
         assert nodes[idx[:-1]].reaches_all(idx[-1]) == \
@@ -897,9 +921,9 @@ def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
     class Counted(search._Prefix):
         __slots__ = ()
 
-        def __init__(self, up, c, images):
+        def __init__(self, up, c):
             made.append(up.idx + (c,))
-            super().__init__(up, c, images)
+            super().__init__(up, c)
 
     def counted_encode(g):
         encoded.append(g)
