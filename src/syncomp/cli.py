@@ -25,6 +25,10 @@ from .witnesses import REVERSAL_SETUP, family_witness, small_witness
 
 __all__ = ["main"]
 
+# reverse's subset DFA has up to 2^n states (2^(n-1) for a family witness):
+# n = 18 takes seconds and 145 MB, and each two more states cost 4x
+_REVERSE_MAX_STATES = 20
+
 
 def _family(name: str) -> str:
     return name.replace("-", "_")
@@ -67,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-prune", action="store_true",
                    help="plain enumeration, the reference for the filters")
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--budget", type=int, default=10 ** 9)
+    s.add_argument("--budget", type=int, default=SearchTask.budget)
     s.add_argument("--format", choices=("text", "json"), default="text")
 
     r = sub.add_parser("reverse", help="kappa of the reversed language")
@@ -212,14 +216,15 @@ def _cmd_reverse(args) -> int:
     if args.input is not None:
         _refuse(args, ("--family", "--n", "--letters"), "with --input")
         d = _load_dfa(args.input)
+        if d.n > _REVERSE_MAX_STATES:
+            raise FormatError(f"reverse --input is limited to DFAs of <= "
+                              f"{_REVERSE_MAX_STATES} states, got {d.n}")
     else:
         if args.family is None or args.n is None:
             raise FormatError("reverse needs --input or --family with --n")
-        # the reversed witness's subset DFA has 2^(n-1) states: n = 18
-        # takes seconds and 145 MB, and each two more states cost 4x
-        if args.n > 20:
-            raise FormatError(
-                f"reverse --family is limited to --n <= 20, got {args.n}")
+        if args.n > _REVERSE_MAX_STATES:
+            raise FormatError(f"reverse --family is limited to --n <= "
+                              f"{_REVERSE_MAX_STATES}, got {args.n}")
         fam = _family(args.family)
         designated, formula = REVERSAL_SETUP[fam]
         d = family_witness(fam, args.n, args.letters)

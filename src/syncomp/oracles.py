@@ -9,10 +9,8 @@ keeps one candidate of, by Burnside's lemma, without running that filter.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .automata import Dfa
-from .search import SearchTask, _finals_options, _pool
+from .search import SearchTask, _finals_options, _pool, _relabelings
 
 __all__ = ["word_bfs_sigma", "canonical_count"]
 
@@ -58,7 +56,7 @@ def canonical_count(task: SearchTask) -> int:
 
     With prune=True a candidate is a multiset of k pool letters with a
     finals option, and the canonical ones are one per orbit under the
-    relabelings g of the free states (g acts on a letter t as g t g^-1).
+    relabelings g of the free states (_relabelings; g t g^-1 on letter t).
     Burnside's lemma: the orbits number the mean over g of the candidates
     g fixes, (k-multisets g fixes) * (finals options g fixes).  A multiset
     is fixed iff its multiplicities are constant on each cycle of g on the
@@ -74,8 +72,7 @@ def canonical_count(task: SearchTask) -> int:
     if not task.prune:
         return len(pool) ** k * len(options)
     index = {t: i for i, t in enumerate(pool)}
-    top = n - 1 if task.family in ("right", "two_sided") else n
-    group = [(0, *p, *range(top, n)) for p in permutations(range(1, top))]
+    group = _relabelings(task)
     total = 0
     for g in group:
         moved = []

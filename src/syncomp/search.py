@@ -5,7 +5,7 @@ normal form, filters to minimal in-class automata, and tracks the maximum
 semigroup size.  Output is deterministic regardless of job count: the
 maximum, then the lexicographically least witnesses.
 
-Normal forms (initial state always 0):
+Normal forms (initial state always 0), decided in _FAMILIES:
   right      final sink fixed at n-1, finals {n-1}
   two_sided  same skeleton, plus the left-ideal checks
   left       any letters, finals ranging over nonempty subsets avoiding 0
@@ -37,8 +37,9 @@ keeps its letters in the closure's encoding, so a letter is encoded once
 for its prefix node, and a tuple's last letter only when the tuple is
 closed.  Each step of the walk makes one prefix node (_Prefix), its
 parent plus one pool index, which holds all of the above for its prefix.
-A letter's rank, mask table and relabeled letters are built once per
-shard (_LetterFacts) and read by pool index, by nodes and leaves alike.
+The cell's finals options, and a letter's rank, mask table and relabeled
+letters, are built once per shard (_LetterFacts); the letter facts are
+read by pool index, by nodes and leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -73,7 +74,7 @@ from operator import or_
 from .automata import Dfa, _moore_classes, minimize
 from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
                        _left_ideal_relation, _orbit)
-from .semigroup import _closure, _encode, transition_semigroup
+from .semigroup import _encode, _extend, transition_semigroup
 from .transform import Transformation
 
 __all__ = [
@@ -83,7 +84,13 @@ __all__ = [
     "search_max_sigma",
 ]
 
-_SEARCH_FAMILIES = ("right", "left", "two_sided", "all")
+# family -> (right, left), the two decisions behind its normal form.
+# right: every pool letter fixes the final sink n-1, the finals are {n-1},
+# no relabeling moves n-1, and the rank bound takes e = 1 (_RankBound).
+# left: lemma 8 filters the pool (with pruning), the finals avoid state 0
+# (n > 1), and each tuple meets the left-ideal pair test.
+_FAMILIES = {"right": (True, False), "left": (False, True),
+             "two_sided": (True, True), "all": (False, False)}
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,7 @@ class SearchTask:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.family not in _SEARCH_FAMILIES:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
@@ -174,31 +181,36 @@ class SearchResult:
 
 
 def _pool(task: SearchTask) -> list[tuple[int, ...]]:
-    n = task.n
-    every = product(range(n), repeat=n)
-    if task.family in ("right", "two_sided"):
-        cands = [t for t in every if t[n - 1] == n - 1]
-    else:
-        cands = list(every)
-    if task.prune and task.family in ("left", "two_sided"):
+    n, (right, left) = task.n, _FAMILIES[task.family]
+    every = product(range(n), repeat=n)  # in lexicographic order
+    cands = [t for t in every if t[n - 1] == n - 1] if right else list(every)
+    if task.prune and left:
         cands = [t for t in cands if _orbit(t, 0)[2] == 1]
-    return cands  # product() already yields lexicographic order
+    return cands
 
 
 def _finals_options(task: SearchTask) -> list[frozenset[int]]:
-    n = task.n
-    if task.family in ("right", "two_sided"):
+    n, (right, left) = task.n, _FAMILIES[task.family]
+    if right:
         return [frozenset({n - 1})]
     opts = []
     for mask in range(1, 1 << n):
         f = frozenset(q for q in range(n) if mask >> q & 1)
-        if task.family == "left" and 0 in f and n > 1:
-            continue  # a left ideal accepting ε is Σ*, minimal only at n=1
-        if task.family == "all" and len(f) == n and n > 1:
-            continue  # all-final is Σ*, never minimal with n > 1 states
+        # a left ideal accepting ε is Σ*, minimal only at n=1; otherwise
+        # all-final is Σ*, never minimal with n > 1 states
+        if n > 1 and (0 in f if left else len(f) == n):
+            continue
         opts.append(f)
     opts.sort(key=lambda f: tuple(sorted(f)))
     return opts
+
+
+def _relabelings(task: SearchTask) -> list[tuple[int, ...]]:
+    """The relabelings of the free states, as image tuples, the identity
+    first: every permutation of the states that fixes 0, and n-1 as well
+    in right and two-sided cells."""
+    free = range(1, task.n - _FAMILIES[task.family][0])
+    return [(0, *p, *range(len(p) + 1, task.n)) for p in permutations(free)]
 
 
 class _LetterRelabel(dict):
@@ -216,21 +228,15 @@ class _LetterRelabel(dict):
         return self[i]
 
 
-def _relabel_tables(task: SearchTask, pool, finals_opts) -> list[tuple]:
+def _relabel_tables(task: SearchTask, pool, options) -> list[tuple]:
     """Letter and finals tables (index -> index of the relabeled item) per
     non-identity relabeling of the free states.  Pool and options are sorted
     and closed under relabeling, so indices compare as the tuples do."""
-    top = task.n - 1 if task.family in ("right", "two_sided") else task.n
-    free = tuple(range(1, top))
     letter_index = {g: i for i, g in enumerate(pool)}
-    finals_index = {f: i for i, f in enumerate(finals_opts)}
-    tables = []
-    for p in list(permutations(free))[1:]:  # the identity comes first
-        pm = (0, *p, *range(top, task.n))
-        tables.append(
-            (_LetterRelabel(pm, pool, letter_index),
-             [finals_index[frozenset(pm[q] for q in f)] for f in finals_opts]))
-    return tables
+    finals_index = {f: i for i, f in enumerate(options)}
+    return [(_LetterRelabel(pm, pool, letter_index),
+             [finals_index[frozenset(pm[q] for q in f)] for f in options])
+            for pm in _relabelings(task)[1:]]
 
 
 def _insert(image: tuple[int, ...], x: int) -> tuple[int, ...]:
@@ -341,20 +347,25 @@ class _LetterFacts:
     """What the walk's nodes and leaves read off a pool letter, in lists
     indexed by pool index: ranks (image sizes), built at once since every
     leaf reads one, and mask tables (_image_masks), each built when a
-    node or leaf first needs it; with bound, the shard's _RankBound, and
+    node or leaf first needs it; with bound, the shard's _RankBound,
     tables, the pool's relabel tables (_relabel_tables; none without
-    pruning).  A list entry costs a pointer where a dict entry would
-    cost a hash slot as well, which matters at n=7, where a right cell's
-    pool holds 117,649 letters and a left cell's 823,543."""
+    pruning), options, the cell's finals options (_finals_options), and
+    left, whether its tuples meet the left-ideal test (_FAMILIES).  A
+    list entry costs a pointer where a dict entry would cost a hash slot
+    as well, which matters at n=7, where a right cell's pool holds
+    117,649 letters and a left cell's 823,543."""
 
-    __slots__ = ("pool", "n", "ranks", "images", "bound", "tables")
+    __slots__ = ("pool", "n", "ranks", "images", "bound", "tables",
+                 "options", "left")
 
     def __init__(self, task: SearchTask):
+        right, self.left = _FAMILIES[task.family]
         self.pool, self.n = _pool(task), task.n
+        self.options = _finals_options(task)
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
-        self.bound = _RankBound(task.family in ("right", "two_sided"))
-        self.tables = (_relabel_tables(task, self.pool, _finals_options(task))
+        self.bound = _RankBound(right)
+        self.tables = (_relabel_tables(task, self.pool, self.options)
                        if task.prune else [])
 
     def image(self, c: int) -> bytes:
@@ -438,13 +449,13 @@ class _Prefix:
     def close(self, c: int) -> set:
         """The closure's element set of this prefix's letters and pool
         letter c."""
-        return _closure(self.codes + (_encode(self.facts.pool[c]),),
-                        self.facts.n, None, self.closure())
+        return _extend(self.codes + (_encode(self.facts.pool[c]),),
+                       self.facts.n, self.closure())
 
     def closure(self) -> set | frozenset:
         if self._closed is None:
-            self._closed = _closure(self.codes, self.facts.n, None,
-                                    self.up.closure())
+            self._closed = _extend(self.codes, self.facts.n,
+                                   self.up.closure())
         return self._closed
 
     def pairs(self, c: int) -> list[int]:
@@ -485,8 +496,7 @@ class _RankBound(dict):
         return b
 
 
-def _walk(task: SearchTask, facts: _LetterFacts, finals_opts, shard: int,
-          shards: int):
+def _walk(task: SearchTask, facts: _LetterFacts, shard: int, shards: int):
     """Walk the global candidate order (letter tuple, then finals) as a
     tree of letter prefixes, depth first, and yield one batch (prefix
     node, leaves, keep) per prefix of k - 1 letters with any canonical
@@ -501,7 +511,7 @@ def _walk(task: SearchTask, facts: _LetterFacts, finals_opts, shard: int,
     Each node takes the same steps: its children inside the budget, the
     canonical ones among them (_canonical_children), then the batch or a
     visit to each, placed in the order by _tuples_before."""
-    letters, options, budget = len(facts.pool), len(finals_opts), task.budget
+    letters, options, budget = len(facts.pool), len(facts.options), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
     indices = tuple(range(letters))
 
@@ -527,10 +537,10 @@ def _walk(task: SearchTask, facts: _LetterFacts, finals_opts, shard: int,
             return
         # the budget leaves leaf end - 1 its first cut options only
         cut = budget - start(end - 1)
-        keep = ({end - 1: finals_opts[:cut]}
+        keep = ({end - 1: facts.options[:cut]}
                 if cut < options and kids and kids[-1] == end - 1 else {})
         for c, fixing in fixed:
-            keep[c] = [f for fi, f in enumerate(keep.get(c, finals_opts))
+            keep[c] = [f for fi, f in enumerate(keep.get(c, facts.options))
                        if not any(t[fi] < fi for t in fixing)]
         if kids:
             yield node, kids, keep
@@ -587,14 +597,12 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     of the other tuples are tested for minimality, and only a minimal one
     raises the best."""
     facts = _LetterFacts(task)
-    pool, rank = facts.pool, facts.ranks
-    finals_opts = _finals_options(task)
+    pool, rank, finals_opts = facts.pool, facts.ranks, facts.options
     options = len(finals_opts)
-    left_ideal = task.family in ("left", "two_sided")
     best = 0
     wits: list[tuple] = []
     canonical = 0
-    for up, leaves, keep in _walk(task, facts, finals_opts, shard, shards):
+    for up, leaves, keep in _walk(task, facts, shard, shards):
         canonical += len(leaves) * options + sum(
             len(kept) - options for kept in keep.values())
         bounds = up.bounds
@@ -603,7 +611,7 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
             if bounds[rank[c]] < best:  # the best rose inside the batch
                 continue
             finals = _in_class_finals(up, c, keep.get(c, finals_opts),
-                                      left_ideal)
+                                      facts.left)
             if not finals:
                 continue
             s = len(up.close(c))
@@ -686,8 +694,6 @@ def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:
         raise AssertionError(f"witness not minimal with {task.n} states: {w}")
     if transition_semigroup(md).sigma != expect_sigma:
         raise AssertionError(f"witness sigma mismatch: {w}")
-    tests = {"right": (_is_right_ideal,), "left": (_is_left_ideal,),
-             "two_sided": (_is_right_ideal, _is_left_ideal),
-             "all": ()}[task.family]
-    if not all(test(md) for test in tests):
+    right, left = _FAMILIES[task.family]
+    if right and not _is_right_ideal(md) or left and not _is_left_ideal(md):
         raise AssertionError(f"witness not in class {task.family}: {w}")

@@ -80,63 +80,21 @@ def _encode(g: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(g).ljust(256, b"\0") if len(g) <= 256 else tuple(g)
 
 
-def _closure(letters: Sequence, n: int, cap: int | None,
-             base: set | frozenset | None = None
-             ) -> tuple[list, list[int], list[int]] | set:
-    """Closure of n-state letters, each already in the encoding of
+def _closure(letters: Sequence, n: int, cap: int | None
+             ) -> tuple[list, list[int], list[int]]:
+    """BFS closure of n-state letters, each already in the encoding of
     _encode, so a caller that closes the same letter many times encodes
-    it once.  Given a cap, more than cap elements raise
-    CapExceededError; None sets no cap (there are at most n^n).
-
-    Without base it is a BFS that returns the images, parent and last of a
-    SemigroupResult, with the elements in shortest-word order, each being
-    element parent[i] followed by letter last[i]; transition_semigroup
-    never passes base.  base may be the element set of the closure of
-    letters[:-1] (empty for no letters), which is left unchanged: the
-    result is then the element set of the closure of letters, with no
-    tree.  Every word that uses the last letter c is u c v with u over the
-    other letters, so the new elements are the products s c, for s the
-    empty word or an element of base, closed under all the letters
-    (Froidure & Pin 1997).  Only the search passes base, with n <= 7, so
-    the base path takes n <= 256 and the bytes encoding alone.
+    it once: the images, parent and last of a SemigroupResult, with the
+    elements in shortest-word order, each being element parent[i]
+    followed by letter last[i].  Given a cap, more than cap elements
+    raise CapExceededError; None sets no cap (there are at most n^n).
 
     The BFS takes each element in turn through every letter, since that
     order is what makes each parent chain a shortest word (lex-least
-    among them).  The base path returns only a set, so it may find its
-    elements in any order: it takes one level of new elements at a
-    time and each letter through the whole level, so the inner loop
-    runs over the level instead of over the few letters.
-
-    Up to 256 states an element is bytes and t.translate(g) is t followed
-    by g: composed and hashed in C.  Beyond that a state number does not
-    fit in a byte, so elements are tuples and itemgetter(*t)(g) is t
-    followed by g."""
-    if base is not None:
-        seen = set(base)
-        # base is closed under the other letters, so the empty word and its
-        # elements only take the last letter; what is new takes them all.
-        # The empty word followed by the last letter is its image: the first
-        # n entries of its code
-        g = letters[-1]
-        c = g[:n]
-        fresh = [] if c in seen else [c]
-        seen.add(c)
-        for s in base:
-            c = s.translate(g)
-            if c not in seen:
-                seen.add(c)
-                fresh.append(c)
-        while fresh:  # one level of new elements, letter by letter
-            level, fresh = fresh, []
-            for g in letters:
-                for s in level:
-                    c = s.translate(g)
-                    if c not in seen:
-                        seen.add(c)
-                        fresh.append(c)
-            if cap is not None and len(seen) > cap:
-                raise CapExceededError(cap, len(seen))
-        return seen
+    among them).  Up to 256 states an element is bytes and
+    t.translate(g) is t followed by g: composed and hashed in C.  Beyond
+    that a state number does not fit in a byte, so elements are tuples
+    and itemgetter(*t)(g) is t followed by g."""
     small = n <= 256
     t = _identity(n)  # the empty word: its children are the letters
     indexed = tuple(enumerate(letters))
@@ -159,6 +117,45 @@ def _closure(letters: Sequence, n: int, cap: int | None,
         if i == len(elements):
             return elements, parent, last
         t = elements[i]
+
+
+def _extend(letters: Sequence, n: int, base: set | frozenset) -> set:
+    """The element set of the closure of n-state letters, given base, the
+    element set of the closure of letters[:-1] (empty for no letters),
+    which is left unchanged.  The letters are in the encoding of _encode,
+    and only the search calls this, with n <= 7, so it takes the bytes
+    encoding alone.  Every word that uses the last letter c is u c v
+    with u over the other letters, so the new elements are the products
+    s c, for s the empty word or an element of base, closed under all
+    the letters (Froidure & Pin 1997).
+
+    Only a set is returned, so the elements may be found in any order:
+    one level of new elements at a time and each letter through the
+    whole level, so the inner loop runs over the level instead of over
+    the few letters."""
+    seen = set(base)
+    # base is closed under the other letters, so the empty word and its
+    # elements only take the last letter; what is new takes them all.
+    # The empty word followed by the last letter is its image: the first
+    # n entries of its code
+    g = letters[-1]
+    c = g[:n]
+    fresh = [] if c in seen else [c]
+    seen.add(c)
+    for s in base:
+        c = s.translate(g)
+        if c not in seen:
+            seen.add(c)
+            fresh.append(c)
+    while fresh:  # one level of new elements, letter by letter
+        level, fresh = fresh, []
+        for g in letters:
+            for s in level:
+                c = s.translate(g)
+                if c not in seen:
+                    seen.add(c)
+                    fresh.append(c)
+    return seen
 
 
 def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:

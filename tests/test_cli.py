@@ -9,12 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import argparse
+
 import pytest
 
 import syncomp
-from syncomp import (Transformation, emit_dfa_json, left_ideal_witness,
-                     parse_dfa_json, right_ideal_witness, small_witness)
-from syncomp.cli import main
+from syncomp import (Dfa, SearchTask, Transformation, emit_dfa_json,
+                     left_ideal_witness, parse_dfa_json, right_ideal_witness,
+                     small_witness)
+from syncomp.cli import _build_parser, _family, main
+from syncomp.search import _FAMILIES
 
 
 @pytest.fixture
@@ -308,6 +312,16 @@ def test_search_two_sided_alias(capsys):
     assert "max_sigma=5" in capsys.readouterr().out
 
 
+def test_search_flags_follow_the_search_task():
+    # the search subcommand offers the searched families, aliases aside,
+    # and takes its default budget from SearchTask
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices["search"]._actions}
+    assert set(map(_family, flags["family"].choices)) == set(_FAMILIES)
+    assert flags["budget"].default == SearchTask.budget
+
+
 @pytest.mark.parametrize("family, n, k", [
     ("right", 4, 3), ("two-sided", 4, 3), ("left", 3, 4)])
 def test_search_json_is_the_same_at_any_job_count(serial_pool, capsys,
@@ -384,6 +398,29 @@ def test_reverse_refuses_a_large_n_before_building(monkeypatch, capsys,
     monkeypatch.setattr("syncomp.cli.determinize", never)
     assert main(["reverse", "--family", family, "--n", "21"]) == 2
     assert "--n <= 20" in capsys.readouterr().err
+
+
+def test_reverse_refuses_a_large_input_before_building(monkeypatch, capsys,
+                                                       tmp_path):
+    # a DFA file past the same limit exits before its subset DFA is built;
+    # a unary chain of 20 states (its language a^19 a*) still reverses
+    def chain(n):
+        a = Transformation(tuple(min(q + 1, n - 1) for q in range(n)))
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(emit_dfa_json(
+            Dfa(n, ("a",), {"a": a}, 0, frozenset({n - 1}))))
+        return str(path)
+
+    assert main(["reverse", "--input", chain(20)]) == 0
+    assert "kappa 20" in capsys.readouterr().out
+
+    def never(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr("syncomp.cli.determinize", never)
+    assert main(["reverse", "--input", chain(21)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--input" in err
 
 
 def test_reverse_needs_a_source(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib
+import math
 import os
 import random
 from bisect import bisect_left
@@ -363,11 +364,10 @@ def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
     batch lists its leaves in increasing order and that what it keeps
     for a leaf is a nonempty part of the finals options, in their
     order."""
-    facts, opts = search._LetterFacts(task), search._finals_options(task)
-    pool, stream = facts.pool, []
+    facts = search._LetterFacts(task)
+    pool, opts, stream = facts.pool, facts.options, []
     for shard in range(shards):
-        for up, leaves, keep in search._walk(task, facts, opts, shard,
-                                             shards):
+        for up, leaves, keep in search._walk(task, facts, shard, shards):
             assert leaves == sorted(set(leaves)) and set(keep) <= set(leaves)
             for c in leaves:
                 kept = keep.get(c, opts)
@@ -602,6 +602,22 @@ _SMALL_CELLS = [(family, n, k) for family in ("right", "left", "two_sided",
                 for n in (1, 2, 3) for k in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("family", ["right", "left", "two_sided", "all"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_relabelings_fix_the_skeleton(family, n):
+    # the relabelings that the canonical filter and canonical_count share:
+    # every permutation of the states fixing 0, and n-1 as well where
+    # every letter fixes the sink, in lexicographic order, so the
+    # identity comes first
+    fixed = {0, n - 1} if family in ("right", "two_sided") else {0}
+    group = [p for p in permutations(range(n))
+             if all(p[q] == q for q in fixed)]
+    relabelings = search._relabelings(SearchTask(family, n, 1))
+    assert relabelings == group
+    assert relabelings[0] == tuple(range(n))
+    assert len(relabelings) == math.factorial(n - len(fixed))
+
+
 @pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
 def test_canonical_count_matches_the_search(family, n, k):
     task = SearchTask(family, n, k)
@@ -782,8 +798,8 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # they keep an option it is closed once, right after them.  The Moore
     # refinement then runs on every kept option of a closed tuple if its
     # closure reaches the best so far, and on nothing else
-    real_filter, real_closure, real_moore = (
-        search._in_class_finals, search._closure, search._moore_classes)
+    real_filter, real_extend, real_moore = (
+        search._in_class_finals, search._extend, search._moore_classes)
     bound = search._RankBound(family in ("right", "two_sided"))
     calls = []
 
@@ -797,8 +813,8 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
         calls.append(("tested", gens, kept))
         return kept
 
-    def recorded(codes, n_, cap, base=None):
-        elements = real_closure(codes, n_, cap, base)
+    def recorded(codes, n_, base):
+        elements = real_extend(codes, n_, base)
         if len(codes) == k:  # a letter tuple, not a prefix of one
             calls.append(("closed", tuple(codes), len(elements)))
         return elements
@@ -809,19 +825,20 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
         return classes
 
     monkeypatch.setattr(search, "_in_class_finals", compared)
-    monkeypatch.setattr(search, "_closure", recorded)
+    monkeypatch.setattr(search, "_extend", recorded)
     monkeypatch.setattr(search, "_moore_classes", refined)
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     facts = search._LetterFacts(task)
-    walked = [up.gens + (facts.pool[c],) for up, leaves, _ in search._walk(
-        task, facts, search._finals_options(task), 0, 1) for c in leaves]
+    walked = [up.gens + (facts.pool[c],)
+              for up, leaves, _ in search._walk(task, facts, 0, 1)
+              for c in leaves]
 
     best, at = 0, 0
     for gens in walked:
         if bound[tuple(len(set(g)) for g in gens)] < best:
             codes = [_encode(g) for g in gens]
-            assert len(real_closure(codes, n, None)[0]) < best, gens
+            assert len(_closure(codes, n, None)[0]) < best, gens
             continue
         assert calls[at][:2] == ("tested", gens), (calls[at], gens)
         kept = calls[at][2]
@@ -888,19 +905,19 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
     # number of its finals options passes) and the Moore refinements run
     # (one per kept option of a tuple whose closure reaches the best so
     # far) at jobs=1
-    real_closure, real_moore = search._closure, search._moore_classes
+    real_extend, real_moore = search._extend, search._moore_classes
     closed, refined = [], []
 
-    def counted_closure(codes, n_, cap, base=None):
+    def counted_extend(codes, n_, base):
         if len(codes) == k:
             closed.append(codes)
-        return real_closure(codes, n_, cap, base)
+        return real_extend(codes, n_, base)
 
     def counted_moore(gens, finals):
         refined.append((gens, finals))
         return real_moore(gens, finals)
 
-    monkeypatch.setattr(search, "_closure", counted_closure)
+    monkeypatch.setattr(search, "_extend", counted_extend)
     monkeypatch.setattr(search, "_moore_classes", counted_moore)
     search_max_sigma(SearchTask(family, n, k))
     assert (len(closed), len(refined)) == (closures, refinements)
@@ -915,7 +932,7 @@ def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
     # a prefix node encodes its own last letter when it is made, and a
     # letter tuple its last letter only when it is closed: the others are
     # its prefix's, encoded once however many tuples below it are closed
-    real_encode, real_closure = search._encode, search._closure
+    real_encode, real_extend = search._encode, search._extend
     encoded, made, closed = [], [], []
 
     class Counted(search._Prefix):
@@ -929,14 +946,14 @@ def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
         encoded.append(g)
         return real_encode(g)
 
-    def counted_closure(codes, n_, cap, base=None):
+    def counted_extend(codes, n_, base):
         if len(codes) == k:
             closed.append(codes)
-        return real_closure(codes, n_, cap, base)
+        return real_extend(codes, n_, base)
 
     monkeypatch.setattr(search, "_Prefix", Counted)
     monkeypatch.setattr(search, "_encode", counted_encode)
-    monkeypatch.setattr(search, "_closure", counted_closure)
+    monkeypatch.setattr(search, "_extend", counted_extend)
     search_max_sigma(SearchTask(family, n, k))
     assert (len(made), len(closed)) == (nodes, closures)
     assert len(encoded) == nodes + closures

@@ -14,7 +14,7 @@ from syncomp import (CapExceededError, Dfa, Transformation, classify,
                      right_ideal_witness, sigma_of_language, small_witness,
                      transition_semigroup, two_sided_witness, witness_words,
                      word_bfs_sigma, word_length_histogram)
-from syncomp.semigroup import _closure, _encode
+from syncomp.semigroup import _closure, _encode, _extend
 
 
 def test_right_witness_semigroup_is_everything_fixing_the_sink():
@@ -133,30 +133,19 @@ def test_closure_extends_the_closure_of_a_prefix(gens):
     n = len(gens[0])
     cap, codes = n ** n, [_encode(g) for g in gens]
     plain = _closure(codes, n, cap)
-    # without base: the shortest-word BFS, byte for byte
+    # the shortest-word BFS, byte for byte
     assert plain == _plain_bfs(gens)
-    # with base: the element set, extended from the prefix's, which is
-    # copied, not grown
+    # the element set, extended from the prefix's, which is copied, not
+    # grown
     base = set(_closure(codes[:-1], n, cap)[0])
     kept = set(base)
-    assert _closure(codes, n, cap, base) == set(plain[0])
+    assert _extend(codes, n, base) == set(plain[0])
     assert base == kept
     # letter by letter from the empty closure of no letters
     grown = frozenset()
     for i in range(1, len(gens) + 1):
-        grown = _closure(codes[:i], n, cap, grown)
+        grown = _extend(codes[:i], n, grown)
     assert grown == set(plain[0])
-
-
-def test_cap_aborts_the_extension_of_a_closure():
-    d = right_ideal_witness(4)
-    codes = [_encode(d.delta[a].images) for a in d.alphabet]
-    base = set(_closure(codes[:-1], 4, 64)[0])
-    assert len(base) < 40 < 64 == len(_closure(codes, 4, 64, base))
-    with pytest.raises(CapExceededError) as info:
-        _closure(codes, 4, 40, base)
-    assert info.value.cap == 40
-    assert 40 < info.value.partial_count <= 64
 
 
 def test_default_cap_is_never_hit():
