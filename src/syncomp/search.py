@@ -20,11 +20,15 @@ elsewhere.
 
 The candidate order is walked as a tree of letter prefixes, depth first
 (orderly generation, McKay 1998), every level alike.  A prefix that some
-relabeling maps lower is stepped over with its whole subtree.  Each prefix
-keeps its re-sorted image under every relabeling, its parent's with one
-letter inserted, so a child's test against a relabeling compares its last
-letter's image with one bound fixed per prefix, and builds the child's
-image only on a tie.  One closed form places each child in the order.
+relabeling maps lower is stepped over with its whole subtree.  The pool's
+orbits under the relabelings are one table (_Orbits): each letter's orbit
+head, its least index, and each head's images.  The root's children are
+the heads.  Below a prefix with first letter p0, a child whose orbit
+reaches below p0 is dropped in one pass, and the others meet only the
+relabelings that take one of their letters to p0, few of all: each
+compares its last letter's image with one bound fixed per prefix, and
+builds the child's image only on a tie.  One closed form places each
+child in the order.
 The leaves under a prefix of k - 1 letters reach the search as one
 batch: the pool indices of their canonical last letters, and finals
 lists for the few leaves that do not keep every option.  Each tuple's
@@ -37,9 +41,9 @@ keeps its letters in the closure's encoding, so a letter is encoded once
 for its prefix node, and a tuple's last letter only when the tuple is
 closed.  Each step of the walk makes one prefix node (_Prefix), its
 parent plus one pool index, which holds all of the above for its prefix.
-The cell's finals options, and a letter's rank, mask table and relabeled
-letters, are built once per shard (_LetterFacts); the letter facts are
-read by pool index, by nodes and leaves alike.
+The cell's finals options, the orbit table, and a letter's rank and mask
+table are built once per shard (_LetterFacts); the letter facts are read
+by pool index, by nodes and leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -69,7 +73,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, permutations, product, repeat
 from math import comb
-from operator import or_
+from operator import eq, or_
 
 from .automata import Dfa, _moore_classes, minimize
 from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
@@ -109,10 +113,12 @@ class SearchTask:
       - a candidate is dropped if a relabeling of the free states maps it to
         a smaller one, comparing the re-sorted letter tuple and then, on a
         tie, the finals: the relabeled DFA has the same sigma and class and
-        is enumerated itself.  Letter tuples and their prefixes are
-        compared through the stored re-sorted image of their own prefix:
-        per relabeling, the last letter's image is compared with one
-        bound, and the whole image is built only where the two are equal;
+        is enumerated itself.  A tuple whose last letter's orbit reaches
+        below its first letter is mapped lower by some relabeling; of the
+        others' relabelings only those taking a letter of the tuple to
+        its first letter can map it lower or fix it, and each of those
+        compares the last letter's image with one bound fixed per
+        prefix, building the whole image only where the two are equal;
       - a letter prefix that some relabeling maps lower is skipped whole,
         with every tuple under it: the re-sorted image of each of them is
         lower too.
@@ -213,52 +219,99 @@ def _relabelings(task: SearchTask) -> list[tuple[int, ...]]:
     return [(0, *p, *range(len(p) + 1, task.n)) for p in permutations(free)]
 
 
-class _LetterRelabel(dict):
-    """Pool index -> pool index of the letter under one relabeling pm,
-    filled on first use: a full table per relabeling would hold
-    (n-1)! * n^n entries, too many at n=7 even for a budgeted search."""
-
-    def __init__(self, pm: tuple[int, ...], pool, letter_index):
-        self.pm, self.pool, self.letter_index = pm, pool, letter_index
-        self.inv = sorted(range(len(pm)), key=pm.__getitem__)
-
-    def __missing__(self, i: int) -> int:
-        g = self.pool[i]
-        self[i] = self.letter_index[tuple(self.pm[g[q]] for q in self.inv)]
-        return self[i]
-
-
-def _relabel_tables(task: SearchTask, pool, options) -> list[tuple]:
-    """Letter and finals tables (index -> index of the relabeled item) per
-    non-identity relabeling of the free states.  Pool and options are sorted
-    and closed under relabeling, so indices compare as the tuples do."""
-    letter_index = {g: i for i, g in enumerate(pool)}
-    finals_index = {f: i for i, f in enumerate(options)}
-    return [(_LetterRelabel(pm, pool, letter_index),
-             [finals_index[frozenset(pm[q] for q in f)] for f in options])
-            for pm in _relabelings(task)[1:]]
-
-
 def _insert(image: tuple[int, ...], x: int) -> tuple[int, ...]:
     """The sorted tuple image with x inserted."""
     i = bisect_right(image, x)
     return image[:i] + (x,) + image[i:]
 
 
+class _Orbits:
+    """The pool's orbits under the relabelings of the free states
+    (_relabelings, identity first), each relabeling g acting on a letter
+    t as g t g^-1, built in one pass over the pool in index order: the
+    first letter met of each orbit is its head, its least pool index.
+      - least[c] is the head of c's orbit, and via[c] the index of a
+        relabeling that takes least[c] to c (0, the identity, at a head);
+      - rows[c] lists the images of head c under every relabeling, the
+        identity first (None where c is no head);
+      - mul[a][b] is the index of relabeling a after b, and inverse[a]
+        that of a's inverse;
+      - finals[a] maps a finals option's index to that of its image
+        under relabeling a.
+    So g takes letter c to rows[least[c]][mul[g][via[c]]]: three list
+    lookups, where the tables grow as the pool plus heads * relabelings,
+    not as the pool times the relabelings.  The pool and the options are
+    sorted and closed under relabeling, so indices compare as the items
+    do."""
+
+    __slots__ = ("least", "via", "rows", "mul", "inverse", "finals")
+
+    def __init__(self, task: SearchTask, pool, options):
+        group = _relabelings(task)
+        at = {g: a for a, g in enumerate(group)}
+        self.mul = [[at[tuple(map(g.__getitem__, h))] for h in group]
+                    for g in group]
+        self.inverse = [row.index(0) for row in self.mul]
+        option = {f: i for i, f in enumerate(options)}
+        self.finals = [[option[frozenset(map(g.__getitem__, f))]
+                        for f in options] for g in group]
+        # g t g^-1 takes state q to g(t(g^-1(q)))
+        acts = [(g, sorted(range(task.n), key=g.__getitem__)) for g in group]
+        index = {t: i for i, t in enumerate(pool)}
+        least: list[int | None] = [None] * len(pool)
+        self.least, self.via = least, [0] * len(pool)
+        self.rows: list[list[int] | None] = [None] * len(pool)
+        for c, t in enumerate(pool):
+            if least[c] is not None:
+                continue
+            row = self.rows[c] = [
+                index[tuple(map(g.__getitem__, map(t.__getitem__, inv)))]
+                for g, inv in acts]
+            for a, d in enumerate(row):
+                if least[d] is None:
+                    least[d], self.via[d] = c, a
+
+    def image(self, g: int, c: int) -> int:
+        """The pool index of letter c under relabeling g."""
+        return self.rows[self.least[c]][self.mul[g][self.via[c]]]
+
+    def stabilizer(self, head: int) -> tuple[int, ...]:
+        """The relabelings that fix head, in order, the identity first."""
+        return tuple(a for a, d in enumerate(self.rows[head]) if d == head)
+
+    def sending(self, c: int, stab: tuple[int, ...]) -> list[int]:
+        """The relabelings that take letter c to its head, whose
+        stabilizer is stab: s after the inverse of via[c], for s in
+        stab."""
+        back = self.inverse[self.via[c]]
+        return [self.mul[s][back] for s in stab]
+
+
 def _canonical_children(node: _Prefix,
                         kids) -> tuple[list[int], list[tuple[int, list]]]:
     """The pool indices c in kids, in order, such that no relabeling maps
     t = idx + (c,) lower, idx being node's prefix, and (c, finals tables
-    of the relabelings fixing t) for the few c that some relabeling
-    fixes: where t is a whole letter tuple, (t, finals i) is canonical
-    iff none of those tables maps i lower.  A shorter t mapped lower has
-    every tuple extending it mapped lower, since adding letters only
-    lowers each order statistic of the image, so its subtree is pruned.
+    of the relabelings other than the identity that fix t) for the few c
+    that some such relabeling fixes: where t is a whole letter tuple,
+    (t, finals i) is canonical iff none of those tables maps i lower.  A
+    shorter t mapped lower has every tuple extending it mapped lower,
+    since adding letters only lowers each order statistic of the image,
+    so its subtree is pruned.
 
-    idx is a sorted prefix that no relabeling maps lower, node.images
-    holds its re-sorted images, and every c in kids is at least idx[-1],
-    so that t is sorted.  For one relabeling g let p = idx, P its image
-    (P >= p), x = g(c), and T the image of t: P with x inserted.
+    idx is a sorted prefix that no relabeling maps lower, and every c in
+    kids is at least idx[-1], so that t is sorted.  At the root t = (c,)
+    is canonical iff c heads its orbit.  Below it, let p = idx and
+    p0 = idx[0], itself a head.  A relabeling takes a letter c into c's
+    orbit, whose least index is least[c]: if least[c] < p0 the image of
+    t starts below p0, and c is dropped.  For the others every letter of
+    every image of t is at least p0, so an image that takes no letter of
+    t to p0 starts above p0 and is above t.  Only two kinds of
+    relabeling remain: node.meet, those that take a letter of p to p0,
+    and for c in p0's orbit (least[c] = p0) those that take c to p0.
+    Every relabeling that fixes t is among them.
+
+    For g in node.meet let P be the sorted image of p (P >= p), x = g(c),
+    and T the image of t: P with x inserted.
       - P = p (g fixes the prefix).  If x < c, x goes in at some i, before
         which T and t agree, and T_i = x is below t_i (p_i, or c if x goes
         last), so T < t; if x = c, T = t; if x > c, T = p + (x,) > t.
@@ -268,24 +321,43 @@ def _canonical_children(node: _Prefix,
         j, since p_l <= p_j for l < j; T agrees with t before j and
         T_j (x or P_j) > p_j = t_j, so T > t.  Only x = p_j, a tie, leaves
         T to be built and compared.
-    So the test of a relabeling is one comparison of x with a bound fixed
-    per prefix (c, or p_j), save ties."""
+    So the test of such a relabeling is one comparison of x with a bound
+    fixed per node (c, or p_j), save ties.  A relabeling of the second
+    kind outside node.meet takes every letter of p above p0, so T is p0
+    followed by the sorted image of p (_lower)."""
+    orbits = node.facts.orbits
+    if orbits is None:  # unpruned: every letter tuple is a candidate
+        return list(kids), []
+    least, finals = orbits.least, orbits.finals
     idx = node.idx
-    # per relabeling, rise is p_j, or None where it fixes the prefix
-    tests = [(letters, finals, image,
-              next((q for q, r in zip(idx, image) if q != r), None))
-             for (letters, finals), image in zip(node.facts.tables,
-                                                 node.images)]
+    if not idx:
+        heads = list(compress(kids, map(eq, kids, map(least.__getitem__,
+                                                      kids))))
+        return heads, [(c, [finals[g] for g in orbits.stabilizer(c)[1:]])
+                       for c in heads if orbits.rows[c].count(c) > 1]
+    p0, meet = idx[0], node.meet
+    leasts = list(map(least.__getitem__, kids))
+    kids = list(compress(kids, map(p0.__le__, leasts)))
+    if len(meet) == 1 and p0 not in leasts:
+        return kids, []
+    rows, via, mul = orbits.rows, orbits.via, orbits.mul
+    tests = []
+    for g in meet[1:]:  # the identity never maps lower
+        image = tuple(sorted(orbits.image(g, q) for q in idx))
+        # rise is p_j, or None where g fixes the prefix
+        tests.append((mul[g], finals[g], image,
+                      next((q for q, r in zip(idx, image) if q != r), None)))
     children, fixed = [], []
     for c in kids:
+        row, v = rows[least[c]], via[c]
         fixing = []
-        for letters, finals, image, rise in tests:
-            x = letters[c]
+        for mg, fin, image, rise in tests:
+            x = row[mg[v]]
             if rise is None:
                 if x < c:
                     break
                 if x == c:
-                    fixing.append(finals)
+                    fixing.append(fin)
             elif x <= rise:
                 if x < rise:
                     break
@@ -293,12 +365,32 @@ def _canonical_children(node: _Prefix,
                 if whole < child:
                     break
                 if whole == child:
-                    fixing.append(finals)
+                    fixing.append(fin)
         else:
+            if least[c] == p0 and _lower(orbits, node, c, fixing):
+                continue
             children.append(c)
             if fixing:
                 fixed.append((c, fixing))
     return children, fixed
+
+
+def _lower(orbits: _Orbits, node: _Prefix, c: int, fixing: list) -> bool:
+    """Whether a relabeling outside node.meet that takes c, a letter in
+    the orbit of the node's first letter p0, to p0 maps idx + (c,) lower;
+    if none does, the finals tables of those that fix it are added to
+    fixing."""
+    idx, child = node.idx, (*node.idx[1:], c)
+    for g in orbits.sending(c, node.stab):
+        if g in node.meet:
+            continue
+        # g takes every letter of idx above p0, and c to p0
+        whole = tuple(sorted(orbits.image(g, q) for q in idx))
+        if whole < child:
+            return True
+        if whole == child:
+            fixing.append(orbits.finals[g])
+    return False
 
 
 def _tuples_before(prune: bool, letters: int, first: int, c: int,
@@ -348,14 +440,14 @@ class _LetterFacts:
     indexed by pool index: ranks (image sizes), built at once since every
     leaf reads one, and mask tables (_image_masks), each built when a
     node or leaf first needs it; with bound, the shard's _RankBound,
-    tables, the pool's relabel tables (_relabel_tables; none without
-    pruning), options, the cell's finals options (_finals_options), and
-    left, whether its tuples meet the left-ideal test (_FAMILIES).  A
-    list entry costs a pointer where a dict entry would cost a hash slot
-    as well, which matters at n=7, where a right cell's pool holds
-    117,649 letters and a left cell's 823,543."""
+    orbits, the pool's orbit table (_Orbits; None without pruning),
+    options, the cell's finals options (_finals_options), and left,
+    whether its tuples meet the left-ideal test (_FAMILIES).  A list
+    entry costs a pointer where a dict entry would cost a hash slot as
+    well, which matters at n=7, where a right cell's pool holds 117,649
+    letters and a left cell's 355,081."""
 
-    __slots__ = ("pool", "n", "ranks", "images", "bound", "tables",
+    __slots__ = ("pool", "n", "ranks", "images", "bound", "orbits",
                  "options", "left")
 
     def __init__(self, task: SearchTask):
@@ -365,8 +457,8 @@ class _LetterFacts:
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
         self.bound = _RankBound(right)
-        self.tables = (_relabel_tables(task, self.pool, self.options)
-                       if task.prune else [])
+        self.orbits = (_Orbits(task, self.pool, self.options)
+                       if task.prune else None)
 
     def image(self, c: int) -> bytes:
         table = self.images[c]
@@ -380,10 +472,13 @@ class _Prefix:
     every letter tuple extending it, and the partial results its tuples
     extend by their further letters (Froidure & Pin 1997).  A node is its
     parent up plus pool index c, and reads c's letter, rank, mask table
-    and relabelings off the shard's _LetterFacts, shared by every node.
-      - idx holds the pool indices, gens their letters, and images the
-        prefix's re-sorted image under each relabeling: its parent's with
-        c's relabeled letter inserted (_canonical_children reads them).
+    and orbit off the shard's _LetterFacts, shared by every node.
+      - idx holds the pool indices and gens their letters.  stab lists
+        the relabelings that fix the first letter p0, a head, and meet
+        those that take some letter of the prefix to p0, in order, the
+        identity first: its parent's, with those taking c to p0 where c
+        is in p0's orbit (_canonical_children reads them).  Both are
+        empty at the root and without pruning.
       - reach is the mask of the states its letters reach from 0, and
         union the byte-wise OR of their mask tables (_image_masks): a
         node spreads its parent's reach by its parent's union and its own
@@ -404,15 +499,23 @@ class _Prefix:
         fills the place), read when the node is made, so a tuple's bound
         is one list index."""
 
-    __slots__ = ("up", "facts", "idx", "gens", "images", "codes", "ranks",
-                 "bounds", "reach", "union", "_closed", "_need")
+    __slots__ = ("up", "facts", "idx", "gens", "meet", "stab", "codes",
+                 "ranks", "bounds", "reach", "union", "_closed", "_need")
 
     def __init__(self, up: _Prefix, c: int):
         facts = self.facts = up.facts
         g, own = facts.pool[c], facts.image(c)
         self.up, self.idx, self.gens = up, up.idx + (c,), up.gens + (g,)
-        self.images = [_insert(image, letters[c]) for (letters, _), image
-                       in zip(facts.tables, up.images)]
+        orbits = facts.orbits
+        if orbits is None:
+            self.meet = self.stab = ()
+        elif not up.idx:  # c heads its orbit
+            self.meet = self.stab = orbits.stabilizer(c)
+        else:
+            self.stab, self.meet = up.stab, up.meet
+            if orbits.least[c] == self.idx[0]:
+                self.meet = tuple(sorted({*up.meet,
+                                          *orbits.sending(c, up.stab)}))
         self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
@@ -425,7 +528,7 @@ class _Prefix:
         relabeling."""
         node = cls.__new__(cls)
         node.up, node.facts = None, facts
-        node.images = [()] * len(facts.tables)
+        node.meet = node.stab = ()
         node.idx = node.gens = node.codes = ()
         node.reach, node.union = 1, bytes(1 << facts.n)
         node._rank(())
@@ -500,24 +603,30 @@ def _walk(task: SearchTask, facts: _LetterFacts, shard: int, shards: int):
     """Walk the global candidate order (letter tuple, then finals) as a
     tree of letter prefixes, depth first, and yield one batch (prefix
     node, leaves, keep) per prefix of k - 1 letters with any canonical
-    leaf under heads shard, shard + shards, ... in the budget's prefix
-    of the order.  leaves lists, in order, the pool indices of the last
-    letters that make canonical letter tuples with the prefix.  Each
-    such tuple is canonical with every finals option save where keep,
-    a dict from pool index to finals list, says otherwise: for the leaf
-    the budget cuts, and for leaves that some relabeling fixes, where
-    only the options that no such relabeling maps lower are kept.  The
-    least finals option is always kept, so no list in keep is empty.
+    leaf under the root's children shard, shard + shards, ... in the
+    budget's prefix of the order.  leaves lists, in order, the pool
+    indices of the last letters that make canonical letter tuples with
+    the prefix.  Each such tuple is canonical with every finals option
+    save where keep, a dict from pool index to finals list, says
+    otherwise: for the leaf the budget cuts, and for leaves that some
+    relabeling fixes, where only the options that no such relabeling
+    maps lower are kept.  The least finals option is always kept, so no
+    list in keep is empty.
     Each node takes the same steps: its children inside the budget, the
     canonical ones among them (_canonical_children), then the batch or a
-    visit to each, placed in the order by _tuples_before."""
+    visit to each, placed in the order by _tuples_before.  The canonical
+    children of the root are the orbit heads (_Orbits).  Below it, a
+    batch is the children whose orbits reach no lower than the prefix's
+    first letter p0, less those that a relabeling taking one of their
+    letters to p0 maps lower.  Where no such relabeling but the identity
+    exists, the batch is the orbit filter's survivors as they are."""
     letters, options, budget = len(facts.pool), len(facts.options), task.budget
     # a tuple, not a range: its slices share ints instead of making new ones
     indices = tuple(range(letters))
 
     def visit(node: _Prefix, pos: int):
         # the children of node, the first starting at position pos; the
-        # heads (the root's children) are dealt out to the shards
+        # root's children are dealt out to the shards
         idx = node.idx
         more = task.k - len(idx) - 1
         first = idx[-1] if idx and task.prune else 0
@@ -573,9 +682,9 @@ def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
 
 
 def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
-    """Search heads shard, shard + shards, ...: the best sigma with its
-    witnesses, the number of canonical candidates seen and the size of the
-    whole candidate order.
+    """Search under the root's children shard, shard + shards, ...: the
+    best sigma with its witnesses, the number of canonical candidates
+    seen and the size of the whole candidate order.
 
     The walk hands over one batch of leaves per prefix (_walk).  Its
     canonical candidates are counted from the batch's length and the

@@ -323,7 +323,9 @@ def test_search_flags_follow_the_search_task():
 
 
 @pytest.mark.parametrize("family, n, k", [
-    ("right", 4, 3), ("two-sided", 4, 3), ("left", 3, 4)])
+    ("right", 4, 3), ("two-sided", 4, 3), ("left", 3, 4),
+    # the most relabelings (6) of any cell here, in both skeleton families
+    ("right", 5, 2), ("two-sided", 5, 2)])
 def test_search_json_is_the_same_at_any_job_count(serial_pool, capsys,
                                                   family, n, k):
     # budgets of 500 and 3,000 cut the prefix walk at its inner levels

@@ -8,9 +8,12 @@ import importlib
 import math
 import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left
 from itertools import combinations_with_replacement, permutations, product
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -144,17 +147,18 @@ def test_budgeted_right_5_3_is_pinned():
         (377, 288, 1_000_000, 582_178)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("family, n, k, budget, expected", [
-    ("right", 6, 2, None, (1518, 120, 30_236_976, 28_956_366)),
-    ("two_sided", 6, 2, None, (120, 1, 15_237_960, 14_589_099)),
+    pytest.param("right", 6, 2, None, (1518, 120, 30_236_976, 28_956_366),
+                 marks=pytest.mark.slow),
+    pytest.param("two_sided", 6, 2, None, (120, 1, 15_237_960, 14_589_099),
+                 marks=pytest.mark.slow),
     ("right", 6, 2, 400_000, (1518, 4, 400_000, 317_609)),
 ])
 def test_six_state_cells_are_pinned(family, n, k, budget, expected):
-    # the seconds-scale n = 6 cells, where a prefix's batch holds thousands
-    # of leaves and 23 relabelings meet them.  A budget's prefix has no
-    # count without searching, so only the exhaustive runs are held
-    # against canonical_count
+    # the n = 6 cells, where a prefix's batch holds thousands of leaves
+    # and the pool 23 relabelings besides the identity.  A budget's
+    # prefix has no count without searching, so only the exhaustive runs
+    # are held against canonical_count
     task = SearchTask(family, n, k, **({"budget": budget} if budget else {}))
     result = search_max_sigma(task)
     assert result.exhaustive == (budget is None)
@@ -163,6 +167,39 @@ def test_six_state_cells_are_pinned(family, n, k, budget, expected):
     if budget is None:
         assert canonical_count(task) == \
             result.candidates_examined - result.candidates_pruned
+
+
+@pytest.mark.parametrize("family, n, k, expected", [
+    ("right", 7, 2, (41, 1, 100_000, 98_760)),
+    ("two_sided", 7, 2, (65, 1, 100_000, 94_581)),
+])
+def test_seven_state_budget_prefixes_are_pinned(family, n, k, expected):
+    # the first 100,000 candidates of the n = 7 cells, whose pools hold
+    # 117,649 and 79,144 letters under 120 relabelings
+    result = search_max_sigma(SearchTask(family, n, k, budget=100_000))
+    assert not result.exhaustive
+    assert (result.max_sigma, len(result.witnesses),
+            result.candidates_examined, result.candidates_pruned) == expected
+
+
+@pytest.mark.slow
+def test_seven_state_search_stays_small():
+    # the orbit table grows as the pool plus heads * relabelings, so a
+    # million candidates of right (7,2) fit well under 120 MB (per-letter
+    # relabel tables had taken it past 200 MB).  The search runs in a
+    # child of a fresh interpreter, whose children are the search alone
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], "
+             "check=True, stdout=subprocess.DEVNULL); print(resource."
+             "getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "syncomp.cli",
+         "search", "--family", "right", "--n", "7", "--k", "2",
+         "--budget", "1000000"],
+        env=env, check=True, capture_output=True, text=True, timeout=300)
+    peak_mb = int(out.stdout) / 1024  # ru_maxrss is in kB on Linux
+    assert peak_mb < 120, peak_mb
 
 
 @pytest.mark.parametrize("family, n, k, expected", [
@@ -392,7 +429,8 @@ def _node(facts, idx):
     ("right", 4, 2),
     # three letters: prefixes below the head are pruned too
     ("right", 3, 3), ("left", 3, 3), ("all", 2, 3), ("two_sided", 4, 3),
-    # leaf ties (see test_only_leaf_ties_build_the_image) in each family
+    # leaves that meet relabelings past the orbit filter (see
+    # test_leaves_meet_only_relabelings_onto_the_first_letter)
     ("all", 3, 3), ("left", 3, 4), ("right", 4, 3),
 ])
 def test_stream_yields_each_orbit_minimum_once(family, n, k):
@@ -539,6 +577,33 @@ def test_head_skipping_keeps_budgeted_counts(monkeypatch, jobs, family, n, k,
     assert not result.exhaustive
 
 
+def _group(family: str, n: int) -> list[tuple[int, ...]]:
+    """The relabelings of the free states, built from the permutations of
+    the states in lexicographic order: those fixing 0, and n-1 as well
+    where every letter fixes the sink."""
+    fixed = {0, n - 1} if family in ("right", "two_sided") else {0}
+    return [p for p in permutations(range(n))
+            if all(p[q] == q for q in fixed)]
+
+
+def _conjugate(pm: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """Letter t under relabeling pm, pm t pm^-1: state pm(q) goes to
+    pm(t(q))."""
+    image = [0] * len(t)
+    for q, x in enumerate(t):
+        image[pm[q]] = pm[x]
+    return tuple(image)
+
+
+def _relabeled(task: SearchTask) -> list[list[int]]:
+    """Per relabeling of _group, the pool index of each pool letter's
+    image, by conjugating every letter directly."""
+    pool = search._pool(task)
+    index = {t: i for i, t in enumerate(pool)}
+    return [[index[_conjugate(pm, t)] for t in pool]
+            for pm in _group(task.family, task.n)]
+
+
 @pytest.mark.parametrize("family, n, k, tested", [
     ("right", 4, 3, 25_298),
     ("two_sided", 4, 3, 13_602),
@@ -551,50 +616,81 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
     # a proper prefix some relabeling maps lower is stepped over whole,
     # before the canonical test sees any child of it; tested counts the
     # tuples that reach the test as leaves, under prefixes of k - 1
-    # letters.  The prefix's stored images are its re-sorted images
+    # letters.  A node's meet holds exactly the relabelings that take a
+    # letter of its prefix to its first letter.  Both are checked
+    # against every relabeling, each letter conjugated directly
+    task = SearchTask(family, n, k)
+    relabeled = _relabeled(task)
     real = search._canonical_children
     seen = []
 
     def checked(node, kids):
-        idx, tables = node.idx, node.facts.tables
+        idx = node.idx
         for d in range(1, len(idx) + 1):
             prefix = idx[:d]
-            assert all(tuple(sorted(letters[i] for i in prefix)) >= prefix
-                       for letters, _ in tables), idx
-        assert list(node.images) == [tuple(sorted(letters[i] for i in idx))
-                                     for letters, _ in tables], idx
+            assert all(tuple(sorted(g[i] for i in prefix)) >= prefix
+                       for g in relabeled), idx
+        assert node.meet == tuple(
+            a for a, g in enumerate(relabeled)
+            if idx and idx[0] in (g[i] for i in idx)), idx
         if len(idx) == k - 1:
             seen.extend(idx + (c,) for c in kids)
         return real(node, kids)
 
     monkeypatch.setattr(search, "_canonical_children", checked)
-    result = search_max_sigma(SearchTask(family, n, k))
+    result = search_max_sigma(task)
     assert seen and result.exhaustive
     assert tested is None or len(seen) == tested
 
 
-@pytest.mark.parametrize("family, n, k, ties", [
-    ("right", 5, 2, 503),
-    ("all", 3, 3, 99),
-    ("left", 3, 4, 153),
-    ("right", 4, 3, 336),
+@pytest.mark.parametrize("family, n, k, met", [
+    ("right", 5, 2, 23_374),
+    ("all", 3, 3, 741),
+    ("left", 3, 4, 1_166),
+    ("right", 4, 3, 5_104),
+    ("two_sided", 4, 3, 3_214),
+    ("left", 4, 2, 2_337),
     ("right", 3, 3, 0),
     ("all", 2, 3, 0),
 ])
-def test_only_leaf_ties_build_the_image(monkeypatch, family, n, k, ties):
-    # at a leaf a relabeling's verdict is one comparison with a bound fixed
-    # per prefix; the tuple's image is built only on a tie.  The prefix
-    # walk inserts into images of fewer than k - 1 letters
-    real, built = search._insert, []
+def test_leaves_meet_only_relabelings_onto_the_first_letter(
+        monkeypatch, family, n, k, met):
+    # a leaf t = idx + (c,) whose last letter's orbit reaches below t0 is
+    # dropped by the orbit filter, and meets no relabeling.  Any other
+    # meets those of node.meet and, for c in t0's orbit, those taking c
+    # to t0, the identity aside.  met counts these (leaf, relabeling)
+    # pairs over the leaves under prefixes of k - 1 letters; they are
+    # recounted as the relabelings that take some letter of t to t0,
+    # each letter conjugated directly
+    task = SearchTask(family, n, k)
+    relabeled = _relabeled(task)
+    real = search._canonical_children
+    walked = recounted = 0
 
-    def counted(image, x):
-        if len(image) == k - 1:
-            built.append(image)
-        return real(image, x)
+    def counted(node, kids):
+        nonlocal walked, recounted
+        idx, orbits = node.idx, node.facts.orbits
+        if len(idx) == k - 1:
+            p0 = idx[0]
+            for c in kids:
+                least = orbits.least[c]
+                assert least == min(g[c] for g in relabeled)
+                if least < p0:
+                    continue
+                meets = set(node.meet)
+                if least == p0:
+                    meets.update(orbits.sending(c, node.stab))
+                meets.discard(0)
+                expected = {a for a, g in enumerate(relabeled)
+                            if a and p0 in (g[i] for i in idx + (c,))}
+                assert meets == expected, (idx, c)
+                walked += len(meets)
+                recounted += len(expected)
+        return real(node, kids)
 
-    monkeypatch.setattr(search, "_insert", counted)
-    _stream(SearchTask(family, n, k))
-    assert len(built) == ties
+    monkeypatch.setattr(search, "_canonical_children", counted)
+    search_max_sigma(task)
+    assert walked == recounted == met
 
 
 _SMALL_CELLS = [(family, n, k) for family in ("right", "left", "two_sided",
@@ -610,12 +706,40 @@ def test_relabelings_fix_the_skeleton(family, n):
     # every letter fixes the sink, in lexicographic order, so the
     # identity comes first
     fixed = {0, n - 1} if family in ("right", "two_sided") else {0}
-    group = [p for p in permutations(range(n))
-             if all(p[q] == q for q in fixed)]
     relabelings = search._relabelings(SearchTask(family, n, 1))
-    assert relabelings == group
+    assert relabelings == _group(family, n)
     assert relabelings[0] == tuple(range(n))
     assert len(relabelings) == math.factorial(n - len(fixed))
+
+
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for family in ("right", "left", "two_sided", "all")
+      for n in range(1, 6)),
+    ("right", 6), ("two_sided", 6),
+])
+def test_orbit_table_matches_every_relabeling(family, n):
+    # for every pool letter c and relabeling g, the orbit table's g(c),
+    # read through c's head, equals c conjugated by g directly; least[c]
+    # is the least index of c's orbit, the heads are the letters that
+    # are their own least, and each relabeling's finals table maps an
+    # option to its image
+    task = SearchTask(family, n, 1)
+    facts = search._LetterFacts(task)
+    orbits, options = facts.orbits, facts.options
+    relabeled = _relabeled(task)
+    for c in range(len(facts.pool)):
+        images = [g[c] for g in relabeled]
+        assert [orbits.image(a, c) for a in range(len(relabeled))] == \
+            images, c
+        assert orbits.least[c] == min(images), c
+    heads = [c for c, least in enumerate(orbits.least) if least == c]
+    assert heads == sorted({min(g[c] for g in relabeled)
+                            for c in range(len(facts.pool))})
+    assert [c for c, row in enumerate(orbits.rows) if row] == heads
+    option = {f: i for i, f in enumerate(options)}
+    assert orbits.finals == [
+        [option[frozenset(pm[q] for q in f)] for f in options]
+        for pm in _group(family, n)]
 
 
 @pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
