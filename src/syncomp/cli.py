@@ -16,10 +16,10 @@ from pathlib import Path
 from .automata import (emit_dfa_json, minimize, determinize,
                        parse_dfa_json, reverse, to_dot)
 from .classify import classify, ruled_out_count_brute, ruled_out_count_formula
-from .errors import FormatError
+from .errors import CapExceededError, FormatError
 from .oracles import word_bfs_sigma
 from .search import SearchTask, search_max_sigma
-from .semigroup import sigma_of_language, word_length_histogram
+from .semigroup import transition_semigroup, word_length_histogram
 from .tables import TABLE_IDS, RuledOutRow, run_table
 from .witnesses import REVERSAL_SETUP, family_witness, small_witness
 
@@ -28,6 +28,9 @@ __all__ = ["main"]
 # reverse's subset DFA has up to 2^n states (2^(n-1) for a family witness):
 # n = 18 takes seconds and 145 MB, and each two more states cost 4x
 _REVERSE_MAX_STATES = 20
+# a family witness costs time and memory linear in n (10^5 states take
+# 0.5 s and 70 MB); 10,000 states emit about 0.5 MB of JSON
+_WITNESS_MAX_STATES = 10_000
 
 
 def _family(name: str) -> str:
@@ -159,6 +162,9 @@ def _parse_finals(text: str, n: int) -> frozenset[int]:
 
 
 def _cmd_witness(args) -> int:
+    if args.n > _WITNESS_MAX_STATES:
+        raise FormatError(f"witness is limited to --n <= "
+                          f"{_WITNESS_MAX_STATES}, got {args.n}")
     fam = _family(args.family)
     if args.small is not None:
         _refuse(args, ("--letters", "--finals"), "with --small")
@@ -267,9 +273,15 @@ def _cmd_oracle(args) -> int:
     ran = False
     if args.dfa is not None:
         ran = True
-        d = _load_dfa(args.dfa)
-        engine = sigma_of_language(d)
-        oracle = word_bfs_sigma(minimize(d), max_words=args.max_words)
+        md = minimize(_load_dfa(args.dfa))
+        # word BFS examines a word per element at least, so it cannot
+        # finish past --max-words elements, and the closure stops there too
+        try:
+            engine = transition_semigroup(md, cap=args.max_words).sigma
+        except CapExceededError:
+            raise RuntimeError(f"sigma exceeds --max-words {args.max_words}, "
+                               f"too many for the word-BFS oracle") from None
+        oracle = word_bfs_sigma(md, max_words=args.max_words)
         agree = engine == oracle
         print(f"sigma engine={engine}  word-bfs={oracle}  "
               f"{'ok' if agree else 'MISMATCH'}")

@@ -22,13 +22,14 @@ The candidate order is walked as a tree of letter prefixes, depth first
 (orderly generation, McKay 1998), every level alike.  A prefix that some
 relabeling maps lower is stepped over with its whole subtree.  The pool's
 orbits under the relabelings are one table (_Orbits): each letter's orbit
-head, its least index, and each head's images.  The root's children are
-the heads.  Below a prefix with first letter p0, a child whose orbit
-reaches below p0 is dropped in one pass, and the others meet only the
-relabelings that take one of their letters to p0, few of all: each
-compares its last letter's image with one bound fixed per prefix, and
-builds the child's image only on a tie.  One closed form places each
-child in the order.
+head, its least index, and each head's images and stabilizer.  The
+root's children are the heads.  Below a prefix with first letter p0, a
+child whose orbit reaches below p0 is dropped in one pass, and each of
+the others meets only the relabelings that take one of its letters to
+p0, few of all, every one judged by the same test: it compares the
+child's last letter's image with one bound fixed per prefix, and builds
+the child's image only on a tie.  One closed form places each child in
+the order.
 The leaves under a prefix of k - 1 letters reach the search as one
 batch: the pool indices of their canonical last letters, and finals
 lists for the few leaves that do not keep every option.  Each tuple's
@@ -71,9 +72,9 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, permutations, product, repeat
+from itertools import chain, compress, permutations, product, repeat
 from math import comb
-from operator import eq, or_
+from operator import eq, ne, or_
 
 from .automata import Dfa, _moore_classes, minimize
 from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
@@ -233,7 +234,8 @@ class _Orbits:
       - least[c] is the head of c's orbit, and via[c] the index of a
         relabeling that takes least[c] to c (0, the identity, at a head);
       - rows[c] lists the images of head c under every relabeling, the
-        identity first (None where c is no head);
+        identity first, and stabs[c] the relabelings that fix c, in
+        order, the identity first (both None where c is no head);
       - mul[a][b] is the index of relabeling a after b, and inverse[a]
         that of a's inverse;
       - finals[a] maps a finals option's index to that of its image
@@ -244,7 +246,8 @@ class _Orbits:
     sorted and closed under relabeling, so indices compare as the items
     do."""
 
-    __slots__ = ("least", "via", "rows", "mul", "inverse", "finals")
+    __slots__ = ("least", "via", "rows", "stabs", "mul", "inverse",
+                 "finals")
 
     def __init__(self, task: SearchTask, pool, options):
         group = _relabelings(task)
@@ -261,30 +264,41 @@ class _Orbits:
         least: list[int | None] = [None] * len(pool)
         self.least, self.via = least, [0] * len(pool)
         self.rows: list[list[int] | None] = [None] * len(pool)
+        self.stabs: list[tuple[int, ...] | None] = [None] * len(pool)
         for c, t in enumerate(pool):
             if least[c] is not None:
                 continue
             row = self.rows[c] = [
                 index[tuple(map(g.__getitem__, map(t.__getitem__, inv)))]
                 for g, inv in acts]
+            stab = []
             for a, d in enumerate(row):
                 if least[d] is None:
                     least[d], self.via[d] = c, a
+                if d == c:
+                    stab.append(a)
+            self.stabs[c] = tuple(stab)
 
     def image(self, g: int, c: int) -> int:
         """The pool index of letter c under relabeling g."""
         return self.rows[self.least[c]][self.mul[g][self.via[c]]]
 
-    def stabilizer(self, head: int) -> tuple[int, ...]:
-        """The relabelings that fix head, in order, the identity first."""
-        return tuple(a for a, d in enumerate(self.rows[head]) if d == head)
-
-    def sending(self, c: int, stab: tuple[int, ...]) -> list[int]:
-        """The relabelings that take letter c to its head, whose
-        stabilizer is stab: s after the inverse of via[c], for s in
-        stab."""
+    def sending(self, c: int) -> list[int]:
+        """The relabelings that take letter c to its head least[c]: s
+        after the inverse of via[c], for s in the head's stabilizer, so
+        the stabilizer itself, in order, where c is a head."""
         back = self.inverse[self.via[c]]
-        return [self.mul[s][back] for s in stab]
+        return [self.mul[s][back] for s in self.stabs[self.least[c]]]
+
+
+def _test(orbits: _Orbits, idx: tuple[int, ...], g: int) -> tuple:
+    """The test of relabeling g on the children of prefix idx that
+    _canonical_children judges: (mul[g], finals[g], P, rise), P being the
+    sorted image of idx and rise the letter of idx at the first position
+    where P differs from it, or None where g fixes idx."""
+    image = tuple(sorted(map(orbits.image, repeat(g), idx)))
+    return (orbits.mul[g], orbits.finals[g], image,
+            next(compress(idx, map(ne, idx, image)), None))
 
 
 def _canonical_children(node: _Prefix,
@@ -299,19 +313,20 @@ def _canonical_children(node: _Prefix,
     so its subtree is pruned.
 
     idx is a sorted prefix that no relabeling maps lower, and every c in
-    kids is at least idx[-1], so that t is sorted.  At the root t = (c,)
-    is canonical iff c heads its orbit.  Below it, let p = idx and
-    p0 = idx[0], itself a head.  A relabeling takes a letter c into c's
-    orbit, whose least index is least[c]: if least[c] < p0 the image of
-    t starts below p0, and c is dropped.  For the others every letter of
-    every image of t is at least p0, so an image that takes no letter of
-    t to p0 starts above p0 and is above t.  Only two kinds of
-    relabeling remain: node.meet, those that take a letter of p to p0,
-    and for c in p0's orbit (least[c] = p0) those that take c to p0.
-    Every relabeling that fixes t is among them.
+    kids is at least idx[-1], so that t is sorted.  Let t0 be t's first
+    letter: p0 = idx[0], or c itself at the root.  A relabeling takes c
+    into c's orbit, whose least index is least[c]: if least[c] < t0 the
+    image of t starts below t0, and c is dropped (at the root, c is kept
+    iff it heads its orbit).  For the others every letter of every image
+    of t is at least t0, so an image that takes no letter of t to t0
+    starts above t0 and is above t.  So c meets only the relabelings
+    that take one of its letters to t0: node.meet, those that take a
+    letter of idx to p0, and for c in t0's orbit (least[c] = t0)
+    sending(c), those that take c to t0.  Every relabeling that fixes t
+    is among them, and each is judged by one test (_test).
 
-    For g in node.meet let P be the sorted image of p (P >= p), x = g(c),
-    and T the image of t: P with x inserted.
+    For such a relabeling g let P be the sorted image of p = idx
+    (P >= p), x = g(c), and T the image of t: P with x inserted.
       - P = p (g fixes the prefix).  If x < c, x goes in at some i, before
         which T and t agree, and T_i = x is below t_i (p_i, or c if x goes
         last), so T < t; if x = c, T = t; if x > c, T = p + (x,) > t.
@@ -321,37 +336,35 @@ def _canonical_children(node: _Prefix,
         j, since p_l <= p_j for l < j; T agrees with t before j and
         T_j (x or P_j) > p_j = t_j, so T > t.  Only x = p_j, a tie, leaves
         T to be built and compared.
-    So the test of such a relabeling is one comparison of x with a bound
-    fixed per node (c, or p_j), save ties.  A relabeling of the second
-    kind outside node.meet takes every letter of p above p0, so T is p0
-    followed by the sorted image of p (_lower)."""
+    So a test is one comparison of x with a bound fixed per node (c, or
+    p_j), save ties.  A g in sending(c) but not in node.meet takes every
+    letter of p above p0, so j = 0 and p_j = p0 = x: it always ties.  At
+    the root P = p = () and sending(c) is c's stabilizer, whose
+    relabelings all fix t."""
     orbits = node.facts.orbits
     if orbits is None:  # unpruned: every letter tuple is a candidate
         return list(kids), []
-    least, finals = orbits.least, orbits.finals
-    idx = node.idx
-    if not idx:
-        heads = list(compress(kids, map(eq, kids, map(least.__getitem__,
-                                                      kids))))
-        return heads, [(c, [finals[g] for g in orbits.stabilizer(c)[1:]])
-                       for c in heads if orbits.rows[c].count(c) > 1]
-    p0, meet = idx[0], node.meet
+    least, rows, via = orbits.least, orbits.rows, orbits.via
+    idx, meet = node.idx, node.meet
     leasts = list(map(least.__getitem__, kids))
-    kids = list(compress(kids, map(p0.__le__, leasts)))
-    if len(meet) == 1 and p0 not in leasts:
-        return kids, []
-    rows, via, mul = orbits.rows, orbits.via, orbits.mul
-    tests = []
-    for g in meet[1:]:  # the identity never maps lower
-        image = tuple(sorted(orbits.image(g, q) for q in idx))
-        # rise is p_j, or None where g fixes the prefix
-        tests.append((mul[g], finals[g], image,
-                      next((q for q, r in zip(idx, image) if q != r), None)))
+    if idx:
+        p0 = idx[0]
+        kids = list(compress(kids, map(p0.__le__, leasts)))
+        if len(meet) == 1 and p0 not in leasts:
+            return kids, []
+    else:  # the root: t = (c,) is canonical iff c heads its orbit
+        p0 = None
+        kids = list(compress(kids, map(eq, kids, leasts)))
+    # the identity, meet[0], never maps lower
+    tests = [_test(orbits, idx, g) for g in meet[1:]]
     children, fixed = [], []
     for c in kids:
         row, v = rows[least[c]], via[c]
-        fixing = []
-        for mg, fin, image, rise in tests:
+        met, fixing = tests, []
+        if least[c] == p0 or not idx:  # c is in t0's orbit, as heads are
+            met = chain(tests, (_test(orbits, idx, g)
+                                for g in orbits.sending(c) if g not in meet))
+        for mg, fin, image, rise in met:
             x = row[mg[v]]
             if rise is None:
                 if x < c:
@@ -367,30 +380,10 @@ def _canonical_children(node: _Prefix,
                 if whole == child:
                     fixing.append(fin)
         else:
-            if least[c] == p0 and _lower(orbits, node, c, fixing):
-                continue
             children.append(c)
             if fixing:
                 fixed.append((c, fixing))
     return children, fixed
-
-
-def _lower(orbits: _Orbits, node: _Prefix, c: int, fixing: list) -> bool:
-    """Whether a relabeling outside node.meet that takes c, a letter in
-    the orbit of the node's first letter p0, to p0 maps idx + (c,) lower;
-    if none does, the finals tables of those that fix it are added to
-    fixing."""
-    idx, child = node.idx, (*node.idx[1:], c)
-    for g in orbits.sending(c, node.stab):
-        if g in node.meet:
-            continue
-        # g takes every letter of idx above p0, and c to p0
-        whole = tuple(sorted(orbits.image(g, q) for q in idx))
-        if whole < child:
-            return True
-        if whole == child:
-            fixing.append(orbits.finals[g])
-    return False
 
 
 def _tuples_before(prune: bool, letters: int, first: int, c: int,
@@ -473,12 +466,12 @@ class _Prefix:
     extend by their further letters (Froidure & Pin 1997).  A node is its
     parent up plus pool index c, and reads c's letter, rank, mask table
     and orbit off the shard's _LetterFacts, shared by every node.
-      - idx holds the pool indices and gens their letters.  stab lists
-        the relabelings that fix the first letter p0, a head, and meet
-        those that take some letter of the prefix to p0, in order, the
-        identity first: its parent's, with those taking c to p0 where c
-        is in p0's orbit (_canonical_children reads them).  Both are
-        empty at the root and without pruning.
+      - idx holds the pool indices and gens their letters.  meet lists
+        the identity and the relabelings that take some letter of the
+        prefix to its first letter p0, in order: its parent's, with
+        those taking c to p0 (_Orbits.sending) where c is in p0's orbit,
+        as every root child is (_canonical_children reads them).  It is
+        the identity alone at the root, and below it without pruning.
       - reach is the mask of the states its letters reach from 0, and
         union the byte-wise OR of their mask tables (_image_masks): a
         node spreads its parent's reach by its parent's union and its own
@@ -499,23 +492,16 @@ class _Prefix:
         fills the place), read when the node is made, so a tuple's bound
         is one list index."""
 
-    __slots__ = ("up", "facts", "idx", "gens", "meet", "stab", "codes",
-                 "ranks", "bounds", "reach", "union", "_closed", "_need")
+    __slots__ = ("up", "facts", "idx", "gens", "meet", "codes", "ranks",
+                 "bounds", "reach", "union", "_closed", "_need")
 
     def __init__(self, up: _Prefix, c: int):
         facts = self.facts = up.facts
         g, own = facts.pool[c], facts.image(c)
         self.up, self.idx, self.gens = up, up.idx + (c,), up.gens + (g,)
-        orbits = facts.orbits
-        if orbits is None:
-            self.meet = self.stab = ()
-        elif not up.idx:  # c heads its orbit
-            self.meet = self.stab = orbits.stabilizer(c)
-        else:
-            self.stab, self.meet = up.stab, up.meet
-            if orbits.least[c] == self.idx[0]:
-                self.meet = tuple(sorted({*up.meet,
-                                          *orbits.sending(c, up.stab)}))
+        orbits, self.meet = facts.orbits, up.meet
+        if orbits is not None and orbits.least[c] == self.idx[0]:
+            self.meet = tuple(sorted({*up.meet, *orbits.sending(c)}))
         self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
@@ -528,7 +514,7 @@ class _Prefix:
         relabeling."""
         node = cls.__new__(cls)
         node.up, node.facts = None, facts
-        node.meet = node.stab = ()
+        node.meet = (0,)  # the identity alone
         node.idx = node.gens = node.codes = ()
         node.reach, node.union = 1, bytes(1 << facts.n)
         node._rank(())

@@ -402,6 +402,21 @@ def test_reverse_refuses_a_large_n_before_building(monkeypatch, capsys,
     assert "--n <= 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("small", [[], ["--small", "2"]])
+def test_witness_refuses_a_large_n_before_building(monkeypatch, capsys,
+                                                   small):
+    # a witness costs time and memory linear in n; an n past the limit
+    # must exit before any witness is built
+    def never(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr("syncomp.cli.family_witness", never)
+    monkeypatch.setattr("syncomp.cli.small_witness", never)
+    assert main(["witness", "--family", "right", "--n", "10001",
+                 *small]) == 2
+    assert "--n <= 10000" in capsys.readouterr().err
+
+
 def test_reverse_refuses_a_large_input_before_building(monkeypatch, capsys,
                                                        tmp_path):
     # a DFA file past the same limit exits before its subset DFA is built;
@@ -503,6 +518,18 @@ def test_oracle_dfa_agreement(right4_file, capsys):
 def test_oracle_word_budget_overflow(right4_file, capsys):
     assert main(["oracle", "--dfa", right4_file, "--max-words", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oracle_caps_the_closure_at_the_word_budget(right4_file, monkeypatch,
+                                                   capsys):
+    # word BFS examines at least sigma words, so a sigma past --max-words
+    # (64 > 50 here) exits at the closure, before the word BFS runs
+    def never(*args, **kwargs):
+        raise AssertionError("word BFS ran")
+
+    monkeypatch.setattr("syncomp.cli.word_bfs_sigma", never)
+    assert main(["oracle", "--dfa", right4_file, "--max-words", "50"]) == 2
+    assert "--max-words 50" in capsys.readouterr().err
 
 
 def test_oracle_requires_a_mode(capsys):

@@ -616,9 +616,10 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
     # a proper prefix some relabeling maps lower is stepped over whole,
     # before the canonical test sees any child of it; tested counts the
     # tuples that reach the test as leaves, under prefixes of k - 1
-    # letters.  A node's meet holds exactly the relabelings that take a
-    # letter of its prefix to its first letter.  Both are checked
-    # against every relabeling, each letter conjugated directly
+    # letters.  A node's meet holds exactly the identity and the
+    # relabelings that take a letter of its prefix to its first letter.
+    # Both are checked against every relabeling, each letter conjugated
+    # directly
     task = SearchTask(family, n, k)
     relabeled = _relabeled(task)
     real = search._canonical_children
@@ -632,7 +633,7 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
                        for g in relabeled), idx
         assert node.meet == tuple(
             a for a, g in enumerate(relabeled)
-            if idx and idx[0] in (g[i] for i in idx)), idx
+            if a == 0 or idx and idx[0] in (g[i] for i in idx)), idx
         if len(idx) == k - 1:
             seen.extend(idx + (c,) for c in kids)
         return real(node, kids)
@@ -679,7 +680,7 @@ def test_leaves_meet_only_relabelings_onto_the_first_letter(
                     continue
                 meets = set(node.meet)
                 if least == p0:
-                    meets.update(orbits.sending(c, node.stab))
+                    meets.update(orbits.sending(c))
                 meets.discard(0)
                 expected = {a for a, g in enumerate(relabeled)
                             if a and p0 in (g[i] for i in idx + (c,))}
@@ -721,8 +722,10 @@ def test_orbit_table_matches_every_relabeling(family, n):
     # for every pool letter c and relabeling g, the orbit table's g(c),
     # read through c's head, equals c conjugated by g directly; least[c]
     # is the least index of c's orbit, the heads are the letters that
-    # are their own least, and each relabeling's finals table maps an
-    # option to its image
+    # are their own least, each head's stored stabilizer is the
+    # relabelings that fix it, sending(c) is those that take c to
+    # least[c], and each relabeling's finals table maps an option to its
+    # image
     task = SearchTask(family, n, 1)
     facts = search._LetterFacts(task)
     orbits, options = facts.orbits, facts.options
@@ -736,6 +739,13 @@ def test_orbit_table_matches_every_relabeling(family, n):
     assert heads == sorted({min(g[c] for g in relabeled)
                             for c in range(len(facts.pool))})
     assert [c for c, row in enumerate(orbits.rows) if row] == heads
+    assert [c for c, stab in enumerate(orbits.stabs) if stab] == heads
+    for c in heads:
+        assert orbits.stabs[c] == tuple(
+            a for a, g in enumerate(relabeled) if g[c] == c), c
+    for c, least in enumerate(orbits.least):
+        assert sorted(orbits.sending(c)) == [
+            a for a, g in enumerate(relabeled) if g[c] == least], c
     option = {f: i for i, f in enumerate(options)}
     assert orbits.finals == [
         [option[frozenset(pm[q] for q in f)] for f in options]
