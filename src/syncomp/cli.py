@@ -18,22 +18,30 @@ from .automata import (emit_dfa_json, minimize, determinize,
 from .classify import classify, ruled_out_count_brute, ruled_out_count_formula
 from .errors import CapExceededError, FormatError
 from .oracles import word_bfs_sigma
-from .search import SearchTask, search_max_sigma
+from .search import (_FAMILIES as _SEARCH_FAMILIES, SearchTask,
+                     search_max_sigma)
 from .semigroup import transition_semigroup, word_length_histogram
 from .tables import TABLE_IDS, RuledOutRow, run_table
-from .witnesses import REVERSAL_SETUP, family_witness, small_witness
+from .witnesses import (_FAMILY_ROWS, FAMILIES, family_witness,
+                        small_witness)
 
 __all__ = ["main"]
 
 # reverse's subset DFA has up to 2^n states (2^(n-1) for a family witness):
 # n = 18 takes seconds and 145 MB, and each two more states cost 4x
 _REVERSE_MAX_STATES = 20
+# analyze and oracle --dfa close at most this many elements times states
+# by default: an element of an n-state closure holds about 8n bytes past
+# 256 states (16 kB at n = 2,000), and every DFA of at most 8 states
+# still closes in full, since 8^8 = 2^27 / 8
+_CLOSURE_MAX_CELLS = 2 ** 27
 # a family witness costs time and memory linear in n (10^5 states take
 # 0.5 s and 70 MB); 10,000 states emit about 0.5 MB of JSON
 _WITNESS_MAX_STATES = 10_000
 
 
 def _family(name: str) -> str:
+    """The argparse type of --family: two-sided names two_sided."""
     return name.replace("-", "_")
 
 
@@ -51,11 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--samples", type=int, default=0, metavar="K",
                    help="print K sample word/transformation pairs")
     a.add_argument("--cap", type=int, default=None,
-                   help="abort if the semigroup exceeds this size")
+                   help="abort if the semigroup exceeds this size "
+                        "(default 2^27 // states)")
 
     w = sub.add_parser("witness", help="emit a witness automaton")
-    w.add_argument("--family", required=True,
-                   choices=("right", "left", "two-sided", "two_sided"))
+    w.add_argument("--family", required=True, type=_family, choices=FAMILIES)
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--letters", default=None, metavar="adef",
                    help="restriction, e.g. 'ad' (family witnesses only)")
@@ -67,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--format", choices=("json", "dot", "text"), default="json")
 
     s = sub.add_parser("search", help="maximal sigma over a family cell")
-    s.add_argument("--family", required=True,
-                   choices=("right", "left", "two-sided", "two_sided", "all"))
+    s.add_argument("--family", required=True, type=_family,
+                   choices=tuple(_SEARCH_FAMILIES))
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--no-prune", action="store_true",
@@ -78,8 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("text", "json"), default="text")
 
     r = sub.add_parser("reverse", help="kappa of the reversed language")
-    r.add_argument("--family",
-                   choices=("right", "left", "two-sided", "two_sided"))
+    r.add_argument("--family", type=_family, choices=FAMILIES)
     r.add_argument("--n", type=int)
     r.add_argument("--letters", default=None)
     r.add_argument("--input", default=None, help="DFA JSON file")
@@ -95,7 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="independent brute-force cross-checks")
     o.add_argument("--dfa", default=None, metavar="FILE",
                    help="compare word-BFS sigma against the engine")
-    o.add_argument("--max-words", type=int, default=1_000_000)
+    o.add_argument("--max-words", type=int, default=1_000_000,
+                   help="the most words and elements either side may reach "
+                        "(the closure also stops at 2^27 // states)")
     o.add_argument("--ruled-out", type=int, default=None, metavar="N",
                    help="compare the ruled-out formula against enumeration")
     return p
@@ -121,7 +130,9 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
-    report = classify(_load_dfa(args.input), cap=args.cap)
+    d = _load_dfa(args.input)
+    report = classify(d, cap=_CLOSURE_MAX_CELLS // d.n if args.cap is None
+                      else args.cap)
     sg = report.semigroup
     # BFS order: by length, then letters in alphabet order
     samples = list(sg.first_words(args.samples).items())
@@ -165,15 +176,14 @@ def _cmd_witness(args) -> int:
     if args.n > _WITNESS_MAX_STATES:
         raise FormatError(f"witness is limited to --n <= "
                           f"{_WITNESS_MAX_STATES}, got {args.n}")
-    fam = _family(args.family)
     if args.small is not None:
         _refuse(args, ("--letters", "--finals"), "with --small")
-        d = small_witness(fam, args.n, args.small, args.variant or 0)
+        d = small_witness(args.family, args.n, args.small, args.variant or 0)
     else:
         _refuse(args, ("--variant",), "without --small")
-        if fam != "left":
+        if not _FAMILY_ROWS[args.family].finals_move:
             _refuse(args, ("--finals",), f"with --family {args.family}")
-        d = family_witness(fam, args.n, args.letters,
+        d = family_witness(args.family, args.n, args.letters,
                            None if args.finals is None
                            else _parse_finals(args.finals, args.n))
     if args.format == "json":
@@ -189,7 +199,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_search(args) -> int:
     task = SearchTask(
-        _family(args.family), args.n, args.k,
+        args.family, args.n, args.k,
         prune=not args.no_prune, budget=args.budget, jobs=args.jobs)
     result = search_max_sigma(task)
     if args.format == "json":
@@ -231,11 +241,11 @@ def _cmd_reverse(args) -> int:
         if args.n > _REVERSE_MAX_STATES:
             raise FormatError(f"reverse --family is limited to --n <= "
                               f"{_REVERSE_MAX_STATES}, got {args.n}")
-        fam = _family(args.family)
-        designated, formula = REVERSAL_SETUP[fam]
-        d = family_witness(fam, args.n, args.letters)
-        if args.letters is not None and set(args.letters) == set(designated):
-            expected = formula(args.n)
+        row = _FAMILY_ROWS[args.family]
+        d = family_witness(args.family, args.n, args.letters)
+        if (args.letters is not None
+                and set(args.letters) == set(row.designated)):
+            expected = row.kappa(args.n)
     nfa = reverse(d)
     subset = determinize(nfa)
     md = minimize(subset)
@@ -276,11 +286,14 @@ def _cmd_oracle(args) -> int:
         md = minimize(_load_dfa(args.dfa))
         # word BFS examines a word per element at least, so it cannot
         # finish past --max-words elements, and the closure stops there too
+        cap = min(args.max_words, _CLOSURE_MAX_CELLS // md.n)
         try:
-            engine = transition_semigroup(md, cap=args.max_words).sigma
+            engine = transition_semigroup(md, cap=cap).sigma
         except CapExceededError:
-            raise RuntimeError(f"sigma exceeds --max-words {args.max_words}, "
-                               f"too many for the word-BFS oracle") from None
+            stop = (f"--max-words {cap}, too many for the word-BFS oracle"
+                    if cap == args.max_words else f"{cap} elements, the "
+                    f"closure limit for a {md.n}-state DFA")
+            raise RuntimeError(f"sigma exceeds {stop}") from None
         oracle = word_bfs_sigma(md, max_words=args.max_words)
         agree = engine == oracle
         print(f"sigma engine={engine}  word-bfs={oracle}  "

@@ -9,7 +9,7 @@ are kept so the API stays uniform.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .automata import Dfa, Semiautomaton, determinize, minimize, reverse
 from .transform import (Transformation, constant, cycle, singular,
@@ -29,8 +29,6 @@ __all__ = [
     "ReversalRow",
     "reversal_sweep",
 ]
-
-FAMILIES = ("right", "left", "two_sided")
 
 
 def _letters_right(n: int) -> dict[str, Transformation]:
@@ -81,67 +79,78 @@ def _pick(all_letters: dict[str, Transformation],
     return tuple(a for a in all_letters if a in chosen)
 
 
-def right_ideal_witness(n: int, letters: Iterable[str] | None = None) -> Dfa:
-    """Right-ideal witness: initial 0, accepting sink n-1; sigma = n^(n-1)
-    for the full alphabet, n >= 4.  At n=3 letters a and b coincide."""
-    if n < 3:
-        raise ValueError("right-ideal witness needs n >= 3; "
-                         "use small_witness for n in {1, 2}")
-    full = _letters_right(n)
-    alph = _pick(full, letters, "right")
-    return Dfa(n, alph, {a: full[a] for a in alph}, 0, frozenset({n - 1}))
+class _Family(NamedTuple):
+    letters: Callable[[int], dict[str, Transformation]]
+    least_n: int          # the least n the witness takes
+    finals_move: bool     # whether its finals may be overridden
+    bound: Callable[[int], int]
+    bound_least_n: int    # the least n the bound takes
+    designated: str       # the reversal row: the restriction reversed ...
+    kappa: Callable[[int], int]  # ... and the kappa of its reversal
 
 
-def left_ideal_witness(n: int, letters: Iterable[str] | None = None,
-                       finals_override: Iterable[int] | None = None) -> Dfa:
-    """Left-ideal witness: initial 0, default finals {n-1}; sigma =
-    n^(n-1)+n-1 for the full alphabet.  Any nonempty finals avoiding 0 keep
-    it minimal.  At n=3 letters a and b coincide."""
-    if n < 3:
-        raise ValueError("left-ideal witness needs n >= 3; "
-                         "use small_witness for n in {1, 2}")
-    full = _letters_left(n)
-    alph = _pick(full, letters, "left")
-    if finals_override is None:
-        finals = frozenset({n - 1})
-    else:
-        finals = frozenset(finals_override)
-        if not finals:
-            raise ValueError("finals_override must be nonempty")
-        if 0 in finals:
-            raise ValueError("finals_override may not contain the initial state 0")
-        bad = [f for f in finals if not 0 <= f < n]
-        if bad:
-            raise ValueError(f"finals_override out of range: {bad}")
-    return Dfa(n, alph, {a: full[a] for a in alph}, 0, finals)
+# One row per family.  Each witness has initial 0 and default finals {n-1};
+# any nonempty finals avoiding 0 keep the left witness minimal.
+_FAMILY_ROWS = {
+    "right": _Family(_letters_right, 3, False,
+                     lambda n: n ** (n - 1), 1,
+                     "ad", lambda n: 2 ** (n - 1)),
+    "left": _Family(_letters_left, 3, True,
+                    lambda n: n ** (n - 1) + n - 1, 1,
+                    "acde", lambda n: 2 ** (n - 1) + 1),
+    "two_sided": _Family(_letters_two_sided, 4, False,
+                         lambda n: n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1,
+                         2, "adef", lambda n: 2 ** (n - 2) + 1),
+}
+
+FAMILIES = tuple(_FAMILY_ROWS)
 
 
-def two_sided_witness(n: int, letters: Iterable[str] | None = None) -> Dfa:
-    """Two-sided witness: initial 0, finals {n-1}; sigma =
-    n^(n-2)+(n-2)*2^(n-2)+1 for the full alphabet.  At n=4 letters a and b
-    coincide."""
-    if n < 4:
-        raise ValueError("two-sided witness needs n >= 4; "
-                         "use small_witness for n in {2, 3}")
-    full = _letters_two_sided(n)
-    alph = _pick(full, letters, "two_sided")
-    return Dfa(n, alph, {a: full[a] for a in alph}, 0, frozenset({n - 1}))
+def _row(family: str) -> _Family:
+    try:
+        return _FAMILY_ROWS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
 
 
 def family_witness(family: str, n: int, letters: Iterable[str] | None = None,
                    finals: Iterable[int] | None = None) -> Dfa:
     """The family's witness on n states, restricted to letters (all of them
-    when None).  finals overrides the finals of the left witness, the one
+    when None); its sigma is closed_form_bound(family, n) for the full
+    alphabet.  finals overrides the finals of the left witness, the one
     family whose finals may move."""
-    if family == "left":
-        return left_ideal_witness(n, letters, finals)
-    if finals is not None:
+    row = _row(family)
+    if n < row.least_n:
+        raise ValueError(
+            f"the {family} witness needs n >= {row.least_n}; below that, "
+            f"use small_witness (witness --small K on the command line)")
+    full = row.letters(n)
+    alph = _pick(full, letters, family)
+    if finals is None:
+        finals = (n - 1,)
+    elif not row.finals_move:
         raise ValueError(f"the {family} witness takes no finals override")
-    if family == "right":
-        return right_ideal_witness(n, letters)
-    if family == "two_sided":
-        return two_sided_witness(n, letters)
-    raise ValueError(f"unknown family {family!r}")
+    finals = frozenset(finals)
+    if not finals or not all(0 < q < n for q in finals):
+        raise ValueError(f"finals must be a nonempty set of states 1..{n - 1}"
+                         f", got {sorted(finals)}")
+    return Dfa(n, alph, {a: full[a] for a in alph}, 0, finals)
+
+
+def right_ideal_witness(n: int, letters: Iterable[str] | None = None) -> Dfa:
+    """family_witness("right", n, letters)."""
+    return family_witness("right", n, letters)
+
+
+def left_ideal_witness(n: int, letters: Iterable[str] | None = None,
+                       finals_override: Iterable[int] | None = None) -> Dfa:
+    """family_witness("left", n, letters, finals_override)."""
+    return family_witness("left", n, letters, finals_override)
+
+
+def two_sided_witness(n: int, letters: Iterable[str] | None = None) -> Dfa:
+    """family_witness("two_sided", n, letters)."""
+    return family_witness("two_sided", n, letters)
 
 
 def left_witness_semiautomaton(n: int) -> Semiautomaton:
@@ -189,8 +198,7 @@ def small_witness(family: str, n: int, k: int, variant: int = 0) -> Dfa:
     k=2 and 3 <= n <= 5 is Σ*a^(n-1)Σ*.  The rest come from a fixed
     registry; unlisted (family, n, k) raise ValueError.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _row(family)  # an unknown family raises
     if k == 1 and 1 <= n <= 5:
         # a^(n-1)a* (Σ* when n=1): the same unary chain is extremal for all
         # three families.
@@ -220,19 +228,10 @@ def closed_form_bound(family: str, n: int) -> int:
     proven by Brzozowski & Szykuła, Upper bounds on syntactic complexity of
     left and two-sided ideals, DLT 2014 (arXiv:1403.2090).  The range of n
     that proof covers is not checked here."""
-    if family == "right":
-        if n < 1:
-            raise ValueError("right bound needs n >= 1")
-        return n ** (n - 1)
-    if family == "left":
-        if n < 1:
-            raise ValueError("left bound needs n >= 1")
-        return n ** (n - 1) + n - 1
-    if family == "two_sided":
-        if n < 2:
-            raise ValueError("two-sided bound needs n >= 2")
-        return n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1
-    raise ValueError(f"unknown family {family!r}")
+    row = _row(family)
+    if n < row.bound_least_n:
+        raise ValueError(f"the {family} bound needs n >= {row.bound_least_n}")
+    return row.bound(n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +245,14 @@ class ReversalRow(NamedTuple):
 
 
 # family -> (designated letters, kappa of the reversal)
-REVERSAL_SETUP = {
-    "right": ("ad", lambda n: 2 ** (n - 1)),
-    "left": ("acde", lambda n: 2 ** (n - 1) + 1),
-    "two_sided": ("adef", lambda n: 2 ** (n - 2) + 1),
-}
+REVERSAL_SETUP = {family: (row.designated, row.kappa)
+                  for family, row in _FAMILY_ROWS.items()}
 
 
 def reversal_sweep(family: str, n_range: Iterable[int]) -> list[ReversalRow]:
     """kappa of the reversed witness restriction for each n, next to the
     closed-form value it should equal."""
-    if family not in REVERSAL_SETUP:
-        raise ValueError(f"no reversal witness for family {family!r}")
-    letters, expect = REVERSAL_SETUP[family]
+    row = _row(family)
     return [ReversalRow(n, minimize(determinize(reverse(
-                family_witness(family, n, letters)))).n, expect(n))
+                family_witness(family, n, row.designated)))).n, row.kappa(n))
             for n in n_range]

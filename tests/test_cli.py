@@ -14,7 +14,7 @@ import argparse
 import pytest
 
 import syncomp
-from syncomp import (Dfa, SearchTask, Transformation, emit_dfa_json,
+from syncomp import (FAMILIES, Dfa, SearchTask, Transformation, emit_dfa_json,
                      left_ideal_witness, parse_dfa_json, right_ideal_witness,
                      small_witness)
 from syncomp.cli import _build_parser, _family, main
@@ -59,6 +59,18 @@ def test_analyze_samples(right4_file, capsys):
 def test_analyze_cap_overflow_is_a_usage_error(right4_file, capsys):
     assert main(["analyze", right4_file, "--cap", "10"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_analyze_caps_the_closure_by_default(right4_file, monkeypatch,
+                                             capsys):
+    # 160 // 4 states = 40 < sigma 64; an explicit --cap wins over it
+    monkeypatch.setattr("syncomp.cli._CLOSURE_MAX_CELLS", 160)
+    assert main(["analyze", right4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap=40" in captured.err
+    assert main(["analyze", right4_file, "--cap", "64"]) == 0
+    assert "64" in capsys.readouterr().out
 
 
 def test_analyze_missing_file(tmp_path, capsys):
@@ -255,8 +267,11 @@ def test_finals_outside_the_witness_are_refused(capsys, value):
 
 
 def test_witness_out_of_range_n(capsys):
+    # the hint names the API function and the flag that reach smaller n
     assert main(["witness", "--family", "right", "--n", "2"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: the right witness needs n >= 3")
+    assert "small_witness" in err and "witness --small K" in err
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +327,30 @@ def test_search_two_sided_alias(capsys):
     assert "max_sigma=5" in capsys.readouterr().out
 
 
+def _flags(command: str) -> dict:
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
 def test_search_flags_follow_the_search_task():
     # the search subcommand offers the searched families, aliases aside,
     # and takes its default budget from SearchTask
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices["search"]._actions}
+    flags = _flags("search")
     assert set(map(_family, flags["family"].choices)) == set(_FAMILIES)
     assert flags["budget"].default == SearchTask.budget
+
+
+@pytest.mark.parametrize("command", ["witness", "reverse"])
+def test_witness_family_flags_follow_the_family_table(command):
+    # two-sided is the alias argparse normalises to two_sided
+    family = _flags(command)["family"]
+    assert tuple(map(_family, family.choices)) == FAMILIES
+    assert family.type("two-sided") == "two_sided"
+
+
+def test_search_adds_only_all_to_the_witness_families():
+    assert set(_FAMILIES) - set(FAMILIES) == {"all"}
 
 
 @pytest.mark.parametrize("family, n, k", [
@@ -530,6 +561,22 @@ def test_oracle_caps_the_closure_at_the_word_budget(right4_file, monkeypatch,
     monkeypatch.setattr("syncomp.cli.word_bfs_sigma", never)
     assert main(["oracle", "--dfa", right4_file, "--max-words", "50"]) == 2
     assert "--max-words 50" in capsys.readouterr().err
+
+
+def test_oracle_caps_the_closure_by_state_count(right4_file, monkeypatch,
+                                                capsys):
+    # 160 // 4 states = 40 < sigma 64 < --max-words: the closure stops at
+    # the smaller limit, and the error names it
+    def never(*args, **kwargs):
+        raise AssertionError("word BFS ran")
+
+    monkeypatch.setattr("syncomp.cli._CLOSURE_MAX_CELLS", 160)
+    monkeypatch.setattr("syncomp.cli.word_bfs_sigma", never)
+    assert main(["oracle", "--dfa", right4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sigma exceeds 40 elements, the closure "
+                            "limit for a 4-state DFA\n")
 
 
 def test_oracle_requires_a_mode(capsys):

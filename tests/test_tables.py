@@ -154,13 +154,28 @@ def failed_cells(report):
     return [(r.n, r.k) for r in report.rows if not r.ok]
 
 
-@pytest.mark.parametrize("max_sigma, failed", [(26, [(4, 2)]), (25, [])])
+def fake_construction(monkeypatch, cell, sigma):
+    """The real table, except that the construction of `cell` (n, k)
+    measures sigma and the cell's reference agrees with it."""
+    family, specs = tables._COMPLEXITY_TABLES[5]
+    specs = [dataclasses.replace(s, reference=sigma)
+             if (s.n, s.k) == cell else s for s in specs]
+    monkeypatch.setitem(tables._COMPLEXITY_TABLES, 5, (family, specs))
+    real = tables.sigma_of_language
+    monkeypatch.setattr(tables, "sigma_of_language", lambda d: (
+        sigma if (d.n, len(d.alphabet)) == cell else real(d)))
+
+
+@pytest.mark.parametrize("fake, sigma, failed", [
+    (fake_search, 26, [(4, 2)]), (fake_search, 25, []),
+    (fake_construction, 26, [(4, 2)])])
 def test_a_search_maximum_above_the_closed_form_bound_fails(monkeypatch,
-                                                            max_sigma,
+                                                            fake, sigma,
                                                             failed):
-    # two-sided (4,2) is not tight, so only the bound n^(n-2) +
-    # (n-2)*2^(n-2) + 1 = 25 can reject its maximum
-    fake_search(monkeypatch, (4, 2), max_sigma)
+    # two-sided (4,2) is not tight, and the faked construction matches its
+    # reference, so only the bound n^(n-2) + (n-2)*2^(n-2) + 1 = 25 can
+    # reject either value
+    fake(monkeypatch, (4, 2), sigma)
     report = run_table(5, jobs=1)
     assert failed_cells(report) == failed
     assert report.ok == (not failed)
