@@ -395,6 +395,8 @@ def _tightest_bound(n: int, pins: int, l_ur: bool, la_ur: bool) -> int:
 def classify(d: Dfa, cap: int | None = None) -> ClassReport:
     """Minimize d, then report class membership, quotients, sigma, bound."""
     md = minimize(d)
+    # the cap stops an oversized DFA before the quadratic ideal tests run
+    semigroup = transition_semigroup(md, cap=cap)
     n = md.n
     is_universal = n == 1 and bool(md.finals)
 
@@ -434,7 +436,6 @@ def classify(d: Dfa, cap: int | None = None) -> ClassReport:
 
     pins = sum((has_empty_q, has_sigma_star_q, has_epsilon_q, has_sigma_plus_q))
     bound = _tightest_bound(n, pins, l_ur, la_ur)
-    semigroup = transition_semigroup(md, cap=cap)
 
     return ClassReport(
         kappa=n, sigma=semigroup.sigma,

@@ -79,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=tuple(_SEARCH_FAMILIES))
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--no-prune", action="store_true",
-                   help="plain enumeration, the reference for the filters")
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--budget", type=int, default=SearchTask.budget)
     s.add_argument("--format", choices=("text", "json"), default="text")
@@ -198,9 +196,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    task = SearchTask(
-        args.family, args.n, args.k,
-        prune=not args.no_prune, budget=args.budget, jobs=args.jobs)
+    task = SearchTask(args.family, args.n, args.k,
+                      budget=args.budget, jobs=args.jobs)
     result = search_max_sigma(task)
     if args.format == "json":
         print(json.dumps({

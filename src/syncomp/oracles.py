@@ -54,9 +54,9 @@ def canonical_count(task: SearchTask) -> int:
     minus the pruned count of its exhaustive search, counted without
     searching.
 
-    With prune=True a candidate is a multiset of k pool letters with a
-    finals option, and the canonical ones are one per orbit under the
-    relabelings g of the free states (_relabelings; g t g^-1 on letter t).
+    A candidate is a multiset of k pool letters with a finals option,
+    and the canonical ones are one per orbit under the relabelings g of
+    the free states (_relabelings; g t g^-1 on letter t).
     Burnside's lemma: the orbits number the mean over g of the candidates
     g fixes, (k-multisets g fixes) * (finals options g fixes).  A multiset
     is fixed iff its multiplicities are constant on each cycle of g on the
@@ -64,13 +64,10 @@ def canonical_count(task: SearchTask) -> int:
     1/(1 - x^c) over those cycle lengths c.  The pool and the options are
     closed under the relabelings: the lemma-8 filter keeps the letters
     whose orbit of state 0 ends in a fixed point, and a relabeling fixing
-    0 keeps that shape.  With prune=False each of the pool^k letter tuples
-    with each option is a candidate of its own.
+    0 keeps that shape.
     """
     pool, options = _pool(task), _finals_options(task)
     n, k = task.n, task.k
-    if not task.prune:
-        return len(pool) ** k * len(options)
     index = {t: i for i, t in enumerate(pool)}
     group = _relabelings(task)
     total = 0

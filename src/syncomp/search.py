@@ -92,8 +92,8 @@ __all__ = [
 # family -> (right, left), the two decisions behind its normal form.
 # right: every pool letter fixes the final sink n-1, the finals are {n-1},
 # no relabeling moves n-1, and the rank bound takes e = 1 (_RankBound).
-# left: lemma 8 filters the pool (with pruning), the finals avoid state 0
-# (n > 1), and each tuple meets the left-ideal pair test.
+# left: lemma 8 filters the pool, the finals avoid state 0 (n > 1), and
+# each tuple meets the left-ideal pair test.
 _FAMILIES = {"right": (True, False), "left": (False, True),
              "two_sided": (True, True), "all": (False, False)}
 
@@ -102,10 +102,10 @@ _FAMILIES = {"right": (True, False), "left": (False, True),
 class SearchTask:
     """One (family, n, k) cell.
 
-    prune=False enumerates every letter tuple over the family's pool with
-    every finals option: the reference that the pruned search must match.
-    prune=True (the default) adds four filters, none of which changes the
-    maximum or drops the least representative of a witness:
+    The search enumerates the letter tuples over the letters of the
+    family's skeleton with every finals option, under four filters, none
+    of which changes the maximum or drops the least representative of a
+    witness:
       - lemma 8 (left and two-sided families): letters whose behavior from
         state 0 is periodic are dropped from the pool, since no such letter
         acts in the semigroup of a left ideal;
@@ -128,7 +128,6 @@ class SearchTask:
     family: str
     n: int
     k: int
-    prune: bool = True
     budget: int = 10 ** 9
     jobs: int = 1
 
@@ -191,7 +190,7 @@ def _pool(task: SearchTask) -> list[tuple[int, ...]]:
     n, (right, left) = task.n, _FAMILIES[task.family]
     every = product(range(n), repeat=n)  # in lexicographic order
     cands = [t for t in every if t[n - 1] == n - 1] if right else list(every)
-    if task.prune and left:
+    if left:
         cands = [t for t in cands if _orbit(t, 0)[2] == 1]
     return cands
 
@@ -342,8 +341,6 @@ def _canonical_children(node: _Prefix,
     the root P = p = () and sending(c) is c's stabilizer, whose
     relabelings all fix t."""
     orbits = node.facts.orbits
-    if orbits is None:  # unpruned: every letter tuple is a candidate
-        return list(kids), []
     least, rows, via = orbits.least, orbits.rows, orbits.via
     idx, meet = node.idx, node.meet
     leasts = list(map(least.__getitem__, kids))
@@ -386,19 +383,15 @@ def _canonical_children(node: _Prefix,
     return children, fixed
 
 
-def _tuples_before(prune: bool, letters: int, first: int, c: int,
-                   more: int) -> int:
+def _tuples_before(letters: int, first: int, c: int, more: int) -> int:
     """The letter tuples under a node before those under its child c, in a
     pool of letters letters, the node's children starting at first and
-    more letters following the child's.  Pruned, child c' heads
+    more letters following the child's.  Child c' heads
     C(letters - c' + more - 1, more) sorted tuples, summed over
-    first <= c' < c by the hockey-stick identity; unpruned, first is 0
-    and each heads letters ** more.  first = 0, c = letters and
-    more = k - 1 count the whole order."""
-    if prune:
-        return (comb(letters - first + more, more + 1)
-                - comb(letters - c + more, more + 1))
-    return c * letters ** more
+    first <= c' < c by the hockey-stick identity.  first = 0,
+    c = letters and more = k - 1 count the whole order."""
+    return (comb(letters - first + more, more + 1)
+            - comb(letters - c + more, more + 1))
 
 
 # _ADD_STATE[q] maps a mask byte m to m | 1 << q
@@ -433,9 +426,9 @@ class _LetterFacts:
     indexed by pool index: ranks (image sizes), built at once since every
     leaf reads one, and mask tables (_image_masks), each built when a
     node or leaf first needs it; with bound, the shard's _RankBound,
-    orbits, the pool's orbit table (_Orbits; None without pruning),
-    options, the cell's finals options (_finals_options), and left,
-    whether its tuples meet the left-ideal test (_FAMILIES).  A list
+    orbits, the pool's orbit table (_Orbits), options, the cell's finals
+    options (_finals_options), and left, whether its tuples meet the
+    left-ideal test (_FAMILIES).  A list
     entry costs a pointer where a dict entry would cost a hash slot as
     well, which matters at n=7, where a right cell's pool holds 117,649
     letters and a left cell's 355,081."""
@@ -450,8 +443,7 @@ class _LetterFacts:
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
         self.bound = _RankBound(right)
-        self.orbits = (_Orbits(task, self.pool, self.options)
-                       if task.prune else None)
+        self.orbits = _Orbits(task, self.pool, self.options)
 
     def image(self, c: int) -> bytes:
         table = self.images[c]
@@ -471,7 +463,7 @@ class _Prefix:
         prefix to its first letter p0, in order: its parent's, with
         those taking c to p0 (_Orbits.sending) where c is in p0's orbit,
         as every root child is (_canonical_children reads them).  It is
-        the identity alone at the root, and below it without pruning.
+        the identity alone at the root.
       - reach is the mask of the states its letters reach from 0, and
         union the byte-wise OR of their mask tables (_image_masks): a
         node spreads its parent's reach by its parent's union and its own
@@ -500,7 +492,7 @@ class _Prefix:
         g, own = facts.pool[c], facts.image(c)
         self.up, self.idx, self.gens = up, up.idx + (c,), up.gens + (g,)
         orbits, self.meet = facts.orbits, up.meet
-        if orbits is not None and orbits.least[c] == self.idx[0]:
+        if orbits.least[c] == self.idx[0]:
             self.meet = tuple(sorted({*up.meet, *orbits.sending(c)}))
         self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
@@ -615,11 +607,10 @@ def _walk(task: SearchTask, facts: _LetterFacts, shard: int, shards: int):
         # root's children are dealt out to the shards
         idx = node.idx
         more = task.k - len(idx) - 1
-        first = idx[-1] if idx and task.prune else 0
+        first = idx[-1] if idx else 0
 
         def start(c: int) -> int:
-            return pos + options * _tuples_before(task.prune, letters, first,
-                                                  c, more)
+            return pos + options * _tuples_before(letters, first, c, more)
 
         # the children before end start inside the budget, bisected at a cut
         end = (letters if start(letters) <= budget
@@ -720,7 +711,7 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
                 best, wits = s, []
             wits.extend((letters, tuple(sorted(f))) for f in finals)
     return best, wits, canonical, options * _tuples_before(
-        task.prune, len(pool), 0, len(pool), task.k - 1)
+        len(pool), 0, len(pool), task.k - 1)
 
 
 @contextmanager

@@ -73,6 +73,23 @@ def test_analyze_caps_the_closure_by_default(right4_file, monkeypatch,
     assert "64" in capsys.readouterr().out
 
 
+def test_analyze_cap_stops_before_the_ideal_tests(tmp_path, monkeypatch,
+                                                  capsys):
+    # the capped closure comes first, so an oversized DFA exits 2 without
+    # meeting the ideal tests, which are quadratic in the states
+    path = tmp_path / "right40.json"
+    path.write_text(emit_dfa_json(right_ideal_witness(40)))
+
+    def unreachable(md):
+        raise AssertionError("ideal test ran before the cap")
+
+    classify_module = importlib.import_module("syncomp.classify")
+    for name in ("_is_left_ideal", "_is_right_ideal"):
+        monkeypatch.setattr(classify_module, name, unreachable)
+    assert main(["analyze", str(path), "--cap", "10"]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -290,13 +307,13 @@ def test_search_json(capsys):
 
 
 def test_search_text_and_prune_flags(capsys):
-    assert main(["search", "--family", "right", "--n", "3", "--k", "2",
-                 "--no-prune"]) == 0
+    assert main(["search", "--family", "right", "--n", "3", "--k", "2"]) == 0
     out = capsys.readouterr().out
     assert "max_sigma=7" in out
     assert "exhaustive" in out
-    # the single switch replaced one flag per filter
-    for flag in ("--no-prune-lemma8", "--no-prune-canonical",
+    # the search has one enumeration: neither the switch between pruned
+    # and plain nor the older one flag per filter is left
+    for flag in ("--no-prune", "--no-prune-lemma8", "--no-prune-canonical",
                  "--no-prune-multisets"):
         with pytest.raises(SystemExit) as info:
             main(["search", "--family", "right", "--n", "3", "--k", "2",

@@ -23,14 +23,17 @@ from syncomp import (SearchTask, Transformation, classify, minimize,
                      transition_semigroup)
 from syncomp import search
 from syncomp.automata import _reachable
-from syncomp.classify import (_left_ideal_admits, _left_ideal_pairs,
+from syncomp.classify import (_is_left_ideal, _is_right_ideal,
+                              _left_ideal_admits, _left_ideal_pairs,
                               _left_ideal_walk)
 from syncomp.oracles import canonical_count
 from syncomp.semigroup import _closure, _encode
 from syncomp.search import _in_class_finals, _minimal_finals
 
-# SearchTask options: the default pruned search and the plain enumeration
-PRUNED, UNPRUNED = {}, {"prune": False}
+# each family -> the family with the same skeleton and no lemma-8 filter,
+# whose pool holds every letter of the skeleton
+_UNFILTERED = {"right": "right", "left": "all", "two_sided": "right",
+               "all": "all"}
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +94,19 @@ def test_right_5_2_long_cell():
     assert least.finals == recorded.finals
 
 
-@pytest.mark.parametrize("family, n, k, prune, expected", [
-    ("right", 4, 3, PRUNED, (61, 324, 45760, 22708)),
-    ("left", 4, 2, PRUNED, (17, 3, 71071, 59008)),
-    ("two_sided", 4, 3, PRUNED, (19, 7, 24804, 12254)),
-    ("left", 3, 4, PRUNED, (11, 24, 14535, 7225)),
-    ("all", 3, 2, PRUNED, (24, 108, 2268, 1116)),
-    ("right", 4, 2, UNPRUNED, (31, 36, 4096, 0)),
-    ("left", 3, 2, UNPRUNED, (7, 8, 2187, 0)),
-    ("two_sided", 3, 3, UNPRUNED, (6, 6, 729, 0)),
-    ("two_sided", 5, 2, PRUNED, (31, 1, 111_628, 92_487)),
+@pytest.mark.parametrize("family, n, k, expected", [
+    ("right", 4, 3, (61, 324, 45760, 22708)),
+    ("left", 4, 2, (17, 3, 71071, 59008)),
+    ("two_sided", 4, 3, (19, 7, 24804, 12254)),
+    ("left", 3, 4, (11, 24, 14535, 7225)),
+    ("all", 3, 2, (24, 108, 2268, 1116)),
+    ("two_sided", 5, 2, (31, 1, 111_628, 92_487)),
 ])
-def test_cell_counts_are_pinned(family, n, k, prune, expected):
+def test_cell_counts_are_pinned(family, n, k, expected):
     # the witness count and the candidate counters change if the canonical
     # representatives or the enumeration order change; the canonical count
     # is also predicted without searching
-    task = SearchTask(family, n, k, **prune)
+    task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == expected
@@ -320,21 +320,19 @@ def test_reverification_runs_only_the_checks_it_states(monkeypatch, family,
 
 
 def test_one_state_cell_is_trivial():
-    # the general search, pruned or not: the only 1-state ideal is Σ*
+    # the general search: the only 1-state ideal is Σ*
     for family in ("right", "left", "two_sided", "all"):
         for k in (1, 2, 3):
-            for prune in (True, False):
-                result = search_max_sigma(SearchTask(family, 1, k,
-                                                     prune=prune))
-                case = (family, k, prune)
-                assert result.max_sigma == 1, case
-                assert [(tuple(t.images for t in w.letters), w.finals)
-                        for w in result.witnesses] == \
-                    [(((0,),) * k, frozenset({0}))], case
-                assert (result.candidates_examined,
-                        result.candidates_pruned) == (1, 0), case
-                assert result.exhaustive, case
-                assert result.witnesses[0].as_dfa().n == 1, case
+            result = search_max_sigma(SearchTask(family, 1, k))
+            case = (family, k)
+            assert result.max_sigma == 1, case
+            assert [(tuple(t.images for t in w.letters), w.finals)
+                    for w in result.witnesses] == \
+                [(((0,),) * k, frozenset({0}))], case
+            assert (result.candidates_examined,
+                    result.candidates_pruned) == (1, 0), case
+            assert result.exhaustive, case
+            assert result.witnesses[0].as_dfa().n == 1, case
 
 
 def test_task_validation():
@@ -362,37 +360,7 @@ def test_task_validation():
 
 
 # ---------------------------------------------------------------------------
-# pruning soundness: the plain enumeration reports the same maximum
-
-
-@pytest.mark.parametrize("family, n, k, expected", [
-    ("right", 3, 2, 7),
-    ("left", 3, 2, 7),
-    ("two_sided", 3, 3, 6),
-])
-def test_pruning_does_not_change_the_maximum(family, n, k, expected):
-    result = search_max_sigma(SearchTask(family, n, k, prune=False))
-    assert result.max_sigma == expected
-    assert result.exhaustive
-
-
-def test_pruning_reduces_work():
-    pruned = search_max_sigma(SearchTask("left", 3, 2))
-    full = search_max_sigma(SearchTask("left", 3, 2, prune=False))
-    assert pruned.candidates_examined < full.candidates_examined
-    assert full.candidates_pruned == 0
-    assert pruned.candidates_pruned > 0
-    assert pruned.max_sigma == full.max_sigma
-
-
-def test_canonical_filter_removes_relabeled_duplicates():
-    with_filter = search_max_sigma(SearchTask("left", 3, 2))
-    without = search_max_sigma(SearchTask("left", 3, 2, prune=False))
-    assert without.max_sigma == with_filter.max_sigma
-    assert len(without.witnesses) > len(with_filter.witnesses)
-    # the filters keep one representative of each witness, never a new one
-    kept = {w.sort_key() for w in without.witnesses}
-    assert {w.sort_key() for w in with_filter.witnesses} <= kept
+# pruning soundness: the walk's stream and the letter-level tests
 
 
 def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
@@ -465,7 +433,7 @@ def test_search_minimality_test_agrees_with_minimize():
     # automata that are not minimal, before the refinement drops them
     sweep = binary_3_sweep()
     options = [d.finals for d in sweep[:6]]
-    facts = search._LetterFacts(SearchTask("all", 3, 2, prune=False))
+    facts = search._LetterFacts(SearchTask("all", 3, 2))
     index = {g: c for c, g in enumerate(facts.pool)}
     for left_ideal, count in ((False, 2056), (True, 70)):
         kept = 0
@@ -490,12 +458,13 @@ def test_search_minimality_test_agrees_with_minimize():
 ])
 def test_pair_relation_verdict_agrees_with_the_walk(family, n, k, tuples,
                                                     ideals):
-    # every letter tuple over the unpruned pool that reaches every state,
-    # its pair relation extended letter by letter through prefix nodes as
-    # the search does, then tested per finals option by one bitmask check,
-    # against classify's semantic walk of L = Σ*L
-    task = SearchTask(family, n, k, prune=False)
-    facts, options = search._LetterFacts(task), search._finals_options(task)
+    # every letter tuple over the skeleton's letters, lemma 8 aside, that
+    # reaches every state, its pair relation extended letter by letter
+    # through prefix nodes as the search does, then tested per finals
+    # option of the family by one bitmask check, against classify's
+    # semantic walk of L = Σ*L
+    facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
+    options = search._finals_options(SearchTask(family, n, k))
     reachable = passed = 0
     for idx in product(range(len(facts.pool)), repeat=k):
         gens = tuple(facts.pool[c] for c in idx)
@@ -530,12 +499,10 @@ def test_parallel_run_is_deterministic():
     assert parallel.exhaustive
 
 
-@pytest.mark.parametrize("prune", [True, False])
-def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch, prune):
+def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # really use two shards
     serial, parallel = (
-        search_max_sigma(SearchTask("right", 4, 3, prune=prune, budget=3000,
-                                    jobs=jobs))
+        search_max_sigma(SearchTask("right", 4, 3, budget=3000, jobs=jobs))
         for jobs in (1, 2))
     assert parallel.witnesses == serial.witnesses
     assert parallel.candidates_examined == serial.candidates_examined == 3000
@@ -761,24 +728,20 @@ def test_canonical_count_matches_the_search(family, n, k):
         result.candidates_examined - result.candidates_pruned
 
 
-@pytest.mark.parametrize("prune", [True, False])
-def test_tuples_before_a_child_match_enumeration(prune):
+def test_tuples_before_a_child_match_enumeration():
     # where the walk places child c of a node: the letter tuples of the
     # node's subtree whose first letter comes before c, counted from the
     # tuples themselves, in pools of up to 8 letters with up to 3 letters
-    # after the child (k <= 4), for every node's first child (0 alone
-    # without pruning) and every c from it up to the pool's end
+    # after the child (k <= 4), for every node's first child and every c
+    # from it up to the pool's end
     for letters in range(1, 9):
         for more in range(4):
-            for first in range(letters if prune else 1):
-                heads = [t[0] for t in (
-                    combinations_with_replacement(range(first, letters),
-                                                  more + 1)
-                    if prune else product(range(letters), repeat=more + 1))]
+            for first in range(letters):
+                heads = [t[0] for t in combinations_with_replacement(
+                    range(first, letters), more + 1)]
                 for c in range(first, letters + 1):
-                    assert search._tuples_before(
-                        prune, letters, first, c, more) == \
-                        sum(h < c for h in heads), (letters, more, first, c)
+                    assert search._tuples_before(letters, first, c, more) \
+                        == sum(h < c for h in heads), (letters, more, first, c)
 
 
 def _stream_positions(task: SearchTask) -> tuple[list[int], list[int]]:
@@ -815,7 +778,7 @@ def test_budgeted_canonical_counts_match_the_stream(serial_pool, jobs,
     task = SearchTask(family, n, k)
     options = len(search._finals_options(task))
     letters = len(search._pool(task))
-    total = options * search._tuples_before(True, letters, 0, letters, k - 1)
+    total = options * search._tuples_before(letters, 0, letters, k - 1)
     positions, partial = _stream_positions(task)
     step = 7 if total <= 500 else 49 if total <= 3000 else 427
     cuts = 0
@@ -849,6 +812,71 @@ def _reference(family: str, n: int, k: int) -> tuple:
     return best, tuple(sorted(witnesses))
 
 
+@functools.cache
+def _brute(family: str, n: int, k: int) -> tuple:
+    """The maximum sigma, the witnesses and the size of the order of a cell
+    over every ordered candidate: each k-tuple of the n-state letters of
+    the family's skeleton (those fixing n-1 in right and two-sided cells;
+    no lemma-8 filter) with each finals option.  Minimality is decided by
+    minimize, class by the ideal tests of the family, and sigma by
+    transition_semigroup; none of the search's walk, filters, inherited
+    facts or bounds is used."""
+    right, left = search._FAMILIES[family]
+    letters = [t for t in product(range(n), repeat=n)
+               if not right or t[-1] == n - 1]
+    options = search._finals_options(SearchTask(family, n, k))
+    best, witnesses = 0, []
+    for gens in product(letters, repeat=k):
+        for f in options:
+            md = minimize(dfa(gens, f))
+            if (md.n < n or right and not _is_right_ideal(md)
+                    or left and not _is_left_ideal(md)):
+                continue
+            sigma = transition_semigroup(md).sigma
+            if sigma > best:
+                best, witnesses = sigma, []
+            if sigma == best:
+                witnesses.append((gens, f))
+    return best, witnesses, len(letters) ** k * len(options)
+
+
+@pytest.mark.parametrize("family, n, k, expected", [
+    ("right", 1, 1, (1, 1, 1)), ("right", 1, 2, (1, 1, 1)),
+    ("right", 1, 3, (1, 1, 1)), ("right", 2, 1, (1, 1, 2)),
+    ("right", 2, 2, (2, 2, 4)), ("right", 2, 3, (2, 6, 8)),
+    ("right", 3, 1, (2, 1, 9)), ("right", 3, 2, (7, 8, 81)),
+    ("right", 3, 3, (9, 48, 729)), ("right", 4, 2, (31, 36, 4096)),
+    ("left", 1, 1, (1, 1, 1)), ("left", 1, 2, (1, 1, 1)),
+    ("left", 1, 3, (1, 1, 1)), ("left", 2, 1, (1, 1, 4)),
+    ("left", 2, 2, (2, 4, 16)), ("left", 2, 3, (3, 6, 64)),
+    ("left", 3, 1, (2, 2, 81)), ("left", 3, 2, (7, 8, 2187)),
+    ("two_sided", 1, 1, (1, 1, 1)), ("two_sided", 1, 2, (1, 1, 1)),
+    ("two_sided", 1, 3, (1, 1, 1)), ("two_sided", 2, 1, (1, 1, 2)),
+    ("two_sided", 2, 2, (2, 2, 4)), ("two_sided", 2, 3, (2, 6, 8)),
+    ("two_sided", 3, 1, (2, 1, 9)), ("two_sided", 3, 2, (5, 2, 81)),
+    ("two_sided", 3, 3, (6, 6, 729)), ("two_sided", 4, 2, (14, 4, 4096)),
+    ("all", 1, 1, (1, 1, 1)), ("all", 1, 2, (1, 1, 1)),
+    ("all", 1, 3, (1, 1, 1)), ("all", 2, 1, (2, 2, 8)),
+    ("all", 2, 2, (4, 8, 32)), ("all", 2, 3, (4, 60, 128)),
+    ("all", 3, 1, (3, 12, 162)), ("all", 3, 2, (24, 432, 4374)),
+])
+def test_search_matches_a_brute_force_over_every_ordered_candidate(
+        family, n, k, expected):
+    # (max sigma, witness count, order size) of the brute force; the
+    # search's maximum is the brute maximum, and its witnesses are the
+    # brute witnesses' orbit minima under the relabelings of the free
+    # states, each image's letters sorted (the letter-renaming symmetry)
+    best, witnesses, order = _brute(family, n, k)
+    assert (best, len(witnesses), order) == expected
+    minima = {min((tuple(sorted(_conjugate(pm, t) for t in gens)),
+                   tuple(sorted(pm[q] for q in f)))
+                  for pm in _group(family, n))
+              for gens, f in witnesses}
+    result = search_max_sigma(SearchTask(family, n, k))
+    assert result.max_sigma == best
+    assert [w.sort_key() for w in result.witnesses] == sorted(minima)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("family, n, k",
                          [*_SMALL_CELLS, ("right", 4, 3), ("left", 4, 2)])
@@ -866,11 +894,10 @@ def test_search_matches_a_reference_over_every_candidate(serial_pool, jobs,
 
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 2)])
 def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
-    # every letter tuple over the unpruned pool, its ranks handed down
-    # through prefix nodes as the search does, against the size of its
-    # closure by the plain BFS
-    task = SearchTask(family, n, k, prune=False)
-    facts = search._LetterFacts(task)
+    # every letter tuple over the skeleton's letters, lemma 8 aside, its
+    # ranks handed down through prefix nodes as the search does, against
+    # the size of its closure by the plain BFS
+    facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
     bound = search._RankBound(family in ("right", "two_sided"))
     for idx in product(range(len(facts.pool)), repeat=k):
         gens = tuple(facts.pool[c] for c in idx)
@@ -884,13 +911,12 @@ def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
 
 @pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
 def test_reach_masks_agree_with_the_walk(family, n, k):
-    # every letter tuple over the unpruned pool, its reached states handed
-    # down through prefix nodes as the search builds them: each node's
-    # mask holds the states automata._reachable finds from 0, and a
-    # tuple's reachability test by its last letter's pool index passes iff
-    # that walk reaches every state
-    task = SearchTask(family, n, k, prune=False)
-    facts = search._LetterFacts(task)
+    # every letter tuple over the skeleton's letters, lemma 8 aside, its
+    # reached states handed down through prefix nodes as the search builds
+    # them: each node's mask holds the states automata._reachable finds
+    # from 0, and a tuple's reachability test by its last letter's pool
+    # index passes iff that walk reaches every state
+    facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
     root = search._Prefix.root(facts)
     assert root.reach == 1
     nodes = {(): root}
@@ -1145,3 +1171,17 @@ def test_maximum_grows_with_alphabet():
               for k in (1, 2, 3, 4)]
     assert values == sorted(values)
     assert values[-1] == values[2] == 9  # three letters already saturate n=3
+
+
+@pytest.mark.parametrize("n, k", [*product((1, 2, 3), repeat=2), (4, 2)])
+def test_class_inclusion_orders_the_maxima(n, k):
+    # a two-sided ideal is a left and a right ideal, and every ideal is a
+    # regular language, so the maxima of exhaustive cells follow the
+    # classes: two-sided <= min(left, right) and right, left <= all
+    sigma = {}
+    for family in _FAMILIES:
+        result = search_max_sigma(SearchTask(family, n, k))
+        assert result.exhaustive
+        sigma[family] = result.max_sigma
+    assert sigma["two_sided"] <= min(sigma["left"], sigma["right"])
+    assert max(sigma["left"], sigma["right"]) <= sigma["all"]
