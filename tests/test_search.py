@@ -35,6 +35,10 @@ from syncomp.search import _in_class_finals, _minimal_finals
 _UNFILTERED = {"right": "right", "left": "all", "two_sided": "right",
                "all": "all"}
 
+# _cell_counts options: the pruned search, and the brute force over every
+# ordered candidate, which prunes nothing
+PRUNED, UNPRUNED = {}, {"prune": False}
+
 
 # ---------------------------------------------------------------------------
 # exhaustive cell values
@@ -94,24 +98,38 @@ def test_right_5_2_long_cell():
     assert least.finals == recorded.finals
 
 
-@pytest.mark.parametrize("family, n, k, expected", [
-    ("right", 4, 3, (61, 324, 45760, 22708)),
-    ("left", 4, 2, (17, 3, 71071, 59008)),
-    ("two_sided", 4, 3, (19, 7, 24804, 12254)),
-    ("left", 3, 4, (11, 24, 14535, 7225)),
-    ("all", 3, 2, (24, 108, 2268, 1116)),
-    ("two_sided", 5, 2, (31, 1, 111_628, 92_487)),
+def _cell_counts(family: str, n: int, k: int, prune: bool = True) -> tuple:
+    """(max sigma, witness count, candidates examined, candidates pruned)
+    of a cell, by the search or, unpruned, by the brute force over every
+    ordered candidate, which examines the whole order."""
+    if not prune:
+        best, witnesses, order = _brute(family, n, k)
+        return best, len(witnesses), order, 0
+    result = search_max_sigma(SearchTask(family, n, k))
+    return (result.max_sigma, len(result.witnesses),
+            result.candidates_examined, result.candidates_pruned)
+
+
+@pytest.mark.parametrize("family, n, k, prune, expected", [
+    ("right", 4, 3, PRUNED, (61, 324, 45760, 22708)),
+    ("left", 4, 2, PRUNED, (17, 3, 71071, 59008)),
+    ("two_sided", 4, 3, PRUNED, (19, 7, 24804, 12254)),
+    ("left", 3, 4, PRUNED, (11, 24, 14535, 7225)),
+    ("all", 3, 2, PRUNED, (24, 108, 2268, 1116)),
+    ("right", 4, 2, UNPRUNED, (31, 36, 4096, 0)),
+    ("left", 3, 2, UNPRUNED, (7, 8, 2187, 0)),
+    ("two_sided", 3, 3, UNPRUNED, (6, 6, 729, 0)),
+    ("two_sided", 5, 2, PRUNED, (31, 1, 111_628, 92_487)),
 ])
-def test_cell_counts_are_pinned(family, n, k, expected):
+def test_cell_counts_are_pinned(family, n, k, prune, expected):
     # the witness count and the candidate counters change if the canonical
-    # representatives or the enumeration order change; the canonical count
-    # is also predicted without searching
-    task = SearchTask(family, n, k)
-    result = search_max_sigma(task)
-    assert (result.max_sigma, len(result.witnesses),
-            result.candidates_examined, result.candidates_pruned) == expected
-    assert canonical_count(task) == \
-        result.candidates_examined - result.candidates_pruned
+    # representatives or the enumeration order change; the search's
+    # canonical count is also predicted without searching
+    counts = _cell_counts(family, n, k, **prune)
+    assert counts == expected
+    if prune is PRUNED:
+        assert canonical_count(SearchTask(family, n, k)) == \
+            counts[2] - counts[3]
 
 
 @pytest.mark.slow
@@ -357,6 +375,40 @@ def test_task_validation():
     with pytest.raises(ValueError):
         SearchTask("right", 2, 27)
     SearchTask("right", 2, 26)
+
+
+# ---------------------------------------------------------------------------
+# pruning soundness: the brute force over every ordered candidate reports
+# the same maximum
+
+
+@pytest.mark.parametrize("family, n, k, expected", [
+    ("right", 3, 2, 7),
+    ("left", 3, 2, 7),
+    ("two_sided", 3, 3, 6),
+])
+def test_pruning_does_not_change_the_maximum(family, n, k, expected):
+    result = search_max_sigma(SearchTask(family, n, k))
+    assert result.max_sigma == _brute(family, n, k)[0] == expected
+    assert result.exhaustive
+
+
+def test_pruning_reduces_work():
+    pruned = search_max_sigma(SearchTask("left", 3, 2))
+    best, _, order = _brute("left", 3, 2)
+    assert pruned.candidates_examined < order
+    assert pruned.candidates_pruned > 0
+    assert pruned.max_sigma == best
+
+
+def test_canonical_filter_removes_relabeled_duplicates():
+    with_filter = search_max_sigma(SearchTask("left", 3, 2))
+    best, without, _ = _brute("left", 3, 2)
+    assert best == with_filter.max_sigma
+    assert len(without) > len(with_filter.witnesses)
+    # the filters keep one representative of each witness, never a new one
+    kept = {(gens, tuple(sorted(f))) for gens, f in without}
+    assert {w.sort_key() for w in with_filter.witnesses} <= kept
 
 
 # ---------------------------------------------------------------------------
