@@ -54,15 +54,20 @@ r(l) ** (r(f) - e), r the rank of a letter and e = 1 where every letter
 fixes the sink (the count behind the paper's n^(n-1), taken per pair of
 first and last letters; _RankBound).  Each prefix holds that bound for
 every rank of a last letter, so it costs a tuple two list lookups, and
-it comes first: a batch's leaves whose bound is below the best are
-dropped in one pass, before any of their letter tuples is built, and
-meet no further test.  The others meet the tests on their letters
-(reachability, then the left-ideal test in left and two-sided cells),
-and a tuple that passes them is closed.  The Moore refinement that
-decides minimality runs only on the finals options of a tuple whose
-closure reaches the best.  Every witness is then re-verified by minimize,
-transition_semigroup and the ideal tests of its family alone, not by
-the whole of classify.
+it comes before the letter tests: a batch's leaves whose bound is below
+the best are dropped in one pass, before any of their letter tuples is
+built, and meet no further test.  The others meet the tests on their
+letters (reachability, then the left-ideal test in left and two-sided
+cells), and a tuple that passes them is closed.  In left and two-sided cells
+each prefix node also holds the finals options its pair relation admits
+(_Prefix.admitted).  A tuple's relation holds its prefix's, as a letter
+only adds pairs, so it rejects every option its prefix rejects: a batch
+whose prefix admits no option is dropped whole once counted, before the
+rank bound, and the others' leaves test only the options their prefix
+admits.  The Moore refinement that decides minimality runs only on the
+finals options of a tuple whose closure reaches the best.  Every witness
+is then re-verified by minimize, transition_semigroup and the ideal
+tests of its family alone, not by the whole of classify.
 """
 
 from __future__ import annotations
@@ -474,6 +479,12 @@ class _Prefix:
         extended by the last letter.  Each is decided at most once and
         only when asked.  The root, with no letters, reaches state 0
         alone, its closure is empty and its pair relation is the seeds.
+      - The finals options its pair relation admits (admitted), also
+        decided when first asked: every option at the root, and below it
+        its parent's that its own relation still admits.  Its relation
+        holds its parent's, so that is every option it admits, and a node
+        whose parent admits none admits none without deciding its
+        relation.
       - codes holds the letters in the closure's encoding
         (semigroup._encode): a node encodes its own last letter when it
         is made, and a tuple below it its last letter only when it is
@@ -485,7 +496,7 @@ class _Prefix:
         is one list index."""
 
     __slots__ = ("up", "facts", "idx", "gens", "meet", "codes", "ranks",
-                 "bounds", "reach", "union", "_closed", "_need")
+                 "bounds", "reach", "union", "_closed", "_need", "_admitted")
 
     def __init__(self, up: _Prefix, c: int):
         facts = self.facts = up.facts
@@ -498,7 +509,7 @@ class _Prefix:
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
         self._rank(up.ranks + (facts.ranks[c],))
-        self._closed = self._need = None
+        self._closed = self._need = self._admitted = None
 
     @classmethod
     def root(cls, facts: _LetterFacts) -> _Prefix:
@@ -512,6 +523,7 @@ class _Prefix:
         node._rank(())
         node._closed = frozenset()
         node._need = _left_ideal_relation((), facts.n, 0)
+        node._admitted = facts.options
         return node
 
     def _rank(self, ranks: tuple[int, ...]) -> None:
@@ -549,6 +561,19 @@ class _Prefix:
         if self._need is None:
             self._need = self.up.pairs(self.idx[-1])
         return self._need
+
+    def admitted(self) -> list[frozenset[int]]:
+        """The finals options, in order, that this prefix's pair relation
+        admits (classify._left_ideal_admits): those of its parent that its
+        own relation still admits, so none, its relation left undecided,
+        where its parent admits none."""
+        if self._admitted is None:
+            alive = self.up.admitted()
+            if alive:
+                need = self.relation()
+                alive = [f for f in alive if _left_ideal_admits(need, f)]
+            self._admitted = alive
+        return self._admitted
 
 
 class _RankBound(dict):
@@ -642,7 +667,10 @@ def _in_class_finals(up: _Prefix, c: int, options: list[frozenset[int]],
     The states up reaches are spread by its letters and c's mask table
     (_Prefix.reaches_all), and its pair relation is extended by c's
     letter (_Prefix.pairs).  The left-ideal test of an option is one
-    bitmask check, sound once every state is reachable, minimal or not."""
+    bitmask check, sound once every state is reachable, minimal or not.
+    In left and two-sided cells _run_shard hands it only the options up
+    admits (_Prefix.admitted): the tuple's pair relation holds up's, so
+    the test rejects the others too."""
     if not up.reaches_all(c):
         return []
     if left_ideal:
@@ -665,9 +693,14 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
 
     The walk hands over one batch of leaves per prefix (_walk).  Its
     canonical candidates are counted from the batch's length and the
-    few finals lists it holds, without visiting a leaf.  A letter tuple
+    few finals lists it holds, without visiting a leaf.  In left and
+    two-sided cells a batch whose prefix admits no finals option
+    (_Prefix.admitted) is then dropped whole, and the other batches'
+    leaves keep only the options their prefix admits: a tuple's pair
+    relation holds its prefix's, so it rejects every option its prefix
+    rejects, and no in-class tuple is lost.  A letter tuple
     whose rank bound (_RankBound, read off its prefix node by its last
-    letter's rank) is below the shard's best so far is dropped first:
+    letter's rank) is below the shard's best so far is dropped next:
     one pass over the batch drops the leaves below the best at its
     start, before their letter tuples are built, and since the best
     rises inside a batch, each leaf left is held against it once more.
@@ -691,13 +724,19 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     for up, leaves, keep in _walk(task, facts, shard, shards):
         canonical += len(leaves) * options + sum(
             len(kept) - options for kept in keep.values())
+        alive = finals_opts
+        if facts.left:
+            alive = up.admitted()
+            if not alive:
+                continue
+            keep = {c: [f for f in kept if f in alive]
+                    for c, kept in keep.items()}
         bounds = up.bounds
         for c in compress(leaves, map(best.__le__, map(
                 bounds.__getitem__, map(rank.__getitem__, leaves)))):
             if bounds[rank[c]] < best:  # the best rose inside the batch
                 continue
-            finals = _in_class_finals(up, c, keep.get(c, finals_opts),
-                                      facts.left)
+            finals = _in_class_finals(up, c, keep.get(c, alive), facts.left)
             if not finals:
                 continue
             s = len(up.close(c))

@@ -21,8 +21,9 @@ from syncomp import (Dfa, Semiautomaton, SearchTask, SizeMismatchError,
                      two_sided_witness, uniformly_minimal,
                      verify_theorem9_pairing)
 from syncomp.classify import (_is_left_ideal, _is_right_ideal,
-                              _left_ideal_pairs, _left_ideal_relation,
-                              _left_ideal_walk, _right_ideal_walk)
+                              _left_ideal_admits, _left_ideal_pairs,
+                              _left_ideal_relation, _left_ideal_walk,
+                              _right_ideal_walk)
 from syncomp.search import FoundWitness, _reverify
 
 
@@ -181,7 +182,10 @@ def letter_tuples(draw):
 def test_pair_relation_extends_the_relation_of_a_prefix(case):
     # the relation of a letter tuple, built from the seeds, holds the pairs
     # a plain walk reaches; its prefix's relation extended by the last
-    # letter is the same, and the prefix's is left unchanged
+    # letter is the same, and the prefix's is left unchanged.  The
+    # prefix's pairs are all in the tuple's, so every finals set the tuple
+    # admits its prefix admits: the search drops the options a prefix
+    # rejects from every tuple under it
     n, rows, initial = case
     need = _left_ideal_relation(rows, n, initial)
     assert {(p, q) for p in range(n) for q in range(n)
@@ -190,6 +194,11 @@ def test_pair_relation_extends_the_relation_of_a_prefix(case):
     kept = list(base)
     assert _left_ideal_relation(rows, n, initial, base) == need
     assert base == kept
+    assert all(b & ~m == 0 for b, m in zip(base, need))
+    for mask in range(1 << n):
+        finals = frozenset(q for q in range(n) if mask >> q & 1)
+        assert not _left_ideal_admits(need, finals) or \
+            _left_ideal_admits(base, finals), finals
 
 
 def test_semantic_twins_determinize_nothing(monkeypatch):

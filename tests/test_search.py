@@ -1004,12 +1004,17 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # its pair relation: it must keep the same finals as the plain walk
     # (automata._reachable) and the pair relation built afresh
     # (classify._left_ideal_pairs) of the whole tuple.  Replaying the
-    # walk's tuples in order: a tuple whose rank bound is below the best
-    # sigma so far meets no letter test and is not closed, and its closure
-    # is below that best; every other one meets the letter tests, and if
-    # they keep an option it is closed once, right after them.  The Moore
-    # refinement then runs on every kept option of a closed tuple if its
-    # closure reaches the best so far, and on nothing else
+    # walk's tuples in order: in left and two-sided cells a tuple whose
+    # prefix admits no finals option meets no letter test and is not
+    # closed, and the whole tuple admits none either.  A tuple whose rank
+    # bound is below the best sigma so far meets no letter test and is not
+    # closed, and its closure is below that best; every other one meets
+    # the letter tests, which keep the finals of its whole kept list that
+    # the fresh verdict keeps, though they are handed only those its
+    # prefix admits, and if they keep an option it is closed once, right
+    # after them.  The Moore refinement then runs on every kept option of
+    # a closed tuple if its closure reaches the best so far, and on
+    # nothing else
     real_filter, real_extend, real_moore = (
         search._in_class_finals, search._extend, search._moore_classes)
     bound = search._RankBound(family in ("right", "two_sided"))
@@ -1042,18 +1047,30 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     facts = search._LetterFacts(task)
-    walked = [up.gens + (facts.pool[c],)
-              for up, leaves, _ in search._walk(task, facts, 0, 1)
+    walked = [(up.gens, facts.pool[c], keep.get(c, facts.options))
+              for up, leaves, keep in search._walk(task, facts, 0, 1)
               for c in leaves]
+    left = search._FAMILIES[family][1]
+
+    @functools.cache
+    def admits_any(gens):
+        return any(_left_ideal_pairs(gens, n, 0, f) for f in facts.options)
 
     best, at = 0, 0
-    for gens in walked:
+    for prefix, last, options in walked:
+        gens = prefix + (last,)
+        if left and not admits_any(prefix):
+            assert not admits_any(gens), gens
+            continue
         if bound[tuple(len(set(g)) for g in gens)] < best:
             codes = [_encode(g) for g in gens]
             assert len(_closure(codes, n, None)[0]) < best, gens
             continue
         assert calls[at][:2] == ("tested", gens), (calls[at], gens)
         kept = calls[at][2]
+        assert kept == ([] if len(_reachable(gens, 0)) < n else [
+            f for f in options
+            if not left or _left_ideal_pairs(gens, n, 0, f)]), gens
         at += 1
         if not kept:
             continue
@@ -1071,20 +1088,61 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     assert result.witnesses and best == result.max_sigma
 
 
+@pytest.mark.parametrize("family, n, k", [
+    *((family, n, k) for family, n, k in _SMALL_CELLS
+      if family in ("left", "two_sided")),
+    ("two_sided", 4, 3),
+])
+def test_each_prefix_admits_the_finals_its_relation_admits(monkeypatch,
+                                                           family, n, k):
+    # every node the walk makes, the root included, admits the finals
+    # options that the pair relation of its prefix, built afresh
+    # (classify._left_ideal_pairs), admits: its parent's, cut by its own
+    # relation, equal its own verdict since its relation holds its
+    # parent's.  A node whose parent admits none decides no relation
+    made = []
+
+    class Recorded(search._Prefix):
+        __slots__ = ()
+
+        def __init__(self, up, c):
+            super().__init__(up, c)
+            made.append(self)
+
+        @classmethod
+        def root(cls, facts):
+            made.append(super().root(facts))
+            return made[-1]
+
+    monkeypatch.setattr(search, "_Prefix", Recorded)
+    task = SearchTask(family, n, k)
+    facts = search._LetterFacts(task)
+    for _ in search._walk(task, facts, 0, 1):
+        pass
+    assert made[0].admitted() == facts.options
+    for node in made:  # every parent before its children
+        dead = node.up is not None and not node.up.admitted()
+        assert node.admitted() == [f for f in facts.options
+                                   if _left_ideal_pairs(node.gens, n, 0, f)]
+        assert not dead or node._need is None, node.idx
+
+
 @pytest.mark.parametrize("family, n, k, tuples, tested", [
     ("right", 5, 2, 33_285, 8_416),
     ("right", 4, 3, 23_052, 10_657),
-    ("two_sided", 4, 3, 12_550, 11_619),
+    ("two_sided", 4, 3, 12_550, 6_780),
     ("left", 4, 2, 1_767, 1_525),
-    ("left", 3, 4, 2_465, 2_465),
+    ("left", 3, 4, 2_465, 1_980),
+    ("two_sided", 5, 2, 19_141, 13_321),
 ])
 def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
                                             tuples, tested):
     # the canonical letter tuples the walk yields, counted over the leaves
     # of its batches, and those that meet the letter tests
     # (_in_class_finals) at jobs=1: only the tuples whose rank bound
-    # reaches the best sigma so far.  In left (3,4) the bound, with no
-    # fixed sink, rules out none
+    # reaches the best sigma so far and, in left and two-sided cells,
+    # whose prefix admits some finals option.  In left (3,4) the bound,
+    # with no fixed sink, rules out none, and the prefix filter 485
     real_walk, real_filter = search._walk, search._in_class_finals
     walked, seen = [], []
 
