@@ -106,7 +106,8 @@ class Dfa:
         want = set(letters)
         unknown = want - set(self.alphabet)
         if unknown:
-            raise ValueError(f"letters not in alphabet: {sorted(unknown)}")
+            raise ValueError(f"letters {sorted(unknown)} not in alphabet "
+                             f"{''.join(self.alphabet)}")
         if not want:
             raise ValueError("restriction to an empty alphabet")
         alph = tuple(a for a in self.alphabet if a in want)

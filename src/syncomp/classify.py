@@ -2,8 +2,10 @@
 
 Everything here works on the minimal DFA.  Right- and left-ideal
 membership are each decided twice, structurally on the automaton and
-semantically via a language equation (L = LΣ*, L = Σ*L), and the two
-answers are asserted to agree.  The reported
+semantically via a language equation (L = LΣ*, L = Σ*L), and one twin
+rule, _twins, asserts that the two answers agree; both semantic tests are
+one product walk, _walk_agrees, with the automaton of LΣ* or Σ*L.  Prefix-
+and suffix-closure are the same two rules on the complement.  The reported
 `bound` is the tightest provable sigma upper bound implied by the detected
 special quotients and unique-reachability flags; it is always sound
 (sigma <= bound), see _tightest_bound for the exact rule.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .automata import (Dfa, Semiautomaton, _moore_classes, _reachable,
                        complement, minimize)
@@ -202,36 +204,81 @@ class ClassReport:
         return {k: v for k, v in vars(self).items() if k != "semigroup"}
 
 
-def _is_sink(d: Dfa, q: int) -> bool:
+def _is_sink(d: Dfa | Semiautomaton, q: int) -> bool:
     return all(d.delta[a](q) == q for a in d.alphabet)
 
 
-def _right_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,
-                      initial: int, finals: frozenset[int]) -> bool:
-    """Semantic right-ideal test on image rows: walk the pairs (state of
-    the DFA, state of the DFA of L·Σ*) and fail at the first pair whose
-    acceptance differs.  The L·Σ* automaton is the DFA with a fresh
-    accepting state n that it locks into once it enters a final state."""
-    lock = n
-    start = (initial, lock if initial in finals else initial)
-    seen = {start}
-    stack = [start]
+def _special_quotients(md: Dfa, final: bool) -> tuple[bool, bool]:
+    """Whether md has a sink quotient of the given finality, and whether
+    it has a quotient of the other finality that every letter sends into
+    that sink: (Σ*, Σ⁺) when final, (∅, ε) when not."""
+    sink = next((q for q in range(md.n)
+                 if (q in md.finals) == final and _is_sink(md, q)), None)
+    if sink is None:
+        return False, False
+    return True, any((q in md.finals) != final
+                     and all(md.delta[a](q) == sink for a in md.alphabet)
+                     for q in range(md.n))
+
+
+def _walk_agrees(rows: tuple[tuple[int, ...], ...], initial: int,
+                 finals: frozenset[int], start: int,
+                 step: Callable[[tuple[int, ...], int], int],
+                 accepts: Callable[[int], bool]) -> bool:
+    """Walk the pairs (state of the DFA given by the image rows, state s
+    of a second automaton that moves to step(g, s) under the row g and
+    accepts when accepts(s)) from (initial, start), and fail at the first
+    pair whose acceptance differs."""
+    first = (initial, start)
+    seen = {first}
+    stack = [first]
     while stack:
-        p, q = stack.pop()
-        if (p in finals) != (q == lock):
+        p, s = stack.pop()
+        if (p in finals) != accepts(s):
             return False
         for g in rows:
-            r = lock if q == lock or g[q] in finals else g[q]
-            nxt = (g[p], r)
+            nxt = (g[p], step(g, s))
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return True
 
 
+def _twins(kind: str, md: Dfa, structural: Callable[..., bool],
+           semantic: Callable[..., bool]) -> bool:
+    """The one twin rule: md, which must be minimal, is in the class iff
+    the structural test says so, and the semantic test must agree.  Both
+    are called as test(rows, n, initial, finals).  The empty language is
+    in no ideal class, and neither test runs on it."""
+    if md.n == 1 and not md.finals:
+        return False
+    args = (tuple(md.delta[a].images for a in md.alphabet), md.n,
+            md.initial, md.finals)
+    verdict = structural(*args)
+    if semantic(*args) != verdict:
+        raise AssertionError(f"{kind} checks disagree: structural={verdict}, "
+                             f"semantic={not verdict}")
+    return verdict
+
+
+def _right_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,
+                      initial: int, finals: frozenset[int]) -> bool:
+    """Semantic right-ideal test on image rows: the walk agrees with the
+    DFA of L·Σ*, the DFA with a fresh accepting state n that it locks into
+    once it enters a final state."""
+    lock = n
+
+    def step(g, q):
+        return lock if q == lock or g[q] in finals else g[q]
+
+    return _walk_agrees(rows, initial, finals,
+                        lock if initial in finals else initial, step,
+                        lambda q: q == lock)
+
+
 def _is_right_ideal(md: Dfa) -> bool:
-    """md must be minimal.  Runs the structural and the semantic test and
-    insists they agree.
+    """md must be minimal.  The structural test asks for exactly one final
+    state, a sink; the semantic walk must agree (_twins).
 
     The semantic walk decides L = LΣ*.  Let E be md with a fresh state n:
     E moves as md does until md would enter a final state, and then (or at
@@ -242,17 +289,10 @@ def _is_right_ideal(md: Dfa) -> bool:
     it meets a pair whose acceptance differs iff some word is in one of L
     and LΣ* but not the other.
     """
-    nonempty = not (md.n == 1 and not md.finals)
-    structural = (nonempty and len(md.finals) == 1
-                  and _is_sink(md, next(iter(md.finals))))
-    rows = tuple(md.delta[a].images for a in md.alphabet)
-    semantic = nonempty and _right_ideal_walk(rows, md.n, md.initial,
-                                              md.finals)
-    if structural != semantic:
-        raise AssertionError(
-            f"right-ideal checks disagree: structural={structural}, "
-            f"semantic={semantic}")
-    return structural
+    return _twins("right-ideal", md,
+                  lambda rows, n, initial, finals: len(finals) == 1
+                  and _is_sink(md, next(iter(finals))),
+                  _right_ideal_walk)
 
 
 def _left_ideal_relation(rows: tuple[tuple[int, ...], ...], n: int,
@@ -322,35 +362,26 @@ def _left_ideal_pairs(rows: tuple[tuple[int, ...], ...], n: int,
 
 def _left_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,
                      initial: int, finals: frozenset[int]) -> bool:
-    """Semantic left-ideal test on image rows: walk the pairs (state of
-    the DFA, state of the subset DFA of Σ*L, a bitmask built on the fly)
-    and fail at the first pair whose acceptance differs."""
+    """Semantic left-ideal test on image rows: the walk agrees with the
+    subset DFA of Σ*L, whose states are bitmasks over the n states."""
     home = 1 << initial
     final_mask = sum(1 << f for f in finals)
-    bits = [[1 << g[q] for q in range(n)] for g in rows]
-    start = (initial, home)
-    seen = {start}
-    stack = [start]
-    while stack:
-        p, s = stack.pop()
-        if (p in finals) != bool(s & final_mask):
-            return False
-        for g, g_bits in zip(rows, bits):
-            t, rest = home, s
-            while rest:
-                low = rest & -rest
-                t |= g_bits[low.bit_length() - 1]
-                rest ^= low
-            nxt = (g[p], t)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
+
+    def step(g, s):
+        t = home
+        while s:
+            low = s & -s
+            t |= 1 << g[low.bit_length() - 1]
+            s ^= low
+        return t
+
+    return _walk_agrees(rows, initial, finals, home, step,
+                        lambda s: bool(s & final_mask))
 
 
 def _is_left_ideal(md: Dfa) -> bool:
-    """md must be minimal.  Runs the structural and the semantic test and
-    insists they agree.
+    """md must be minimal.  The structural test is _left_ideal_pairs; the
+    semantic walk must agree (_twins).
 
     The semantic walk decides L = Σ*L.  For a word w let S(w) be the set
     of states md reaches from the initial state by the suffixes of w.
@@ -361,17 +392,7 @@ def _is_left_ideal(md: Dfa) -> bool:
     (md(w), S(w)) over all words w, so it meets a pair whose acceptance
     differs iff some word is in one of L and Σ*L but not the other.
     """
-    nonempty = not (md.n == 1 and not md.finals)
-    rows = tuple(md.delta[a].images for a in md.alphabet)
-    structural = nonempty and _left_ideal_pairs(rows, md.n, md.initial,
-                                                md.finals)
-    semantic = nonempty and _left_ideal_walk(rows, md.n, md.initial,
-                                             md.finals)
-    if structural != semantic:
-        raise AssertionError(
-            f"left-ideal checks disagree: structural={structural}, "
-            f"semantic={semantic}")
-    return structural
+    return _twins("left-ideal", md, _left_ideal_pairs, _left_ideal_walk)
 
 
 def _tightest_bound(n: int, pins: int, l_ur: bool, la_ur: bool) -> int:
@@ -400,19 +421,8 @@ def classify(d: Dfa, cap: int | None = None) -> ClassReport:
     n = md.n
     is_universal = n == 1 and bool(md.finals)
 
-    sinks = [q for q in range(n) if _is_sink(md, q)]
-    empty_sink = next((q for q in sinks if q not in md.finals), None)
-    star_sink = next((q for q in sinks if q in md.finals), None)
-    has_empty_q = empty_sink is not None
-    has_sigma_star_q = star_sink is not None
-    has_epsilon_q = has_empty_q and any(
-        f != empty_sink and
-        all(md.delta[a](f) == empty_sink for a in md.alphabet)
-        for f in md.finals)
-    has_sigma_plus_q = has_sigma_star_q and any(
-        q not in md.finals and q != star_sink and
-        all(md.delta[a](q) == star_sink for a in md.alphabet)
-        for q in range(n))
+    has_empty_q, has_epsilon_q = _special_quotients(md, False)
+    has_sigma_star_q, has_sigma_plus_q = _special_quotients(md, True)
 
     right = _is_right_ideal(md)
     left = _is_left_ideal(md)
@@ -485,7 +495,7 @@ def pair_graph_uniformity(s: Semiautomaton, sink: int) -> UniformMinimalityRepor
     """
     if not 0 <= sink < s.n:
         raise ValueError(f"sink {sink} out of range")
-    if any(s.delta[a](sink) != sink for a in s.alphabet):
+    if not _is_sink(s, sink):
         raise ValueError(f"state {sink} is not absorbing")
     others = [q for q in range(s.n) if q != sink]
     if not others:

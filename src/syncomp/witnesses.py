@@ -25,7 +25,6 @@ __all__ = [
     "left_witness_core",
     "small_witness",
     "closed_form_bound",
-    "REVERSAL_SETUP",
     "ReversalRow",
     "reversal_sweep",
 ]
@@ -62,21 +61,6 @@ def _letters_two_sided(n: int) -> dict[str, Transformation]:
         "e": e,
         "f": singular(n, 1, n - 1),
     }
-
-
-def _pick(all_letters: dict[str, Transformation],
-          letters: Iterable[str] | None, family: str) -> tuple[str, ...]:
-    if letters is None:
-        return tuple(all_letters)
-    chosen = set(letters)
-    if not chosen:
-        raise ValueError("letters must be nonempty")
-    unknown = chosen - set(all_letters)
-    if unknown:
-        raise ValueError(
-            f"unknown {family} letters {sorted(unknown)}; "
-            f"available: {''.join(all_letters)}")
-    return tuple(a for a in all_letters if a in chosen)
 
 
 class _Family(NamedTuple):
@@ -124,8 +108,6 @@ def family_witness(family: str, n: int, letters: Iterable[str] | None = None,
         raise ValueError(
             f"the {family} witness needs n >= {row.least_n}; below that, "
             f"use small_witness (witness --small K on the command line)")
-    full = row.letters(n)
-    alph = _pick(full, letters, family)
     if finals is None:
         finals = (n - 1,)
     elif not row.finals_move:
@@ -134,7 +116,9 @@ def family_witness(family: str, n: int, letters: Iterable[str] | None = None,
     if not finals or not all(0 < q < n for q in finals):
         raise ValueError(f"finals must be a nonempty set of states 1..{n - 1}"
                          f", got {sorted(finals)}")
-    return Dfa(n, alph, {a: full[a] for a in alph}, 0, finals)
+    full = row.letters(n)
+    d = Dfa(n, tuple(full), full, 0, finals)
+    return d if letters is None else d.restrict(letters)
 
 
 def right_ideal_witness(n: int, letters: Iterable[str] | None = None) -> Dfa:
@@ -199,25 +183,24 @@ def small_witness(family: str, n: int, k: int, variant: int = 0) -> Dfa:
     registry; unlisted (family, n, k) raise ValueError.
     """
     _row(family)  # an unknown family raises
+    chain = [min(q + 1, n - 1) for q in range(n)]
     if k == 1 and 1 <= n <= 5:
         # a^(n-1)a* (Σ* when n=1): the same unary chain is extremal for all
         # three families.
-        chain = Transformation(tuple(min(q + 1, n - 1) for q in range(n)))
-        return Dfa(n, ("a",), {"a": chain}, 0, frozenset({n - 1}))
-    if family == "two_sided" and k == 2 and 3 <= n <= 5:
+        variants = [[chain]]
+    elif family == "two_sided" and k == 2 and 3 <= n <= 5:
         # Σ*a^(n-1)Σ*: count the current run of a's, with accepting sink.
-        a = Transformation(tuple(min(q + 1, n - 1) for q in range(n)))
-        b = Transformation(tuple(0 if q < n - 1 else n - 1 for q in range(n)))
-        return Dfa(n, ("a", "b"), {"a": a, "b": b}, 0, frozenset({n - 1}))
-    variants = _SMALL.get((family, n, k))
+        variants = [[chain, [0] * (n - 1) + [n - 1]]]
+    else:
+        variants = _SMALL.get((family, n, k))
     if variants is None:
         raise ValueError(f"no small witness recorded for ({family}, n={n}, k={k})")
     if not 0 <= variant < len(variants):
         raise ValueError(f"({family}, n={n}, k={k}) has {len(variants)} "
                          f"variant(s); got variant={variant}")
-    rows = variants[variant]
     alph = tuple(_LABELS[:k])
-    delta = {alph[i]: Transformation(tuple(rows[i])) for i in range(k)}
+    delta = {a: Transformation(tuple(row))
+             for a, row in zip(alph, variants[variant])}
     return Dfa(n, alph, delta, 0, frozenset({n - 1}))
 
 
@@ -242,11 +225,6 @@ class ReversalRow(NamedTuple):
     n: int
     measured: int
     expected: int
-
-
-# family -> (designated letters, kappa of the reversal)
-REVERSAL_SETUP = {family: (row.designated, row.kappa)
-                  for family, row in _FAMILY_ROWS.items()}
 
 
 def reversal_sweep(family: str, n_range: Iterable[int]) -> list[ReversalRow]:

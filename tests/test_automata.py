@@ -55,7 +55,7 @@ def test_restrict_keeps_alphabet_order():
     d = dfa([[1, 0], [0, 1], [1, 1]], [1])
     r = d.restrict("ca")
     assert r.alphabet == ("a", "c")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"letters \['x'\] not in alphabet abc$"):
         d.restrict("x")
     with pytest.raises(ValueError):
         d.restrict("")

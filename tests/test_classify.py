@@ -234,15 +234,25 @@ def _never(*args):
     return False
 
 
+def _always(*args):
+    return True
+
+
 @pytest.mark.parametrize("target, fault, build, message", [
     ("_left_ideal_pairs", _never, left_ideal_witness, "left-ideal"),
     ("_left_ideal_walk", _never, left_ideal_witness, "left-ideal"),
     ("_is_sink", _never, right_ideal_witness, "right-ideal"),
     ("_right_ideal_walk", _never, right_ideal_witness, "right-ideal"),
+    ("_left_ideal_pairs", _always, right_ideal_witness, "left-ideal"),
+    ("_left_ideal_walk", _always, right_ideal_witness, "left-ideal"),
+    ("_is_sink", _always, left_ideal_witness, "right-ideal"),
+    ("_right_ideal_walk", _always, left_ideal_witness, "right-ideal"),
 ], ids=["left-structural", "left-semantic", "right-structural",
-        "right-semantic"])
+        "right-semantic", "left-structural-true", "left-semantic-true",
+        "right-structural-true", "right-semantic-true"])
 def test_disagreeing_twins_raise(monkeypatch, target, fault, build, message):
-    # each fault turns the true verdict false in one twin only
+    # each fault turns the verdict into its opposite in one twin only: a
+    # member of the class is refused, or a language outside it admitted
     classify_module = importlib.import_module("syncomp.classify")
     monkeypatch.setattr(classify_module, target, fault)
     with pytest.raises(AssertionError, match=f"{message} checks disagree"):

@@ -234,6 +234,21 @@ def test_witness_small_variant(capsys):
     assert d == small_witness("right", 5, 2, variant=1)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--family", "right", "--n", "5", "--small", "2", "--variant", "2"],
+     "(right, n=5, k=2) has 2 variant(s); got variant=2"),
+    (["--family", "right", "--n", "3", "--small", "1", "--variant", "7"],
+     "(right, n=3, k=1) has 1 variant(s); got variant=7"),
+    (["--family", "two-sided", "--n", "4", "--small", "2", "--variant", "3"],
+     "(two_sided, n=4, k=2) has 1 variant(s); got variant=3"),
+], ids=["registry", "unary-chain", "two-sided-run"])
+def test_witness_refuses_an_unrecorded_variant(capsys, argv, expected):
+    assert main(["witness", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected}\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["witness", "--family", "right", "--n", "4", "--finals", "1,2"],
      "--finals"),

@@ -1,8 +1,10 @@
-"""Packaging claims: the library imports only the standard library."""
+"""Packaging claims: the library imports only the standard library, and
+every public name is used."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -21,3 +23,42 @@ def test_package_imports_only_the_standard_library():
                 names.add(node.module.split(".")[0])
     assert names, "no imports found"
     assert names <= sys.stdlib_module_names, names - sys.stdlib_module_names
+
+
+def test_every_public_name_is_used():
+    # a name in a module's __all__ must appear in src, tests, bench or the
+    # README outside the statement that defines it and the __all__ list;
+    # the package's re-export is no use
+    package = Path(syncomp.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    texts = {path: path.read_text() for path in
+             [*package.glob("*.py"), *(root / "tests").glob("*.py"),
+              *(root / "bench").glob("*.py"), root / "README.md"]}
+    del texts[package / "__init__.py"]
+    unused = []
+    for path in package.glob("*.py"):
+        spans = {}  # top-level name -> line span of its defining statement
+        public = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", None)]
+            else:
+                continue
+            for name in names:
+                spans[name] = node.lineno, node.end_lineno
+            if "__all__" in names:
+                public = ast.literal_eval(node.value)
+        for name in public:
+            own = path.read_text().splitlines()
+            for start, end in (spans["__all__"], spans[name]):
+                own[start - 1:end] = [""] * (end - start + 1)
+            if not any(re.search(rf"\b{re.escape(name)}\b", text)
+                       for text in ["\n".join(own)] + [
+                           text for other, text in texts.items()
+                           if other != path]):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []

@@ -185,6 +185,11 @@ def test_small_witness_validation():
         small_witness("right", 3, 2)  # covered by the family witness instead
     with pytest.raises(ValueError):
         small_witness("right", 5, 2, variant=2)
+    # the built-in constructions record one variant each
+    with pytest.raises(ValueError, match="has 1 variant"):
+        small_witness("right", 3, 1, variant=7)
+    with pytest.raises(ValueError, match="has 1 variant"):
+        small_witness("two_sided", 4, 2, variant=3)
     with pytest.raises(ValueError):
         small_witness("middle", 2, 2)
 
