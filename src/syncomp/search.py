@@ -48,17 +48,26 @@ by pool index, by nodes and leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
-branch-and-bound with sigma itself as the bound.  Sigma is at most the
-sum over ordered pairs (f, l) of the tuple's letters of
+branch-and-bound with sigma itself as the bound.  Sigma is at most a
+bound read off the multiset of the ranks of the tuple's letters
+(_RankBound): the count behind the paper's n^(n-1), of maps through a
+first letter's kernel classes and into a last letter's image, taken one
+rank rho of an element at a time.  An element of rank rho is a word over
+the letters of rank rho or more, so each rank contributes the smaller of
+the number of maps of that rank and the count over the ordered pairs of
+such letters, and nothing below rank n where those letters are all
+permutations.  Summed over the ranks, a pair's count is
 r(l) ** (r(f) - e), r the rank of a letter and e = 1 where every letter
-fixes the sink (the count behind the paper's n^(n-1), taken per pair of
-first and last letters; _RankBound).  Each prefix holds that bound for
-every rank of a last letter, so it costs a tuple two list lookups, and
-it comes before the letter tests: a batch's leaves whose bound is below
-the best are dropped in one pass, before any of their letter tuples is
-built, and meet no further test.  The others meet the tests on their
-letters (reachability, then the left-ideal test in left and two-sided
-cells), and a tuple that passes them is closed.  In left and two-sided cells
+fixes the sink, so the bound is never above the sum of those over the
+pairs, and below it where the cell's maximum is near the number of maps
+of some rank (right (4,3) closes 2,908 tuples where that sum let it
+close 6,171).  Each prefix holds the bound for every rank of a last
+letter, so it costs a tuple two list lookups, and it comes before the
+letter tests: a batch's leaves whose bound is below the best are
+dropped in one pass, before any of their letter tuples is built, and
+meet no further test.  The others meet the tests on their letters
+(reachability, then the left-ideal test in left and two-sided cells),
+and a tuple that passes them is closed.  In left and two-sided cells
 each prefix node also holds the finals options its pair relation admits
 (_Prefix.admitted).  A tuple's relation holds its prefix's, as a letter
 only adds pairs, so it rejects every option its prefix rejects: a batch
@@ -77,6 +86,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress, permutations, product, repeat
 from math import comb
 from operator import eq, ne, or_
@@ -447,7 +457,7 @@ class _LetterFacts:
         self.options = _finals_options(task)
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
-        self.bound = _RankBound(right)
+        self.bound = _RankBound(task.n, right)
         self.orbits = _Orbits(task, self.pool, self.options)
 
     def image(self, c: int) -> bytes:
@@ -489,11 +499,11 @@ class _Prefix:
         (semigroup._encode): a node encodes its own last letter when it
         is made, and a tuple below it its last letter only when it is
         closed.
-      - ranks holds the ranks of the letters, and bounds[r] the rank
-        bound (_RankBound) of the node's letters and one more letter of
-        rank r, for r = 1..n (no letter has rank 0, so bounds[0] only
-        fills the place), read when the node is made, so a tuple's bound
-        is one list index."""
+      - ranks holds the ranks of the letters, sorted, and bounds[r] the
+        rank bound (_RankBound) of the node's letters and one more
+        letter of rank r, for r = 1..n (no letter has rank 0, so
+        bounds[0] only fills the place), read when the node is made, so
+        a tuple's bound is one list index."""
 
     __slots__ = ("up", "facts", "idx", "gens", "meet", "codes", "ranks",
                  "bounds", "reach", "union", "_closed", "_need", "_admitted")
@@ -508,7 +518,7 @@ class _Prefix:
         self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
-        self._rank(up.ranks + (facts.ranks[c],))
+        self._rank(_insert(up.ranks, facts.ranks[c]))
         self._closed = self._need = self._admitted = None
 
     @classmethod
@@ -528,9 +538,7 @@ class _Prefix:
 
     def _rank(self, ranks: tuple[int, ...]) -> None:
         """Set ranks, and bounds from them."""
-        self.ranks, bound = ranks, self.facts.bound
-        self.bounds = [0, *(bound[ranks + (r,)]
-                            for r in range(1, self.facts.n + 1))]
+        self.ranks, self.bounds = ranks, self.facts.bound.row(ranks)
 
     def reaches_all(self, c: int) -> bool:
         """Whether this prefix's letters and pool letter c reach every
@@ -576,29 +584,79 @@ class _Prefix:
         return self._admitted
 
 
+@cache
+def _strata(n: int, e: int) -> tuple[list[list[int]], list[list[int]],
+                                     list[int]]:
+    """The tables behind _RankBound on n states, e = 1 where every map
+    fixes the sink n-1 and 0 otherwise, each indexed by rank rho = 0..n:
+      - K[a][rho] = sum_i (-1)^i C(rho-e, i) (rho-i)^(a-e), the maps of
+        rank rho that are constant on the kernel classes of a letter of
+        rank a, for one fixed image of rho states (the sink among them
+        where e = 1, the sink's class going to the sink): maps of the a-e
+        free classes into those states that reach all rho-e free ones;
+      - I[b][rho] = C(b-e, rho-e), the images of rho states inside the
+        image of a letter of rank b, the sink among them where e = 1;
+      - M[rho] = C(n-e, rho-e) K[n][rho], the maps of rank rho.
+    Rank 0 has no map, so its entries are 0."""
+    def onto(a: int, rho: int) -> int:
+        return sum((-1) ** i * comb(rho - e, i) * (rho - i) ** (a - e)
+                   for i in range(rho - e + 1))
+
+    ranks, zero = range(1, n + 1), [0] * (n + 1)
+    K = [zero, *([0, *(onto(a, rho) for rho in ranks)] for a in ranks)]
+    I = [zero, *([0, *(comb(b - e, rho - e) for rho in ranks)]
+                 for b in ranks)]
+    M = [0, *(comb(n - e, rho - e) * K[n][rho] for rho in ranks)]
+    return K, I, M
+
+
 class _RankBound(dict):
     """The ranks of a letter tuple's letters (image sizes, also their
     numbers of kernel classes) -> B, an upper bound on the tuple's sigma,
-    filled on first use: there are few rank tuples and many letter
-    tuples.  B is the sum over ordered pairs (f, l) of the letters, a
-    repeated letter once per position, of r(l) ** (r(f) - e), with e = 1
-    if sink (every letter of the pool fixes state n-1, as in right and
-    two-sided cells) and 0 otherwise.
+    filled on first use: there are few rank multisets and many letter
+    tuples.  B does not depend on the order of the ranks; the search
+    keys it by the sorted ranks, through row.  With e = 1 if sink (every
+    letter of the pool fixes state n-1, as in right and two-sided cells)
+    and 0 otherwise, and the tables K, I, M of _strata, B is the sum over
+    ranks rho of min(M[rho], S_rho), where S_rho = (sum over letters f of
+    K[r(f)][rho]) * (sum over letters l of I[r(l)][rho]), a repeated
+    letter once per position, save that S_rho = 0 where rho < n and every
+    letter of rank rho or more is a permutation.
 
     A nonempty word g1 ... gm (g1 applied first, as translate composes)
     is constant on each kernel class of g1 and maps into the image of gm;
     where every letter fixes n-1, so does the word, which then maps the
-    class of n-1 to n-1.  So at most r(l) ** (r(f) - e) elements have a
-    word with first letter f and last letter l, and every element has
-    one."""
+    class of n-1 to n-1.  Its rank is at most that of each letter, so an
+    element of rank rho has a word over letters of rank rho or more, and
+    one of permutations alone is a permutation.  So at most
+    K[r(f)][rho] * I[r(l)][rho] elements of rank rho have a word with
+    first letter f and last letter l (0 where r(f) or r(l) is below rho),
+    and at most M[rho] elements have rank rho.  Summed over rho the pair's
+    count is r(l) ** (r(f) - e), so B is never above the sum of those
+    over the ordered pairs of letters."""
 
-    def __init__(self, sink: bool):
+    def __init__(self, n: int, sink: bool):
         super().__init__()
-        self.sink = sink
+        self.n, self.sink, self.rows = n, sink, {}
+
+    def row(self, ranks: tuple[int, ...]) -> list[int]:
+        """[0, B(ranks + (1,)), ..., B(ranks + (n,))] for sorted ranks,
+        one list shared by every prefix node with those ranks."""
+        row = self.rows.get(ranks)
+        if row is None:
+            row = self.rows[ranks] = [0, *(self[_insert(ranks, r)]
+                                           for r in range(1, self.n + 1))]
+        return row
 
     def __missing__(self, ranks: tuple[int, ...]) -> int:
-        e = self.sink
-        self[ranks] = b = sum(l ** (f - e) for f in ranks for l in ranks)
+        n = self.n
+        K, I, M = _strata(n, self.sink)
+        # the highest rank of a letter that is no permutation
+        top = max((r for r in ranks if r < n), default=0)
+        self[ranks] = b = sum(
+            min(M[rho], sum(K[r][rho] for r in ranks)
+                * sum(I[r][rho] for r in ranks))
+            for rho in (*range(1, top + 1), n))
         return b
 
 

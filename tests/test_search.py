@@ -950,15 +950,66 @@ def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
     # ranks handed down through prefix nodes as the search does, against
     # the size of its closure by the plain BFS
     facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
-    bound = search._RankBound(family in ("right", "two_sided"))
+    bound = search._RankBound(n, family in ("right", "two_sided"))
     for idx in product(range(len(facts.pool)), repeat=k):
         gens = tuple(facts.pool[c] for c in idx)
         up = _node(facts, idx[:-1])
-        ranks = up.ranks + (facts.ranks[idx[-1]],)
-        assert ranks == tuple(len(set(g)) for g in gens)
-        assert up.bounds[ranks[-1]] == bound[ranks]
+        last = facts.ranks[idx[-1]]
+        ranks = tuple(sorted(up.ranks + (last,)))
+        assert ranks == tuple(sorted(len(set(g)) for g in gens))
+        assert up.bounds[last] == bound[ranks]
         sigma = len(_closure([_encode(g) for g in gens], n, None)[0])
         assert sigma <= bound[ranks], gens
+
+
+def _pairs(ranks, e):
+    """The per-pair rank bound that the strata are held against: the sum
+    over ordered pairs (f, l) of the ranks of r(l) ** (r(f) - e)."""
+    return sum(l ** (f - e) for f in ranks for l in ranks)
+
+
+def test_rank_bound_holds_for_every_sorted_letter_tuple_of_right_4_3():
+    # the cell whose maximum, 61 of 64, is near the stratum totals: the
+    # bound falls below 61 on most of its tuples, the sum over pairs of
+    # r(l) ** (r(f) - 1) on fewer, and never below a tuple's closure
+    facts = search._LetterFacts(SearchTask("right", 4, 3))
+    bound = search._RankBound(4, True)
+    below = pairs_below = 0
+    for gens in combinations_with_replacement(facts.pool, 3):
+        ranks = tuple(sorted(len(set(g)) for g in gens))
+        sigma = len(_closure([_encode(g) for g in gens], 4, None)[0])
+        assert sigma <= bound[ranks], gens
+        below += bound[ranks] < 61
+        pairs_below += _pairs(ranks, 1) < 61
+    assert (below, pairs_below) == (36_256, 25_784)
+
+
+@pytest.mark.parametrize("e", [0, 1])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rank_strata_add_up(n, e):
+    # per pair of a first letter of rank a and a last of rank b, the
+    # strata count every map of the a - e free kernel classes into the
+    # image; the strata of all maps count the n^(n-e) maps (those of rank
+    # rho by brute force where n <= 5); a tuple of permutations has at
+    # most (n - e)! elements; and for every rank tuple of up to four
+    # letters the bound is at most the sum over pairs and keyed by the
+    # ranks' multiset alone
+    K, I, M = search._strata(n, e)
+    for a, b in product(range(1, n + 1), repeat=2):
+        assert sum(K[a][rho] * I[b][rho] for rho in range(n + 1)) == \
+            b ** (a - e), (a, b)
+    assert sum(M) == n ** (n - e)
+    if n <= 5:
+        maps = [t for t in product(range(n), repeat=n)
+                if not e or t[-1] == n - 1]
+        assert M == [sum(len(set(t)) == rho for t in maps)
+                     for rho in range(n + 1)]
+    bound = search._RankBound(n, bool(e))
+    for k in range(1, 5):
+        assert bound[(n,) * k] == math.factorial(n - e)
+        for ranks in product(range(1, n + 1), repeat=k):
+            assert bound[ranks] == bound[tuple(sorted(ranks))], ranks
+            assert bound[ranks] <= _pairs(ranks, e), ranks
 
 
 @pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
@@ -1017,7 +1068,7 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # nothing else
     real_filter, real_extend, real_moore = (
         search._in_class_finals, search._extend, search._moore_classes)
-    bound = search._RankBound(family in ("right", "two_sided"))
+    bound = search._RankBound(n, family in ("right", "two_sided"))
     calls = []
 
     def compared(up, c, options, left_ideal):
@@ -1127,22 +1178,47 @@ def test_each_prefix_admits_the_finals_its_relation_admits(monkeypatch,
         assert not dead or node._need is None, node.idx
 
 
-@pytest.mark.parametrize("family, n, k, tuples, tested", [
-    ("right", 5, 2, 33_285, 8_416),
-    ("right", 4, 3, 23_052, 10_657),
-    ("two_sided", 4, 3, 12_550, 6_780),
-    ("left", 4, 2, 1_767, 1_525),
-    ("left", 3, 4, 2_465, 1_980),
-    ("two_sided", 5, 2, 19_141, 13_321),
-])
+def _pair_sum(bound, ranks):
+    """_pairs as a _RankBound.__missing__."""
+    bound[ranks] = b = _pairs(ranks, bound.sink)
+    return b
+
+
+def _under_each_bound(monkeypatch, count):
+    """count() with the pair sum (_pair_sum) in place of the strata, then
+    with the strata."""
+    with monkeypatch.context() as patched:
+        patched.setattr(search._RankBound, "__missing__", _pair_sum)
+        pairs = count()
+    return pairs, count()
+
+
+def _pinned(*rows):
+    """The rows as parameter sets whose ids leave out the last column, the
+    count under the strata: a case is named by its cell and its counts
+    under the pair sum, which do not move with the bound in search."""
+    return [pytest.param(*row, id="-".join(map(str, row[:-1])))
+            for row in rows]
+
+
+@pytest.mark.parametrize("family, n, k, tuples, pair_tested, tested",
+                         _pinned(("right", 5, 2, 33_285, 8_416, 8_043),
+                                 ("right", 4, 3, 23_052, 10_657, 4_952),
+                                 ("two_sided", 4, 3, 12_550, 6_780, 6_593),
+                                 ("left", 4, 2, 1_767, 1_525, 1_441),
+                                 ("left", 3, 4, 2_465, 1_980, 1_901),
+                                 ("two_sided", 5, 2, 19_141, 13_321,
+                                  13_310)))
 def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
-                                            tuples, tested):
+                                            tuples, pair_tested, tested):
     # the canonical letter tuples the walk yields, counted over the leaves
     # of its batches, and those that meet the letter tests
     # (_in_class_finals) at jobs=1: only the tuples whose rank bound
     # reaches the best sigma so far and, in left and two-sided cells,
-    # whose prefix admits some finals option.  In left (3,4) the bound,
-    # with no fixed sink, rules out none, and the prefix filter 485
+    # whose prefix admits some finals option; under the pair sum and
+    # under the strata, which test a subset.  In left (3,4) the prefix
+    # filter rules out 485, the pair sum, with no fixed sink, none more,
+    # and the strata 79 more
     real_walk, real_filter = search._walk, search._in_class_finals
     walked, seen = [], []
 
@@ -1155,26 +1231,34 @@ def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
         seen.append(up.idx + (c,))
         return real_filter(up, c, *args)
 
+    def count():
+        walked.clear()
+        seen.clear()
+        search_max_sigma(SearchTask(family, n, k))
+        return len(walked), len(seen)
+
     monkeypatch.setattr(search, "_walk", counted_walk)
     monkeypatch.setattr(search, "_in_class_finals", counted_filter)
-    search_max_sigma(SearchTask(family, n, k))
-    assert (len(walked), len(seen)) == (tuples, tested)
+    assert _under_each_bound(monkeypatch, count) == \
+        ((tuples, pair_tested), (tuples, tested))
 
 
-@pytest.mark.parametrize("family, n, k, closures, refinements", [
-    ("right", 5, 2, 2_189, 54),
-    ("right", 4, 3, 6_171, 343),
-    ("left", 4, 2, 245, 47),
-    ("two_sided", 4, 3, 819, 15),
-    ("left", 3, 4, 740, 102),
-])
+@pytest.mark.parametrize("family, n, k, pair_closures, refinements, closures",
+                         _pinned(("right", 5, 2, 2_189, 54, 2_099),
+                                 ("right", 4, 3, 6_171, 343, 2_908),
+                                 ("left", 4, 2, 245, 47, 235),
+                                 ("two_sided", 4, 3, 819, 15, 777),
+                                 ("left", 3, 4, 740, 102, 689)))
 def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
-                                             closures, refinements):
+                                             pair_closures, refinements,
+                                             closures):
     # the letter tuples closed (every one that passes the letter-level
     # tests and whose rank bound reaches the best so far, once whatever
     # number of its finals options passes) and the Moore refinements run
     # (one per kept option of a tuple whose closure reaches the best so
-    # far) at jobs=1
+    # far) at jobs=1, under the pair sum and under the strata: a tuple
+    # the bound drops has sigma below the best, so the best rises at the
+    # same tuples and only the closures move
     real_extend, real_moore = search._extend, search._moore_classes
     closed, refined = [], []
 
@@ -1187,21 +1271,28 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
         refined.append((gens, finals))
         return real_moore(gens, finals)
 
+    def count():
+        closed.clear()
+        refined.clear()
+        search_max_sigma(SearchTask(family, n, k))
+        return len(closed), len(refined)
+
     monkeypatch.setattr(search, "_extend", counted_extend)
     monkeypatch.setattr(search, "_moore_classes", counted_moore)
-    search_max_sigma(SearchTask(family, n, k))
-    assert (len(closed), len(refined)) == (closures, refinements)
+    assert _under_each_bound(monkeypatch, count) == \
+        ((pair_closures, refinements), (closures, refinements))
 
 
-@pytest.mark.parametrize("family, n, k, nodes, closures", [
-    ("right", 4, 3, 1_108, 6_171),
-    ("right", 5, 2, 130, 2_189),
-])
+@pytest.mark.parametrize("family, n, k, nodes, pair_closures, closures",
+                         _pinned(("right", 4, 3, 1_108, 6_171, 2_908),
+                                 ("right", 5, 2, 130, 2_189, 2_099)))
 def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
-                                                     k, nodes, closures):
+                                                     k, nodes, pair_closures,
+                                                     closures):
     # a prefix node encodes its own last letter when it is made, and a
     # letter tuple its last letter only when it is closed: the others are
-    # its prefix's, encoded once however many tuples below it are closed
+    # its prefix's, encoded once however many tuples below it are closed,
+    # under the pair sum and under the strata alike
     real_encode, real_extend = search._encode, search._extend
     encoded, made, closed = [], [], []
 
@@ -1221,12 +1312,18 @@ def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
             closed.append(codes)
         return real_extend(codes, n_, base)
 
+    def count():
+        for seen in (encoded, made, closed):
+            seen.clear()
+        search_max_sigma(SearchTask(family, n, k))
+        return len(made), len(closed), len(encoded)
+
     monkeypatch.setattr(search, "_Prefix", Counted)
     monkeypatch.setattr(search, "_encode", counted_encode)
     monkeypatch.setattr(search, "_extend", counted_extend)
-    search_max_sigma(SearchTask(family, n, k))
-    assert (len(made), len(closed)) == (nodes, closures)
-    assert len(encoded) == nodes + closures
+    assert _under_each_bound(monkeypatch, count) == (
+        (nodes, pair_closures, nodes + pair_closures),
+        (nodes, closures, nodes + closures))
 
 
 def test_witnesses_share_letter_and_finals_objects():
