@@ -220,9 +220,7 @@ def determinize(m: Nfa) -> Dfa:
     index: dict[frozenset[int], int] = {start: 0}
     subsets = [start]
     rows: dict[str, list[int]] = {a: [] for a in m.alphabet}
-    i = 0
-    while i < len(subsets):
-        s = subsets[i]
+    for s in subsets:  # the list grows while it is walked
         for a in m.alphabet:
             eta_a = m.eta[a]
             succ = frozenset(q for p in s for q in eta_a[p])
@@ -230,7 +228,6 @@ def determinize(m: Nfa) -> Dfa:
                 index[succ] = len(subsets)
                 subsets.append(succ)
             rows[a].append(index[succ])
-        i += 1
     delta = {a: Transformation(tuple(rows[a])) for a in m.alphabet}
     finals = frozenset(i for i, s in enumerate(subsets) if s & m.finals)
     return Dfa(len(subsets), m.alphabet, delta, 0, finals)
@@ -373,10 +370,10 @@ def emit_dfa_json(d: Dfa) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def to_dot(d: Dfa, name: str = "dfa") -> str:
+def to_dot(d: Dfa) -> str:
     """Graphviz rendering: doublecircle finals, point-node arrow into initial,
     parallel edges merged with comma-joined labels."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;",
+    lines = ["digraph dfa {", "  rankdir=LR;",
              '  __start [shape=point, label=""];',
              f"  __start -> {d.initial};"]
     for q in range(d.n):

@@ -60,12 +60,11 @@ permutations.  Summed over the ranks, a pair's count is
 r(l) ** (r(f) - e), r the rank of a letter and e = 1 where every letter
 fixes the sink, so the bound is never above the sum of those over the
 pairs, and below it where the cell's maximum is near the number of maps
-of some rank (right (4,3) closes 2,908 tuples where that sum let it
-close 6,171).  Each prefix holds the bound for every rank of a last
+of some rank.  Each prefix holds the bound for every rank of a last
 letter, so it costs a tuple two list lookups, and it comes before the
-letter tests: a batch's leaves whose bound is below the best are
-dropped in one pass, before any of their letter tuples is built, and
-meet no further test.  The others meet the tests on their letters
+letter tests: each leaf is held against the best once, before its
+letter tuple is built, and one whose bound is below the best meets no
+further test.  The others meet the tests on their letters
 (reachability, then the left-ideal test in left and two-sided cells),
 and a tuple that passes them is closed.  In left and two-sided cells
 each prefix node also holds the finals options its pair relation admits
@@ -759,10 +758,8 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     rejects, and no in-class tuple is lost.  A letter tuple
     whose rank bound (_RankBound, read off its prefix node by its last
     letter's rank) is below the shard's best so far is dropped next:
-    one pass over the batch drops the leaves below the best at its
-    start, before their letter tuples are built, and since the best
-    rises inside a batch, each leaf left is held against it once more.
-    The others meet the letter tests (_in_class_finals),
+    each leaf is held against the best once, before its letter tuple
+    is built.  The others meet the letter tests (_in_class_finals),
     and one they leave an option is closed once, whatever number of
     options it leaves.  A tuple whose closure is smaller than the best is
     then dropped before any Moore refinement: sigma depends only on the
@@ -790,9 +787,8 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
             keep = {c: [f for f in kept if f in alive]
                     for c, kept in keep.items()}
         bounds = up.bounds
-        for c in compress(leaves, map(best.__le__, map(
-                bounds.__getitem__, map(rank.__getitem__, leaves)))):
-            if bounds[rank[c]] < best:  # the best rose inside the batch
+        for c in leaves:
+            if bounds[rank[c]] < best:
                 continue
             finals = _in_class_finals(up, c, keep.get(c, alive), facts.left)
             if not finals:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -89,20 +89,20 @@ def _closure(letters: Sequence, n: int, cap: int | None
     followed by letter last[i].  Given a cap, more than cap elements
     raise CapExceededError; None sets no cap (there are at most n^n).
 
-    The BFS takes each element in turn through every letter, since that
-    order is what makes each parent chain a shortest word (lex-least
-    among them).  Up to 256 states an element is bytes and
-    t.translate(g) is t followed by g: composed and hashed in C.  Beyond
-    that a state number does not fit in a byte, so elements are tuples
-    and itemgetter(*t)(g) is t followed by g."""
+    The BFS walks the growing element list, after the empty word (index
+    -1, whose children are the letters), and takes each element in turn
+    through every letter, since that order is what makes each parent
+    chain a shortest word (lex-least among them).  Up to 256 states an
+    element is bytes and t.translate(g) is t followed by g: composed and
+    hashed in C.  Beyond that a state number does not fit in a byte, so
+    elements are tuples and itemgetter(*t)(g) is t followed by g."""
     small = n <= 256
-    t = _identity(n)  # the empty word: its children are the letters
     indexed = tuple(enumerate(letters))
-    i, seen = -1, set()
+    seen = set()
     elements: list = []
     parent: list[int] = []
     last: list[int] = []
-    while True:
+    for i, t in enumerate(chain((_identity(n),), elements), -1):
         then = t.translate if small else itemgetter(*t)
         for a, g in indexed:
             c = then(g)
@@ -113,10 +113,7 @@ def _closure(letters: Sequence, n: int, cap: int | None
                 last.append(a)
         if cap is not None and len(elements) > cap:
             raise CapExceededError(cap, len(elements))
-        i += 1
-        if i == len(elements):
-            return elements, parent, last
-        t = elements[i]
+    return elements, parent, last
 
 
 def _extend(letters: Sequence, n: int, base: set | frozenset) -> set:

@@ -1178,47 +1178,28 @@ def test_each_prefix_admits_the_finals_its_relation_admits(monkeypatch,
         assert not dead or node._need is None, node.idx
 
 
-def _pair_sum(bound, ranks):
-    """_pairs as a _RankBound.__missing__."""
-    bound[ranks] = b = _pairs(ranks, bound.sink)
-    return b
-
-
-def _under_each_bound(monkeypatch, count):
-    """count() with the pair sum (_pair_sum) in place of the strata, then
-    with the strata."""
-    with monkeypatch.context() as patched:
-        patched.setattr(search._RankBound, "__missing__", _pair_sum)
-        pairs = count()
-    return pairs, count()
-
-
-def _pinned(*rows):
-    """The rows as parameter sets whose ids leave out the last column, the
-    count under the strata: a case is named by its cell and its counts
-    under the pair sum, which do not move with the bound in search."""
-    return [pytest.param(*row, id="-".join(map(str, row[:-1])))
-            for row in rows]
-
-
-@pytest.mark.parametrize("family, n, k, tuples, pair_tested, tested",
-                         _pinned(("right", 5, 2, 33_285, 8_416, 8_043),
-                                 ("right", 4, 3, 23_052, 10_657, 4_952),
-                                 ("two_sided", 4, 3, 12_550, 6_780, 6_593),
-                                 ("left", 4, 2, 1_767, 1_525, 1_441),
-                                 ("left", 3, 4, 2_465, 1_980, 1_901),
-                                 ("two_sided", 5, 2, 19_141, 13_321,
-                                  13_310)))
+@pytest.mark.parametrize("family, n, k, tuples, tested",
+                         [("right", 5, 2, 33_285, 8_043),
+                          ("right", 4, 3, 23_052, 4_952),
+                          ("two_sided", 4, 3, 12_550, 6_593),
+                          ("left", 4, 2, 1_767, 1_441),
+                          ("left", 3, 4, 2_465, 1_901),
+                          ("two_sided", 5, 2, 19_141, 13_310)],
+                         # each case keeps the name it was first pinned
+                         # under, which also gives its count under an
+                         # earlier, looser rank bound
+                         ids=["right-5-2-33285-8416", "right-4-3-23052-10657",
+                              "two_sided-4-3-12550-6780",
+                              "left-4-2-1767-1525", "left-3-4-2465-1980",
+                              "two_sided-5-2-19141-13321"])
 def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
-                                            tuples, pair_tested, tested):
+                                            tuples, tested):
     # the canonical letter tuples the walk yields, counted over the leaves
     # of its batches, and those that meet the letter tests
     # (_in_class_finals) at jobs=1: only the tuples whose rank bound
     # reaches the best sigma so far and, in left and two-sided cells,
-    # whose prefix admits some finals option; under the pair sum and
-    # under the strata, which test a subset.  In left (3,4) the prefix
-    # filter rules out 485, the pair sum, with no fixed sink, none more,
-    # and the strata 79 more
+    # whose prefix admits some finals option.  In left (3,4) the prefix
+    # filter rules out 485 and the rank bound 79 more
     real_walk, real_filter = search._walk, search._in_class_finals
     walked, seen = [], []
 
@@ -1231,34 +1212,29 @@ def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
         seen.append(up.idx + (c,))
         return real_filter(up, c, *args)
 
-    def count():
-        walked.clear()
-        seen.clear()
-        search_max_sigma(SearchTask(family, n, k))
-        return len(walked), len(seen)
-
     monkeypatch.setattr(search, "_walk", counted_walk)
     monkeypatch.setattr(search, "_in_class_finals", counted_filter)
-    assert _under_each_bound(monkeypatch, count) == \
-        ((tuples, pair_tested), (tuples, tested))
+    search_max_sigma(SearchTask(family, n, k))
+    assert (len(walked), len(seen)) == (tuples, tested)
 
 
-@pytest.mark.parametrize("family, n, k, pair_closures, refinements, closures",
-                         _pinned(("right", 5, 2, 2_189, 54, 2_099),
-                                 ("right", 4, 3, 6_171, 343, 2_908),
-                                 ("left", 4, 2, 245, 47, 235),
-                                 ("two_sided", 4, 3, 819, 15, 777),
-                                 ("left", 3, 4, 740, 102, 689)))
+@pytest.mark.parametrize("family, n, k, closures, refinements",
+                         [("right", 5, 2, 2_099, 54),
+                          ("right", 4, 3, 2_908, 343),
+                          ("left", 4, 2, 235, 47),
+                          ("two_sided", 4, 3, 777, 15),
+                          ("left", 3, 4, 689, 102)],
+                         # named as first pinned (see above)
+                         ids=["right-5-2-2189-54", "right-4-3-6171-343",
+                              "left-4-2-245-47", "two_sided-4-3-819-15",
+                              "left-3-4-740-102"])
 def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
-                                             pair_closures, refinements,
-                                             closures):
+                                             closures, refinements):
     # the letter tuples closed (every one that passes the letter-level
     # tests and whose rank bound reaches the best so far, once whatever
     # number of its finals options passes) and the Moore refinements run
     # (one per kept option of a tuple whose closure reaches the best so
-    # far) at jobs=1, under the pair sum and under the strata: a tuple
-    # the bound drops has sigma below the best, so the best rises at the
-    # same tuples and only the closures move
+    # far) at jobs=1
     real_extend, real_moore = search._extend, search._moore_classes
     closed, refined = [], []
 
@@ -1271,28 +1247,22 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
         refined.append((gens, finals))
         return real_moore(gens, finals)
 
-    def count():
-        closed.clear()
-        refined.clear()
-        search_max_sigma(SearchTask(family, n, k))
-        return len(closed), len(refined)
-
     monkeypatch.setattr(search, "_extend", counted_extend)
     monkeypatch.setattr(search, "_moore_classes", counted_moore)
-    assert _under_each_bound(monkeypatch, count) == \
-        ((pair_closures, refinements), (closures, refinements))
+    search_max_sigma(SearchTask(family, n, k))
+    assert (len(closed), len(refined)) == (closures, refinements)
 
 
-@pytest.mark.parametrize("family, n, k, nodes, pair_closures, closures",
-                         _pinned(("right", 4, 3, 1_108, 6_171, 2_908),
-                                 ("right", 5, 2, 130, 2_189, 2_099)))
+@pytest.mark.parametrize("family, n, k, nodes, closures",
+                         [("right", 4, 3, 1_108, 2_908),
+                          ("right", 5, 2, 130, 2_099)],
+                         # named as first pinned (see above)
+                         ids=["right-4-3-1108-6171", "right-5-2-130-2189"])
 def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
-                                                     k, nodes, pair_closures,
-                                                     closures):
+                                                     k, nodes, closures):
     # a prefix node encodes its own last letter when it is made, and a
     # letter tuple its last letter only when it is closed: the others are
-    # its prefix's, encoded once however many tuples below it are closed,
-    # under the pair sum and under the strata alike
+    # its prefix's, encoded once however many tuples below it are closed
     real_encode, real_extend = search._encode, search._extend
     encoded, made, closed = [], [], []
 
@@ -1312,18 +1282,12 @@ def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
             closed.append(codes)
         return real_extend(codes, n_, base)
 
-    def count():
-        for seen in (encoded, made, closed):
-            seen.clear()
-        search_max_sigma(SearchTask(family, n, k))
-        return len(made), len(closed), len(encoded)
-
     monkeypatch.setattr(search, "_Prefix", Counted)
     monkeypatch.setattr(search, "_encode", counted_encode)
     monkeypatch.setattr(search, "_extend", counted_extend)
-    assert _under_each_bound(monkeypatch, count) == (
-        (nodes, pair_closures, nodes + pair_closures),
-        (nodes, closures, nodes + closures))
+    search_max_sigma(SearchTask(family, n, k))
+    assert (len(made), len(closed), len(encoded)) == \
+        (nodes, closures, nodes + closures)
 
 
 def test_witnesses_share_letter_and_finals_objects():
