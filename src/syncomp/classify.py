@@ -405,7 +405,7 @@ def _tightest_bound(n: int, pins: int, l_ur: bool, la_ur: bool) -> int:
     every element except the action of a also avoids that state:
     1 + (n-2)^(n-pins).
     """
-    candidates = [n ** n, n ** (n - pins)]
+    candidates = [n ** (n - pins)]
     if l_ur:
         candidates.append((n - 1) ** (n - pins))
     if la_ur and n >= 2:

@@ -50,7 +50,7 @@ Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
 branch-and-bound with sigma itself as the bound.  Sigma is at most a
 bound read off the multiset of the ranks of the tuple's letters
-(_RankBound): the count behind the paper's n^(n-1), of maps through a
+(_rank_bound): the count behind the paper's n^(n-1), of maps through a
 first letter's kernel classes and into a last letter's image, taken one
 rank rho of an element at a time.  An element of rank rho is a word over
 the letters of rank rho or more, so each rank contributes the smaller of
@@ -61,21 +61,24 @@ r(l) ** (r(f) - e), r the rank of a letter and e = 1 where every letter
 fixes the sink, so the bound is never above the sum of those over the
 pairs, and below it where the cell's maximum is near the number of maps
 of some rank.  Each prefix holds the bound for every rank of a last
-letter, so it costs a tuple two list lookups, and it comes before the
-letter tests: each leaf is held against the best once, before its
-letter tuple is built, and one whose bound is below the best meets no
-further test.  The others meet the tests on their letters
-(reachability, then the left-ideal test in left and two-sided cells),
-and a tuple that passes them is closed.  In left and two-sided cells
-each prefix node also holds the finals options its pair relation admits
-(_Prefix.admitted).  A tuple's relation holds its prefix's, as a letter
-only adds pairs, so it rejects every option its prefix rejects: a batch
-whose prefix admits no option is dropped whole once counted, before the
-rank bound, and the others' leaves test only the options their prefix
-admits.  The Moore refinement that decides minimality runs only on the
-finals options of a tuple whose closure reaches the best.  Every witness
-is then re-verified by minimize, transition_semigroup and the ideal
-tests of its family alone, not by the whole of classify.
+letter, one cached list per multiset of its ranks (_rank_bounds), so it
+costs a tuple two list lookups, and it comes before the letter tests:
+each leaf is held against the best once, before its letter tuple is
+built, and one whose bound is below the best meets no further test.
+The others meet the tests on their letters (reachability, then the
+left-ideal test in left and two-sided cells), and a tuple that passes
+them is closed.  In left and two-sided cells each prefix node also holds
+the finals options its pair relation admits (_Prefix.admitted).  A
+tuple's relation holds its prefix's, as a letter only adds pairs, so it
+rejects every option its prefix rejects: a batch whose prefix admits no
+option is dropped whole once counted, before the rank bound, and the
+others' leaves test only the options their prefix admits, save a leaf
+that a relabeling fixes or the budget cuts, which gets its whole kept
+list for the leaf test to cut.  The Moore refinement that decides
+minimality runs only on the finals options of a tuple whose closure
+reaches the best.  Every witness is then re-verified by minimize,
+transition_semigroup and the ideal tests of its family alone, not by
+the whole of classify.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, permutations, product, repeat
+from itertools import chain, permutations, product, repeat
 from math import comb
-from operator import eq, ne, or_
+from operator import or_
 
 from .automata import Dfa, _moore_classes, minimize
 from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
@@ -105,7 +108,7 @@ __all__ = [
 
 # family -> (right, left), the two decisions behind its normal form.
 # right: every pool letter fixes the final sink n-1, the finals are {n-1},
-# no relabeling moves n-1, and the rank bound takes e = 1 (_RankBound).
+# no relabeling moves n-1, and the rank bound takes e = 1 (_rank_bound).
 # left: lemma 8 filters the pool, the finals avoid state 0 (n > 1), and
 # each tuple meets the left-ideal pair test.
 _FAMILIES = {"right": (True, False), "left": (False, True),
@@ -311,7 +314,7 @@ def _test(orbits: _Orbits, idx: tuple[int, ...], g: int) -> tuple:
     where P differs from it, or None where g fixes idx."""
     image = tuple(sorted(map(orbits.image, repeat(g), idx)))
     return (orbits.mul[g], orbits.finals[g], image,
-            next(compress(idx, map(ne, idx, image)), None))
+            next((p for p, q in zip(idx, image) if p != q), None))
 
 
 def _canonical_children(node: _Prefix,
@@ -349,23 +352,23 @@ def _canonical_children(node: _Prefix,
         j, since p_l <= p_j for l < j; T agrees with t before j and
         T_j (x or P_j) > p_j = t_j, so T > t.  Only x = p_j, a tie, leaves
         T to be built and compared.
-    So a test is one comparison of x with a bound fixed per node (c, or
-    p_j), save ties.  A g in sending(c) but not in node.meet takes every
-    letter of p above p0, so j = 0 and p_j = p0 = x: it always ties.  At
-    the root P = p = () and sending(c) is c's stabilizer, whose
-    relabelings all fix t."""
+    So a test is one comparison of x with a bound fixed per node (c where
+    g fixes the prefix, or p_j), and only a tie builds T: a tie with c
+    builds T = t, so g is recorded as fixing t.  A g in sending(c) but
+    not in node.meet takes every letter of p above p0, so j = 0 and
+    p_j = p0 = x: it always ties.  At the root P = p = () and sending(c)
+    is c's stabilizer, whose relabelings all fix t."""
     orbits = node.facts.orbits
     least, rows, via = orbits.least, orbits.rows, orbits.via
     idx, meet = node.idx, node.meet
-    leasts = list(map(least.__getitem__, kids))
     if idx:
         p0 = idx[0]
-        kids = list(compress(kids, map(p0.__le__, leasts)))
-        if len(meet) == 1 and p0 not in leasts:
+        kids = [c for c in kids if least[c] >= p0]
+        if len(meet) == 1 and all(least[c] != p0 for c in kids):
             return kids, []
     else:  # the root: t = (c,) is canonical iff c heads its orbit
         p0 = None
-        kids = list(compress(kids, map(eq, kids, leasts)))
+        kids = [c for c in kids if least[c] == c]
     # the identity, meet[0], never maps lower
     tests = [_test(orbits, idx, g) for g in meet[1:]]
     children, fixed = [], []
@@ -376,14 +379,9 @@ def _canonical_children(node: _Prefix,
             met = chain(tests, (_test(orbits, idx, g)
                                 for g in orbits.sending(c) if g not in meet))
         for mg, fin, image, rise in met:
-            x = row[mg[v]]
-            if rise is None:
-                if x < c:
-                    break
-                if x == c:
-                    fixing.append(fin)
-            elif x <= rise:
-                if x < rise:
+            x, bound = row[mg[v]], c if rise is None else rise
+            if x <= bound:
+                if x < bound:
                     break
                 whole, child = _insert(image, x), idx + (c,)
                 if whole < child:
@@ -439,7 +437,8 @@ class _LetterFacts:
     """What the walk's nodes and leaves read off a pool letter, in lists
     indexed by pool index: ranks (image sizes), built at once since every
     leaf reads one, and mask tables (_image_masks), each built when a
-    node or leaf first needs it; with bound, the shard's _RankBound,
+    node or leaf first needs it; with sink, the e of the rank bounds
+    (_rank_bounds), 1 where every pool letter fixes the sink n-1,
     orbits, the pool's orbit table (_Orbits), options, the cell's finals
     options (_finals_options), and left, whether its tuples meet the
     left-ideal test (_FAMILIES).  A list
@@ -447,7 +446,7 @@ class _LetterFacts:
     well, which matters at n=7, where a right cell's pool holds 117,649
     letters and a left cell's 355,081."""
 
-    __slots__ = ("pool", "n", "ranks", "images", "bound", "orbits",
+    __slots__ = ("pool", "n", "ranks", "images", "sink", "orbits",
                  "options", "left")
 
     def __init__(self, task: SearchTask):
@@ -456,7 +455,7 @@ class _LetterFacts:
         self.options = _finals_options(task)
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
-        self.bound = _RankBound(task.n, right)
+        self.sink = int(right)
         self.orbits = _Orbits(task, self.pool, self.options)
 
     def image(self, c: int) -> bytes:
@@ -499,10 +498,11 @@ class _Prefix:
         is made, and a tuple below it its last letter only when it is
         closed.
       - ranks holds the ranks of the letters, sorted, and bounds[r] the
-        rank bound (_RankBound) of the node's letters and one more
+        rank bound (_rank_bound) of the node's letters and one more
         letter of rank r, for r = 1..n (no letter has rank 0, so
-        bounds[0] only fills the place), read when the node is made, so
-        a tuple's bound is one list index."""
+        bounds[0] only fills the place): the list _rank_bounds caches
+        for those ranks, shared by every node that has them, read when
+        the node is made, so a tuple's bound is one list index."""
 
     __slots__ = ("up", "facts", "idx", "gens", "meet", "codes", "ranks",
                  "bounds", "reach", "union", "_closed", "_need", "_admitted")
@@ -517,7 +517,8 @@ class _Prefix:
         self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
-        self._rank(_insert(up.ranks, facts.ranks[c]))
+        self.ranks = _insert(up.ranks, facts.ranks[c])
+        self.bounds = _rank_bounds(facts.n, facts.sink, self.ranks)
         self._closed = self._need = self._admitted = None
 
     @classmethod
@@ -529,15 +530,11 @@ class _Prefix:
         node.meet = (0,)  # the identity alone
         node.idx = node.gens = node.codes = ()
         node.reach, node.union = 1, bytes(1 << facts.n)
-        node._rank(())
+        node.ranks, node.bounds = (), _rank_bounds(facts.n, facts.sink, ())
         node._closed = frozenset()
         node._need = _left_ideal_relation((), facts.n, 0)
         node._admitted = facts.options
         return node
-
-    def _rank(self, ranks: tuple[int, ...]) -> None:
-        """Set ranks, and bounds from them."""
-        self.ranks, self.bounds = ranks, self.facts.bound.row(ranks)
 
     def reaches_all(self, c: int) -> bool:
         """Whether this prefix's letters and pool letter c reach every
@@ -586,7 +583,7 @@ class _Prefix:
 @cache
 def _strata(n: int, e: int) -> tuple[list[list[int]], list[list[int]],
                                      list[int]]:
-    """The tables behind _RankBound on n states, e = 1 where every map
+    """The tables behind _rank_bound on n states, e = 1 where every map
     fixes the sink n-1 and 0 otherwise, each indexed by rank rho = 0..n:
       - K[a][rho] = sum_i (-1)^i C(rho-e, i) (rho-i)^(a-e), the maps of
         rank rho that are constant on the kernel classes of a letter of
@@ -609,18 +606,17 @@ def _strata(n: int, e: int) -> tuple[list[list[int]], list[list[int]],
     return K, I, M
 
 
-class _RankBound(dict):
-    """The ranks of a letter tuple's letters (image sizes, also their
-    numbers of kernel classes) -> B, an upper bound on the tuple's sigma,
-    filled on first use: there are few rank multisets and many letter
-    tuples.  B does not depend on the order of the ranks; the search
-    keys it by the sorted ranks, through row.  With e = 1 if sink (every
-    letter of the pool fixes state n-1, as in right and two-sided cells)
-    and 0 otherwise, and the tables K, I, M of _strata, B is the sum over
-    ranks rho of min(M[rho], S_rho), where S_rho = (sum over letters f of
-    K[r(f)][rho]) * (sum over letters l of I[r(l)][rho]), a repeated
-    letter once per position, save that S_rho = 0 where rho < n and every
-    letter of rank rho or more is a permutation.
+def _rank_bound(n: int, e: int, ranks: tuple[int, ...]) -> int:
+    """B, an upper bound on the sigma of a letter tuple on n states whose
+    letters have ranks ranks (image sizes, also their numbers of kernel
+    classes), in any order: B depends on their multiset alone.  With
+    e = 1 where every letter of the pool fixes state n-1 (right and
+    two-sided cells) and 0 otherwise, and the tables K, I, M of _strata,
+    B is the sum over ranks rho of min(M[rho], S_rho), where
+    S_rho = (sum over letters f of K[r(f)][rho]) * (sum over letters l of
+    I[r(l)][rho]), a repeated letter once per position, save that
+    S_rho = 0 where rho < n and every letter of rank rho or more is a
+    permutation.
 
     A nonempty word g1 ... gm (g1 applied first, as translate composes)
     is constant on each kernel class of g1 and maps into the image of gm;
@@ -633,30 +629,22 @@ class _RankBound(dict):
     and at most M[rho] elements have rank rho.  Summed over rho the pair's
     count is r(l) ** (r(f) - e), so B is never above the sum of those
     over the ordered pairs of letters."""
+    K, I, M = _strata(n, e)
+    # the highest rank of a letter that is no permutation
+    top = max((r for r in ranks if r < n), default=0)
+    return sum(min(M[rho], sum(K[r][rho] for r in ranks)
+                   * sum(I[r][rho] for r in ranks))
+               for rho in (*range(1, top + 1), n))
 
-    def __init__(self, n: int, sink: bool):
-        super().__init__()
-        self.n, self.sink, self.rows = n, sink, {}
 
-    def row(self, ranks: tuple[int, ...]) -> list[int]:
-        """[0, B(ranks + (1,)), ..., B(ranks + (n,))] for sorted ranks,
-        one list shared by every prefix node with those ranks."""
-        row = self.rows.get(ranks)
-        if row is None:
-            row = self.rows[ranks] = [0, *(self[_insert(ranks, r)]
-                                           for r in range(1, self.n + 1))]
-        return row
-
-    def __missing__(self, ranks: tuple[int, ...]) -> int:
-        n = self.n
-        K, I, M = _strata(n, self.sink)
-        # the highest rank of a letter that is no permutation
-        top = max((r for r in ranks if r < n), default=0)
-        self[ranks] = b = sum(
-            min(M[rho], sum(K[r][rho] for r in ranks)
-                * sum(I[r][rho] for r in ranks))
-            for rho in (*range(1, top + 1), n))
-        return b
+@cache
+def _rank_bounds(n: int, e: int, ranks: tuple[int, ...]) -> list[int]:
+    """[0, B(ranks + (1,)), ..., B(ranks + (n,))] for sorted ranks, B
+    being _rank_bound(n, e, ...): one list shared by every prefix node
+    with those ranks, since there are few rank multisets and many
+    prefixes."""
+    return [0, *(_rank_bound(n, e, _insert(ranks, r))
+                 for r in range(1, n + 1))]
 
 
 def _walk(task: SearchTask, facts: _LetterFacts, shard: int, shards: int):
@@ -725,9 +713,10 @@ def _in_class_finals(up: _Prefix, c: int, options: list[frozenset[int]],
     (_Prefix.reaches_all), and its pair relation is extended by c's
     letter (_Prefix.pairs).  The left-ideal test of an option is one
     bitmask check, sound once every state is reachable, minimal or not.
-    In left and two-sided cells _run_shard hands it only the options up
-    admits (_Prefix.admitted): the tuple's pair relation holds up's, so
-    the test rejects the others too."""
+    In left and two-sided cells _run_shard hands it the options up
+    admits (_Prefix.admitted), or the whole kept list of a leaf that a
+    relabeling fixes or the budget cuts: the tuple's pair relation holds
+    up's, so the test rejects every option up rejects."""
     if not up.reaches_all(c):
         return []
     if left_ideal:
@@ -749,27 +738,28 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     seen and the size of the whole candidate order.
 
     The walk hands over one batch of leaves per prefix (_walk).  Its
-    canonical candidates are counted from the batch's length and the
-    few finals lists it holds, without visiting a leaf.  In left and
+    canonical candidates are counted from the batch's length and the few
+    finals lists it holds, without visiting a leaf.  In left and
     two-sided cells a batch whose prefix admits no finals option
     (_Prefix.admitted) is then dropped whole, and the other batches'
-    leaves keep only the options their prefix admits: a tuple's pair
-    relation holds its prefix's, so it rejects every option its prefix
-    rejects, and no in-class tuple is lost.  A letter tuple
-    whose rank bound (_RankBound, read off its prefix node by its last
-    letter's rank) is below the shard's best so far is dropped next:
-    each leaf is held against the best once, before its letter tuple
-    is built.  The others meet the letter tests (_in_class_finals),
-    and one they leave an option is closed once, whatever number of
-    options it leaves.  A tuple whose closure is smaller than the best is
-    then dropped before any Moore refinement: sigma depends only on the
-    letters, and the shard's best never exceeds the maximum of the cell
-    (or of the budget's prefix of it), so no witness is lost.  A tuple
-    dropped by its bound is dropped by the same argument, since its sigma
-    is at most the bound, whether or not it would pass the letter tests;
-    so the tuples closed are the same in either order.  Only the options
-    of the other tuples are tested for minimality, and only a minimal one
-    raises the best."""
+    leaves are tested on the options their prefix admits, save a leaf
+    with its own kept list in keep, which is tested on that whole list:
+    a tuple's pair relation holds its prefix's, so it rejects every
+    option its prefix rejects, and no in-class tuple is lost.  A letter
+    tuple whose rank bound (_rank_bounds, read off its prefix node by
+    its last letter's rank) is below the shard's best so far is dropped
+    next: each leaf is held against the best once, before its letter
+    tuple is built.  The others meet the letter tests
+    (_in_class_finals), and one they leave an option is closed once,
+    whatever number of options it leaves.  A tuple whose closure is
+    smaller than the best is then dropped before any Moore refinement:
+    sigma depends only on the letters, and the shard's best never
+    exceeds the maximum of the cell (or of the budget's prefix of it),
+    so no witness is lost.  A tuple dropped by its bound is dropped by
+    the same argument, since its sigma is at most the bound, whether or
+    not it would pass the letter tests; so the tuples closed are the
+    same in either order.  Only the options of the other tuples are
+    tested for minimality, and only a minimal one raises the best."""
     facts = _LetterFacts(task)
     pool, rank, finals_opts = facts.pool, facts.ranks, facts.options
     options = len(finals_opts)
@@ -784,8 +774,6 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
             alive = up.admitted()
             if not alive:
                 continue
-            keep = {c: [f for f in kept if f in alive]
-                    for c, kept in keep.items()}
         bounds = up.bounds
         for c in leaves:
             if bounds[rank[c]] < best:
@@ -843,11 +831,11 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
     transformation = {g: Transformation(g) for letters, _ in raw
                       for g in letters}
     finals_set = {f: frozenset(f) for _, f in raw}
-    witnesses = tuple(sorted(
-        (FoundWitness(tuple(map(transformation.__getitem__, letters)),
-                      finals_set[finals])
-         for letters, finals in raw),
-        key=FoundWitness.sort_key))
+    # a raw pair (letters, sorted finals) is its witness's sort_key
+    witnesses = tuple(
+        FoundWitness(tuple(map(transformation.__getitem__, letters)),
+                     finals_set[finals])
+        for letters, finals in sorted(raw))
     total = parts[0][3]  # every shard counts the whole candidate order
     examined = min(total, task.budget)
     # each examined candidate is under the head of exactly one shard, which

@@ -1,5 +1,5 @@
-"""Packaging claims: the library imports only the standard library, and
-every public name is used."""
+"""Packaging claims: the library imports only the standard library, every
+public name is used, and every imported name is used."""
 
 from __future__ import annotations
 
@@ -61,4 +61,25 @@ def test_every_public_name_is_used():
                            text for other, text in texts.items()
                            if other != path]):
                 unused.append(f"{path.name}:{name}")
+    assert unused == []
+
+
+def test_every_import_is_used():
+    # every name a module imports must appear as a name in its code;
+    # __init__.py is left out, as its imports are the package's
+    # re-exports, and so are __future__ imports
+    unused = []
+    for path in Path(syncomp.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused.extend(
+                    f"{path.name}:{name}" for alias in node.names
+                    if (name := alias.asname or alias.name.split(".")[0])
+                    not in used)
     assert unused == []

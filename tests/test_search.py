@@ -948,18 +948,22 @@ def test_search_matches_a_reference_over_every_candidate(serial_pool, jobs,
 def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
     # every letter tuple over the skeleton's letters, lemma 8 aside, its
     # ranks handed down through prefix nodes as the search does, against
-    # the size of its closure by the plain BFS
+    # the size of its closure by the plain BFS.  Prefix nodes with the
+    # same sorted ranks hold one bounds list, not equal copies
     facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
-    bound = search._RankBound(n, family in ("right", "two_sided"))
+    e = int(family in ("right", "two_sided"))
+    rows = {}  # sorted ranks -> the bounds of the first node with them
     for idx in product(range(len(facts.pool)), repeat=k):
         gens = tuple(facts.pool[c] for c in idx)
         up = _node(facts, idx[:-1])
+        assert rows.setdefault(up.ranks, up.bounds) is up.bounds, idx
         last = facts.ranks[idx[-1]]
         ranks = tuple(sorted(up.ranks + (last,)))
         assert ranks == tuple(sorted(len(set(g)) for g in gens))
-        assert up.bounds[last] == bound[ranks]
+        bound = search._rank_bound(n, e, ranks)
+        assert up.bounds[last] == bound
         sigma = len(_closure([_encode(g) for g in gens], n, None)[0])
-        assert sigma <= bound[ranks], gens
+        assert sigma <= bound, gens
 
 
 def _pairs(ranks, e):
@@ -973,13 +977,13 @@ def test_rank_bound_holds_for_every_sorted_letter_tuple_of_right_4_3():
     # bound falls below 61 on most of its tuples, the sum over pairs of
     # r(l) ** (r(f) - 1) on fewer, and never below a tuple's closure
     facts = search._LetterFacts(SearchTask("right", 4, 3))
-    bound = search._RankBound(4, True)
     below = pairs_below = 0
     for gens in combinations_with_replacement(facts.pool, 3):
         ranks = tuple(sorted(len(set(g)) for g in gens))
         sigma = len(_closure([_encode(g) for g in gens], 4, None)[0])
-        assert sigma <= bound[ranks], gens
-        below += bound[ranks] < 61
+        bound = search._rank_bound(4, 1, ranks)
+        assert sigma <= bound, gens
+        below += bound < 61
         pairs_below += _pairs(ranks, 1) < 61
     assert (below, pairs_below) == (36_256, 25_784)
 
@@ -1004,12 +1008,13 @@ def test_rank_strata_add_up(n, e):
                 if not e or t[-1] == n - 1]
         assert M == [sum(len(set(t)) == rho for t in maps)
                      for rho in range(n + 1)]
-    bound = search._RankBound(n, bool(e))
     for k in range(1, 5):
-        assert bound[(n,) * k] == math.factorial(n - e)
+        assert search._rank_bound(n, e, (n,) * k) == math.factorial(n - e)
         for ranks in product(range(1, n + 1), repeat=k):
-            assert bound[ranks] == bound[tuple(sorted(ranks))], ranks
-            assert bound[ranks] <= _pairs(ranks, e), ranks
+            bound = search._rank_bound(n, e, ranks)
+            assert bound == search._rank_bound(n, e, tuple(sorted(ranks))), \
+                ranks
+            assert bound <= _pairs(ranks, e), ranks
 
 
 @pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
@@ -1060,15 +1065,16 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # closed, and the whole tuple admits none either.  A tuple whose rank
     # bound is below the best sigma so far meets no letter test and is not
     # closed, and its closure is below that best; every other one meets
-    # the letter tests, which keep the finals of its whole kept list that
-    # the fresh verdict keeps, though they are handed only those its
-    # prefix admits, and if they keep an option it is closed once, right
+    # the letter tests.  They are handed the options its prefix admits, or
+    # a fixed or budget-cut leaf's whole kept list, which may hold options
+    # the prefix rejects, and keep the finals of its kept list that the
+    # fresh verdict keeps; if they keep an option it is closed once, right
     # after them.  The Moore refinement then runs on every kept option of
     # a closed tuple if its closure reaches the best so far, and on
     # nothing else
     real_filter, real_extend, real_moore = (
         search._in_class_finals, search._extend, search._moore_classes)
-    bound = search._RankBound(n, family in ("right", "two_sided"))
+    e = int(family in ("right", "two_sided"))
     calls = []
 
     def compared(up, c, options, left_ideal):
@@ -1113,7 +1119,7 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
         if left and not admits_any(prefix):
             assert not admits_any(gens), gens
             continue
-        if bound[tuple(len(set(g)) for g in gens)] < best:
+        if search._rank_bound(n, e, tuple(len(set(g)) for g in gens)) < best:
             codes = [_encode(g) for g in gens]
             assert len(_closure(codes, n, None)[0]) < best, gens
             continue
