@@ -10,7 +10,7 @@ keeps one candidate of, by Burnside's lemma, without running that filter.
 from __future__ import annotations
 
 from .automata import Dfa
-from .search import SearchTask, _finals_options, _pool, _relabelings
+from .search import _Space
 
 __all__ = ["word_bfs_sigma", "canonical_count"]
 
@@ -49,27 +49,27 @@ def word_bfs_sigma(d: Dfa, max_words: int = 1_000_000) -> int:
         level = nxt
 
 
-def canonical_count(task: SearchTask) -> int:
-    """The number of canonical candidates of the task's cell, the examined
-    minus the pruned count of its exhaustive search, counted without
-    searching.
+def canonical_count(space: _Space, k: int) -> int:
+    """The number of canonical candidates of a cell space with k letters,
+    the examined minus the pruned count of its exhaustive walk, counted
+    without searching.
 
     A candidate is a multiset of k pool letters with a finals option,
-    and the canonical ones are one per orbit under the relabelings g of
-    the free states (_relabelings; g t g^-1 on letter t).
+    and the canonical ones are one per orbit under the space's
+    relabelings g (g t g^-1 on letter t).
     Burnside's lemma: the orbits number the mean over g of the candidates
     g fixes, (k-multisets g fixes) * (finals options g fixes).  A multiset
     is fixed iff its multiplicities are constant on each cycle of g on the
     pool, so its count is the coefficient of x^k in the product of
     1/(1 - x^c) over those cycle lengths c.  The pool and the options are
-    closed under the relabelings: the lemma-8 filter keeps the letters
-    whose orbit of state 0 ends in a fixed point, and a relabeling fixing
-    0 keeps that shape.
+    closed under the relabelings: in a family space the lemma-8 filter
+    keeps the letters whose orbit of state 0 ends in a fixed point, and a
+    relabeling fixing 0 keeps that shape; in the space of an order P,
+    Aut(P) maps End(P) and P's up-sets to themselves.
     """
-    pool, options = _pool(task), _finals_options(task)
-    n, k = task.n, task.k
+    pool, options, n = space.pool, space.options, space.n
+    group = space.relabelings
     index = {t: i for i, t in enumerate(pool)}
-    group = _relabelings(task)
     total = 0
     for g in group:
         moved = []

@@ -18,18 +18,31 @@ letter-renaming symmetry never change sigma or class membership, so the
 canonical filters below only discard duplicates of languages that are kept
 elsewhere.
 
-The candidate order is walked as a tree of letter prefixes, depth first
-(orderly generation, McKay 1998), every level alike.  A prefix that some
-relabeling maps lower is stepped over with its whole subtree.  The pool's
-orbits under the relabelings are one table (_Orbits): each letter's orbit
-head, its least index, and each head's images and stabilizer.  The
-root's children are the heads.  Below a prefix with first letter p0, a
-child whose orbit reaches below p0 is dropped in one pass, and each of
-the others meets only the relabelings that take one of its letters to
-p0, few of all, every one judged by the same test: it compares the
-child's last letter's image with one bound fixed per prefix, and builds
-the child's image only on a tie.  One closed form places each child in
-the order.
+A cell is searched as a list of spaces (_Space: a pool, a group of
+relabelings, finals options), in turn, with one best so far per shard.
+Left and two-sided cells with n >= 2 and k >= 3 have one space per
+quotient order P up to relabeling (orders.quotient_orders): pool End(P),
+relabelings Aut(P) and options P's up-sets, with no lemma-8 filter and
+no left-ideal test (see orders).  They are visited by decreasing
+|End(P)|, the space's cap, and one whose cap is below the best so far is
+walked only for its count.  Each witness is mapped to its least image
+under the family's relabelings, duplicates dropped, so the witnesses are
+the family space's.  Other cells have the family's space alone.  The
+candidate order is the spaces' orders one after another, and a budget
+cuts across them.
+
+The candidate order of a space is walked as a tree of letter prefixes,
+depth first (orderly generation, McKay 1998), every level alike.  A
+prefix that some relabeling maps lower is stepped over with its whole
+subtree.  The pool's orbits under the relabelings are one table
+(_Orbits): each letter's orbit head, its least index, and each head's
+images and stabilizer.  The root's children are the heads.  Below a prefix
+with first letter p0, a child whose orbit reaches below p0 is dropped in
+one pass, and each of the others meets only the relabelings that take
+one of its letters to p0, few of all, every one judged by the same test:
+it compares the child's last letter's image with one bound fixed per
+prefix, and builds the child's image only on a tie.  One closed form
+places each child in the order.
 The leaves under a prefix of k - 1 letters reach the search as one
 batch: the pool indices of their canonical last letters, and finals
 lists for the few leaves that do not keep every option.  Each tuple's
@@ -42,9 +55,9 @@ keeps its letters in the closure's encoding, so a letter is encoded once
 for its prefix node, and a tuple's last letter only when the tuple is
 closed.  Each step of the walk makes one prefix node (_Prefix), its
 parent plus one pool index, which holds all of the above for its prefix.
-The cell's finals options, the orbit table, and a letter's rank and mask
-table are built once per shard (_LetterFacts); the letter facts are read
-by pool index, by nodes and leaves alike.
+The space's finals options, the orbit table, and a letter's rank and mask
+table are built once per shard and space (_LetterFacts); the letter facts
+are read by pool index, by nodes and leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -66,8 +79,8 @@ costs a tuple two list lookups, and it comes before the letter tests:
 each leaf is held against the best once, before its letter tuple is
 built, and one whose bound is below the best meets no further test.
 The others meet the tests on their letters (reachability, then the
-left-ideal test in left and two-sided cells), and a tuple that passes
-them is closed.  In left and two-sided cells each prefix node also holds
+left-ideal test in left and two-sided family spaces), and a tuple that
+passes them is closed.  In those spaces each prefix node also holds
 the finals options its pair relation admits (_Prefix.admitted).  A
 tuple's relation holds its prefix's, as a letter only adds pairs, so it
 rejects every option its prefix rejects: a batch whose prefix admits no
@@ -88,7 +101,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache, partial
 from itertools import chain, permutations, product, repeat
 from math import comb
 from operator import or_
@@ -125,10 +138,13 @@ class SearchTask:
     witness:
       - lemma 8 (left and two-sided families): letters whose behavior from
         state 0 is periodic are dropped from the pool, since no such letter
-        acts in the semigroup of a left ideal;
+        acts in the semigroup of a left ideal.  Where k >= 3 and n >= 2
+        the pool is instead End(P), one quotient order P at a time
+        (orders.quotient_orders), whose letters all pass lemma 8;
       - letter tuples are enumerated as sorted multisets, since renaming
         letters changes neither sigma nor class membership;
-      - a candidate is dropped if a relabeling of the free states maps it to
+      - a candidate is dropped if a relabeling of the free states (of
+        those preserving P, in the space of an order P) maps it to
         a smaller one, comparing the re-sorted letter tuple and then, on a
         tie, the finals: the relabeled DFA has the same sigma and class and
         is enumerated itself.  A tuple whose last letter's orbit reaches
@@ -166,7 +182,7 @@ class SearchTask:
             raise ValueError("searches are limited to k <= 26 letters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FoundWitness:
     letters: tuple[Transformation, ...]
     finals: frozenset[int]
@@ -184,9 +200,11 @@ class FoundWitness:
 class SearchResult:
     """candidates_examined counts the (letters, finals) pairs of one fixed
     candidate order that the search reached: the whole order, or the
-    budget's prefix of it, whatever the job count.  The canonical
-    candidates are those the prefix walk yields, the ones no
-    relabeling of the free states maps lower; candidates_pruned is
+    budget's prefix of it, whatever the job count.  The order is that of
+    the cell's spaces one after another, each (letters, finals): the
+    family's space, or one space per quotient order (_chain).  The
+    canonical candidates are those the prefix walks yield, the ones no
+    relabeling of a space maps lower; candidates_pruned is
     examined - canonical.  Pool-level letter filtering shrinks the order
     before enumeration and is not counted.  exhaustive=False means the
     budget ran out and max_sigma is only a lower bound for the cell."""
@@ -236,6 +254,70 @@ def _relabelings(task: SearchTask) -> list[tuple[int, ...]]:
     return [(0, *p, *range(len(p) + 1, task.n)) for p in permutations(free)]
 
 
+@dataclass(frozen=True, eq=False)
+class _Space:
+    """What one walk searches: every multiset of k pool letters (image
+    tuples, sorted) with every finals option (sorted as sorted tuples),
+    one per orbit under relabelings, a group of state permutations, the
+    identity first, that maps pool and options to themselves.  sink is
+    the e of _rank_bound, left whether tuples meet the left-ideal test,
+    and cap bounds the sigma of every minimal in-class tuple: n^n in a
+    family space, |End(P)| in that of an order P."""
+
+    n: int
+    pool: list[tuple[int, ...]]
+    relabelings: list[tuple[int, ...]]
+    options: list[frozenset[int]]
+    sink: int
+    left: bool
+    cap: int
+
+
+def _space(task: SearchTask) -> _Space:
+    """The family space of the task's cell: the letters of the family's
+    skeleton (lemma 8 filtering the left and two-sided pools), its finals
+    options and the relabelings of its free states."""
+    n, (right, left) = task.n, _FAMILIES[task.family]
+    return _Space(n, _pool(task), _relabelings(task), _finals_options(task),
+                  int(right), left, n ** n)
+
+
+def _order_space(order) -> _Space:
+    """The space of a quotient order P (orders.Order): pool End(P),
+    relabelings Aut(P) and options P's up-sets."""
+    from .orders import automorphisms, endomorphisms
+    return _Space(len(order.ups), endomorphisms(order), automorphisms(order),
+                  order.finals, int(order.top), False, order.cap)
+
+
+def _candidates(letters: int, options: int, k: int) -> int:
+    """The size of the candidate order of a space: its sorted k-tuples of
+    letters, each with every finals option."""
+    return options * _tuples_before(letters, 0, letters, k - 1)
+
+
+def _by_order(task: SearchTask) -> bool:
+    """Whether the task's cell is searched one quotient order at a time:
+    left and two-sided cells with n >= 2 and k >= 3."""
+    return _FAMILIES[task.family][1] and task.n > 1 and task.k > 2
+
+
+def _chain(task: SearchTask, by_order: bool) -> list[tuple]:
+    """The spaces of the task's cell in visit order, as pairs (size of the
+    space's candidate order, a call that builds the space): the family
+    space alone, or with by_order one space per quotient order, each
+    built only when its walk starts; orders is imported only by the
+    cells searched by order."""
+    if not by_order:
+        space = _space(task)
+        return [(_candidates(len(space.pool), len(space.options), task.k),
+                 lambda: space)]
+    from .orders import quotient_orders
+    return [(_candidates(order.cap, len(order.finals), task.k),
+             partial(_order_space, order))
+            for order in quotient_orders(task.n, task.family == "two_sided")]
+
+
 def _insert(image: tuple[int, ...], x: int) -> tuple[int, ...]:
     """The sorted tuple image with x inserted."""
     i = bisect_right(image, x)
@@ -243,8 +325,8 @@ def _insert(image: tuple[int, ...], x: int) -> tuple[int, ...]:
 
 
 class _Orbits:
-    """The pool's orbits under the relabelings of the free states
-    (_relabelings, identity first), each relabeling g acting on a letter
+    """The pool's orbits under the relabelings of a space (_Space, the
+    identity first), each relabeling g acting on a letter
     t as g t g^-1, built in one pass over the pool in index order: the
     first letter met of each orbit is its head, its least pool index.
       - least[c] is the head of c's orbit, and via[c] the index of a
@@ -265,8 +347,8 @@ class _Orbits:
     __slots__ = ("least", "via", "rows", "stabs", "mul", "inverse",
                  "finals")
 
-    def __init__(self, task: SearchTask, pool, options):
-        group = _relabelings(task)
+    def __init__(self, space: _Space):
+        group, pool, options = space.relabelings, space.pool, space.options
         at = {g: a for a, g in enumerate(group)}
         self.mul = [[at[tuple(map(g.__getitem__, h))] for h in group]
                     for g in group]
@@ -275,7 +357,7 @@ class _Orbits:
         self.finals = [[option[frozenset(map(g.__getitem__, f))]
                         for f in options] for g in group]
         # g t g^-1 takes state q to g(t(g^-1(q)))
-        acts = [(g, sorted(range(task.n), key=g.__getitem__)) for g in group]
+        acts = [(g, sorted(range(space.n), key=g.__getitem__)) for g in group]
         index = {t: i for i, t in enumerate(pool)}
         least: list[int | None] = [None] * len(pool)
         self.least, self.via = least, [0] * len(pool)
@@ -439,9 +521,9 @@ class _LetterFacts:
     leaf reads one, and mask tables (_image_masks), each built when a
     node or leaf first needs it; with sink, the e of the rank bounds
     (_rank_bounds), 1 where every pool letter fixes the sink n-1,
-    orbits, the pool's orbit table (_Orbits), options, the cell's finals
-    options (_finals_options), and left, whether its tuples meet the
-    left-ideal test (_FAMILIES).  A list
+    orbits, the pool's orbit table (_Orbits), and options and left, the
+    space's finals options and whether its tuples meet the left-ideal
+    test (_Space).  A list
     entry costs a pointer where a dict entry would cost a hash slot as
     well, which matters at n=7, where a right cell's pool holds 117,649
     letters and a left cell's 355,081."""
@@ -449,14 +531,12 @@ class _LetterFacts:
     __slots__ = ("pool", "n", "ranks", "images", "sink", "orbits",
                  "options", "left")
 
-    def __init__(self, task: SearchTask):
-        right, self.left = _FAMILIES[task.family]
-        self.pool, self.n = _pool(task), task.n
-        self.options = _finals_options(task)
+    def __init__(self, space: _Space):
+        self.pool, self.n, self.options = space.pool, space.n, space.options
+        self.sink, self.left = space.sink, space.left
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
-        self.sink = int(right)
-        self.orbits = _Orbits(task, self.pool, self.options)
+        self.orbits = _Orbits(space)
 
     def image(self, c: int) -> bytes:
         table = self.images[c]
@@ -647,12 +727,14 @@ def _rank_bounds(n: int, e: int, ranks: tuple[int, ...]) -> list[int]:
                  for r in range(1, n + 1))]
 
 
-def _walk(task: SearchTask, facts: _LetterFacts, shard: int, shards: int):
-    """Walk the global candidate order (letter tuple, then finals) as a
-    tree of letter prefixes, depth first, and yield one batch (prefix
-    node, leaves, keep) per prefix of k - 1 letters with any canonical
-    leaf under the root's children shard, shard + shards, ... in the
-    budget's prefix of the order.  leaves lists, in order, the pool
+def _walk(facts: _LetterFacts, k: int, budget: int, shard: int,
+          shards: int):
+    """Walk the candidate order (letter tuple, then finals) of the space
+    of facts, with k letters, as a tree of letter prefixes, depth first,
+    and yield one batch (prefix node, leaves, keep) per prefix of k - 1
+    letters with any canonical leaf under the root's children shard,
+    shard + shards, ... in the order's first budget candidates.  leaves
+    lists, in order, the pool
     indices of the last letters that make canonical letter tuples with
     the prefix.  Each such tuple is canonical with every finals option
     save where keep, a dict from pool index to finals list, says
@@ -668,7 +750,7 @@ def _walk(task: SearchTask, facts: _LetterFacts, shard: int, shards: int):
     first letter p0, less those that a relabeling taking one of their
     letters to p0 maps lower.  Where no such relabeling but the identity
     exists, the batch is the orbit filter's survivors as they are."""
-    letters, options, budget = len(facts.pool), len(facts.options), task.budget
+    letters, options = len(facts.pool), len(facts.options)
     # a tuple, not a range: its slices share ints instead of making new ones
     indices = tuple(range(letters))
 
@@ -676,7 +758,7 @@ def _walk(task: SearchTask, facts: _LetterFacts, shard: int, shards: int):
         # the children of node, the first starting at position pos; the
         # root's children are dealt out to the shards
         idx = node.idx
-        more = task.k - len(idx) - 1
+        more = k - len(idx) - 1
         first = idx[-1] if idx else 0
 
         def start(c: int) -> int:
@@ -713,8 +795,8 @@ def _in_class_finals(up: _Prefix, c: int, options: list[frozenset[int]],
     (_Prefix.reaches_all), and its pair relation is extended by c's
     letter (_Prefix.pairs).  The left-ideal test of an option is one
     bitmask check, sound once every state is reachable, minimal or not.
-    In left and two-sided cells _run_shard hands it the options up
-    admits (_Prefix.admitted), or the whole kept list of a leaf that a
+    In left and two-sided family spaces _run_shard hands it the options
+    up admits (_Prefix.admitted), or the whole kept list of a leaf that a
     relabeling fixes or the budget cuts: the tuple's pair relation holds
     up's, so the test rejects every option up rejects."""
     if not up.reaches_all(c):
@@ -732,15 +814,19 @@ def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
     return [f for f in options if max(_moore_classes(gens, f)) == n - 1]
 
 
-def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
-    """Search under the root's children shard, shard + shards, ...: the
-    best sigma with its witnesses, the number of canonical candidates
-    seen and the size of the whole candidate order.
+def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
+               best: int, wits: list) -> tuple:
+    """Search the space under the root's children shard, shard + shards,
+    ..., in the budget's prefix of its candidate order, from the best
+    sigma so far and its witnesses: the best sigma with its witnesses, and
+    the number of canonical candidates seen.
 
     The walk hands over one batch of leaves per prefix (_walk).  Its
     canonical candidates are counted from the batch's length and the few
-    finals lists it holds, without visiting a leaf.  In left and
-    two-sided cells a batch whose prefix admits no finals option
+    finals lists it holds, without visiting a leaf.  Where the space's
+    cap is below the best so far, every batch is then dropped, as no
+    tuple of the space can reach the best.  In left and
+    two-sided family spaces a batch whose prefix admits no finals option
     (_Prefix.admitted) is then dropped whole, and the other batches'
     leaves are tested on the options their prefix admits, save a leaf
     with its own kept list in keep, which is tested on that whole list:
@@ -760,15 +846,16 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
     not it would pass the letter tests; so the tuples closed are the
     same in either order.  Only the options of the other tuples are
     tested for minimality, and only a minimal one raises the best."""
-    facts = _LetterFacts(task)
+    facts = _LetterFacts(space)
     pool, rank, finals_opts = facts.pool, facts.ranks, facts.options
     options = len(finals_opts)
-    best = 0
-    wits: list[tuple] = []
+    dead = space.cap < best
     canonical = 0
-    for up, leaves, keep in _walk(task, facts, shard, shards):
+    for up, leaves, keep in _walk(facts, k, budget, shard, shards):
         canonical += len(leaves) * options + sum(
             len(kept) - options for kept in keep.values())
+        if dead:
+            continue
         alive = finals_opts
         if facts.left:
             alive = up.admitted()
@@ -785,14 +872,32 @@ def _run_shard(task: SearchTask, shard: int, shards: int) -> tuple:
             if s < best:
                 continue
             letters = up.gens + (pool[c],)
-            finals = _minimal_finals(letters, task.n, finals)
+            finals = _minimal_finals(letters, space.n, finals)
             if not finals:
                 continue
             if s > best:
                 best, wits = s, []
             wits.extend((letters, tuple(sorted(f))) for f in finals)
-    return best, wits, canonical, options * _tuples_before(
-        len(pool), 0, len(pool), task.k - 1)
+    return best, wits, canonical
+
+
+def _run_cell(task: SearchTask, by_order: bool, shard: int,
+              shards: int) -> tuple:
+    """Search the cell's spaces (_chain) in turn under the root's
+    children shard, shard + shards, ..., with one best so far: the best
+    sigma with its witnesses, the canonical candidates seen and the size
+    of the whole candidate order.  Each space's walk gets what the spaces
+    before it leave of the budget; a space it does not reach is never
+    built."""
+    best, wits, canonical, start = 0, [], 0, 0
+    for size, build in _chain(task, by_order):
+        if start < task.budget:
+            best, wits, seen = _run_shard(build(), task.k,
+                                          task.budget - start, shard,
+                                          shards, best, wits)
+            canonical += seen
+        start += size
+    return best, wits, canonical, start
 
 
 @contextmanager
@@ -818,24 +923,28 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
     Every witness is re-verified (minimal, in class, sigma equal to the
     maximum) before the result is returned.
     """
+    return _search(task, _by_order(task))
+
+
+def _search(task: SearchTask, by_order: bool) -> SearchResult:
+    """search_max_sigma over the task's family space alone, or with
+    by_order one quotient order at a time (_chain)."""
     # one shard per worker; a shard left without heads returns an empty
     # part, so the clamp needs no pool and only the shards build one
     with _worker_map(task.jobs) as (jobs, run):
-        parts = list(run(_run_shard, repeat(task), range(jobs),
-                         repeat(jobs)))
+        parts = list(run(_run_cell, repeat(task), repeat(by_order),
+                         range(jobs), repeat(jobs)))
 
     best = max(p[0] for p in parts)
     raw = [w for p in parts if p[0] == best for w in p[1]]
-    # the witnesses share one object per distinct letter and one per
-    # distinct finals set: a cell's witnesses draw on few of either
-    transformation = {g: Transformation(g) for letters, _ in raw
-                      for g in letters}
-    finals_set = {f: frozenset(f) for _, f in raw}
+    if by_order:
+        # a witness of an order space is canonical under that order's
+        # relabelings, and may be met under several orders
+        raw = set(map(_least_relabeling, repeat(_relabelings(task)), raw))
     # a raw pair (letters, sorted finals) is its witness's sort_key
-    witnesses = tuple(
-        FoundWitness(tuple(map(transformation.__getitem__, letters)),
-                     finals_set[finals])
-        for letters, finals in sorted(raw))
+    witnesses = tuple(FoundWitness(tuple(map(_letter, letters)),
+                                   _finals_set(finals))
+                      for letters, finals in sorted(raw))
     total = parts[0][3]  # every shard counts the whole candidate order
     examined = min(total, task.budget)
     # each examined candidate is under the head of exactly one shard, which
@@ -846,6 +955,28 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
         _reverify(task, w, best)
     return SearchResult(task, best, witnesses, examined, pruned,
                         total <= task.budget)
+
+
+# The witnesses of a process's searches share one object per distinct
+# letter and one per distinct finals set: a cell's witnesses draw on few of
+# either, and so do repeated searches of a cell.  At most 2^7 finals sets
+# exist; the letters kept are the last 4,096 met.
+_letter = lru_cache(maxsize=4096)(Transformation)
+_finals_set = cache(frozenset)
+
+
+def _least_relabeling(group: list[tuple[int, ...]], witness: tuple) -> tuple:
+    """The least image of witness (letters, sorted finals) under the
+    relabelings group, each image's letters sorted: the one candidate of
+    its orbit that the family space keeps."""
+    letters, finals = witness
+    images = []
+    for g in group:
+        inverse = sorted(range(len(g)), key=g.__getitem__)
+        images.append((tuple(sorted(tuple(g[t[q]] for q in inverse)
+                                    for t in letters)),
+                       tuple(sorted(g[q] for q in finals))))
+    return min(images)
 
 
 def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:

@@ -11,7 +11,8 @@ import random
 import subprocess
 import sys
 from bisect import bisect_left
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from operator import or_
 from pathlib import Path
 
@@ -27,13 +28,41 @@ from syncomp.classify import (_is_left_ideal, _is_right_ideal,
                               _left_ideal_admits, _left_ideal_pairs,
                               _left_ideal_walk)
 from syncomp.oracles import canonical_count
+from syncomp.orders import quotient_orders
 from syncomp.semigroup import _closure, _encode
 from syncomp.search import _in_class_finals, _minimal_finals
 
-# each family -> the family with the same skeleton and no lemma-8 filter,
-# whose pool holds every letter of the skeleton
-_UNFILTERED = {"right": "right", "left": "all", "two_sided": "right",
-               "all": "all"}
+
+def _skeleton_space(family: str, n: int):
+    """The family space of the family's n-state cells with every letter of
+    its skeleton in the pool: no lemma-8 filter."""
+    space = search._space(SearchTask(family, n, 1))
+    right = family in ("right", "two_sided")
+    return dataclasses.replace(space, pool=[
+        t for t in product(range(n), repeat=n) if not right or t[-1] == n - 1])
+
+
+def _spaces(task: SearchTask, by_order: bool | None = None) -> list:
+    """The spaces of the task's cell in visit order, each built: those
+    search_max_sigma walks, or the family space alone where by_order is
+    False."""
+    if by_order is None:
+        by_order = search._by_order(task)
+    return [build() for _, build in search._chain(task, by_order)]
+
+
+def _canonical_count(task: SearchTask) -> int:
+    """The canonical candidates of the task's cell as search_max_sigma
+    walks it: canonical_count summed over its spaces."""
+    return sum(canonical_count(space, task.k) for space in _spaces(task))
+
+
+def _family_search(task: SearchTask):
+    """The search of the task's cell over its family space alone, as
+    left and two-sided cells with k >= 3 were searched before they were
+    searched one quotient order at a time: the walk's own pins are taken
+    on it."""
+    return search._search(task, False)
 
 # _cell_counts options: the pruned search, and the brute force over every
 # ordered candidate, which prunes nothing
@@ -113,8 +142,9 @@ def _cell_counts(family: str, n: int, k: int, prune: bool = True) -> tuple:
 @pytest.mark.parametrize("family, n, k, prune, expected", [
     ("right", 4, 3, PRUNED, (61, 324, 45760, 22708)),
     ("left", 4, 2, PRUNED, (17, 3, 71071, 59008)),
-    ("two_sided", 4, 3, PRUNED, (19, 7, 24804, 12254)),
-    ("left", 3, 4, PRUNED, (11, 24, 14535, 7225)),
+    # one quotient order at a time: two orders, and two of left (3,4)
+    ("two_sided", 4, 3, PRUNED, (19, 7, 4465, 1420)),
+    ("left", 3, 4, PRUNED, (11, 24, 4433, 1477)),
     ("all", 3, 2, PRUNED, (24, 108, 2268, 1116)),
     ("right", 4, 2, UNPRUNED, (31, 36, 4096, 0)),
     ("left", 3, 2, UNPRUNED, (7, 8, 2187, 0)),
@@ -128,29 +158,34 @@ def test_cell_counts_are_pinned(family, n, k, prune, expected):
     counts = _cell_counts(family, n, k, **prune)
     assert counts == expected
     if prune is PRUNED:
-        assert canonical_count(SearchTask(family, n, k)) == \
+        assert _canonical_count(SearchTask(family, n, k)) == \
             counts[2] - counts[3]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("family, n, k, expected", [
-    ("left", 4, 3, (34, 63, 3_411_408, 2_841_102)),
-    ("two_sided", 4, 4, (23, 64, 341_055, 169_840)),
+    ("left", 4, 3, (34, 63, 527_132, 344_295)),
+    ("two_sided", 4, 4, (23, 64, 29_330, 10_100)),
     ("left", 5, 2, (59, 9, 18_474_975, 17_696_952)),
-    ("two_sided", 4, 5, (25, 128, 3_819_816, 1_907_180)),
-    ("two_sided", 5, 3, (73, 5, 17_637_224, 14_687_502)),
+    ("two_sided", 4, 5, (25, 128, 161_259, 59_002)),
+    ("two_sided", 5, 3, (73, 5, 997_612, 581_537)),
+    ("left", 4, 4, (64, 2268, 8_079_404, 5_754_263)),
+    ("two_sided", 4, 6, (25, 2304, 770_875, 295_910)),
+    ("left", 5, 3, (180, 672, 743_004_775, 661_543_469)),
 ])
 def test_frontier_cell_counts_are_pinned(family, n, k, expected):
     # the table cells up to about ten seconds long at jobs=1: left (4,3),
-    # left (5,2) and two-sided (5,3) are above the bundled 25, 34 and 47,
-    # two-sided (4,4) and (4,5) equal the bundled 23 and 25; k = 5 walks
-    # chains of four prefix nodes
+    # left (5,2), two-sided (5,3) and left (5,3) are above the bundled 25,
+    # 34, 47 and 65, two-sided (4,4) and (4,5) and left (4,4) equal the
+    # bundled 23, 25 and 64, and two-sided (4,6) has none; k = 5 walks
+    # chains of four prefix nodes.  All but left (5,2) are searched one
+    # quotient order at a time
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     assert result.exhaustive
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == expected
-    assert canonical_count(task) == \
+    assert _canonical_count(task) == \
         result.candidates_examined - result.candidates_pruned
 
 
@@ -183,7 +218,7 @@ def test_six_state_cells_are_pinned(family, n, k, budget, expected):
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == expected
     if budget is None:
-        assert canonical_count(task) == \
+        assert _canonical_count(task) == \
             result.candidates_examined - result.candidates_pruned
 
 
@@ -223,12 +258,15 @@ def test_seven_state_search_stays_small():
 @pytest.mark.parametrize("family, n, k, expected", [
     ("right", 6, 2, 1_280_610),
     ("two_sided", 6, 2, 648_861),
-    ("left", 4, 4, 20_623_533),
-])
+    # over its orders; its family space alone holds 20,623,533
+    ("left", 4, 4, 2_325_141),
+], ids=["right-6-2-1280610", "two_sided-6-2-648861",
+        # named as first pinned, over the family space
+        "left-4-4-20623533"])
 def test_canonical_count_of_minute_scale_cells(family, n, k, expected):
-    # examined - pruned of exhaustive runs that take minutes (ROADMAP
-    # "Measurements")
-    assert canonical_count(SearchTask(family, n, k)) == expected
+    # examined - pruned of exhaustive runs that take seconds to minutes
+    # (ROADMAP "Measurements")
+    assert _canonical_count(SearchTask(family, n, k)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +453,17 @@ def test_canonical_filter_removes_relabeled_duplicates():
 # pruning soundness: the walk's stream and the letter-level tests
 
 
-def _stream(task: SearchTask, shards: int = 1) -> list[tuple]:
-    """Every canonical candidate the search's prefix walk yields, over all
-    shards, as (letter image tuples, sorted finals), checking that each
-    batch lists its leaves in increasing order and that what it keeps
-    for a leaf is a nonempty part of the finals options, in their
-    order."""
-    facts = search._LetterFacts(task)
+def _stream(space, k: int, shards: int = 1) -> list[tuple]:
+    """Every canonical candidate the prefix walk of a space with k letters
+    yields, over all shards, as (letter image tuples, sorted finals),
+    checking that each batch lists its leaves in increasing order and
+    that what it keeps for a leaf is a nonempty part of the finals
+    options, in their order."""
+    facts = search._LetterFacts(space)
     pool, opts, stream = facts.pool, facts.options, []
     for shard in range(shards):
-        for up, leaves, keep in search._walk(task, facts, shard, shards):
+        for up, leaves, keep in search._walk(facts, k, SearchTask.budget,
+                                             shard, shards):
             assert leaves == sorted(set(leaves)) and set(keep) <= set(leaves)
             for c in leaves:
                 kept = keep.get(c, opts)
@@ -470,10 +509,11 @@ def test_stream_yields_each_orbit_minimum_once(family, n, k):
               for letters in combinations_with_replacement(search._pool(task),
                                                            k)
               for finals in search._finals_options(task)}
-    stream = _stream(task)
+    space = search._space(task)
+    stream = _stream(space, k)
     assert len(stream) == len(set(stream))
     assert set(stream) == minima
-    assert sorted(_stream(task, shards=2)) == sorted(stream)
+    assert sorted(_stream(space, k, shards=2)) == sorted(stream)
 
 
 def test_search_minimality_test_agrees_with_minimize():
@@ -485,7 +525,7 @@ def test_search_minimality_test_agrees_with_minimize():
     # automata that are not minimal, before the refinement drops them
     sweep = binary_3_sweep()
     options = [d.finals for d in sweep[:6]]
-    facts = search._LetterFacts(SearchTask("all", 3, 2))
+    facts = search._LetterFacts(search._space(SearchTask("all", 3, 2)))
     index = {g: c for c, g in enumerate(facts.pool)}
     for left_ideal, count in ((False, 2056), (True, 70)):
         kept = 0
@@ -515,8 +555,8 @@ def test_pair_relation_verdict_agrees_with_the_walk(family, n, k, tuples,
     # through prefix nodes as the search does, then tested per finals
     # option of the family by one bitmask check, against classify's
     # semantic walk of L = Σ*L
-    facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
-    options = search._finals_options(SearchTask(family, n, k))
+    facts = search._LetterFacts(_skeleton_space(family, n))
+    options = facts.options
     reachable = passed = 0
     for idx in product(range(len(facts.pool)), repeat=k):
         gens = tuple(facts.pool[c] for c in idx)
@@ -589,8 +629,8 @@ def test_head_skipping_keeps_budgeted_counts(monkeypatch, jobs, family, n, k,
     # and 1.  Their expected values come from a search that skipped heads
     # only, so they do not rest on the prefix walk.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    result = search_max_sigma(SearchTask(family, n, k, budget=budget,
-                                         jobs=jobs))
+    result = _family_search(SearchTask(family, n, k, budget=budget,
+                                       jobs=jobs))
     assert (result.candidates_examined, result.candidates_pruned,
             result.max_sigma, len(result.witnesses)) == expected
     assert not result.exhaustive
@@ -658,7 +698,7 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
         return real(node, kids)
 
     monkeypatch.setattr(search, "_canonical_children", checked)
-    result = search_max_sigma(task)
+    result = _family_search(task)
     assert seen and result.exhaustive
     assert tested is None or len(seen) == tested
 
@@ -709,7 +749,7 @@ def test_leaves_meet_only_relabelings_onto_the_first_letter(
         return real(node, kids)
 
     monkeypatch.setattr(search, "_canonical_children", counted)
-    search_max_sigma(task)
+    _family_search(task)
     assert walked == recounted == met
 
 
@@ -746,7 +786,7 @@ def test_orbit_table_matches_every_relabeling(family, n):
     # least[c], and each relabeling's finals table maps an option to its
     # image
     task = SearchTask(family, n, 1)
-    facts = search._LetterFacts(task)
+    facts = search._LetterFacts(search._space(task))
     orbits, options = facts.orbits, facts.options
     relabeled = _relabeled(task)
     for c in range(len(facts.pool)):
@@ -776,8 +816,127 @@ def test_canonical_count_matches_the_search(family, n, k):
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     assert result.exhaustive
-    assert canonical_count(task) == \
+    assert _canonical_count(task) == \
         result.candidates_examined - result.candidates_pruned
+
+
+# ---------------------------------------------------------------------------
+# left and two-sided cells with k >= 3, one quotient order at a time
+
+
+@pytest.mark.parametrize("family, n, k", [
+    *((family, n, 3) for family in ("left", "two_sided") for n in (1, 2, 3)),
+    ("two_sided", 4, 3), ("left", 3, 4),
+    *(pytest.param(*cell, marks=pytest.mark.slow) for cell in (
+        ("left", 4, 3), ("left", 4, 4), ("two_sided", 4, 4),
+        ("two_sided", 4, 5), ("two_sided", 5, 3))),
+])
+def test_order_spaces_find_what_the_family_space_finds(family, n, k):
+    # the same walk over the family space alone: the same maximum and the
+    # same witnesses, each the least relabeling of its orbit
+    task = SearchTask(family, n, k)
+    by_order, whole = search_max_sigma(task), _family_search(task)
+    assert by_order.exhaustive and whole.exhaustive
+    assert (by_order.max_sigma, by_order.witnesses) == \
+        (whole.max_sigma, whole.witnesses)
+
+
+def _end_brute(n: int, leq: set, top: bool) -> list[tuple[int, ...]]:
+    """The maps of n states, n-1 fixed if top, that preserve the order
+    whose pairs p <= q are leq, in lexicographic order."""
+    return [f for f in product(range(n), repeat=n)
+            if (not top or f[-1] == n - 1)
+            and all((f[p], f[q]) in leq for p, q in leq)]
+
+
+def _labelled_orders(family: str, n: int) -> list[frozenset]:
+    """Every partial order on n states with 0 least, and n-1 greatest in
+    two-sided cells, as its set of pairs p <= q: the antisymmetric,
+    transitive sets of strict pairs of free states, with the pairs
+    through 0 (and n-1)."""
+    top = family == "two_sided"
+    free = range(1, n - top)
+    strict = [(p, q) for p in free for q in free if p != q]
+    fixed = {(q, q) for q in range(n)} | {(0, q) for q in range(n)}
+    fixed |= {(q, n - 1) for q in range(n)} if top else set()
+    orders = []
+    for mask in range(1 << len(strict)):
+        pairs = {strict[i] for i in range(len(strict)) if mask >> i & 1}
+        if any((q, p) in pairs for p, q in pairs) or any(
+                (p, r) not in pairs for p, q in pairs for q2, r in pairs
+                if q == q2 and p != r):
+            continue
+        orders.append(frozenset(pairs | fixed))
+    return orders
+
+
+@pytest.mark.parametrize("family", ["left", "two_sided"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_orders_are_the_partial_orders_up_to_relabeling(family, n):
+    # one order per isomorphism class of the labelled orders, in visit
+    # order (|End| descending), the first reaching the paper's bound; up
+    # to n = 4 each |End| and pool is that of every map tested directly,
+    # and the labelled orders fall into as many classes as there are
+    # orders
+    top = family == "two_sided"
+    orders = quotient_orders(n, top)
+    assert len(orders) == (1, 1, 2, 5, 16, 63)[n - 1 - top]
+    caps = [order.cap for order in orders]
+    assert caps == sorted(caps, reverse=True)
+    assert caps[0] == (n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1 if top
+                       else n ** (n - 1) + n - 1)
+    if n > 4:
+        return
+    group = _group(family, n)
+    classes = {min(tuple(sorted((g[p], g[q]) for p, q in leq)) for g in group)
+               for leq in _labelled_orders(family, n)}
+    assert len(classes) == len(orders)
+    for order in orders:
+        leq = {(p, q) for p in range(n) for q in range(n)
+               if order.ups[p] >> q & 1}
+        space = search._order_space(order)
+        assert space.pool == _end_brute(n, leq, top)
+        assert order.cap == len(space.pool)
+        assert space.relabelings == [
+            g for g in group
+            if {(g[p], g[q]) for p, q in leq} == leq]
+        up_sets = [frozenset(f) for f in sorted(
+            f for size in range(1, n) for f in combinations(range(1, n), size)
+            if all(q in f for p, q in leq if p in f))]
+        assert space.options == ([frozenset({n - 1})] if top else up_sets)
+
+
+@pytest.mark.parametrize("family, n, k", [
+    *((family, n, k) for family in ("left", "two_sided") for n in (2, 3)
+      for k in (1, 2, 3)),
+    ("two_sided", 4, 3), ("left", 3, 4),
+])
+def test_order_spaces_count_the_orbits_of_labelled_orders(family, n, k):
+    # a second count of the canonical candidates of a cell searched one
+    # order at a time: the orbits of the family's relabelings on the
+    # triples (labelled order, letter multiset, finals), each letter from
+    # the maps that preserve the order and each finals a nonempty up-set
+    # avoiding 0 ({n-1} in two-sided cells), found by relabeling every
+    # triple, not by Burnside's lemma
+    top = family == "two_sided"
+    group = _group(family, n)
+    minima = set()
+    for leq in _labelled_orders(family, n):
+        pool = _end_brute(n, leq, top)
+        ups = [frozenset(q for q in range(n) if (p, q) in leq)
+               for p in range(n)]
+        options = [(n - 1,)] if top else [
+            f for size in range(1, n) for f in combinations(range(1, n), size)
+            if all(ups[q] <= set(f) for q in f)]
+        for letters in combinations_with_replacement(pool, k):
+            for finals in options:
+                minima.add(min(
+                    (tuple(sorted((g[p], g[q]) for p, q in leq)),
+                     tuple(sorted(_conjugate(g, t) for t in letters)),
+                     tuple(sorted(g[q] for q in finals))) for g in group))
+    task = SearchTask(family, n, k)
+    assert sum(canonical_count(space, k)
+               for space in _spaces(task, True)) == len(minima)
 
 
 def test_tuples_before_a_child_match_enumeration():
@@ -796,22 +955,28 @@ def test_tuples_before_a_child_match_enumeration():
                         == sum(h < c for h in heads), (letters, more, first, c)
 
 
-def _stream_positions(task: SearchTask) -> tuple[list[int], list[int]]:
-    """The positions in the candidate order (sorted letter tuples of pool
-    indices, then finals) of the canonical candidates _stream yields,
-    sorted, and the start positions of the letter tuples that it keeps
-    with some but not all of their finals options."""
-    pool, opts = search._pool(task), search._finals_options(task)
-    index = {g: i for i, g in enumerate(pool)}
-    option = {tuple(sorted(f)): i for i, f in enumerate(opts)}
-    order = {t: i for i, t in enumerate(
-        combinations_with_replacement(range(len(pool)), task.k))}
-    positions, kept = [], {}
-    for letters, finals in _stream(task):
-        start = order[tuple(index[g] for g in letters)] * len(opts)
-        positions.append(start + option[finals])
-        kept[start] = kept.get(start, 0) + 1
-    return sorted(positions), [s for s, m in kept.items() if m < len(opts)]
+def _stream_positions(task: SearchTask, by_order: bool) -> tuple:
+    """The positions in the candidate order (the spaces in turn, in each
+    sorted letter tuples of pool indices, then finals) of the canonical
+    candidates _stream yields, sorted, the (start, options) of the letter
+    tuples that it keeps with some but not all of their space's options,
+    and the size of the whole order."""
+    positions, partial, offset = [], [], 0
+    for space in _spaces(task, by_order):
+        pool, opts = space.pool, space.options
+        index = {g: i for i, g in enumerate(pool)}
+        option = {tuple(sorted(f)): i for i, f in enumerate(opts)}
+        order = {t: i for i, t in enumerate(
+            combinations_with_replacement(range(len(pool)), task.k))}
+        kept = {}
+        for letters, finals in _stream(space, task.k):
+            start = offset + order[tuple(index[g] for g in letters)] * len(
+                opts)
+            positions.append(start + option[finals])
+            kept[start] = kept.get(start, 0) + 1
+        partial += [(s, len(opts)) for s, m in kept.items() if m < len(opts)]
+        offset += len(order) * len(opts)
+    return sorted(positions), partial, offset
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -826,23 +991,24 @@ def test_budgeted_canonical_counts_match_the_stream(serial_pool, jobs,
     # the budget, counted by their positions in the unbudgeted stream.
     # In left and all cells with n = 3, the only ones with both a
     # relabeling and more than one option, some budgets cut a leaf that a
-    # relabeling fixes, which keeps only part of its options
+    # relabeling fixes, which keeps only part of its options.  A cell
+    # searched one quotient order at a time is run both ways: its family
+    # space alone, and its chain of order spaces, where a budget cuts
+    # across the chain
     task = SearchTask(family, n, k)
-    options = len(search._finals_options(task))
-    letters = len(search._pool(task))
-    total = options * search._tuples_before(letters, 0, letters, k - 1)
-    positions, partial = _stream_positions(task)
-    step = 7 if total <= 500 else 49 if total <= 3000 else 427
-    cuts = 0
-    for budget in range(1, total + step, step):
-        result = search_max_sigma(SearchTask(family, n, k, budget=budget,
-                                             jobs=jobs))
-        assert result.candidates_examined == min(budget, total)
-        assert result.exhaustive == (budget >= total)
-        assert result.candidates_examined - result.candidates_pruned == \
-            bisect_left(positions, budget), budget
-        cuts += any(s < budget < s + options for s in partial)
-    assert (cuts > 0) == (family in ("left", "all") and n == 3), cuts
+    for by_order in {False, search._by_order(task)}:
+        positions, partial, total = _stream_positions(task, by_order)
+        step = 7 if total <= 500 else 49 if total <= 3000 else 427
+        cuts = 0
+        for budget in range(1, total + step, step):
+            result = search._search(SearchTask(family, n, k, budget=budget,
+                                               jobs=jobs), by_order)
+            assert result.candidates_examined == min(budget, total)
+            assert result.exhaustive == (budget >= total)
+            assert result.candidates_examined - result.candidates_pruned \
+                == bisect_left(positions, budget), (by_order, budget)
+            cuts += any(s < budget < s + m for s, m in partial)
+        assert (cuts > 0) == (family in ("left", "all") and n == 3), cuts
 
 
 @functools.cache
@@ -852,7 +1018,8 @@ def _reference(family: str, n: int, k: int) -> tuple:
     by classify, sigma by transition_semigroup, none of them inherited or
     bounded."""
     best, witnesses = 0, []
-    for letters, finals in _stream(SearchTask(family, n, k)):
+    for letters, finals in _stream(search._space(SearchTask(family, n, k)),
+                                   k):
         d = dfa(letters, finals)
         sigma = transition_semigroup(d).sigma
         if minimize(d).n == n and (
@@ -950,7 +1117,7 @@ def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
     # ranks handed down through prefix nodes as the search does, against
     # the size of its closure by the plain BFS.  Prefix nodes with the
     # same sorted ranks hold one bounds list, not equal copies
-    facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
+    facts = search._LetterFacts(_skeleton_space(family, n))
     e = int(family in ("right", "two_sided"))
     rows = {}  # sorted ranks -> the bounds of the first node with them
     for idx in product(range(len(facts.pool)), repeat=k):
@@ -976,7 +1143,7 @@ def test_rank_bound_holds_for_every_sorted_letter_tuple_of_right_4_3():
     # the cell whose maximum, 61 of 64, is near the stratum totals: the
     # bound falls below 61 on most of its tuples, the sum over pairs of
     # r(l) ** (r(f) - 1) on fewer, and never below a tuple's closure
-    facts = search._LetterFacts(SearchTask("right", 4, 3))
+    facts = search._LetterFacts(search._space(SearchTask("right", 4, 3)))
     below = pairs_below = 0
     for gens in combinations_with_replacement(facts.pool, 3):
         ranks = tuple(sorted(len(set(g)) for g in gens))
@@ -1024,7 +1191,7 @@ def test_reach_masks_agree_with_the_walk(family, n, k):
     # them: each node's mask holds the states automata._reachable finds
     # from 0, and a tuple's reachability test by its last letter's pool
     # index passes iff that walk reaches every state
-    facts = search._LetterFacts(SearchTask(_UNFILTERED[family], n, k))
+    facts = search._LetterFacts(_skeleton_space(family, n))
     root = search._Prefix.root(facts)
     assert root.reach == 1
     nodes = {(): root}
@@ -1054,13 +1221,18 @@ def test_mask_table_entries_are_image_sets(n):
                 or_, (1 << g[q] for q in range(n) if m >> q & 1), 0), (g, m)
 
 
-@pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3)])
+@pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3),
+                                          ("left", 3, 4)])
 def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # the letter-level filter spreads a prefix's reached states and extends
     # its pair relation: it must keep the same finals as the plain walk
     # (automata._reachable) and the pair relation built afresh
     # (classify._left_ideal_pairs) of the whole tuple.  Replaying the
-    # walk's tuples in order: in left and two-sided cells a tuple whose
+    # walks of the cell's spaces in turn, their tuples in order: every
+    # tuple of a space whose cap is below the best sigma so far meets no
+    # letter test and is not closed (in left (3,4), the order with 10
+    # maps after the best reached 11).  In left and two-sided family
+    # spaces a tuple whose
     # prefix admits no finals option meets no letter test and is not
     # closed, and the whole tuple admits none either.  A tuple whose rank
     # bound is below the best sigma so far meets no letter test and is not
@@ -1074,7 +1246,6 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # nothing else
     real_filter, real_extend, real_moore = (
         search._in_class_finals, search._extend, search._moore_classes)
-    e = int(family in ("right", "two_sided"))
     calls = []
 
     def compared(up, c, options, left_ideal):
@@ -1103,46 +1274,54 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     monkeypatch.setattr(search, "_moore_classes", refined)
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
-    facts = search._LetterFacts(task)
-    walked = [(up.gens, facts.pool[c], keep.get(c, facts.options))
-              for up, leaves, keep in search._walk(task, facts, 0, 1)
-              for c in leaves]
-    left = search._FAMILIES[family][1]
+    best, at, dead = 0, 0, 0
+    for space in _spaces(task):
+        facts = search._LetterFacts(space)
+        walked = [(up.gens, facts.pool[c], keep.get(c, facts.options))
+                  for up, leaves, keep in search._walk(facts, k, task.budget,
+                                                       0, 1)
+                  for c in leaves]
+        if space.cap < best:
+            dead += 1
+            continue
 
-    @functools.cache
-    def admits_any(gens):
-        return any(_left_ideal_pairs(gens, n, 0, f) for f in facts.options)
+        @functools.cache
+        def admits_any(gens):
+            return any(_left_ideal_pairs(gens, n, 0, f)
+                       for f in facts.options)
 
-    best, at = 0, 0
-    for prefix, last, options in walked:
-        gens = prefix + (last,)
-        if left and not admits_any(prefix):
-            assert not admits_any(gens), gens
-            continue
-        if search._rank_bound(n, e, tuple(len(set(g)) for g in gens)) < best:
-            codes = [_encode(g) for g in gens]
-            assert len(_closure(codes, n, None)[0]) < best, gens
-            continue
-        assert calls[at][:2] == ("tested", gens), (calls[at], gens)
-        kept = calls[at][2]
-        assert kept == ([] if len(_reachable(gens, 0)) < n else [
-            f for f in options
-            if not left or _left_ideal_pairs(gens, n, 0, f)]), gens
-        at += 1
-        if not kept:
-            continue
-        closed = calls[at]
-        at += 1
-        assert closed[:2] == ("closed", tuple(map(_encode, gens))), gens
-        if closed[2] >= best:
-            refinements = calls[at:at + len(kept)]
-            assert [c[:3] for c in refinements] == \
-                [("moore", gens, f) for f in kept], gens
-            at += len(kept)
-            if any(c[3] for c in refinements):
-                best = closed[2]
+        left = space.left
+        for prefix, last, options in walked:
+            gens = prefix + (last,)
+            if left and not admits_any(prefix):
+                assert not admits_any(gens), gens
+                continue
+            if search._rank_bound(n, space.sink,
+                                  tuple(len(set(g)) for g in gens)) < best:
+                codes = [_encode(g) for g in gens]
+                assert len(_closure(codes, n, None)[0]) < best, gens
+                continue
+            assert calls[at][:2] == ("tested", gens), (calls[at], gens)
+            kept = calls[at][2]
+            assert kept == ([] if len(_reachable(gens, 0)) < n else [
+                f for f in options
+                if not left or _left_ideal_pairs(gens, n, 0, f)]), gens
+            at += 1
+            if not kept:
+                continue
+            closed = calls[at]
+            at += 1
+            assert closed[:2] == ("closed", tuple(map(_encode, gens))), gens
+            if closed[2] >= best:
+                refinements = calls[at:at + len(kept)]
+                assert [c[:3] for c in refinements] == \
+                    [("moore", gens, f) for f in kept], gens
+                at += len(kept)
+                if any(c[3] for c in refinements):
+                    best = closed[2]
     assert at == len(calls)
     assert result.witnesses and best == result.max_sigma
+    assert dead == ((family, n, k) == ("left", 3, 4))
 
 
 @pytest.mark.parametrize("family, n, k", [
@@ -1173,8 +1352,8 @@ def test_each_prefix_admits_the_finals_its_relation_admits(monkeypatch,
 
     monkeypatch.setattr(search, "_Prefix", Recorded)
     task = SearchTask(family, n, k)
-    facts = search._LetterFacts(task)
-    for _ in search._walk(task, facts, 0, 1):
+    facts = search._LetterFacts(search._space(task))
+    for _ in search._walk(facts, k, task.budget, 0, 1):
         pass
     assert made[0].admitted() == facts.options
     for node in made:  # every parent before its children
@@ -1220,7 +1399,7 @@ def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
 
     monkeypatch.setattr(search, "_walk", counted_walk)
     monkeypatch.setattr(search, "_in_class_finals", counted_filter)
-    search_max_sigma(SearchTask(family, n, k))
+    _family_search(SearchTask(family, n, k))
     assert (len(walked), len(seen)) == (tuples, tested)
 
 
@@ -1255,7 +1434,7 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
 
     monkeypatch.setattr(search, "_extend", counted_extend)
     monkeypatch.setattr(search, "_moore_classes", counted_moore)
-    search_max_sigma(SearchTask(family, n, k))
+    _family_search(SearchTask(family, n, k))
     assert (len(closed), len(refined)) == (closures, refinements)
 
 
