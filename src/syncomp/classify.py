@@ -296,37 +296,14 @@ def _is_right_ideal(md: Dfa) -> bool:
 
 
 def _left_ideal_relation(rows: tuple[tuple[int, ...], ...], n: int,
-                         initial: int, base: list[int] | None = None
-                         ) -> list[int]:
+                         initial: int) -> list[int]:
     """The pairs of distinct states reachable under the image rows from the
     pairs (initial, q), q != initial, as one bitmask need[p] of the second
     states per first state p.  Diagonal pairs are left out: their
-    successors are diagonal too.
-
-    base may be this function's result for rows[:-1], which is left
-    unchanged: the result then extends it by the last row.  A pair that
-    needs the last row is reached as (u c v) applied to a seed, with u
-    free of it; u applied to the seed is a pair of base, so the new pairs
-    are the last row's images of base's pairs, closed under all the rows.
-    Without base the seeds themselves, closed under no row, are the base
-    and every row is new."""
-    if base is None:
-        base = [0] * n
-        base[initial] = (1 << n) - 1 ^ 1 << initial
-        new = rows
-    else:
-        new = rows[-1:]
-    need = list(base)
-    stack = []
-    for g in new:
-        for p, mask in enumerate(base):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                a, b = g[p], g[low.bit_length() - 1]
-                if a != b and not need[a] >> b & 1:
-                    need[a] |= 1 << b
-                    stack.append((a, b))
+    successors are diagonal too."""
+    need = [0] * n
+    need[initial] = (1 << n) - 1 ^ 1 << initial
+    stack = [(initial, q) for q in range(n) if q != initial]
     while stack:
         p, q = stack.pop()
         for g in rows:

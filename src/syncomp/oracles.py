@@ -62,10 +62,10 @@ def canonical_count(space: _Space, k: int) -> int:
     is fixed iff its multiplicities are constant on each cycle of g on the
     pool, so its count is the coefficient of x^k in the product of
     1/(1 - x^c) over those cycle lengths c.  The pool and the options are
-    closed under the relabelings: in a family space the lemma-8 filter
-    keeps the letters whose orbit of state 0 ends in a fixed point, and a
-    relabeling fixing 0 keeps that shape; in the space of an order P,
-    Aut(P) maps End(P) and P's up-sets to themselves.
+    closed under the relabelings: a family space's pool is every letter
+    of its skeleton, and its relabelings fix the states the skeleton
+    fixes; in the space of an order P, Aut(P) maps End(P) and P's up-sets
+    to themselves.
     """
     pool, options, n = space.pool, space.options, space.n
     group = space.relabelings

@@ -1,17 +1,17 @@
 """Enumeration of n-state, k-letter DFAs maximizing syntactic complexity.
 
-The searcher enumerates letter-action tuples inside a per-family structural
-normal form, filters to minimal in-class automata, and tracks the maximum
+The searcher enumerates letter-action tuples inside a structural normal
+form, filters to minimal in-class automata, and tracks the maximum
 semigroup size.  Output is deterministic regardless of job count: the
 maximum, then the lexicographically least witnesses.
 
 Normal forms (initial state always 0), decided in _FAMILIES:
   right      final sink fixed at n-1, finals {n-1}
-  two_sided  same skeleton, plus the left-ideal checks
-  left       any letters, finals ranging over nonempty subsets avoiding 0
+  two_sided  same skeleton, letters and finals by quotient order
+  left       letters and finals by quotient order, finals avoiding 0
   all        any letters, finals ranging over nonempty proper subsets
-At n=1 left and all take finals {0} instead: Σ*, the only 1-state ideal
-(for all, ∅ ties with it at sigma 1).
+At n=1 every family takes finals {0}: Σ*, the only 1-state ideal (for
+all, ∅ ties with it at sigma 1).
 
 State-relabeling symmetry (on the states the skeleton leaves free) and
 letter-renaming symmetry never change sigma or class membership, so the
@@ -20,14 +20,16 @@ elsewhere.
 
 A cell is searched as a list of spaces (_Space: a pool, a group of
 relabelings, finals options), in turn, with one best so far per shard.
-Left and two-sided cells with n >= 2 and k >= 3 have one space per
-quotient order P up to relabeling (orders.quotient_orders): pool End(P),
-relabelings Aut(P) and options P's up-sets, with no lemma-8 filter and
-no left-ideal test (see orders).  They are visited by decreasing
-|End(P)|, the space's cap, and one whose cap is below the best so far is
-walked only for its count.  Each witness is mapped to its least image
-under the family's relabelings, duplicates dropped, so the witnesses are
-the family space's.  Other cells have the family's space alone.  The
+Right and all cells, and every cell with n = 1, have the family's space
+alone: the letters of its skeleton.  Left and two-sided cells with n >= 2
+have one space per quotient order P up to relabeling
+(orders.quotient_orders): pool End(P), relabelings Aut(P) and options
+P's up-sets.  Every tuple of such a space that reaches all states makes
+a left ideal with each option (see orders), so no left-ideal test runs.
+The spaces are visited by decreasing |End(P)|, the space's cap, and one
+whose cap is below the best so far is walked only for its count.  A DFA
+may preserve several orders, so each witness is mapped to its least
+image under the family's relabelings and duplicates are dropped.  The
 candidate order is the spaces' orders one after another, and a budget
 cuts across them.
 
@@ -46,18 +48,17 @@ places each child in the order.
 The leaves under a prefix of k - 1 letters reach the search as one
 batch: the pool indices of their canonical last letters, and finals
 lists for the few leaves that do not keep every option.  Each tuple's
-set of states reached from 0, its closure element set and its
-left-ideal pair relation extend its prefix's by the last letter
-(Froidure & Pin 1997) instead of starting afresh.  The reached states
-are a bitmask, spread through per-letter tables of image masks, and a
-finals option's left-ideal test is one bitmask check.  Each prefix also
-keeps its letters in the closure's encoding, so a letter is encoded once
-for its prefix node, and a tuple's last letter only when the tuple is
-closed.  Each step of the walk makes one prefix node (_Prefix), its
-parent plus one pool index, which holds all of the above for its prefix.
-The space's finals options, the orbit table, and a letter's rank and mask
-table are built once per shard and space (_LetterFacts); the letter facts
-are read by pool index, by nodes and leaves alike.
+set of states reached from 0 and its closure element set extend its
+prefix's by the last letter (Froidure & Pin 1997) instead of starting
+afresh.  The reached states are a bitmask, spread through per-letter
+tables of image masks.  Each prefix also keeps its letters in the
+closure's encoding, so a letter is encoded once for its prefix node,
+and a tuple's last letter only when the tuple is closed.  Each step of
+the walk makes one prefix node (_Prefix), its parent plus one pool
+index, which holds all of the above for its prefix.  The space's finals
+options, the orbit table, and a letter's rank and mask table are built
+once per shard and space (_LetterFacts); the letter facts are read by
+pool index, by nodes and leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -75,23 +76,14 @@ fixes the sink, so the bound is never above the sum of those over the
 pairs, and below it where the cell's maximum is near the number of maps
 of some rank.  Each prefix holds the bound for every rank of a last
 letter, one cached list per multiset of its ranks (_rank_bounds), so it
-costs a tuple two list lookups, and it comes before the letter tests:
-each leaf is held against the best once, before its letter tuple is
-built, and one whose bound is below the best meets no further test.
-The others meet the tests on their letters (reachability, then the
-left-ideal test in left and two-sided family spaces), and a tuple that
-passes them is closed.  In those spaces each prefix node also holds
-the finals options its pair relation admits (_Prefix.admitted).  A
-tuple's relation holds its prefix's, as a letter only adds pairs, so it
-rejects every option its prefix rejects: a batch whose prefix admits no
-option is dropped whole once counted, before the rank bound, and the
-others' leaves test only the options their prefix admits, save a leaf
-that a relabeling fixes or the budget cuts, which gets its whole kept
-list for the leaf test to cut.  The Moore refinement that decides
-minimality runs only on the finals options of a tuple whose closure
-reaches the best.  Every witness is then re-verified by minimize,
-transition_semigroup and the ideal tests of its family alone, not by
-the whole of classify.
+costs a tuple two list lookups, and it comes before the reachability
+test: each leaf is held against the best once, before its letter tuple
+is built, and one whose bound is below the best meets no further test.
+A tuple that reaches every state is closed.  The Moore refinement that
+decides minimality runs only on the finals options of a tuple whose
+closure reaches the best.  Every witness is then re-verified by
+minimize, transition_semigroup and the ideal tests of its family alone,
+not by the whole of classify.
 """
 
 from __future__ import annotations
@@ -107,8 +99,7 @@ from math import comb
 from operator import or_
 
 from .automata import Dfa, _moore_classes, minimize
-from .classify import (_is_left_ideal, _is_right_ideal, _left_ideal_admits,
-                       _left_ideal_relation, _orbit)
+from .classify import _is_left_ideal, _is_right_ideal
 from .semigroup import _encode, _extend, transition_semigroup
 from .transform import Transformation
 
@@ -122,8 +113,9 @@ __all__ = [
 # family -> (right, left), the two decisions behind its normal form.
 # right: every pool letter fixes the final sink n-1, the finals are {n-1},
 # no relabeling moves n-1, and the rank bound takes e = 1 (_rank_bound).
-# left: lemma 8 filters the pool, the finals avoid state 0 (n > 1), and
-# each tuple meets the left-ideal pair test.
+# left: the finals avoid state 0 (n > 1), a cell with n > 1 is searched
+# one quotient order at a time (_chain), and its witnesses are mapped to
+# their least relabeling.
 _FAMILIES = {"right": (True, False), "left": (False, True),
              "two_sided": (True, True), "all": (False, False)}
 
@@ -136,11 +128,12 @@ class SearchTask:
     family's skeleton with every finals option, under four filters, none
     of which changes the maximum or drops the least representative of a
     witness:
-      - lemma 8 (left and two-sided families): letters whose behavior from
-        state 0 is periodic are dropped from the pool, since no such letter
-        acts in the semigroup of a left ideal.  Where k >= 3 and n >= 2
-        the pool is instead End(P), one quotient order P at a time
-        (orders.quotient_orders), whose letters all pass lemma 8;
+      - quotient orders (left and two-sided families, n >= 2): the pool is
+        End(P) and the finals P's up-sets, one quotient order P at a time
+        (orders.quotient_orders).  Every minimal left ideal preserves its
+        quotient order, with its finals an up-set, and every tuple of
+        End(P) that reaches all states makes a left ideal with each
+        up-set, so no ideal is lost and none needs a left-ideal test;
       - letter tuples are enumerated as sorted multisets, since renaming
         letters changes neither sigma nor class membership;
       - a candidate is dropped if a relabeling of the free states (of
@@ -205,9 +198,8 @@ class SearchResult:
     family's space, or one space per quotient order (_chain).  The
     canonical candidates are those the prefix walks yield, the ones no
     relabeling of a space maps lower; candidates_pruned is
-    examined - canonical.  Pool-level letter filtering shrinks the order
-    before enumeration and is not counted.  exhaustive=False means the
-    budget ran out and max_sigma is only a lower bound for the cell."""
+    examined - canonical.  exhaustive=False means the budget ran out and
+    max_sigma is only a lower bound for the cell."""
 
     task: SearchTask
     max_sigma: int
@@ -222,12 +214,9 @@ class SearchResult:
 
 
 def _pool(task: SearchTask) -> list[tuple[int, ...]]:
-    n, (right, left) = task.n, _FAMILIES[task.family]
+    n, right = task.n, _FAMILIES[task.family][0]
     every = product(range(n), repeat=n)  # in lexicographic order
-    cands = [t for t in every if t[n - 1] == n - 1] if right else list(every)
-    if left:
-        cands = [t for t in cands if _orbit(t, 0)[2] == 1]
-    return cands
+    return [t for t in every if t[n - 1] == n - 1] if right else list(every)
 
 
 def _finals_options(task: SearchTask) -> list[frozenset[int]]:
@@ -260,26 +249,25 @@ class _Space:
     tuples, sorted) with every finals option (sorted as sorted tuples),
     one per orbit under relabelings, a group of state permutations, the
     identity first, that maps pool and options to themselves.  sink is
-    the e of _rank_bound, left whether tuples meet the left-ideal test,
-    and cap bounds the sigma of every minimal in-class tuple: n^n in a
-    family space, |End(P)| in that of an order P."""
+    the e of _rank_bound, and cap bounds the sigma of every minimal
+    in-class tuple: n^n in a family space, |End(P)| in that of an order
+    P."""
 
     n: int
     pool: list[tuple[int, ...]]
     relabelings: list[tuple[int, ...]]
     options: list[frozenset[int]]
     sink: int
-    left: bool
     cap: int
 
 
 def _space(task: SearchTask) -> _Space:
     """The family space of the task's cell: the letters of the family's
-    skeleton (lemma 8 filtering the left and two-sided pools), its finals
-    options and the relabelings of its free states."""
-    n, (right, left) = task.n, _FAMILIES[task.family]
+    skeleton, its finals options and the relabelings of its free
+    states."""
+    n = task.n
     return _Space(n, _pool(task), _relabelings(task), _finals_options(task),
-                  int(right), left, n ** n)
+                  int(_FAMILIES[task.family][0]), n ** n)
 
 
 def _order_space(order) -> _Space:
@@ -287,7 +275,7 @@ def _order_space(order) -> _Space:
     relabelings Aut(P) and options P's up-sets."""
     from .orders import automorphisms, endomorphisms
     return _Space(len(order.ups), endomorphisms(order), automorphisms(order),
-                  order.finals, int(order.top), False, order.cap)
+                  order.finals, int(order.top), order.cap)
 
 
 def _candidates(letters: int, options: int, k: int) -> int:
@@ -296,19 +284,13 @@ def _candidates(letters: int, options: int, k: int) -> int:
     return options * _tuples_before(letters, 0, letters, k - 1)
 
 
-def _by_order(task: SearchTask) -> bool:
-    """Whether the task's cell is searched one quotient order at a time:
-    left and two-sided cells with n >= 2 and k >= 3."""
-    return _FAMILIES[task.family][1] and task.n > 1 and task.k > 2
-
-
-def _chain(task: SearchTask, by_order: bool) -> list[tuple]:
+def _chain(task: SearchTask) -> list[tuple]:
     """The spaces of the task's cell in visit order, as pairs (size of the
-    space's candidate order, a call that builds the space): the family
-    space alone, or with by_order one space per quotient order, each
-    built only when its walk starts; orders is imported only by the
-    cells searched by order."""
-    if not by_order:
+    space's candidate order, a call that builds the space): one space per
+    quotient order in left and two-sided cells with n >= 2, each built
+    only when its walk starts, and the family space alone in the others.
+    orders is imported only by the cells searched by order."""
+    if not _FAMILIES[task.family][1] or task.n == 1:
         space = _space(task)
         return [(_candidates(len(space.pool), len(space.options), task.k),
                  lambda: space)]
@@ -521,19 +503,18 @@ class _LetterFacts:
     leaf reads one, and mask tables (_image_masks), each built when a
     node or leaf first needs it; with sink, the e of the rank bounds
     (_rank_bounds), 1 where every pool letter fixes the sink n-1,
-    orbits, the pool's orbit table (_Orbits), and options and left, the
-    space's finals options and whether its tuples meet the left-ideal
-    test (_Space).  A list
-    entry costs a pointer where a dict entry would cost a hash slot as
-    well, which matters at n=7, where a right cell's pool holds 117,649
-    letters and a left cell's 355,081."""
+    orbits, the pool's orbit table (_Orbits), and options, the space's
+    finals options.  A list entry costs a pointer where a dict entry
+    would cost a hash slot as well, which matters at n=7, where a right
+    cell's pool holds 117,649 letters and the antichain order's of a
+    left cell 117,655."""
 
     __slots__ = ("pool", "n", "ranks", "images", "sink", "orbits",
-                 "options", "left")
+                 "options")
 
     def __init__(self, space: _Space):
         self.pool, self.n, self.options = space.pool, space.n, space.options
-        self.sink, self.left = space.sink, space.left
+        self.sink = space.sink
         self.ranks = list(map(len, map(set, self.pool)))
         self.images: list[bytes | None] = [None] * len(self.pool)
         self.orbits = _Orbits(space)
@@ -562,17 +543,10 @@ class _Prefix:
         node spreads its parent's reach by its parent's union and its own
         last letter's table (_spread), and a tuple below it spreads reach
         by union and the tuple's last letter's table.
-      - The closure's element set and the left-ideal pair relation
-        (classify._left_ideal_relation) of a tuple are its prefix's,
-        extended by the last letter.  Each is decided at most once and
-        only when asked.  The root, with no letters, reaches state 0
-        alone, its closure is empty and its pair relation is the seeds.
-      - The finals options its pair relation admits (admitted), also
-        decided when first asked: every option at the root, and below it
-        its parent's that its own relation still admits.  Its relation
-        holds its parent's, so that is every option it admits, and a node
-        whose parent admits none admits none without deciding its
-        relation.
+      - The closure's element set of a tuple is its prefix's, extended
+        by the last letter, decided at most once and only when asked.
+        The root, with no letters, reaches state 0 alone, and its
+        closure is empty.
       - codes holds the letters in the closure's encoding
         (semigroup._encode): a node encodes its own last letter when it
         is made, and a tuple below it its last letter only when it is
@@ -585,7 +559,7 @@ class _Prefix:
         the node is made, so a tuple's bound is one list index."""
 
     __slots__ = ("up", "facts", "idx", "gens", "meet", "codes", "ranks",
-                 "bounds", "reach", "union", "_closed", "_need", "_admitted")
+                 "bounds", "reach", "union", "_closed")
 
     def __init__(self, up: _Prefix, c: int):
         facts = self.facts = up.facts
@@ -599,7 +573,7 @@ class _Prefix:
         self.union = bytes(map(or_, up.union, own))
         self.ranks = _insert(up.ranks, facts.ranks[c])
         self.bounds = _rank_bounds(facts.n, facts.sink, self.ranks)
-        self._closed = self._need = self._admitted = None
+        self._closed = None
 
     @classmethod
     def root(cls, facts: _LetterFacts) -> _Prefix:
@@ -612,8 +586,6 @@ class _Prefix:
         node.reach, node.union = 1, bytes(1 << facts.n)
         node.ranks, node.bounds = (), _rank_bounds(facts.n, facts.sink, ())
         node._closed = frozenset()
-        node._need = _left_ideal_relation((), facts.n, 0)
-        node._admitted = facts.options
         return node
 
     def reaches_all(self, c: int) -> bool:
@@ -634,30 +606,6 @@ class _Prefix:
             self._closed = _extend(self.codes, self.facts.n,
                                    self.up.closure())
         return self._closed
-
-    def pairs(self, c: int) -> list[int]:
-        """The left-ideal pair relation of this prefix's letters and pool
-        letter c."""
-        return _left_ideal_relation(self.gens + (self.facts.pool[c],),
-                                    self.facts.n, 0, self.relation())
-
-    def relation(self) -> list[int]:
-        if self._need is None:
-            self._need = self.up.pairs(self.idx[-1])
-        return self._need
-
-    def admitted(self) -> list[frozenset[int]]:
-        """The finals options, in order, that this prefix's pair relation
-        admits (classify._left_ideal_admits): those of its parent that its
-        own relation still admits, so none, its relation left undecided,
-        where its parent admits none."""
-        if self._admitted is None:
-            alive = self.up.admitted()
-            if alive:
-                need = self.relation()
-                alive = [f for f in alive if _left_ideal_admits(need, f)]
-            self._admitted = alive
-        return self._admitted
 
 
 @cache
@@ -786,27 +734,6 @@ def _walk(facts: _LetterFacts, k: int, budget: int, shard: int,
     yield from visit(_Prefix.root(facts), 0)
 
 
-def _in_class_finals(up: _Prefix, c: int, options: list[frozenset[int]],
-                     left_ideal: bool) -> list[frozenset[int]]:
-    """The finals among options with which the letters of prefix node up
-    and pool letter c reach every state from 0 and, if left_ideal, make a
-    left ideal: the tests that read the letters only, minimality aside.
-    The states up reaches are spread by its letters and c's mask table
-    (_Prefix.reaches_all), and its pair relation is extended by c's
-    letter (_Prefix.pairs).  The left-ideal test of an option is one
-    bitmask check, sound once every state is reachable, minimal or not.
-    In left and two-sided family spaces _run_shard hands it the options
-    up admits (_Prefix.admitted), or the whole kept list of a leaf that a
-    relabeling fixes or the budget cuts: the tuple's pair relation holds
-    up's, so the test rejects every option up rejects."""
-    if not up.reaches_all(c):
-        return []
-    if left_ideal:
-        need = up.pairs(c)
-        options = [f for f in options if _left_ideal_admits(need, f)]
-    return options
-
-
 def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
                     options: list[frozenset[int]]) -> list[frozenset[int]]:
     """The finals among options with which gens, reaching every state from
@@ -825,27 +752,22 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
     canonical candidates are counted from the batch's length and the few
     finals lists it holds, without visiting a leaf.  Where the space's
     cap is below the best so far, every batch is then dropped, as no
-    tuple of the space can reach the best.  In left and
-    two-sided family spaces a batch whose prefix admits no finals option
-    (_Prefix.admitted) is then dropped whole, and the other batches'
-    leaves are tested on the options their prefix admits, save a leaf
-    with its own kept list in keep, which is tested on that whole list:
-    a tuple's pair relation holds its prefix's, so it rejects every
-    option its prefix rejects, and no in-class tuple is lost.  A letter
-    tuple whose rank bound (_rank_bounds, read off its prefix node by
-    its last letter's rank) is below the shard's best so far is dropped
-    next: each leaf is held against the best once, before its letter
-    tuple is built.  The others meet the letter tests
-    (_in_class_finals), and one they leave an option is closed once,
-    whatever number of options it leaves.  A tuple whose closure is
-    smaller than the best is then dropped before any Moore refinement:
-    sigma depends only on the letters, and the shard's best never
-    exceeds the maximum of the cell (or of the budget's prefix of it),
-    so no witness is lost.  A tuple dropped by its bound is dropped by
-    the same argument, since its sigma is at most the bound, whether or
-    not it would pass the letter tests; so the tuples closed are the
-    same in either order.  Only the options of the other tuples are
-    tested for minimality, and only a minimal one raises the best."""
+    tuple of the space can reach the best.  A letter tuple whose rank
+    bound (_rank_bounds, read off its prefix node by its last letter's
+    rank) is below the shard's best so far is dropped next: each leaf is
+    held against the best once, before its letter tuple is built.  The
+    others meet the reachability test (_Prefix.reaches_all), and one
+    that reaches every state is closed once, whatever number of options
+    it keeps.  A tuple whose closure is smaller than the best is then
+    dropped before any Moore refinement: sigma depends only on the
+    letters, and the shard's best never exceeds the maximum of the cell
+    (or of the budget's prefix of it), so no witness is lost.  A tuple
+    dropped by its bound is dropped by the same argument, since its sigma
+    is at most the bound, whether or not it reaches every state; so the
+    tuples closed are the same in either order.  Only the options of the
+    other tuples, those in keep for a leaf with its own list and every
+    option for the others, are tested for minimality, and only a minimal
+    one raises the best."""
     facts = _LetterFacts(space)
     pool, rank, finals_opts = facts.pool, facts.ranks, facts.options
     options = len(finals_opts)
@@ -856,23 +778,16 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
             len(kept) - options for kept in keep.values())
         if dead:
             continue
-        alive = finals_opts
-        if facts.left:
-            alive = up.admitted()
-            if not alive:
-                continue
         bounds = up.bounds
         for c in leaves:
-            if bounds[rank[c]] < best:
-                continue
-            finals = _in_class_finals(up, c, keep.get(c, alive), facts.left)
-            if not finals:
+            if bounds[rank[c]] < best or not up.reaches_all(c):
                 continue
             s = len(up.close(c))
             if s < best:
                 continue
             letters = up.gens + (pool[c],)
-            finals = _minimal_finals(letters, space.n, finals)
+            finals = _minimal_finals(letters, space.n,
+                                     keep.get(c, finals_opts))
             if not finals:
                 continue
             if s > best:
@@ -881,8 +796,7 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
     return best, wits, canonical
 
 
-def _run_cell(task: SearchTask, by_order: bool, shard: int,
-              shards: int) -> tuple:
+def _run_cell(task: SearchTask, shard: int, shards: int) -> tuple:
     """Search the cell's spaces (_chain) in turn under the root's
     children shard, shard + shards, ..., with one best so far: the best
     sigma with its witnesses, the canonical candidates seen and the size
@@ -890,7 +804,7 @@ def _run_cell(task: SearchTask, by_order: bool, shard: int,
     before it leave of the budget; a space it does not reach is never
     built."""
     best, wits, canonical, start = 0, [], 0, 0
-    for size, build in _chain(task, by_order):
+    for size, build in _chain(task):
         if start < task.budget:
             best, wits, seen = _run_shard(build(), task.k,
                                           task.budget - start, shard,
@@ -923,23 +837,17 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
     Every witness is re-verified (minimal, in class, sigma equal to the
     maximum) before the result is returned.
     """
-    return _search(task, _by_order(task))
-
-
-def _search(task: SearchTask, by_order: bool) -> SearchResult:
-    """search_max_sigma over the task's family space alone, or with
-    by_order one quotient order at a time (_chain)."""
     # one shard per worker; a shard left without heads returns an empty
     # part, so the clamp needs no pool and only the shards build one
     with _worker_map(task.jobs) as (jobs, run):
-        parts = list(run(_run_cell, repeat(task), repeat(by_order),
-                         range(jobs), repeat(jobs)))
+        parts = list(run(_run_cell, repeat(task), range(jobs), repeat(jobs)))
 
     best = max(p[0] for p in parts)
     raw = [w for p in parts if p[0] == best for w in p[1]]
-    if by_order:
+    if _FAMILIES[task.family][1]:
         # a witness of an order space is canonical under that order's
-        # relabelings, and may be met under several orders
+        # relabelings, and may be met under several orders (at n = 1 the
+        # family space's relabeling is the identity alone)
         raw = set(map(_least_relabeling, repeat(_relabelings(task)), raw))
     # a raw pair (letters, sorted finals) is its witness's sort_key
     witnesses = tuple(FoundWitness(tuple(map(_letter, letters)),

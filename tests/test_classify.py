@@ -8,7 +8,6 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import dfa, random_dfas
 from syncomp import (Dfa, Semiautomaton, SearchTask, SizeMismatchError,
@@ -21,8 +20,7 @@ from syncomp import (Dfa, Semiautomaton, SearchTask, SizeMismatchError,
                      two_sided_witness, uniformly_minimal,
                      verify_theorem9_pairing)
 from syncomp.classify import (_is_left_ideal, _is_right_ideal,
-                              _left_ideal_admits, _left_ideal_pairs,
-                              _left_ideal_relation, _left_ideal_walk,
+                              _left_ideal_pairs, _left_ideal_walk,
                               _right_ideal_walk)
 from syncomp.search import FoundWitness, _reverify
 
@@ -153,52 +151,6 @@ def test_ideal_walks_match_the_oracles(d):
     assert _is_right_ideal(md) == (nonempty and right)
     assert _is_left_ideal(md) == (nonempty and left)
     assert _walks(md) == (right, left)
-
-
-def _pairs_walked(rows, n, initial):
-    """The pairs of distinct states a plain walk reaches from the pairs
-    (initial, q), q != initial, as a set."""
-    seen = {(initial, q) for q in range(n) if q != initial}
-    stack = list(seen)
-    while stack:
-        p, q = stack.pop()
-        for g in rows:
-            if g[p] != g[q] and (g[p], g[q]) not in seen:
-                seen.add((g[p], g[q]))
-                stack.append((g[p], g[q]))
-    return seen
-
-
-@st.composite
-def letter_tuples(draw):
-    n = draw(st.integers(1, 6))
-    k = draw(st.integers(1, 4))
-    letter = st.tuples(*[st.integers(0, n - 1)] * n)
-    return n, tuple(draw(letter) for _ in range(k)), draw(st.integers(0, n - 1))
-
-
-@settings(deadline=None)
-@given(letter_tuples())
-def test_pair_relation_extends_the_relation_of_a_prefix(case):
-    # the relation of a letter tuple, built from the seeds, holds the pairs
-    # a plain walk reaches; its prefix's relation extended by the last
-    # letter is the same, and the prefix's is left unchanged.  The
-    # prefix's pairs are all in the tuple's, so every finals set the tuple
-    # admits its prefix admits: the search drops the options a prefix
-    # rejects from every tuple under it
-    n, rows, initial = case
-    need = _left_ideal_relation(rows, n, initial)
-    assert {(p, q) for p in range(n) for q in range(n)
-            if need[p] >> q & 1} == _pairs_walked(rows, n, initial)
-    base = _left_ideal_relation(rows[:-1], n, initial)
-    kept = list(base)
-    assert _left_ideal_relation(rows, n, initial, base) == need
-    assert base == kept
-    assert all(b & ~m == 0 for b, m in zip(base, need))
-    for mask in range(1 << n):
-        finals = frozenset(q for q in range(n) if mask >> q & 1)
-        assert not _left_ideal_admits(need, finals) or \
-            _left_ideal_admits(base, finals), finals
 
 
 def test_semantic_twins_determinize_nothing(monkeypatch):

@@ -1,11 +1,13 @@
 """Packaging claims: the library imports only the standard library, every
-public name is used, and every imported name is used."""
+public name is used, every private name is used in the library, and every
+imported name is used."""
 
 from __future__ import annotations
 
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import syncomp
@@ -82,4 +84,40 @@ def test_every_import_is_used():
                     f"{path.name}:{name}" for alias in node.names
                     if (name := alias.asname or alias.name.split(".")[0])
                     not in used)
+    assert unused == []
+
+
+
+def _references(tree: ast.AST) -> Counter:
+    """The names a syntax tree refers to, counted: as names, attributes and
+    imported names."""
+    return Counter(getattr(ref, "id", None) or getattr(ref, "attr", None)
+                   or ref.name for ref in ast.walk(tree)
+                   if isinstance(ref, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_private_name_is_used():
+    # a private module-level function, class or constant must be referenced
+    # somewhere in src outside the statement that defines it: by name, as
+    # an attribute or in an import.  Tests do not count, so code kept alive
+    # only by its tests fails here
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in Path(syncomp.__file__).parent.glob("*.py")}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", None)]
+            else:
+                continue
+            inside = _references(node)
+            unused.extend(f"{path.name}:{name}" for name in names
+                          if name and name.startswith("_")
+                          and not name.startswith("__")
+                          and everywhere[name] == inside[name])
     assert unused == []

@@ -51,6 +51,16 @@ def _preserving(n: int, leq: set[tuple[int, int]], sink: bool) -> int:
     ("two_sided", 2, 3, {2: 2}),
     ("two_sided", 3, 3, {6: 1}),
     ("two_sided", 4, 3, {25: 4, 20: 3}),
+    # two letters: save in two-sided (3,2), whose one order is the
+    # antichain, no witness lies under the antichain (11 maps in left
+    # (3,2), 67 in left (4,2), 25 in two-sided (4,2) and 150 in (5,2))
+    ("left", 3, 2, {10: 2}),
+    ("left", 4, 2, {35: 3}),
+    ("two_sided", 3, 2, {6: 1}),
+    ("two_sided", 4, 2, {20: 1}),
+    ("two_sided", 5, 2, {86: 1}),
+    pytest.param("left", 5, 2, {221: 9}, marks=pytest.mark.slow),
+    pytest.param("two_sided", 6, 2, {521: 1}, marks=pytest.mark.slow),
     pytest.param("left", 4, 3, {67: 63}, marks=pytest.mark.slow),
     pytest.param("left", 4, 4, {67: 2268}, marks=pytest.mark.slow),
     pytest.param("two_sided", 4, 4, {25: 64}, marks=pytest.mark.slow),

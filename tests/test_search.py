@@ -25,30 +25,17 @@ from syncomp import (SearchTask, Transformation, classify, minimize,
 from syncomp import search
 from syncomp.automata import _reachable
 from syncomp.classify import (_is_left_ideal, _is_right_ideal,
-                              _left_ideal_admits, _left_ideal_pairs,
-                              _left_ideal_walk)
-from syncomp.oracles import canonical_count
+                              _left_ideal_pairs, _orbit)
+from syncomp.oracles import canonical_count, word_bfs_sigma
 from syncomp.orders import quotient_orders
 from syncomp.semigroup import _closure, _encode
-from syncomp.search import _in_class_finals, _minimal_finals
+from syncomp.search import _minimal_finals
 
 
-def _skeleton_space(family: str, n: int):
-    """The family space of the family's n-state cells with every letter of
-    its skeleton in the pool: no lemma-8 filter."""
-    space = search._space(SearchTask(family, n, 1))
-    right = family in ("right", "two_sided")
-    return dataclasses.replace(space, pool=[
-        t for t in product(range(n), repeat=n) if not right or t[-1] == n - 1])
-
-
-def _spaces(task: SearchTask, by_order: bool | None = None) -> list:
+def _spaces(task: SearchTask) -> list:
     """The spaces of the task's cell in visit order, each built: those
-    search_max_sigma walks, or the family space alone where by_order is
-    False."""
-    if by_order is None:
-        by_order = search._by_order(task)
-    return [build() for _, build in search._chain(task, by_order)]
+    search_max_sigma walks."""
+    return [build() for _, build in search._chain(task)]
 
 
 def _canonical_count(task: SearchTask) -> int:
@@ -57,12 +44,24 @@ def _canonical_count(task: SearchTask) -> int:
     return sum(canonical_count(space, task.k) for space in _spaces(task))
 
 
-def _family_search(task: SearchTask):
-    """The search of the task's cell over its family space alone, as
-    left and two-sided cells with k >= 3 were searched before they were
-    searched one quotient order at a time: the walk's own pins are taken
-    on it."""
-    return search._search(task, False)
+@pytest.fixture
+def relabeled(monkeypatch):
+    """A function of the _LetterFacts a search builds: per relabeling of
+    its space, the pool index of each pool letter's image, each letter
+    conjugated directly (_conjugate)."""
+    tables = {}
+
+    class Recorded(search._LetterFacts):
+        __slots__ = ()
+
+        def __init__(self, space):
+            super().__init__(space)
+            index = {t: i for i, t in enumerate(space.pool)}
+            tables[id(self)] = [[index[_conjugate(g, t)] for t in space.pool]
+                                for g in space.relabelings]
+
+    monkeypatch.setattr(search, "_LetterFacts", Recorded)
+    return lambda facts: tables[id(facts)]
 
 # _cell_counts options: the pruned search, and the brute force over every
 # ordered candidate, which prunes nothing
@@ -141,15 +140,16 @@ def _cell_counts(family: str, n: int, k: int, prune: bool = True) -> tuple:
 
 @pytest.mark.parametrize("family, n, k, prune, expected", [
     ("right", 4, 3, PRUNED, (61, 324, 45760, 22708)),
-    ("left", 4, 2, PRUNED, (17, 3, 71071, 59008)),
-    # one quotient order at a time: two orders, and two of left (3,4)
+    # left and two-sided cells are searched one quotient order at a time:
+    # five orders in left (4,2), two in two-sided (4,3) and left (3,4)
+    ("left", 4, 2, PRUNED, (17, 3, 27_880, 16_040)),
     ("two_sided", 4, 3, PRUNED, (19, 7, 4465, 1420)),
     ("left", 3, 4, PRUNED, (11, 24, 4433, 1477)),
     ("all", 3, 2, PRUNED, (24, 108, 2268, 1116)),
     ("right", 4, 2, UNPRUNED, (31, 36, 4096, 0)),
     ("left", 3, 2, UNPRUNED, (7, 8, 2187, 0)),
     ("two_sided", 3, 3, UNPRUNED, (6, 6, 729, 0)),
-    ("two_sided", 5, 2, PRUNED, (31, 1, 111_628, 92_487)),
+    ("two_sided", 5, 2, PRUNED, (31, 1, 25_777, 12_793)),
 ])
 def test_cell_counts_are_pinned(family, n, k, prune, expected):
     # the witness count and the candidate counters change if the canonical
@@ -166,7 +166,7 @@ def test_cell_counts_are_pinned(family, n, k, prune, expected):
 @pytest.mark.parametrize("family, n, k, expected", [
     ("left", 4, 3, (34, 63, 527_132, 344_295)),
     ("two_sided", 4, 4, (23, 64, 29_330, 10_100)),
-    ("left", 5, 2, (59, 9, 18_474_975, 17_696_952)),
+    ("left", 5, 2, (59, 9, 4_695_277, 3_690_836)),
     ("two_sided", 4, 5, (25, 128, 161_259, 59_002)),
     ("two_sided", 5, 3, (73, 5, 997_612, 581_537)),
     ("left", 4, 4, (64, 2268, 8_079_404, 5_754_263)),
@@ -178,8 +178,8 @@ def test_frontier_cell_counts_are_pinned(family, n, k, expected):
     # left (5,2), two-sided (5,3) and left (5,3) are above the bundled 25,
     # 34, 47 and 65, two-sided (4,4) and (4,5) and left (4,4) equal the
     # bundled 23, 25 and 64, and two-sided (4,6) has none; k = 5 walks
-    # chains of four prefix nodes.  All but left (5,2) are searched one
-    # quotient order at a time
+    # chains of four prefix nodes.  All are searched one quotient order
+    # at a time
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     assert result.exhaustive
@@ -203,7 +203,7 @@ def test_budgeted_right_5_3_is_pinned():
 @pytest.mark.parametrize("family, n, k, budget, expected", [
     pytest.param("right", 6, 2, None, (1518, 120, 30_236_976, 28_956_366),
                  marks=pytest.mark.slow),
-    pytest.param("two_sided", 6, 2, None, (120, 1, 15_237_960, 14_589_099),
+    pytest.param("two_sided", 6, 2, None, (120, 1, 2_220_867, 1_484_134),
                  marks=pytest.mark.slow),
     ("right", 6, 2, 400_000, (1518, 4, 400_000, 317_609)),
 ])
@@ -222,14 +222,42 @@ def test_six_state_cells_are_pinned(family, n, k, budget, expected):
             result.candidates_examined - result.candidates_pruned
 
 
-@pytest.mark.parametrize("family, n, k, expected", [
-    ("right", 7, 2, (41, 1, 100_000, 98_760)),
-    ("two_sided", 7, 2, (65, 1, 100_000, 94_581)),
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n, k, budget, expected", [
+    ("two_sided", 7, 2, None, (324, 1, 311_127_048, 246_195_296)),
+    # the default budget, 10^9, ends inside the first (antichain) order
+    ("left", 6, 2, 2_000_000_000, (166, 13, 1_311_058_122, 1_188_784_470)),
 ])
-def test_seven_state_budget_prefixes_are_pinned(family, n, k, expected):
-    # the first 100,000 candidates of the n = 7 cells, whose pools hold
-    # 117,649 and 79,144 letters under 120 relabelings
-    result = search_max_sigma(SearchTask(family, n, k, budget=100_000))
+def test_two_letter_cells_searched_by_order_are_pinned(family, n, k, budget,
+                                                       expected):
+    # k = 2 cells whose whole candidate order fits a budget once they are
+    # searched one quotient order at a time: two-sided (7,2) over 63
+    # orders (3.1e9 candidates over its family space) and left (6,2) over
+    # 63 (7.2e9).  Two-sided (7,2)'s witness is confirmed by the word BFS
+    # oracle
+    task = SearchTask(family, n, k, **({"budget": budget} if budget else {}))
+    result = search_max_sigma(task)
+    assert result.exhaustive
+    assert (result.max_sigma, len(result.witnesses),
+            result.candidates_examined, result.candidates_pruned) == expected
+    assert _canonical_count(task) == \
+        result.candidates_examined - result.candidates_pruned
+    if family == "two_sided":
+        assert word_bfs_sigma(result.witnesses[0].as_dfa()) == 324
+
+
+@pytest.mark.parametrize("family, n, k, budget, expected", [
+    ("right", 7, 2, 100_000, (41, 1, 100_000, 98_760)),
+    # the antichain order comes first, and its first 5,000,000 candidates
+    # hold no minimal two-sided ideal
+    ("two_sided", 7, 2, 10_000_000, (41, 16, 10_000_000, 9_288_045)),
+], ids=["right-7-2-expected0", "two_sided-7-2-expected1"])
+def test_seven_state_budget_prefixes_are_pinned(family, n, k, budget,
+                                                expected):
+    # budget prefixes of the n = 7 cells: right (7,2)'s pool holds 117,649
+    # letters under 120 relabelings, and the first order of two-sided
+    # (7,2) 16,968 under 120
+    result = search_max_sigma(SearchTask(family, n, k, budget=budget))
     assert not result.exhaustive
     assert (result.max_sigma, len(result.witnesses),
             result.candidates_examined, result.candidates_pruned) == expected
@@ -257,12 +285,13 @@ def test_seven_state_search_stays_small():
 
 @pytest.mark.parametrize("family, n, k, expected", [
     ("right", 6, 2, 1_280_610),
-    ("two_sided", 6, 2, 648_861),
-    # over its orders; its family space alone holds 20,623,533
+    # over their orders; their family spaces alone hold 648,861 and
+    # 20,623,533
+    ("two_sided", 6, 2, 736_733),
     ("left", 4, 4, 2_325_141),
-], ids=["right-6-2-1280610", "two_sided-6-2-648861",
+], ids=["right-6-2-1280610",
         # named as first pinned, over the family space
-        "left-4-4-20623533"])
+        "two_sided-6-2-648861", "left-4-4-20623533"])
 def test_canonical_count_of_minute_scale_cells(family, n, k, expected):
     # examined - pruned of exhaustive runs that take seconds to minutes
     # (ROADMAP "Measurements")
@@ -520,55 +549,22 @@ def test_search_minimality_test_agrees_with_minimize():
     # the search's tuple-level filters share minimize's refinement but test
     # reachability once per letter tuple, as search calls them: the first
     # letter's prefix node and the second letter's pool index, all six
-    # finals options at once; cover minimal and non-minimal DFAs alike.
-    # With the left-ideal test on, the pair relation also sees reachable
-    # automata that are not minimal, before the refinement drops them
+    # finals options at once; cover minimal and non-minimal DFAs alike
     sweep = binary_3_sweep()
     options = [d.finals for d in sweep[:6]]
     facts = search._LetterFacts(search._space(SearchTask("all", 3, 2)))
     index = {g: c for c, g in enumerate(facts.pool)}
-    for left_ideal, count in ((False, 2056), (True, 70)):
-        kept = 0
-        for i in range(0, len(sweep), 6):
-            group = sweep[i:i + 6]
-            gens = tuple(group[0].delta[a].images for a in group[0].alphabet)
-            assert [d.finals for d in group] == options
-            expected = [d.finals for d in group if minimize(d).n == 3
-                        and (not left_ideal or classify(d).is_left_ideal)]
-            up = _node(facts, [index[gens[0]]])
-            assert _minimal_finals(gens, 3, _in_class_finals(
-                up, index[gens[1]], options, left_ideal)) == \
-                expected, (gens, left_ideal)
-            kept += len(expected)
-        assert kept == count, left_ideal
-
-
-@pytest.mark.parametrize("family, n, k, tuples, ideals", [
-    ("left", 3, 3, 15_930, 4_266),
-    ("two_sided", 3, 3, 457, 157),
-    ("left", 2, 3, 56, 19),
-])
-def test_pair_relation_verdict_agrees_with_the_walk(family, n, k, tuples,
-                                                    ideals):
-    # every letter tuple over the skeleton's letters, lemma 8 aside, that
-    # reaches every state, its pair relation extended letter by letter
-    # through prefix nodes as the search does, then tested per finals
-    # option of the family by one bitmask check, against classify's
-    # semantic walk of L = Σ*L
-    facts = search._LetterFacts(_skeleton_space(family, n))
-    options = facts.options
-    reachable = passed = 0
-    for idx in product(range(len(facts.pool)), repeat=k):
-        gens = tuple(facts.pool[c] for c in idx)
-        if len(_reachable(gens, 0)) < n:
-            continue
-        need = _node(facts, idx[:-1]).pairs(idx[-1])
-        for f in options:
-            verdict = _left_ideal_admits(need, f)
-            assert verdict == _left_ideal_walk(gens, n, 0, f), (gens, f)
-            passed += verdict
-        reachable += 1
-    assert (reachable, passed) == (tuples, ideals)
+    kept = 0
+    for i in range(0, len(sweep), 6):
+        group = sweep[i:i + 6]
+        gens = tuple(group[0].delta[a].images for a in group[0].alphabet)
+        assert [d.finals for d in group] == options
+        expected = [d.finals for d in group if minimize(d).n == 3]
+        up = _node(facts, [index[gens[0]]])
+        reached = options if up.reaches_all(index[gens[1]]) else []
+        assert _minimal_finals(gens, 3, reached) == expected, gens
+        kept += len(expected)
+    assert kept == 2056
 
 
 # ---------------------------------------------------------------------------
@@ -609,28 +605,36 @@ def test_budget_is_the_same_prefix_at_any_job_count(monkeypatch):
     ("right", 5, 2, 500, (500, 400, 19, 1)),
     ("right", 5, 2, 1500, (1500, 747, 52, 2)),
     ("right", 5, 2, 5000, (5000, 2629, 167, 4)),
-    ("left", 4, 2, 2500, (2500, 1341, 14, 6)),
-    ("left", 4, 2, 3000, (3000, 1812, 14, 6)),
+    # named as first pinned, with budgets in the family space's order
+    pytest.param("left", 4, 2, 4100, (4100, 2442, 6, 4),
+                 id="left-4-2-2500-expected4"),
+    pytest.param("left", 4, 2, 21_300, (21_300, 13_576, 15, 5),
+                 id="left-4-2-3000-expected5"),
     ("right", 4, 3, 280, (280, 61, 24, 3)),
     ("right", 4, 3, 6140, (6140, 1157, 61, 72)),
-    ("two_sided", 4, 3, 220, (220, 43, 14, 1)),
-    ("two_sided", 4, 3, 4050, (4050, 777, 19, 7)),
+    pytest.param("two_sided", 4, 3, 100, (100, 19, 11, 2),
+                 id="two_sided-4-3-220-expected8"),
+    pytest.param("two_sided", 4, 3, 930, (930, 201, 19, 4),
+                 id="two_sided-4-3-4050-expected9"),
 ])
 def test_head_skipping_keeps_budgeted_counts(monkeypatch, jobs, family, n, k,
                                              budget, expected):
     # examined, pruned, max sigma and witness count of a budget prefix.
-    # Budgets 1500 and 2500 end inside the candidates of pool head 2, which
-    # a relabeling maps lower ((0,0,0,2,4) and (0,0,0,2), candidates
-    # 1249-1871 and 1981-2960), so the skip must count a partial head.
-    # The (4,3) budgets end inside the candidates of a two-letter prefix
-    # that a relabeling maps lower under a head it does not: pool indices
-    # (0, 4) and (3, 4), candidates 250-309 and 6110-6169 in right (4,3),
-    # 202-249 and 4028-4075 in two-sided (4,3), under heads of shards 0
-    # and 1.  Their expected values come from a search that skipped heads
-    # only, so they do not rest on the prefix walk.
+    # The right (5,2) budget 1500 ends inside the candidates of pool head
+    # 2, which a relabeling maps lower ((0,0,0,2,4), candidates
+    # 1249-1871), so the skip must count a partial head; so do the left
+    # (4,2) budgets, inside root child 9 of the first order (candidates
+    # 3969-4374) and root child 8 of the third (21214-21341).  The (4,3)
+    # budgets end inside the candidates of a two-letter prefix that a
+    # relabeling maps lower under a head it does not: pool indices (0, 4)
+    # and (3, 4), candidates 250-309 and 6110-6169 in right (4,3), 94-114
+    # and 923-943 in the first order of two-sided (4,3), under heads of
+    # shards 0 and 1.  Their expected values come from enumerating every
+    # candidate of the order up to the budget and deciding the canonical
+    # ones in full, so they do not rest on the prefix walk.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    result = _family_search(SearchTask(family, n, k, budget=budget,
-                                       jobs=jobs))
+    result = search_max_sigma(SearchTask(family, n, k, budget=budget,
+                                         jobs=jobs))
     assert (result.candidates_examined, result.candidates_pruned,
             result.max_sigma, len(result.witnesses)) == expected
     assert not result.exhaustive
@@ -665,40 +669,40 @@ def _relabeled(task: SearchTask) -> list[list[int]]:
 
 @pytest.mark.parametrize("family, n, k, tested", [
     ("right", 4, 3, 25_298),
-    ("two_sided", 4, 3, 13_602),
-    ("left", 4, 2, 3_031),
+    # named as first pinned, over the family space
+    pytest.param("two_sided", 4, 3, 3_249, id="two_sided-4-3-13602"),
+    pytest.param("left", 4, 2, 3_250, id="left-4-2-3031"),
     ("right", 3, 4, None),
 ])
 def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
-                                                          family, n, k,
-                                                          tested):
+                                                          relabeled, family,
+                                                          n, k, tested):
     # a proper prefix some relabeling maps lower is stepped over whole,
     # before the canonical test sees any child of it; tested counts the
     # tuples that reach the test as leaves, under prefixes of k - 1
-    # letters.  A node's meet holds exactly the identity and the
-    # relabelings that take a letter of its prefix to its first letter.
-    # Both are checked against every relabeling, each letter conjugated
-    # directly
+    # letters, over the cell's spaces.  A node's meet holds exactly the
+    # identity and the relabelings that take a letter of its prefix to
+    # its first letter.  Both are checked against every relabeling of the
+    # node's space, each letter conjugated directly
     task = SearchTask(family, n, k)
-    relabeled = _relabeled(task)
     real = search._canonical_children
     seen = []
 
     def checked(node, kids):
-        idx = node.idx
+        idx, group = node.idx, relabeled(node.facts)
         for d in range(1, len(idx) + 1):
             prefix = idx[:d]
             assert all(tuple(sorted(g[i] for i in prefix)) >= prefix
-                       for g in relabeled), idx
+                       for g in group), idx
         assert node.meet == tuple(
-            a for a, g in enumerate(relabeled)
+            a for a, g in enumerate(group)
             if a == 0 or idx and idx[0] in (g[i] for i in idx)), idx
         if len(idx) == k - 1:
             seen.extend(idx + (c,) for c in kids)
         return real(node, kids)
 
     monkeypatch.setattr(search, "_canonical_children", checked)
-    result = _family_search(task)
+    result = search_max_sigma(task)
     assert seen and result.exhaustive
     assert tested is None or len(seen) == tested
 
@@ -706,42 +710,44 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
 @pytest.mark.parametrize("family, n, k, met", [
     ("right", 5, 2, 23_374),
     ("all", 3, 3, 741),
-    ("left", 3, 4, 1_166),
+    # named as first pinned, over the family space
+    pytest.param("left", 3, 4, 298, id="left-3-4-1166"),
     ("right", 4, 3, 5_104),
-    ("two_sided", 4, 3, 3_214),
-    ("left", 4, 2, 2_337),
+    pytest.param("two_sided", 4, 3, 564, id="two_sided-4-3-3214"),
+    pytest.param("left", 4, 2, 1_069, id="left-4-2-2337"),
     ("right", 3, 3, 0),
     ("all", 2, 3, 0),
 ])
 def test_leaves_meet_only_relabelings_onto_the_first_letter(
-        monkeypatch, family, n, k, met):
+        monkeypatch, relabeled, family, n, k, met):
     # a leaf t = idx + (c,) whose last letter's orbit reaches below t0 is
     # dropped by the orbit filter, and meets no relabeling.  Any other
     # meets those of node.meet and, for c in t0's orbit, those taking c
     # to t0, the identity aside.  met counts these (leaf, relabeling)
-    # pairs over the leaves under prefixes of k - 1 letters; they are
-    # recounted as the relabelings that take some letter of t to t0,
-    # each letter conjugated directly
+    # pairs over the leaves under prefixes of k - 1 letters, over the
+    # cell's spaces; they are recounted as the relabelings of the leaf's
+    # space that take some letter of t to t0, each letter conjugated
+    # directly
     task = SearchTask(family, n, k)
-    relabeled = _relabeled(task)
     real = search._canonical_children
     walked = recounted = 0
 
     def counted(node, kids):
         nonlocal walked, recounted
         idx, orbits = node.idx, node.facts.orbits
+        group = relabeled(node.facts)
         if len(idx) == k - 1:
             p0 = idx[0]
             for c in kids:
                 least = orbits.least[c]
-                assert least == min(g[c] for g in relabeled)
+                assert least == min(g[c] for g in group)
                 if least < p0:
                     continue
                 meets = set(node.meet)
                 if least == p0:
                     meets.update(orbits.sending(c))
                 meets.discard(0)
-                expected = {a for a, g in enumerate(relabeled)
+                expected = {a for a, g in enumerate(group)
                             if a and p0 in (g[i] for i in idx + (c,))}
                 assert meets == expected, (idx, c)
                 walked += len(meets)
@@ -749,7 +755,7 @@ def test_leaves_meet_only_relabelings_onto_the_first_letter(
         return real(node, kids)
 
     monkeypatch.setattr(search, "_canonical_children", counted)
-    _family_search(task)
+    search_max_sigma(task)
     assert walked == recounted == met
 
 
@@ -821,24 +827,61 @@ def test_canonical_count_matches_the_search(family, n, k):
 
 
 # ---------------------------------------------------------------------------
-# left and two-sided cells with k >= 3, one quotient order at a time
+# left and two-sided cells, one quotient order at a time
+
+
+# (max sigma, witness count, least and greatest witness key) of cells too
+# long for a reference that decides every candidate: those the walk over
+# the family's space found, with a left-ideal test per tuple, before
+# these cells were searched one quotient order at a time
+_FAMILY_SPACE_WITNESSES = {
+    ("left", 4, 3): (
+        34, 63, (((0, 0, 1, 3), (0, 2, 3, 1), (1, 1, 1, 1)), (1,)),
+        (((0, 0, 3, 2), (0, 2, 3, 1), (3, 3, 3, 3)), (3,))),
+    ("left", 4, 4): (
+        64, 2268,
+        (((0, 0, 1, 2), (0, 1, 1, 2), (0, 2, 3, 1), (1, 1, 1, 1)), (1,)),
+        (((0, 0, 3, 2), (0, 2, 3, 1), (0, 3, 3, 2), (3, 3, 3, 3)), (3,))),
+    ("two_sided", 4, 4): (
+        23, 64,
+        (((0, 0, 1, 3), (0, 1, 3, 3), (0, 2, 1, 3), (1, 1, 1, 3)), (3,)),
+        (((0, 0, 2, 3), (0, 2, 1, 3), (0, 3, 2, 3), (2, 3, 3, 3)), (3,))),
+    ("two_sided", 4, 5): (
+        25, 128,
+        (((0, 0, 1, 3), (0, 1, 1, 3), (0, 1, 3, 3), (0, 2, 1, 3),
+          (1, 1, 1, 3)), (3,)),
+        (((0, 0, 2, 3), (0, 2, 1, 3), (0, 2, 2, 3), (0, 3, 2, 3),
+          (2, 3, 3, 3)), (3,))),
+    ("two_sided", 5, 3): (
+        73, 5, (((0, 0, 1, 2, 4), (0, 2, 3, 2, 4), (1, 3, 3, 4, 4)), (4,)),
+        (((0, 0, 1, 3, 4), (0, 3, 4, 2, 4), (1, 2, 2, 2, 4)), (4,))),
+    ("left", 5, 2): (
+        59, 9, (((0, 0, 1, 2, 4), (1, 3, 4, 3, 3)), (1, 2, 3, 4)),
+        (((0, 0, 1, 2, 4), (1, 3, 4, 3, 3)), (4,))),
+    ("two_sided", 6, 2): (
+        120, 1, (((0, 0, 1, 2, 3, 5), (1, 4, 3, 5, 4, 5)), (5,)),
+        (((0, 0, 1, 2, 3, 5), (1, 4, 3, 5, 4, 5)), (5,))),
+}
 
 
 @pytest.mark.parametrize("family, n, k", [
     *((family, n, 3) for family in ("left", "two_sided") for n in (1, 2, 3)),
-    ("two_sided", 4, 3), ("left", 3, 4),
-    *(pytest.param(*cell, marks=pytest.mark.slow) for cell in (
-        ("left", 4, 3), ("left", 4, 4), ("two_sided", 4, 4),
-        ("two_sided", 4, 5), ("two_sided", 5, 3))),
+    ("two_sided", 4, 3), ("left", 3, 4), ("two_sided", 4, 2), ("left", 4, 2),
+    *(pytest.param(*cell, marks=pytest.mark.slow)
+      for cell in _FAMILY_SPACE_WITNESSES),
 ])
 def test_order_spaces_find_what_the_family_space_finds(family, n, k):
-    # the same walk over the family space alone: the same maximum and the
-    # same witnesses, each the least relabeling of its orbit
-    task = SearchTask(family, n, k)
-    by_order, whole = search_max_sigma(task), _family_search(task)
-    assert by_order.exhaustive and whole.exhaustive
-    assert (by_order.max_sigma, by_order.witnesses) == \
-        (whole.max_sigma, whole.witnesses)
+    # the same maximum and the same witnesses, each the least relabeling
+    # of its orbit, as deciding every candidate of the family's space in
+    # full (_reference), or as the pins of the longer cells
+    result = search_max_sigma(SearchTask(family, n, k))
+    assert result.exhaustive
+    keys = [w.sort_key() for w in result.witnesses]
+    if (family, n, k) in _FAMILY_SPACE_WITNESSES:
+        assert (result.max_sigma, len(keys), keys[0], keys[-1]) == \
+            _FAMILY_SPACE_WITNESSES[family, n, k]
+    else:
+        assert (result.max_sigma, tuple(keys)) == _reference(family, n, k)
 
 
 def _end_brute(n: int, leq: set, top: bool) -> list[tuple[int, ...]]:
@@ -936,7 +979,7 @@ def test_order_spaces_count_the_orbits_of_labelled_orders(family, n, k):
                      tuple(sorted(g[q] for q in finals))) for g in group))
     task = SearchTask(family, n, k)
     assert sum(canonical_count(space, k)
-               for space in _spaces(task, True)) == len(minima)
+               for space in _spaces(task)) == len(minima)
 
 
 def test_tuples_before_a_child_match_enumeration():
@@ -955,14 +998,14 @@ def test_tuples_before_a_child_match_enumeration():
                         == sum(h < c for h in heads), (letters, more, first, c)
 
 
-def _stream_positions(task: SearchTask, by_order: bool) -> tuple:
+def _stream_positions(task: SearchTask) -> tuple:
     """The positions in the candidate order (the spaces in turn, in each
     sorted letter tuples of pool indices, then finals) of the canonical
     candidates _stream yields, sorted, the (start, options) of the letter
     tuples that it keeps with some but not all of their space's options,
     and the size of the whole order."""
     positions, partial, offset = [], [], 0
-    for space in _spaces(task, by_order):
+    for space in _spaces(task):
         pool, opts = space.pool, space.options
         index = {g: i for i, g in enumerate(pool)}
         option = {tuple(sorted(f)): i for i, f in enumerate(opts)}
@@ -991,34 +1034,44 @@ def test_budgeted_canonical_counts_match_the_stream(serial_pool, jobs,
     # the budget, counted by their positions in the unbudgeted stream.
     # In left and all cells with n = 3, the only ones with both a
     # relabeling and more than one option, some budgets cut a leaf that a
-    # relabeling fixes, which keeps only part of its options.  A cell
-    # searched one quotient order at a time is run both ways: its family
-    # space alone, and its chain of order spaces, where a budget cuts
-    # across the chain
+    # relabeling fixes, which keeps only part of its options.  In a cell
+    # searched one quotient order at a time a budget cuts across the
+    # chain of order spaces
     task = SearchTask(family, n, k)
-    for by_order in {False, search._by_order(task)}:
-        positions, partial, total = _stream_positions(task, by_order)
-        step = 7 if total <= 500 else 49 if total <= 3000 else 427
-        cuts = 0
-        for budget in range(1, total + step, step):
-            result = search._search(SearchTask(family, n, k, budget=budget,
-                                               jobs=jobs), by_order)
-            assert result.candidates_examined == min(budget, total)
-            assert result.exhaustive == (budget >= total)
-            assert result.candidates_examined - result.candidates_pruned \
-                == bisect_left(positions, budget), (by_order, budget)
-            cuts += any(s < budget < s + m for s, m in partial)
-        assert (cuts > 0) == (family in ("left", "all") and n == 3), cuts
+    positions, partial, total = _stream_positions(task)
+    step = 7 if total <= 500 else 49 if total <= 3000 else 427
+    cuts = 0
+    for budget in range(1, total + step, step):
+        result = search_max_sigma(SearchTask(family, n, k, budget=budget,
+                                             jobs=jobs))
+        assert result.candidates_examined == min(budget, total)
+        assert result.exhaustive == (budget >= total)
+        assert result.candidates_examined - result.candidates_pruned \
+            == bisect_left(positions, budget), budget
+        cuts += any(s < budget < s + m for s, m in partial)
+    assert (cuts > 0) == (family in ("left", "all") and n == 3), cuts
+
+
+def _lemma8_space(task: SearchTask):
+    """The family space of the task's cell, its pool cut by lemma 8 in
+    left and two-sided cells: only a letter whose orbit of state 0 ends
+    in a fixed point acts in the semigroup of a left ideal."""
+    space = search._space(task)
+    if not search._FAMILIES[task.family][1]:
+        return space
+    return dataclasses.replace(space, pool=[
+        t for t in space.pool if _orbit(t, 0)[2] == 1])
 
 
 @functools.cache
 def _reference(family: str, n: int, k: int) -> tuple:
     """The maximum sigma and the sorted witness keys of a cell, over every
-    candidate the prefix walk yields: minimality decided by minimize, class
-    by classify, sigma by transition_semigroup, none of them inherited or
-    bounded."""
+    candidate the prefix walk yields on the family's space with lemma 8
+    cutting its pool (_lemma8_space), not one quotient order at a time:
+    minimality decided by minimize, class by classify, sigma by
+    transition_semigroup, none of them inherited or bounded."""
     best, witnesses = 0, []
-    for letters, finals in _stream(search._space(SearchTask(family, n, k)),
+    for letters, finals in _stream(_lemma8_space(SearchTask(family, n, k)),
                                    k):
         d = dfa(letters, finals)
         sigma = transition_semigroup(d).sigma
@@ -1113,11 +1166,11 @@ def test_search_matches_a_reference_over_every_candidate(serial_pool, jobs,
 
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 2)])
 def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
-    # every letter tuple over the skeleton's letters, lemma 8 aside, its
-    # ranks handed down through prefix nodes as the search does, against
-    # the size of its closure by the plain BFS.  Prefix nodes with the
-    # same sorted ranks hold one bounds list, not equal copies
-    facts = search._LetterFacts(_skeleton_space(family, n))
+    # every letter tuple over the skeleton's letters, its ranks handed
+    # down through prefix nodes as the search does, against the size of
+    # its closure by the plain BFS.  Prefix nodes with the same sorted
+    # ranks hold one bounds list, not equal copies
+    facts = search._LetterFacts(search._space(SearchTask(family, n, k)))
     e = int(family in ("right", "two_sided"))
     rows = {}  # sorted ranks -> the bounds of the first node with them
     for idx in product(range(len(facts.pool)), repeat=k):
@@ -1186,12 +1239,12 @@ def test_rank_strata_add_up(n, e):
 
 @pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
 def test_reach_masks_agree_with_the_walk(family, n, k):
-    # every letter tuple over the skeleton's letters, lemma 8 aside, its
-    # reached states handed down through prefix nodes as the search builds
-    # them: each node's mask holds the states automata._reachable finds
+    # every letter tuple over the skeleton's letters, its reached states
+    # handed down through prefix nodes as the search builds them: each
+    # node's mask holds the states automata._reachable finds
     # from 0, and a tuple's reachability test by its last letter's pool
     # index passes iff that walk reaches every state
-    facts = search._LetterFacts(_skeleton_space(family, n))
+    facts = search._LetterFacts(search._space(SearchTask(family, n, k)))
     root = search._Prefix.root(facts)
     assert root.reach == 1
     nodes = {(): root}
@@ -1224,39 +1277,30 @@ def test_mask_table_entries_are_image_sets(n):
 @pytest.mark.parametrize("family, n, k", [*_SMALL_CELLS, ("right", 4, 3),
                                           ("left", 3, 4)])
 def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
-    # the letter-level filter spreads a prefix's reached states and extends
-    # its pair relation: it must keep the same finals as the plain walk
-    # (automata._reachable) and the pair relation built afresh
-    # (classify._left_ideal_pairs) of the whole tuple.  Replaying the
-    # walks of the cell's spaces in turn, their tuples in order: every
-    # tuple of a space whose cap is below the best sigma so far meets no
-    # letter test and is not closed (in left (3,4), the order with 10
-    # maps after the best reached 11).  In left and two-sided family
-    # spaces a tuple whose
-    # prefix admits no finals option meets no letter test and is not
-    # closed, and the whole tuple admits none either.  A tuple whose rank
-    # bound is below the best sigma so far meets no letter test and is not
+    # the reachability test spreads a prefix's reached states: it must
+    # give the verdict of the plain walk (automata._reachable) of the
+    # whole tuple.  Replaying the walks of the cell's spaces in turn,
+    # their tuples in order: every tuple of a space whose cap is below the
+    # best sigma so far meets no test and is not closed (in left (3,4),
+    # the order with 10 maps after the best reached 11).  A tuple whose
+    # rank bound is below the best sigma so far meets no test and is not
     # closed, and its closure is below that best; every other one meets
-    # the letter tests.  They are handed the options its prefix admits, or
-    # a fixed or budget-cut leaf's whole kept list, which may hold options
-    # the prefix rejects, and keep the finals of its kept list that the
-    # fresh verdict keeps; if they keep an option it is closed once, right
-    # after them.  The Moore refinement then runs on every kept option of
-    # a closed tuple if its closure reaches the best so far, and on
-    # nothing else
-    real_filter, real_extend, real_moore = (
-        search._in_class_finals, search._extend, search._moore_classes)
+    # the reachability test, and is closed once, right after it, if it
+    # reaches every state.  In left and two-sided cells such a tuple is a
+    # left ideal with every option of its space (classify._left_ideal_pairs
+    # built afresh), so no left-ideal test is needed.  The Moore
+    # refinement then runs on every option of a closed tuple's kept list
+    # if its closure reaches the best so far, and on nothing else
+    real_reach, real_extend, real_moore = (
+        search._Prefix.reaches_all, search._extend, search._moore_classes)
     calls = []
 
-    def compared(up, c, options, left_ideal):
-        kept = real_filter(up, c, options, left_ideal)
+    def compared(up, c):
+        reached = real_reach(up, c)
         gens = up.gens + (up.facts.pool[c],)
-        expected = [] if len(_reachable(gens, 0)) < n else [
-            f for f in options
-            if not left_ideal or _left_ideal_pairs(gens, n, 0, f)]
-        assert kept == expected, gens
-        calls.append(("tested", gens, kept))
-        return kept
+        assert reached == (len(_reachable(gens, 0)) == n), gens
+        calls.append(("tested", gens, reached))
+        return reached
 
     def recorded(codes, n_, base):
         elements = real_extend(codes, n_, base)
@@ -1269,11 +1313,12 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
         calls.append(("moore", gens, finals, max(classes) == n - 1))
         return classes
 
-    monkeypatch.setattr(search, "_in_class_finals", compared)
+    monkeypatch.setattr(search._Prefix, "reaches_all", compared)
     monkeypatch.setattr(search, "_extend", recorded)
     monkeypatch.setattr(search, "_moore_classes", refined)
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
+    left = search._FAMILIES[family][1]
     best, at, dead = 0, 0, 0
     for space in _spaces(task):
         facts = search._LetterFacts(space)
@@ -1284,39 +1329,28 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
         if space.cap < best:
             dead += 1
             continue
-
-        @functools.cache
-        def admits_any(gens):
-            return any(_left_ideal_pairs(gens, n, 0, f)
-                       for f in facts.options)
-
-        left = space.left
         for prefix, last, options in walked:
             gens = prefix + (last,)
-            if left and not admits_any(prefix):
-                assert not admits_any(gens), gens
-                continue
             if search._rank_bound(n, space.sink,
                                   tuple(len(set(g)) for g in gens)) < best:
                 codes = [_encode(g) for g in gens]
                 assert len(_closure(codes, n, None)[0]) < best, gens
                 continue
             assert calls[at][:2] == ("tested", gens), (calls[at], gens)
-            kept = calls[at][2]
-            assert kept == ([] if len(_reachable(gens, 0)) < n else [
-                f for f in options
-                if not left or _left_ideal_pairs(gens, n, 0, f)]), gens
+            reached = calls[at][2]
             at += 1
-            if not kept:
+            if not reached:
                 continue
+            assert not left or all(_left_ideal_pairs(gens, n, 0, f)
+                                   for f in facts.options), gens
             closed = calls[at]
             at += 1
             assert closed[:2] == ("closed", tuple(map(_encode, gens))), gens
             if closed[2] >= best:
-                refinements = calls[at:at + len(kept)]
+                refinements = calls[at:at + len(options)]
                 assert [c[:3] for c in refinements] == \
-                    [("moore", gens, f) for f in kept], gens
-                at += len(kept)
+                    [("moore", gens, f) for f in options], gens
+                at += len(options)
                 if any(c[3] for c in refinements):
                     best = closed[2]
     assert at == len(calls)
@@ -1324,55 +1358,17 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     assert dead == ((family, n, k) == ("left", 3, 4))
 
 
-@pytest.mark.parametrize("family, n, k", [
-    *((family, n, k) for family, n, k in _SMALL_CELLS
-      if family in ("left", "two_sided")),
-    ("two_sided", 4, 3),
-])
-def test_each_prefix_admits_the_finals_its_relation_admits(monkeypatch,
-                                                           family, n, k):
-    # every node the walk makes, the root included, admits the finals
-    # options that the pair relation of its prefix, built afresh
-    # (classify._left_ideal_pairs), admits: its parent's, cut by its own
-    # relation, equal its own verdict since its relation holds its
-    # parent's.  A node whose parent admits none decides no relation
-    made = []
-
-    class Recorded(search._Prefix):
-        __slots__ = ()
-
-        def __init__(self, up, c):
-            super().__init__(up, c)
-            made.append(self)
-
-        @classmethod
-        def root(cls, facts):
-            made.append(super().root(facts))
-            return made[-1]
-
-    monkeypatch.setattr(search, "_Prefix", Recorded)
-    task = SearchTask(family, n, k)
-    facts = search._LetterFacts(search._space(task))
-    for _ in search._walk(facts, k, task.budget, 0, 1):
-        pass
-    assert made[0].admitted() == facts.options
-    for node in made:  # every parent before its children
-        dead = node.up is not None and not node.up.admitted()
-        assert node.admitted() == [f for f in facts.options
-                                   if _left_ideal_pairs(node.gens, n, 0, f)]
-        assert not dead or node._need is None, node.idx
-
-
 @pytest.mark.parametrize("family, n, k, tuples, tested",
                          [("right", 5, 2, 33_285, 8_043),
                           ("right", 4, 3, 23_052, 4_952),
-                          ("two_sided", 4, 3, 12_550, 6_593),
-                          ("left", 4, 2, 1_767, 1_441),
-                          ("left", 3, 4, 2_465, 1_901),
-                          ("two_sided", 5, 2, 19_141, 13_310)],
+                          ("two_sided", 4, 3, 3_045, 2_432),
+                          ("left", 4, 2, 2_666, 1_968),
+                          ("left", 3, 4, 1_240, 478),
+                          ("two_sided", 5, 2, 12_984, 9_129)],
                          # each case keeps the name it was first pinned
                          # under, which also gives its count under an
-                         # earlier, looser rank bound
+                         # earlier, looser rank bound, and for left and
+                         # two-sided cells over the family space
                          ids=["right-5-2-33285-8416", "right-4-3-23052-10657",
                               "two_sided-4-3-12550-6780",
                               "left-4-2-1767-1525", "left-3-4-2465-1980",
@@ -1380,12 +1376,10 @@ def test_each_prefix_admits_the_finals_its_relation_admits(monkeypatch,
 def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
                                             tuples, tested):
     # the canonical letter tuples the walk yields, counted over the leaves
-    # of its batches, and those that meet the letter tests
-    # (_in_class_finals) at jobs=1: only the tuples whose rank bound
-    # reaches the best sigma so far and, in left and two-sided cells,
-    # whose prefix admits some finals option.  In left (3,4) the prefix
-    # filter rules out 485 and the rank bound 79 more
-    real_walk, real_filter = search._walk, search._in_class_finals
+    # of its batches, and those that meet the reachability test
+    # (_Prefix.reaches_all) at jobs=1: only the tuples whose rank bound
+    # reaches the best sigma so far, in a space whose cap reaches it
+    real_walk, real_reach = search._walk, search._Prefix.reaches_all
     walked, seen = [], []
 
     def counted_walk(*args):
@@ -1393,33 +1387,39 @@ def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
             walked.extend(batch[1])
             yield batch
 
-    def counted_filter(up, c, *args):
+    def counted_reach(up, c):
         seen.append(up.idx + (c,))
-        return real_filter(up, c, *args)
+        return real_reach(up, c)
 
     monkeypatch.setattr(search, "_walk", counted_walk)
-    monkeypatch.setattr(search, "_in_class_finals", counted_filter)
-    _family_search(SearchTask(family, n, k))
+    monkeypatch.setattr(search._Prefix, "reaches_all", counted_reach)
+    task = SearchTask(family, n, k)
+    search_max_sigma(task)
     assert (len(walked), len(seen)) == (tuples, tested)
+    # one leaf per orbit of letter multisets: the canonical count of each
+    # space with one finals option that every relabeling fixes
+    assert tuples == sum(
+        canonical_count(dataclasses.replace(space, options=[frozenset()]), k)
+        for space in _spaces(task))
 
 
 @pytest.mark.parametrize("family, n, k, closures, refinements",
                          [("right", 5, 2, 2_099, 54),
                           ("right", 4, 3, 2_908, 343),
-                          ("left", 4, 2, 235, 47),
-                          ("two_sided", 4, 3, 777, 15),
-                          ("left", 3, 4, 689, 102)],
+                          ("left", 4, 2, 129, 42),
+                          ("two_sided", 4, 3, 905, 18),
+                          ("left", 3, 4, 146, 90)],
                          # named as first pinned (see above)
                          ids=["right-5-2-2189-54", "right-4-3-6171-343",
                               "left-4-2-245-47", "two_sided-4-3-819-15",
                               "left-3-4-740-102"])
 def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
                                              closures, refinements):
-    # the letter tuples closed (every one that passes the letter-level
-    # tests and whose rank bound reaches the best so far, once whatever
-    # number of its finals options passes) and the Moore refinements run
-    # (one per kept option of a tuple whose closure reaches the best so
-    # far) at jobs=1
+    # the letter tuples closed (every one that reaches every state and
+    # whose rank bound reaches the best so far, once whatever number of
+    # finals options it keeps) and the Moore refinements run (one per
+    # kept option of a tuple whose closure reaches the best so far) at
+    # jobs=1
     real_extend, real_moore = search._extend, search._moore_classes
     closed, refined = [], []
 
@@ -1434,20 +1434,25 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
 
     monkeypatch.setattr(search, "_extend", counted_extend)
     monkeypatch.setattr(search, "_moore_classes", counted_moore)
-    _family_search(SearchTask(family, n, k))
+    search_max_sigma(SearchTask(family, n, k))
     assert (len(closed), len(refined)) == (closures, refinements)
 
 
 @pytest.mark.parametrize("family, n, k, nodes, closures",
                          [("right", 4, 3, 1_108, 2_908),
-                          ("right", 5, 2, 130, 2_099)],
+                          ("right", 5, 2, 130, 2_099),
+                          ("left", 4, 2, 138, 129),
+                          ("two_sided", 4, 3, 420, 905)],
                          # named as first pinned (see above)
-                         ids=["right-4-3-1108-6171", "right-5-2-130-2189"])
+                         ids=["right-4-3-1108-6171", "right-5-2-130-2189",
+                              "left-4-2-138-129", "two_sided-4-3-420-905"])
 def test_each_letter_is_encoded_once_for_the_closure(monkeypatch, family, n,
                                                      k, nodes, closures):
     # a prefix node encodes its own last letter when it is made, and a
     # letter tuple its last letter only when it is closed: the others are
-    # its prefix's, encoded once however many tuples below it are closed
+    # its prefix's, encoded once however many tuples below it are closed.
+    # Left (4,2) and two-sided (4,3) make their nodes over five and two
+    # quotient orders
     real_encode, real_extend = search._encode, search._extend
     encoded, made, closed = [], [], []
 
@@ -1499,16 +1504,21 @@ def test_jobs_are_clamped_to_the_cpu_count(serial_pool):
 
 
 def test_serial_search_builds_the_pool_once(monkeypatch):
-    # the --jobs clamp needs no pool: only the one shard builds it
-    real, calls = search._pool, []
+    # the --jobs clamp needs no pool: only the one shard builds it, the
+    # family's pool in a right cell, and each order's in a left cell
+    calls = []
 
-    def counted(task):
-        calls.append(task)
-        return real(task)
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda arg: calls.append(name) or real(arg))
 
-    monkeypatch.setattr(search, "_pool", counted)
+    counted(search, "_pool")
+    counted(importlib.import_module("syncomp.orders"), "endomorphisms")
+    search_max_sigma(SearchTask("right", 3, 2, jobs=1))
     search_max_sigma(SearchTask("left", 3, 2, jobs=1))
-    assert len(calls) == 1
+    assert calls == ["_pool"] + ["endomorphisms"] * len(
+        quotient_orders(3, False))
 
 
 @pytest.mark.parametrize("family", ["right", "left", "two_sided", "all"])
