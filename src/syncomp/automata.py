@@ -146,7 +146,7 @@ def _reachable(rows: Sequence[Sequence[int]], start: int) -> list[int]:
     the rows taken in order: the package's one state-reachability walk.
     The search alone decides reachability otherwise: each prefix node
     spreads a bitmask through the mask tables of its letters
-    (search._Prefix.reaches_all), read off the shard's search._LetterFacts.
+    (search._Prefix.reaches_all), read off the shard's search._Space.
     test_reach_masks_agree_with_the_walk holds that path against this walk
     on every letter tuple of the cells with n <= 3 and k <= 3, and
     test_inherited_facts_never_change_a_verdict on every tuple the

@@ -295,36 +295,6 @@ def _is_right_ideal(md: Dfa) -> bool:
                   _right_ideal_walk)
 
 
-def _left_ideal_relation(rows: tuple[tuple[int, ...], ...], n: int,
-                         initial: int) -> list[int]:
-    """The pairs of distinct states reachable under the image rows from the
-    pairs (initial, q), q != initial, as one bitmask need[p] of the second
-    states per first state p.  Diagonal pairs are left out: their
-    successors are diagonal too."""
-    need = [0] * n
-    need[initial] = (1 << n) - 1 ^ 1 << initial
-    stack = [(initial, q) for q in range(n) if q != initial]
-    while stack:
-        p, q = stack.pop()
-        for g in rows:
-            a, b = g[p], g[q]
-            if a != b and not need[a] >> b & 1:
-                need[a] |= 1 << b
-                stack.append((a, b))
-    return need
-
-
-def _left_ideal_admits(need: list[int], finals: frozenset[int]) -> bool:
-    """Whether no pair of the relation need (see _left_ideal_relation) has
-    its first state final and its second not: the states paired with a
-    final state are all final."""
-    paired = mask = 0
-    for p in finals:
-        paired |= need[p]
-        mask |= 1 << p
-    return not paired & ~mask
-
-
 def _left_ideal_pairs(rows: tuple[tuple[int, ...], ...], n: int,
                       initial: int, finals: frozenset[int]) -> bool:
     """Structural left-ideal test on image rows; every state must be
@@ -332,9 +302,24 @@ def _left_ideal_pairs(rows: tuple[tuple[int, ...], ...], n: int,
 
     L = Σ*L iff L is contained in each of its quotients, i.e. L(initial) ⊆
     L(q) for every reachable q.  That fails iff some pair reachable from
-    (initial, q) has its first state final and its second not.
+    (initial, q) has its first state final and its second not.  The walk
+    marks the pairs it meets in one bitmask seen[p] of second states per
+    first state p, and leaves out diagonal pairs: their successors are
+    diagonal too, and none of them fails.
     """
-    return _left_ideal_admits(_left_ideal_relation(rows, n, initial), finals)
+    seen = [0] * n
+    seen[initial] = (1 << n) - 1 ^ 1 << initial
+    stack = [(initial, q) for q in range(n) if q != initial]
+    while stack:
+        p, q = stack.pop()
+        if p in finals and q not in finals:
+            return False
+        for g in rows:
+            a, b = g[p], g[q]
+            if a != b and not seen[a] >> b & 1:
+                seen[a] |= 1 << b
+                stack.append((a, b))
+    return True
 
 
 def _left_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,

@@ -26,12 +26,13 @@ have one space per quotient order P up to relabeling
 (orders.quotient_orders): pool End(P), relabelings Aut(P) and options
 P's up-sets.  Every tuple of such a space that reaches all states makes
 a left ideal with each option (see orders), so no left-ideal test runs.
-The spaces are visited by decreasing |End(P)|, the space's cap, and one
-whose cap is below the best so far is walked only for its count.  A DFA
-may preserve several orders, so each witness is mapped to its least
-image under the family's relabelings and duplicates are dropped.  The
-candidate order is the spaces' orders one after another, and a budget
-cuts across them.
+Every pool is closed under composition, so its size bounds the sigma of
+each of its tuples.  The spaces are visited by decreasing |End(P)|, and
+one whose pool is smaller than the best so far is walked only for its
+count.  A DFA may preserve several orders, so each witness is mapped to
+its least image under the family's relabelings and duplicates are
+dropped.  The candidate order is the spaces' orders one after another,
+and a budget cuts across them.
 
 The candidate order of a space is walked as a tree of letter prefixes,
 depth first (orderly generation, McKay 1998), every level alike.  A
@@ -55,10 +56,10 @@ tables of image masks.  Each prefix also keeps its letters in the
 closure's encoding, so a letter is encoded once for its prefix node,
 and a tuple's last letter only when the tuple is closed.  Each step of
 the walk makes one prefix node (_Prefix), its parent plus one pool
-index, which holds all of the above for its prefix.  The space's finals
-options, the orbit table, and a letter's rank and mask table are built
-once per shard and space (_LetterFacts); the letter facts are read by
-pool index, by nodes and leaves alike.
+index, which holds all of the above for its prefix.  The orbit table
+and a letter's rank and mask table are built once per shard and space,
+by the space itself (_Space), and read by pool index, by nodes and
+leaves alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -92,7 +93,7 @@ import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from itertools import chain, permutations, product, repeat
 from math import comb
@@ -113,9 +114,11 @@ __all__ = [
 # family -> (right, left), the two decisions behind its normal form.
 # right: every pool letter fixes the final sink n-1, the finals are {n-1},
 # no relabeling moves n-1, and the rank bound takes e = 1 (_rank_bound).
-# left: the finals avoid state 0 (n > 1), a cell with n > 1 is searched
-# one quotient order at a time (_chain), and its witnesses are mapped to
-# their least relabeling.
+# left: a cell with n > 1 is searched one quotient order at a time
+# (_chain), and its witnesses are mapped to their least relabeling.  So
+# the family space of a left or two-sided cell serves only n = 1, where
+# the finals are {0}, and the tests' family-space references, whose
+# finals avoid state 0.
 _FAMILIES = {"right": (True, False), "left": (False, True),
              "two_sided": (True, True), "all": (False, False)}
 
@@ -248,26 +251,51 @@ class _Space:
     """What one walk searches: every multiset of k pool letters (image
     tuples, sorted) with every finals option (sorted as sorted tuples),
     one per orbit under relabelings, a group of state permutations, the
-    identity first, that maps pool and options to themselves.  sink is
-    the e of _rank_bound, and cap bounds the sigma of every minimal
-    in-class tuple: n^n in a family space, |End(P)| in that of an order
-    P."""
+    identity first, that maps pool and options to themselves.
+
+    The rest is built from those, once per space, and read by the walk's
+    nodes and leaves by pool index: ranks (image sizes), at once since
+    every leaf reads one; mask tables (_image_masks, read through image),
+    each when a node or leaf first needs it; and orbits, the pool's orbit
+    table (_Orbits).  A list entry costs a pointer where a dict entry
+    would cost a hash slot as well, which matters at n=7, where a right
+    cell's pool holds 117,649 letters and the antichain order's of a left
+    cell 117,655.  sink is the e of the rank bounds (_rank_bounds): 1
+    where every pool letter fixes n-1.  Every pool is closed under
+    composition, the maps of a family's skeleton or End(P), so it holds
+    the transition semigroup of each of its tuples, and no tuple's sigma
+    is above len(pool)."""
 
     n: int
     pool: list[tuple[int, ...]]
     relabelings: list[tuple[int, ...]]
     options: list[frozenset[int]]
-    sink: int
-    cap: int
+    ranks: list[int] = field(init=False)
+    images: list[bytes | None] = field(init=False)
+    orbits: _Orbits = field(init=False)
+    sink: int = field(init=False)
+
+    def __post_init__(self):
+        pool, last = self.pool, self.n - 1
+        derive = partial(object.__setattr__, self)  # the fields are frozen
+        derive("ranks", list(map(len, map(set, pool))))
+        derive("images", [None] * len(pool))
+        derive("orbits", _Orbits(self))
+        derive("sink", int(all(t[last] == last for t in pool)))
+
+    def image(self, c: int) -> bytes:
+        table = self.images[c]
+        if table is None:
+            table = self.images[c] = _image_masks(self.pool[c])
+        return table
 
 
 def _space(task: SearchTask) -> _Space:
     """The family space of the task's cell: the letters of the family's
     skeleton, its finals options and the relabelings of its free
     states."""
-    n = task.n
-    return _Space(n, _pool(task), _relabelings(task), _finals_options(task),
-                  int(_FAMILIES[task.family][0]), n ** n)
+    return _Space(task.n, _pool(task), _relabelings(task),
+                  _finals_options(task))
 
 
 def _order_space(order) -> _Space:
@@ -275,7 +303,7 @@ def _order_space(order) -> _Space:
     relabelings Aut(P) and options P's up-sets."""
     from .orders import automorphisms, endomorphisms
     return _Space(len(order.ups), endomorphisms(order), automorphisms(order),
-                  order.finals, int(order.top), order.cap)
+                  order.finals)
 
 
 def _candidates(letters: int, options: int, k: int) -> int:
@@ -422,7 +450,7 @@ def _canonical_children(node: _Prefix,
     not in node.meet takes every letter of p above p0, so j = 0 and
     p_j = p0 = x: it always ties.  At the root P = p = () and sending(c)
     is c's stabilizer, whose relabelings all fix t."""
-    orbits = node.facts.orbits
+    orbits = node.space.orbits
     least, rows, via = orbits.least, orbits.rows, orbits.via
     idx, meet = node.idx, node.meet
     if idx:
@@ -497,41 +525,12 @@ def _spread(reach: int, union: bytes, image: bytes) -> int:
         reach = grown
 
 
-class _LetterFacts:
-    """What the walk's nodes and leaves read off a pool letter, in lists
-    indexed by pool index: ranks (image sizes), built at once since every
-    leaf reads one, and mask tables (_image_masks), each built when a
-    node or leaf first needs it; with sink, the e of the rank bounds
-    (_rank_bounds), 1 where every pool letter fixes the sink n-1,
-    orbits, the pool's orbit table (_Orbits), and options, the space's
-    finals options.  A list entry costs a pointer where a dict entry
-    would cost a hash slot as well, which matters at n=7, where a right
-    cell's pool holds 117,649 letters and the antichain order's of a
-    left cell 117,655."""
-
-    __slots__ = ("pool", "n", "ranks", "images", "sink", "orbits",
-                 "options")
-
-    def __init__(self, space: _Space):
-        self.pool, self.n, self.options = space.pool, space.n, space.options
-        self.sink = space.sink
-        self.ranks = list(map(len, map(set, self.pool)))
-        self.images: list[bytes | None] = [None] * len(self.pool)
-        self.orbits = _Orbits(space)
-
-    def image(self, c: int) -> bytes:
-        table = self.images[c]
-        if table is None:
-            table = self.images[c] = _image_masks(self.pool[c])
-        return table
-
-
 class _Prefix:
     """A node of the walk: a prefix of pool indices, facts that hold for
     every letter tuple extending it, and the partial results its tuples
     extend by their further letters (Froidure & Pin 1997).  A node is its
     parent up plus pool index c, and reads c's letter, rank, mask table
-    and orbit off the shard's _LetterFacts, shared by every node.
+    and orbit off the shard's space (_Space), shared by every node.
       - idx holds the pool indices and gens their letters.  meet lists
         the identity and the relabelings that take some letter of the
         prefix to its first letter p0, in order: its parent's, with
@@ -558,52 +557,52 @@ class _Prefix:
         for those ranks, shared by every node that has them, read when
         the node is made, so a tuple's bound is one list index."""
 
-    __slots__ = ("up", "facts", "idx", "gens", "meet", "codes", "ranks",
+    __slots__ = ("up", "space", "idx", "gens", "meet", "codes", "ranks",
                  "bounds", "reach", "union", "_closed")
 
     def __init__(self, up: _Prefix, c: int):
-        facts = self.facts = up.facts
-        g, own = facts.pool[c], facts.image(c)
+        space = self.space = up.space
+        g, own = space.pool[c], space.image(c)
         self.up, self.idx, self.gens = up, up.idx + (c,), up.gens + (g,)
-        orbits, self.meet = facts.orbits, up.meet
+        orbits, self.meet = space.orbits, up.meet
         if orbits.least[c] == self.idx[0]:
             self.meet = tuple(sorted({*up.meet, *orbits.sending(c)}))
         self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
-        self.ranks = _insert(up.ranks, facts.ranks[c])
-        self.bounds = _rank_bounds(facts.n, facts.sink, self.ranks)
+        self.ranks = _insert(up.ranks, space.ranks[c])
+        self.bounds = _rank_bounds(space.n, space.sink, self.ranks)
         self._closed = None
 
     @classmethod
-    def root(cls, facts: _LetterFacts) -> _Prefix:
+    def root(cls, space: _Space) -> _Prefix:
         """The node of the empty prefix, whose image is () under every
         relabeling."""
         node = cls.__new__(cls)
-        node.up, node.facts = None, facts
+        node.up, node.space = None, space
         node.meet = (0,)  # the identity alone
         node.idx = node.gens = node.codes = ()
-        node.reach, node.union = 1, bytes(1 << facts.n)
-        node.ranks, node.bounds = (), _rank_bounds(facts.n, facts.sink, ())
+        node.reach, node.union = 1, bytes(1 << space.n)
+        node.ranks, node.bounds = (), _rank_bounds(space.n, space.sink, ())
         node._closed = frozenset()
         return node
 
     def reaches_all(self, c: int) -> bool:
         """Whether this prefix's letters and pool letter c reach every
         state from 0."""
-        full = (1 << self.facts.n) - 1
+        full = (1 << self.space.n) - 1
         return self.reach == full or _spread(
-            self.reach, self.union, self.facts.image(c)) == full
+            self.reach, self.union, self.space.image(c)) == full
 
     def close(self, c: int) -> set:
         """The closure's element set of this prefix's letters and pool
         letter c."""
-        return _extend(self.codes + (_encode(self.facts.pool[c]),),
-                       self.facts.n, self.closure())
+        return _extend(self.codes + (_encode(self.space.pool[c]),),
+                       self.space.n, self.closure())
 
     def closure(self) -> set | frozenset:
         if self._closed is None:
-            self._closed = _extend(self.codes, self.facts.n,
+            self._closed = _extend(self.codes, self.space.n,
                                    self.up.closure())
         return self._closed
 
@@ -675,10 +674,9 @@ def _rank_bounds(n: int, e: int, ranks: tuple[int, ...]) -> list[int]:
                  for r in range(1, n + 1))]
 
 
-def _walk(facts: _LetterFacts, k: int, budget: int, shard: int,
-          shards: int):
+def _walk(space: _Space, k: int, budget: int, shard: int, shards: int):
     """Walk the candidate order (letter tuple, then finals) of the space
-    of facts, with k letters, as a tree of letter prefixes, depth first,
+    given, with k letters, as a tree of letter prefixes, depth first,
     and yield one batch (prefix node, leaves, keep) per prefix of k - 1
     letters with any canonical leaf under the root's children shard,
     shard + shards, ... in the order's first budget candidates.  leaves
@@ -698,7 +696,7 @@ def _walk(facts: _LetterFacts, k: int, budget: int, shard: int,
     first letter p0, less those that a relabeling taking one of their
     letters to p0 maps lower.  Where no such relabeling but the identity
     exists, the batch is the orbit filter's survivors as they are."""
-    letters, options = len(facts.pool), len(facts.options)
+    letters, options = len(space.pool), len(space.options)
     # a tuple, not a range: its slices share ints instead of making new ones
     indices = tuple(range(letters))
 
@@ -723,15 +721,15 @@ def _walk(facts: _LetterFacts, k: int, budget: int, shard: int,
             return
         # the budget leaves leaf end - 1 its first cut options only
         cut = budget - start(end - 1)
-        keep = ({end - 1: facts.options[:cut]}
+        keep = ({end - 1: space.options[:cut]}
                 if cut < options and kids and kids[-1] == end - 1 else {})
         for c, fixing in fixed:
-            keep[c] = [f for fi, f in enumerate(keep.get(c, facts.options))
+            keep[c] = [f for fi, f in enumerate(keep.get(c, space.options))
                        if not any(t[fi] < fi for t in fixing)]
         if kids:
             yield node, kids, keep
 
-    yield from visit(_Prefix.root(facts), 0)
+    yield from visit(_Prefix.root(space), 0)
 
 
 def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
@@ -751,7 +749,7 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
     The walk hands over one batch of leaves per prefix (_walk).  Its
     canonical candidates are counted from the batch's length and the few
     finals lists it holds, without visiting a leaf.  Where the space's
-    cap is below the best so far, every batch is then dropped, as no
+    pool is smaller than the best, every batch is then dropped, as no
     tuple of the space can reach the best.  A letter tuple whose rank
     bound (_rank_bounds, read off its prefix node by its last letter's
     rank) is below the shard's best so far is dropped next: each leaf is
@@ -768,12 +766,11 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
     other tuples, those in keep for a leaf with its own list and every
     option for the others, are tested for minimality, and only a minimal
     one raises the best."""
-    facts = _LetterFacts(space)
-    pool, rank, finals_opts = facts.pool, facts.ranks, facts.options
+    pool, rank, finals_opts = space.pool, space.ranks, space.options
     options = len(finals_opts)
-    dead = space.cap < best
+    dead = len(pool) < best
     canonical = 0
-    for up, leaves, keep in _walk(facts, k, budget, shard, shards):
+    for up, leaves, keep in _walk(space, k, budget, shard, shards):
         canonical += len(leaves) * options + sum(
             len(kept) - options for kept in keep.values())
         if dead:

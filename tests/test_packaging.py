@@ -121,3 +121,32 @@ def test_every_private_name_is_used():
                           and not name.startswith("__")
                           and everywhere[name] == inside[name])
     assert unused == []
+
+
+def test_every_private_field_is_read():
+    # every __slots__ entry and every annotated class-level field of a
+    # private class must be read as an attribute somewhere in src, so a
+    # field that is only ever set, or not even that, fails here
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in Path(syncomp.__file__).parent.glob("*.py")}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and cls.name.startswith("_")):
+                continue
+            fields = []
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(
+                        node.target, ast.Name):
+                    fields.append(node.target.id)
+                elif isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__slots__"
+                        for t in node.targets):
+                    fields.extend(ast.literal_eval(node.value))
+            unread.extend(f"{path.name}:{cls.name}.{name}"
+                          for name in fields if name not in read)
+    assert unread == []

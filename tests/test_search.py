@@ -46,22 +46,20 @@ def _canonical_count(task: SearchTask) -> int:
 
 @pytest.fixture
 def relabeled(monkeypatch):
-    """A function of the _LetterFacts a search builds: per relabeling of
-    its space, the pool index of each pool letter's image, each letter
+    """A function of the _Space a search builds: per relabeling of the
+    space, the pool index of each pool letter's image, each letter
     conjugated directly (_conjugate)."""
     tables = {}
 
-    class Recorded(search._LetterFacts):
-        __slots__ = ()
+    class Recorded(search._Space):
+        def __post_init__(self):
+            super().__post_init__()
+            index = {t: i for i, t in enumerate(self.pool)}
+            tables[id(self)] = [[index[_conjugate(g, t)] for t in self.pool]
+                                for g in self.relabelings]
 
-        def __init__(self, space):
-            super().__init__(space)
-            index = {t: i for i, t in enumerate(space.pool)}
-            tables[id(self)] = [[index[_conjugate(g, t)] for t in space.pool]
-                                for g in space.relabelings]
-
-    monkeypatch.setattr(search, "_LetterFacts", Recorded)
-    return lambda facts: tables[id(facts)]
+    monkeypatch.setattr(search, "_Space", Recorded)
+    return lambda space: tables[id(space)]
 
 # _cell_counts options: the pruned search, and the brute force over every
 # ordered candidate, which prunes nothing
@@ -172,14 +170,15 @@ def test_cell_counts_are_pinned(family, n, k, prune, expected):
     ("left", 4, 4, (64, 2268, 8_079_404, 5_754_263)),
     ("two_sided", 4, 6, (25, 2304, 770_875, 295_910)),
     ("left", 5, 3, (180, 672, 743_004_775, 661_543_469)),
+    ("two_sided", 5, 4, (108, 1944, 31_468_177, 20_603_197)),
 ])
 def test_frontier_cell_counts_are_pinned(family, n, k, expected):
-    # the table cells up to about ten seconds long at jobs=1: left (4,3),
-    # left (5,2), two-sided (5,3) and left (5,3) are above the bundled 25,
-    # 34, 47 and 65, two-sided (4,4) and (4,5) and left (4,4) equal the
-    # bundled 23, 25 and 64, and two-sided (4,6) has none; k = 5 walks
-    # chains of four prefix nodes.  All are searched one quotient order
-    # at a time
+    # the table cells up to about fifteen seconds long at jobs=1: left
+    # (4,3), left (5,2), two-sided (5,3), left (5,3) and two-sided (5,4)
+    # are above the bundled 25, 34, 47, 65 and 90, two-sided (4,4) and
+    # (4,5) and left (4,4) equal the bundled 23, 25 and 64, and two-sided
+    # (4,6) has none; k = 5 walks chains of four prefix nodes.  All are
+    # searched one quotient order at a time
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     assert result.exhaustive
@@ -488,10 +487,9 @@ def _stream(space, k: int, shards: int = 1) -> list[tuple]:
     checking that each batch lists its leaves in increasing order and
     that what it keeps for a leaf is a nonempty part of the finals
     options, in their order."""
-    facts = search._LetterFacts(space)
-    pool, opts, stream = facts.pool, facts.options, []
+    pool, opts, stream = space.pool, space.options, []
     for shard in range(shards):
-        for up, leaves, keep in search._walk(facts, k, SearchTask.budget,
+        for up, leaves, keep in search._walk(space, k, SearchTask.budget,
                                              shard, shards):
             assert leaves == sorted(set(leaves)) and set(keep) <= set(leaves)
             for c in leaves:
@@ -502,10 +500,10 @@ def _stream(space, k: int, shards: int = 1) -> list[tuple]:
     return stream
 
 
-def _node(facts, idx):
+def _node(space, idx):
     """The walk's prefix node of the pool indices idx, made one letter at
     a time from the root, as the walk makes it, with no relabelings."""
-    node = search._Prefix.root(facts)
+    node = search._Prefix.root(space)
     for c in idx:
         node = search._Prefix(node, c)
     return node
@@ -552,15 +550,15 @@ def test_search_minimality_test_agrees_with_minimize():
     # finals options at once; cover minimal and non-minimal DFAs alike
     sweep = binary_3_sweep()
     options = [d.finals for d in sweep[:6]]
-    facts = search._LetterFacts(search._space(SearchTask("all", 3, 2)))
-    index = {g: c for c, g in enumerate(facts.pool)}
+    space = search._space(SearchTask("all", 3, 2))
+    index = {g: c for c, g in enumerate(space.pool)}
     kept = 0
     for i in range(0, len(sweep), 6):
         group = sweep[i:i + 6]
         gens = tuple(group[0].delta[a].images for a in group[0].alphabet)
         assert [d.finals for d in group] == options
         expected = [d.finals for d in group if minimize(d).n == 3]
-        up = _node(facts, [index[gens[0]]])
+        up = _node(space, [index[gens[0]]])
         reached = options if up.reaches_all(index[gens[1]]) else []
         assert _minimal_finals(gens, 3, reached) == expected, gens
         kept += len(expected)
@@ -689,7 +687,7 @@ def test_relabel_filter_never_sees_a_non_canonical_prefix(monkeypatch,
     seen = []
 
     def checked(node, kids):
-        idx, group = node.idx, relabeled(node.facts)
+        idx, group = node.idx, relabeled(node.space)
         for d in range(1, len(idx) + 1):
             prefix = idx[:d]
             assert all(tuple(sorted(g[i] for i in prefix)) >= prefix
@@ -734,8 +732,8 @@ def test_leaves_meet_only_relabelings_onto_the_first_letter(
 
     def counted(node, kids):
         nonlocal walked, recounted
-        idx, orbits = node.idx, node.facts.orbits
-        group = relabeled(node.facts)
+        idx, orbits = node.idx, node.space.orbits
+        group = relabeled(node.space)
         if len(idx) == k - 1:
             p0 = idx[0]
             for c in kids:
@@ -770,12 +768,25 @@ def test_relabelings_fix_the_skeleton(family, n):
     # the relabelings that the canonical filter and canonical_count share:
     # every permutation of the states fixing 0, and n-1 as well where
     # every letter fixes the sink, in lexicographic order, so the
-    # identity comes first
+    # identity comes first.  Up to n = 3 the family space's pool is
+    # closed under composition, so its size bounds every tuple's sigma,
+    # and its sink, the e of the rank bound, is 1 exactly where every
+    # letter fixes n-1: in right and two-sided spaces, and at n = 1, where
+    # either e gives the same rank bounds
     fixed = {0, n - 1} if family in ("right", "two_sided") else {0}
     relabelings = search._relabelings(SearchTask(family, n, 1))
     assert relabelings == _group(family, n)
     assert relabelings[0] == tuple(range(n))
     assert len(relabelings) == math.factorial(n - len(fixed))
+    if n > 3:
+        return
+    space = search._space(SearchTask(family, n, 1))
+    assert _compositions(space.pool) <= set(space.pool)
+    assert space.sink == (n == 1 or family in ("right", "two_sided"))
+    if n == 1:
+        for ranks in ((), (1,), (1, 1)):
+            assert search._rank_bounds(1, 0, ranks) == \
+                search._rank_bounds(1, 1, ranks) == [0, 1]
 
 
 @pytest.mark.parametrize("family, n", [
@@ -792,17 +803,17 @@ def test_orbit_table_matches_every_relabeling(family, n):
     # least[c], and each relabeling's finals table maps an option to its
     # image
     task = SearchTask(family, n, 1)
-    facts = search._LetterFacts(search._space(task))
-    orbits, options = facts.orbits, facts.options
+    space = search._space(task)
+    orbits, options = space.orbits, space.options
     relabeled = _relabeled(task)
-    for c in range(len(facts.pool)):
+    for c in range(len(space.pool)):
         images = [g[c] for g in relabeled]
         assert [orbits.image(a, c) for a in range(len(relabeled))] == \
             images, c
         assert orbits.least[c] == min(images), c
     heads = [c for c, least in enumerate(orbits.least) if least == c]
     assert heads == sorted({min(g[c] for g in relabeled)
-                            for c in range(len(facts.pool))})
+                            for c in range(len(space.pool))})
     assert [c for c, row in enumerate(orbits.rows) if row] == heads
     assert [c for c, stab in enumerate(orbits.stabs) if stab] == heads
     for c in heads:
@@ -884,6 +895,11 @@ def test_order_spaces_find_what_the_family_space_finds(family, n, k):
         assert (result.max_sigma, tuple(keys)) == _reference(family, n, k)
 
 
+def _compositions(pool: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every map f then g for f and g in pool, as image tuples."""
+    return {tuple(g[q] for q in f) for f in pool for g in pool}
+
+
 def _end_brute(n: int, leq: set, top: bool) -> list[tuple[int, ...]]:
     """The maps of n states, n-1 fixed if top, that preserve the order
     whose pairs p <= q are leq, in lexicographic order."""
@@ -919,8 +935,9 @@ def test_orders_are_the_partial_orders_up_to_relabeling(family, n):
     # one order per isomorphism class of the labelled orders, in visit
     # order (|End| descending), the first reaching the paper's bound; up
     # to n = 4 each |End| and pool is that of every map tested directly,
-    # and the labelled orders fall into as many classes as there are
-    # orders
+    # the pool is closed under composition, so its size bounds every
+    # tuple's sigma, its sink is 1 exactly in two-sided orders, and the
+    # labelled orders fall into as many classes as there are orders
     top = family == "two_sided"
     orders = quotient_orders(n, top)
     assert len(orders) == (1, 1, 2, 5, 16, 63)[n - 1 - top]
@@ -940,6 +957,8 @@ def test_orders_are_the_partial_orders_up_to_relabeling(family, n):
         space = search._order_space(order)
         assert space.pool == _end_brute(n, leq, top)
         assert order.cap == len(space.pool)
+        assert _compositions(space.pool) <= set(space.pool)
+        assert space.sink == order.top
         assert space.relabelings == [
             g for g in group
             if {(g[p], g[q]) for p, q in leq} == leq]
@@ -1170,14 +1189,14 @@ def test_rank_bound_holds_for_every_letter_tuple(family, n, k):
     # down through prefix nodes as the search does, against the size of
     # its closure by the plain BFS.  Prefix nodes with the same sorted
     # ranks hold one bounds list, not equal copies
-    facts = search._LetterFacts(search._space(SearchTask(family, n, k)))
+    space = search._space(SearchTask(family, n, k))
     e = int(family in ("right", "two_sided"))
     rows = {}  # sorted ranks -> the bounds of the first node with them
-    for idx in product(range(len(facts.pool)), repeat=k):
-        gens = tuple(facts.pool[c] for c in idx)
-        up = _node(facts, idx[:-1])
+    for idx in product(range(len(space.pool)), repeat=k):
+        gens = tuple(space.pool[c] for c in idx)
+        up = _node(space, idx[:-1])
         assert rows.setdefault(up.ranks, up.bounds) is up.bounds, idx
-        last = facts.ranks[idx[-1]]
+        last = space.ranks[idx[-1]]
         ranks = tuple(sorted(up.ranks + (last,)))
         assert ranks == tuple(sorted(len(set(g)) for g in gens))
         bound = search._rank_bound(n, e, ranks)
@@ -1196,9 +1215,9 @@ def test_rank_bound_holds_for_every_sorted_letter_tuple_of_right_4_3():
     # the cell whose maximum, 61 of 64, is near the stratum totals: the
     # bound falls below 61 on most of its tuples, the sum over pairs of
     # r(l) ** (r(f) - 1) on fewer, and never below a tuple's closure
-    facts = search._LetterFacts(search._space(SearchTask("right", 4, 3)))
+    space = search._space(SearchTask("right", 4, 3))
     below = pairs_below = 0
-    for gens in combinations_with_replacement(facts.pool, 3):
+    for gens in combinations_with_replacement(space.pool, 3):
         ranks = tuple(sorted(len(set(g)) for g in gens))
         sigma = len(_closure([_encode(g) for g in gens], 4, None)[0])
         bound = search._rank_bound(4, 1, ranks)
@@ -1244,12 +1263,12 @@ def test_reach_masks_agree_with_the_walk(family, n, k):
     # node's mask holds the states automata._reachable finds
     # from 0, and a tuple's reachability test by its last letter's pool
     # index passes iff that walk reaches every state
-    facts = search._LetterFacts(search._space(SearchTask(family, n, k)))
-    root = search._Prefix.root(facts)
+    space = search._space(SearchTask(family, n, k))
+    root = search._Prefix.root(space)
     assert root.reach == 1
     nodes = {(): root}
-    for idx in product(range(len(facts.pool)), repeat=k):
-        gens = tuple(facts.pool[c] for c in idx)
+    for idx in product(range(len(space.pool)), repeat=k):
+        gens = tuple(space.pool[c] for c in idx)
         for i in range(1, k):
             if idx[:i] not in nodes:
                 up = search._Prefix(nodes[idx[:i - 1]], idx[i - 1])
@@ -1280,11 +1299,11 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # the reachability test spreads a prefix's reached states: it must
     # give the verdict of the plain walk (automata._reachable) of the
     # whole tuple.  Replaying the walks of the cell's spaces in turn,
-    # their tuples in order: every tuple of a space whose cap is below the
-    # best sigma so far meets no test and is not closed (in left (3,4),
-    # the order with 10 maps after the best reached 11).  A tuple whose
-    # rank bound is below the best sigma so far meets no test and is not
-    # closed, and its closure is below that best; every other one meets
+    # their tuples in order: every tuple of a space whose pool is smaller
+    # than the best sigma so far meets no test and is not closed (in left
+    # (3,4), the order with 10 maps after the best reached 11).  A tuple
+    # whose rank bound is below the best sigma so far meets no test and is
+    # not closed, and its closure is below that best; every other one meets
     # the reachability test, and is closed once, right after it, if it
     # reaches every state.  In left and two-sided cells such a tuple is a
     # left ideal with every option of its space (classify._left_ideal_pairs
@@ -1297,7 +1316,7 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
 
     def compared(up, c):
         reached = real_reach(up, c)
-        gens = up.gens + (up.facts.pool[c],)
+        gens = up.gens + (up.space.pool[c],)
         assert reached == (len(_reachable(gens, 0)) == n), gens
         calls.append(("tested", gens, reached))
         return reached
@@ -1321,12 +1340,11 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     left = search._FAMILIES[family][1]
     best, at, dead = 0, 0, 0
     for space in _spaces(task):
-        facts = search._LetterFacts(space)
-        walked = [(up.gens, facts.pool[c], keep.get(c, facts.options))
-                  for up, leaves, keep in search._walk(facts, k, task.budget,
+        walked = [(up.gens, space.pool[c], keep.get(c, space.options))
+                  for up, leaves, keep in search._walk(space, k, task.budget,
                                                        0, 1)
                   for c in leaves]
-        if space.cap < best:
+        if len(space.pool) < best:
             dead += 1
             continue
         for prefix, last, options in walked:
@@ -1342,7 +1360,7 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
             if not reached:
                 continue
             assert not left or all(_left_ideal_pairs(gens, n, 0, f)
-                                   for f in facts.options), gens
+                                   for f in space.options), gens
             closed = calls[at]
             at += 1
             assert closed[:2] == ("closed", tuple(map(_encode, gens))), gens
