@@ -239,6 +239,10 @@ def _cmd_reverse(args) -> int:
             raise FormatError(f"reverse --family is limited to --n <= "
                               f"{_REVERSE_MAX_STATES}, got {args.n}")
         row = _FAMILY_ROWS[args.family]
+        if args.n < row.least_n:
+            raise FormatError(f"the {args.family} witness needs --n >= "
+                              f"{row.least_n}, got {args.n}; a smaller DFA "
+                              f"can be reversed with --input file.json")
         d = family_witness(args.family, args.n, args.letters)
         if (args.letters is not None
                 and set(args.letters) == set(row.designated)):

@@ -19,7 +19,8 @@ canonical filters below only discard duplicates of languages that are kept
 elsewhere.
 
 A cell is searched as a list of spaces (_Space: a pool, a group of
-relabelings, finals options), in turn, with one best so far per shard.
+relabelings, finals options), in turn, each seeded with its shard's best
+so far; one rule (_merge) takes the parts of spaces and shards together.
 Right and all cells, and every cell with n = 1, have the family's space
 alone: the letters of its skeleton.  Left and two-sided cells with n >= 2
 have one space per quotient order P up to relabeling
@@ -216,28 +217,6 @@ class SearchResult:
 # Tuple-level helpers (hot path: plain image tuples, no wrapper objects)
 
 
-def _pool(task: SearchTask) -> list[tuple[int, ...]]:
-    n, right = task.n, _FAMILIES[task.family][0]
-    every = product(range(n), repeat=n)  # in lexicographic order
-    return [t for t in every if t[n - 1] == n - 1] if right else list(every)
-
-
-def _finals_options(task: SearchTask) -> list[frozenset[int]]:
-    n, (right, left) = task.n, _FAMILIES[task.family]
-    if right:
-        return [frozenset({n - 1})]
-    opts = []
-    for mask in range(1, 1 << n):
-        f = frozenset(q for q in range(n) if mask >> q & 1)
-        # a left ideal accepting ε is Σ*, minimal only at n=1; otherwise
-        # all-final is Σ*, never minimal with n > 1 states
-        if n > 1 and (0 in f if left else len(f) == n):
-            continue
-        opts.append(f)
-    opts.sort(key=lambda f: tuple(sorted(f)))
-    return opts
-
-
 def _relabelings(task: SearchTask) -> list[tuple[int, ...]]:
     """The relabelings of the free states, as image tuples, the identity
     first: every permutation of the states that fixes 0, and n-1 as well
@@ -294,8 +273,17 @@ def _space(task: SearchTask) -> _Space:
     """The family space of the task's cell: the letters of the family's
     skeleton, its finals options and the relabelings of its free
     states."""
-    return _Space(task.n, _pool(task), _relabelings(task),
-                  _finals_options(task))
+    n, (right, left) = task.n, _FAMILIES[task.family]
+    every = product(range(n), repeat=n)  # in lexicographic order
+    pool = [t for t in every if t[n - 1] == n - 1] if right else list(every)
+    subsets = (frozenset(q for q in range(n) if mask >> q & 1)
+               for mask in range(1, 1 << n))
+    # a left ideal accepting ε is Σ*, minimal only at n=1; otherwise
+    # all-final is Σ*, never minimal with n > 1 states
+    options = [frozenset({n - 1})] if right else sorted(
+        (f for f in subsets
+         if n == 1 or not (0 in f if left else len(f) == n)), key=sorted)
+    return _Space(n, pool, _relabelings(task), options)
 
 
 def _order_space(order) -> _Space:
@@ -531,12 +519,13 @@ class _Prefix:
     extend by their further letters (Froidure & Pin 1997).  A node is its
     parent up plus pool index c, and reads c's letter, rank, mask table
     and orbit off the shard's space (_Space), shared by every node.
-      - idx holds the pool indices and gens their letters.  meet lists
-        the identity and the relabelings that take some letter of the
-        prefix to its first letter p0, in order: its parent's, with
-        those taking c to p0 (_Orbits.sending) where c is in p0's orbit,
-        as every root child is (_canonical_children reads them).  It is
-        the identity alone at the root.
+      - idx holds the pool indices, whose letters a tuple reads only if
+        its closure reaches the best (_run_shard).  meet lists the
+        identity and the relabelings that take some letter of the prefix
+        to its first letter p0, in order: its parent's, with those taking
+        c to p0 (_Orbits.sending) where c is in p0's orbit, as every root
+        child is (_canonical_children reads them); the identity alone at
+        the root.
       - reach is the mask of the states its letters reach from 0, and
         union the byte-wise OR of their mask tables (_image_masks): a
         node spreads its parent's reach by its parent's union and its own
@@ -557,13 +546,13 @@ class _Prefix:
         for those ranks, shared by every node that has them, read when
         the node is made, so a tuple's bound is one list index."""
 
-    __slots__ = ("up", "space", "idx", "gens", "meet", "codes", "ranks",
-                 "bounds", "reach", "union", "_closed")
+    __slots__ = ("up", "space", "idx", "meet", "codes", "ranks", "bounds",
+                 "reach", "union", "_closed")
 
     def __init__(self, up: _Prefix, c: int):
         space = self.space = up.space
         g, own = space.pool[c], space.image(c)
-        self.up, self.idx, self.gens = up, up.idx + (c,), up.gens + (g,)
+        self.up, self.idx = up, up.idx + (c,)
         orbits, self.meet = space.orbits, up.meet
         if orbits.least[c] == self.idx[0]:
             self.meet = tuple(sorted({*up.meet, *orbits.sending(c)}))
@@ -581,7 +570,7 @@ class _Prefix:
         node = cls.__new__(cls)
         node.up, node.space = None, space
         node.meet = (0,)  # the identity alone
-        node.idx = node.gens = node.codes = ()
+        node.idx = node.codes = ()
         node.reach, node.union = 1, bytes(1 << space.n)
         node.ranks, node.bounds = (), _rank_bounds(space.n, space.sink, ())
         node._closed = frozenset()
@@ -740,11 +729,11 @@ def _minimal_finals(gens: tuple[tuple[int, ...], ...], n: int,
 
 
 def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
-               best: int, wits: list) -> tuple:
+               best: int) -> tuple:
     """Search the space under the root's children shard, shard + shards,
-    ..., in the budget's prefix of its candidate order, from the best
-    sigma so far and its witnesses: the best sigma with its witnesses, and
-    the number of canonical candidates seen.
+    ..., in the budget's prefix of its candidate order, seeded with best:
+    the part (best sigma, witnesses found here at it, canonical count) for
+    _merge, which is (best, [], count) where no tuple reaches the seed.
 
     The walk hands over one batch of leaves per prefix (_walk).  Its
     canonical candidates are counted from the batch's length and the few
@@ -769,7 +758,7 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
     pool, rank, finals_opts = space.pool, space.ranks, space.options
     options = len(finals_opts)
     dead = len(pool) < best
-    canonical = 0
+    wits, canonical = [], 0
     for up, leaves, keep in _walk(space, k, budget, shard, shards):
         canonical += len(leaves) * options + sum(
             len(kept) - options for kept in keep.values())
@@ -782,7 +771,7 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
             s = len(up.close(c))
             if s < best:
                 continue
-            letters = up.gens + (pool[c],)
+            letters = tuple(map(pool.__getitem__, up.idx + (c,)))
             finals = _minimal_finals(letters, space.n,
                                      keep.get(c, finals_opts))
             if not finals:
@@ -793,22 +782,28 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
     return best, wits, canonical
 
 
+def _merge(parts: list[tuple]) -> tuple:
+    """The parts (best sigma, witnesses, canonical count) taken together:
+    the top sigma, the witnesses at it in part order, the counts summed."""
+    best = max(p[0] for p in parts)
+    return (best, [w for p in parts if p[0] == best for w in p[1]],
+            sum(p[2] for p in parts))
+
+
 def _run_cell(task: SearchTask, shard: int, shards: int) -> tuple:
     """Search the cell's spaces (_chain) in turn under the root's
-    children shard, shard + shards, ..., with one best so far: the best
-    sigma with its witnesses, the canonical candidates seen and the size
-    of the whole candidate order.  Each space's walk gets what the spaces
-    before it leave of the budget; a space it does not reach is never
-    built."""
-    best, wits, canonical, start = 0, [], 0, 0
+    children shard, shard + shards, ...: the shard's part (_merge) and the
+    size of the whole candidate order.  Each space is seeded with the best
+    of those before it, and its walk gets what they leave of the budget,
+    its part merged into theirs; a space past the budget is never built."""
+    part, start = (0, [], 0), 0
     for size, build in _chain(task):
         if start < task.budget:
-            best, wits, seen = _run_shard(build(), task.k,
-                                          task.budget - start, shard,
-                                          shards, best, wits)
-            canonical += seen
+            part = _merge([part, _run_shard(build(), task.k,
+                                            task.budget - start, shard,
+                                            shards, part[0])])
         start += size
-    return best, wits, canonical, start
+    return part, start
 
 
 @contextmanager
@@ -831,16 +826,16 @@ def _worker_map(jobs: int):
 def search_max_sigma(task: SearchTask) -> SearchResult:
     """Maximum sigma over the task's family cell, with extremal witnesses.
 
+    The shards' parts are merged as each shard's spaces are (_merge).
     Every witness is re-verified (minimal, in class, sigma equal to the
     maximum) before the result is returned.
     """
     # one shard per worker; a shard left without heads returns an empty
     # part, so the clamp needs no pool and only the shards build one
     with _worker_map(task.jobs) as (jobs, run):
-        parts = list(run(_run_cell, repeat(task), range(jobs), repeat(jobs)))
+        shards = list(run(_run_cell, repeat(task), range(jobs), repeat(jobs)))
 
-    best = max(p[0] for p in parts)
-    raw = [w for p in parts if p[0] == best for w in p[1]]
+    best, raw, canonical = _merge([part for part, _ in shards])
     if _FAMILIES[task.family][1]:
         # a witness of an order space is canonical under that order's
         # relabelings, and may be met under several orders (at n = 1 the
@@ -850,11 +845,11 @@ def search_max_sigma(task: SearchTask) -> SearchResult:
     witnesses = tuple(FoundWitness(tuple(map(_letter, letters)),
                                    _finals_set(finals))
                       for letters, finals in sorted(raw))
-    total = parts[0][3]  # every shard counts the whole candidate order
+    total = shards[0][1]  # every shard counts the whole candidate order
     examined = min(total, task.budget)
     # each examined candidate is under the head of exactly one shard, which
     # yields it or prunes it
-    pruned = examined - sum(p[2] for p in parts)
+    pruned = examined - canonical
 
     for w in witnesses:
         _reverify(task, w, best)

@@ -33,6 +33,19 @@ def test_dfa_validation():
         Dfa(3, ("a",), {"a": Transformation((0, 1))}, 0, frozenset())
     with pytest.raises(ValueError):
         Dfa(2, ("a",), {"b": Transformation((0, 1))}, 0, frozenset())
+    # a semiautomaton needs a state and a letter
+    with pytest.raises(ValueError, match="at least one state"):
+        Semiautomaton(0, ("a",), {"a": Transformation((0,))})
+    with pytest.raises(ValueError, match="alphabet must be nonempty"):
+        Semiautomaton(1, (), {})
+    # an NFA needs a state, eta on exactly its letters, and rows of n sets
+    none = frozenset()
+    with pytest.raises(ValueError, match="at least one state"):
+        Nfa(0, ("a",), {"a": ()}, none, none)
+    with pytest.raises(ValueError, match="exactly the alphabet"):
+        Nfa(1, ("a",), {"b": (none,)}, none, none)
+    with pytest.raises(SizeMismatchError):
+        Nfa(2, ("a",), {"a": (none,)}, none, none)
 
 
 def test_semiautomaton_acceptor_round_trip():

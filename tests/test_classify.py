@@ -296,6 +296,8 @@ def test_ruled_out_input_validation():
     with pytest.raises(ValueError):
         ruled_out_count_formula(0)
     with pytest.raises(ValueError):
+        ruled_out_count_brute(0)
+    with pytest.raises(ValueError):
         ruled_out_count_brute(9)
 
 

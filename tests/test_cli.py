@@ -326,6 +326,10 @@ def test_search_text_and_prune_flags(capsys):
     out = capsys.readouterr().out
     assert "max_sigma=7" in out
     assert "exhaustive" in out
+    # the text lists five witnesses and counts the rest: right (4,2) has 9
+    assert main(["search", "--family", "right", "--n", "4", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("  witness: ") == 5 and out.endswith("  ... 4 more\n")
     # the search has one enumeration: neither the switch between pruned
     # and plain nor the older one flag per filter is left
     for flag in ("--no-prune", "--no-prune-lemma8", "--no-prune-canonical",
@@ -463,6 +467,23 @@ def test_reverse_refuses_a_large_n_before_building(monkeypatch, capsys,
     monkeypatch.setattr("syncomp.cli.determinize", never)
     assert main(["reverse", "--family", family, "--n", "21"]) == 2
     assert "--n <= 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, least", [
+    ("right", 3), ("left", 3), ("two-sided", 4)])
+def test_reverse_refuses_an_n_below_the_witness_before_building(
+        monkeypatch, capsys, family, least):
+    # reverse takes no --small: an n below the family witness's least
+    # points at --input, before anything is built
+    def never(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr("syncomp.cli.family_witness", never)
+    for n in (0, least - 1):
+        assert main(["reverse", "--family", family, "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert f"needs --n >= {least}, got {n}" in err and "--input" in err
+        assert "--small" not in err
 
 
 @pytest.mark.parametrize("small", [[], ["--small", "2"]])

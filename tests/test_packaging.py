@@ -1,12 +1,14 @@
 """Packaging claims: the library imports only the standard library, every
-public name is used, every private name is used in the library, and every
-imported name is used."""
+public name is used, every private name is used in the library, every
+imported name is used, and every name the prose cites exists."""
 
 from __future__ import annotations
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -150,3 +152,38 @@ def test_every_private_field_is_read():
             unread.extend(f"{path.name}:{cls.name}.{name}"
                           for name in fields if name not in read)
     assert unread == []
+
+
+def test_every_private_name_in_prose_exists():
+    # every _name cited in a docstring or comment of src or in the README
+    # must be a name of src code, and every test_ name that src or the
+    # README cites must be a test module or test function, so prose that
+    # outlives a rename or a deletion fails here
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    code, prose = set(), [readme]
+    sources = {path: path.read_text()
+               for path in Path(syncomp.__file__).parent.glob("*.py")}
+    for path, text in sources.items():
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NAME:
+                code.add(token.string)
+            elif token.type == tokenize.COMMENT:
+                prose.append(token.string)
+        prose.extend(filter(None, (
+            ast.get_docstring(node, clean=False)
+            for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, (ast.Module, ast.ClassDef,
+                                 ast.FunctionDef)))))
+    cited = set(re.findall(r"(?<!\w)_[A-Za-z]\w*", "\n".join(prose)))
+    assert cited, "no private name cited"
+    assert sorted(cited - code) == []
+    tests = set()
+    for path in (root / "tests").glob("test_*.py"):
+        tests.add(path.stem)
+        tests.update(node.name for node in ast.walk(ast.parse(
+            path.read_text(), str(path))) if isinstance(node, ast.FunctionDef))
+    named = set(re.findall(r"(?<!\w)test_\w+",
+                           "\n".join([*sources.values(), readme])))
+    assert named, "no test cited"
+    assert sorted(named - tests) == []

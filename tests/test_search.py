@@ -495,8 +495,8 @@ def _stream(space, k: int, shards: int = 1) -> list[tuple]:
             for c in leaves:
                 kept = keep.get(c, opts)
                 assert kept and kept == [f for f in opts if f in kept], kept
-                stream.extend((up.gens + (pool[c],), tuple(sorted(f)))
-                              for f in kept)
+                letters = tuple(pool[i] for i in up.idx + (c,))
+                stream.extend((letters, tuple(sorted(f))) for f in kept)
     return stream
 
 
@@ -532,11 +532,10 @@ def test_stream_yields_each_orbit_minimum_once(family, n, k):
         return (tuple(sorted(tuple(pm[g[q]] for q in inv) for g in letters)),
                 tuple(sorted(pm[q] for q in finals)))
 
-    minima = {min(image(pm, letters, finals) for pm in relabelings)
-              for letters in combinations_with_replacement(search._pool(task),
-                                                           k)
-              for finals in search._finals_options(task)}
     space = search._space(task)
+    minima = {min(image(pm, letters, finals) for pm in relabelings)
+              for letters in combinations_with_replacement(space.pool, k)
+              for finals in space.options}
     stream = _stream(space, k)
     assert len(stream) == len(set(stream))
     assert set(stream) == minima
@@ -659,7 +658,7 @@ def _conjugate(pm: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
 def _relabeled(task: SearchTask) -> list[list[int]]:
     """Per relabeling of _group, the pool index of each pool letter's
     image, by conjugating every letter directly."""
-    pool = search._pool(task)
+    pool = search._space(task).pool
     index = {t: i for i, t in enumerate(pool)}
     return [[index[_conjugate(pm, t)] for t in pool]
             for pm in _group(task.family, task.n)]
@@ -1115,7 +1114,7 @@ def _brute(family: str, n: int, k: int) -> tuple:
     right, left = search._FAMILIES[family]
     letters = [t for t in product(range(n), repeat=n)
                if not right or t[-1] == n - 1]
-    options = search._finals_options(SearchTask(family, n, k))
+    options = search._space(SearchTask(family, n, k)).options
     best, witnesses = 0, []
     for gens in product(letters, repeat=k):
         for f in options:
@@ -1316,7 +1315,7 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
 
     def compared(up, c):
         reached = real_reach(up, c)
-        gens = up.gens + (up.space.pool[c],)
+        gens = tuple(up.space.pool[i] for i in up.idx + (c,))
         assert reached == (len(_reachable(gens, 0)) == n), gens
         calls.append(("tested", gens, reached))
         return reached
@@ -1340,7 +1339,8 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     left = search._FAMILIES[family][1]
     best, at, dead = 0, 0, 0
     for space in _spaces(task):
-        walked = [(up.gens, space.pool[c], keep.get(c, space.options))
+        walked = [(tuple(space.pool[i] for i in up.idx), space.pool[c],
+                   keep.get(c, space.options))
                   for up, leaves, keep in search._walk(space, k, task.budget,
                                                        0, 1)
                   for c in leaves]
@@ -1531,11 +1531,11 @@ def test_serial_search_builds_the_pool_once(monkeypatch):
         monkeypatch.setattr(module, name,
                             lambda arg: calls.append(name) or real(arg))
 
-    counted(search, "_pool")
+    counted(search, "_space")
     counted(importlib.import_module("syncomp.orders"), "endomorphisms")
     search_max_sigma(SearchTask("right", 3, 2, jobs=1))
     search_max_sigma(SearchTask("left", 3, 2, jobs=1))
-    assert calls == ["_pool"] + ["endomorphisms"] * len(
+    assert calls == ["_space"] + ["endomorphisms"] * len(
         quotient_orders(3, False))
 
 
