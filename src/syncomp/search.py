@@ -81,11 +81,14 @@ letter, one cached list per multiset of its ranks (_rank_bounds), so it
 costs a tuple two list lookups, and it comes before the reachability
 test: each leaf is held against the best once, before its letter tuple
 is built, and one whose bound is below the best meets no further test.
-A tuple that reaches every state is closed.  The Moore refinement that
-decides minimality runs only on the finals options of a tuple whose
-closure reaches the best.  Every witness is then re-verified by
-minimize, transition_semigroup and the ideal tests of its family alone,
-not by the whole of classify.
+A tuple (P, c) that reaches every state is closed, unless c is an
+element of the closure <P, c'> of a tuple closed before it in its batch
+that came out below the best: that closure is closed under composition
+and holds P and c, so it holds <P, c>, whose sigma is below the best as
+well.  The Moore refinement that decides minimality runs only on the
+finals options of a tuple whose closure reaches the best.  Every
+witness is then re-verified by minimize, transition_semigroup and the
+ideal tests of its family alone, not by the whole of classify.
 """
 
 from __future__ import annotations
@@ -748,13 +751,18 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
     it keeps.  A tuple whose closure is smaller than the best is then
     dropped before any Moore refinement: sigma depends only on the
     letters, and the shard's best never exceeds the maximum of the cell
-    (or of the budget's prefix of it), so no witness is lost.  A tuple
-    dropped by its bound is dropped by the same argument, since its sigma
-    is at most the bound, whether or not it reaches every state; so the
-    tuples closed are the same in either order.  Only the options of the
-    other tuples, those in keep for a leaf with its own list and every
-    option for the others, are tested for minimality, and only a minimal
-    one raises the best."""
+    (or of the budget's prefix of it), so no witness is lost.  Such a
+    closure's elements join below, the batch's set of them, and a later
+    leaf whose letter is in below is dropped unclosed: the closure it
+    came from holds the prefix and that letter and is closed under
+    composition, so it holds the leaf's whole closure, which is below
+    the best as well (the best never falls).  A tuple dropped by its
+    bound or by below is dropped by the same argument, since its sigma
+    is at most the bound or below the best, whether or not it reaches
+    every state; so the tuples closed are the same whatever the order of
+    the three tests.  Only the options of the other tuples, those in
+    keep for a leaf with its own list and every option for the others,
+    are tested for minimality, and only a minimal one raises the best."""
     pool, rank, finals_opts = space.pool, space.ranks, space.options
     options = len(finals_opts)
     dead = len(pool) < best
@@ -764,12 +772,15 @@ def _run_shard(space: _Space, k: int, budget: int, shard: int, shards: int,
             len(kept) - options for kept in keep.values())
         if dead:
             continue
-        bounds = up.bounds
+        bounds, below = up.bounds, set()
         for c in leaves:
-            if bounds[rank[c]] < best or not up.reaches_all(c):
+            if (bounds[rank[c]] < best or not up.reaches_all(c)
+                    or bytes(pool[c]) in below):
                 continue
-            s = len(up.close(c))
+            closed = up.close(c)
+            s = len(closed)
             if s < best:
+                below |= closed
                 continue
             letters = tuple(map(pool.__getitem__, up.idx + (c,)))
             finals = _minimal_finals(letters, space.n,

@@ -171,14 +171,16 @@ def test_cell_counts_are_pinned(family, n, k, prune, expected):
     ("two_sided", 4, 6, (25, 2304, 770_875, 295_910)),
     ("left", 5, 3, (180, 672, 743_004_775, 661_543_469)),
     ("two_sided", 5, 4, (108, 1944, 31_468_177, 20_603_197)),
+    ("right", 5, 3, (545, 6912, 40_885_625, 34_056_580)),
 ])
 def test_frontier_cell_counts_are_pinned(family, n, k, expected):
     # the table cells up to about fifteen seconds long at jobs=1: left
     # (4,3), left (5,2), two-sided (5,3), left (5,3) and two-sided (5,4)
     # are above the bundled 25, 34, 47, 65 and 90, two-sided (4,4) and
-    # (4,5) and left (4,4) equal the bundled 23, 25 and 64, and two-sided
-    # (4,6) has none; k = 5 walks chains of four prefix nodes.  All are
-    # searched one quotient order at a time
+    # (4,5), left (4,4) and right (5,3) equal the bundled 23, 25, 64 and
+    # 545, and two-sided (4,6) has none; k = 5 walks chains of four prefix
+    # nodes.  All but right (5,3) are searched one quotient order at a
+    # time
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     assert result.exhaustive
@@ -191,7 +193,8 @@ def test_frontier_cell_counts_are_pinned(family, n, k, expected):
 @pytest.mark.slow
 def test_budgeted_right_5_3_is_pinned():
     # the cell where the rank bound skips the most closure work, cut by a
-    # budget to a few seconds of its exhaustive minute
+    # budget to under a second of its exhaustive run (about 13 s at
+    # jobs=1, pinned in test_frontier_cell_counts_are_pinned)
     result = search_max_sigma(SearchTask("right", 5, 3, budget=1_000_000))
     assert not result.exhaustive
     assert (result.max_sigma, len(result.witnesses),
@@ -1298,17 +1301,21 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     # the reachability test spreads a prefix's reached states: it must
     # give the verdict of the plain walk (automata._reachable) of the
     # whole tuple.  Replaying the walks of the cell's spaces in turn,
-    # their tuples in order: every tuple of a space whose pool is smaller
-    # than the best sigma so far meets no test and is not closed (in left
-    # (3,4), the order with 10 maps after the best reached 11).  A tuple
-    # whose rank bound is below the best sigma so far meets no test and is
-    # not closed, and its closure is below that best; every other one meets
-    # the reachability test, and is closed once, right after it, if it
-    # reaches every state.  In left and two-sided cells such a tuple is a
-    # left ideal with every option of its space (classify._left_ideal_pairs
-    # built afresh), so no left-ideal test is needed.  The Moore
-    # refinement then runs on every option of a closed tuple's kept list
-    # if its closure reaches the best so far, and on nothing else
+    # their batches and each batch's tuples in order: every tuple of a
+    # space whose pool is smaller than the best sigma so far meets no test
+    # and is not closed (in left (3,4), the order with 10 maps after the
+    # best reached 11).  A tuple whose rank bound is below the best sigma
+    # so far meets no test and is not closed, and its closure is below
+    # that best; every other one meets the reachability test.  One that
+    # reaches every state is closed once, right after it, unless its last
+    # letter is in the closure of an earlier tuple of its batch that came
+    # out below the best: then its own closure (built afresh) is inside
+    # that one and below the best.  In left and two-sided cells a tuple
+    # that reaches every state is a left ideal with every option of its
+    # space (classify._left_ideal_pairs built afresh), so no left-ideal
+    # test is needed.  The Moore refinement then runs on every option of
+    # a closed tuple's kept list if its closure reaches the best so far,
+    # and on nothing else
     real_reach, real_extend, real_moore = (
         search._Prefix.reaches_all, search._extend, search._moore_classes)
     calls = []
@@ -1323,7 +1330,7 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     def recorded(codes, n_, base):
         elements = real_extend(codes, n_, base)
         if len(codes) == k:  # a letter tuple, not a prefix of one
-            calls.append(("closed", tuple(codes), len(elements)))
+            calls.append(("closed", tuple(codes), elements))
         return elements
 
     def refined(gens, finals):
@@ -1337,41 +1344,54 @@ def test_inherited_facts_never_change_a_verdict(monkeypatch, family, n, k):
     task = SearchTask(family, n, k)
     result = search_max_sigma(task)
     left = search._FAMILIES[family][1]
-    best, at, dead = 0, 0, 0
+    best, at, dead, skipped = 0, 0, 0, 0
     for space in _spaces(task):
-        walked = [(tuple(space.pool[i] for i in up.idx), space.pool[c],
-                   keep.get(c, space.options))
-                  for up, leaves, keep in search._walk(space, k, task.budget,
-                                                       0, 1)
-                  for c in leaves]
+        batches = [(tuple(space.pool[i] for i in up.idx),
+                    [(space.pool[c], keep.get(c, space.options))
+                     for c in leaves])
+                   for up, leaves, keep in search._walk(space, k, task.budget,
+                                                        0, 1)]
         if len(space.pool) < best:
             dead += 1
             continue
-        for prefix, last, options in walked:
-            gens = prefix + (last,)
-            if search._rank_bound(n, space.sink,
-                                  tuple(len(set(g)) for g in gens)) < best:
-                codes = [_encode(g) for g in gens]
-                assert len(_closure(codes, n, None)[0]) < best, gens
-                continue
-            assert calls[at][:2] == ("tested", gens), (calls[at], gens)
-            reached = calls[at][2]
-            at += 1
-            if not reached:
-                continue
-            assert not left or all(_left_ideal_pairs(gens, n, 0, f)
-                                   for f in space.options), gens
-            closed = calls[at]
-            at += 1
-            assert closed[:2] == ("closed", tuple(map(_encode, gens))), gens
-            if closed[2] >= best:
+        for prefix, leaves in batches:
+            below = []  # the closures of earlier tuples below the best
+            for last, options in leaves:
+                gens = prefix + (last,)
+                fresh = set(_closure([_encode(g) for g in gens], n, None)[0])
+                if search._rank_bound(n, space.sink,
+                                      tuple(len(set(g)) for g in gens)) < best:
+                    assert len(fresh) < best, gens
+                    continue
+                assert calls[at][:2] == ("tested", gens), (calls[at], gens)
+                reached = calls[at][2]
+                at += 1
+                if not reached:
+                    continue
+                assert not left or all(_left_ideal_pairs(gens, n, 0, f)
+                                       for f in space.options), gens
+                holder = next((s for s in below if bytes(last) in s), None)
+                if holder is not None:
+                    assert fresh <= holder and len(fresh) < best, gens
+                    skipped += 1
+                    continue
+                closed = calls[at]
+                at += 1
+                assert closed[:2] == ("closed", tuple(map(_encode, gens))), \
+                    gens
+                assert closed[2] == fresh, gens
+                if len(fresh) < best:
+                    below.append(fresh)
+                    continue
                 refinements = calls[at:at + len(options)]
                 assert [c[:3] for c in refinements] == \
                     [("moore", gens, f) for f in options], gens
                 at += len(options)
                 if any(c[3] for c in refinements):
-                    best = closed[2]
+                    best = len(fresh)
     assert at == len(calls)
+    # every cell here with n, k >= 3 skips some closure by a sibling's
+    assert skipped or min(n, k) < 3
     assert result.witnesses and best == result.max_sigma
     assert dead == ((family, n, k) == ("left", 3, 4))
 
@@ -1422,22 +1442,23 @@ def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
 
 
 @pytest.mark.parametrize("family, n, k, closures, refinements",
-                         [("right", 5, 2, 2_099, 54),
-                          ("right", 4, 3, 2_908, 343),
-                          ("left", 4, 2, 129, 42),
-                          ("two_sided", 4, 3, 905, 18),
-                          ("left", 3, 4, 146, 90)],
+                         [("right", 5, 2, 1_263, 54),
+                          ("right", 4, 3, 1_046, 343),
+                          ("left", 4, 2, 93, 42),
+                          ("two_sided", 4, 3, 427, 18),
+                          ("left", 3, 4, 119, 90)],
                          # named as first pinned (see above)
                          ids=["right-5-2-2189-54", "right-4-3-6171-343",
                               "left-4-2-245-47", "two_sided-4-3-819-15",
                               "left-3-4-740-102"])
 def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
                                              closures, refinements):
-    # the letter tuples closed (every one that reaches every state and
-    # whose rank bound reaches the best so far, once whatever number of
-    # finals options it keeps) and the Moore refinements run (one per
-    # kept option of a tuple whose closure reaches the best so far) at
-    # jobs=1
+    # the letter tuples closed (every one that reaches every state, whose
+    # rank bound reaches the best so far and whose last letter is in no
+    # closure of an earlier tuple of its batch below the best, once
+    # whatever number of finals options it keeps) and the Moore
+    # refinements run (one per kept option of a tuple whose closure
+    # reaches the best so far) at jobs=1
     real_extend, real_moore = search._extend, search._moore_classes
     closed, refined = [], []
 
@@ -1457,10 +1478,10 @@ def test_closure_and_moore_counts_are_pinned(monkeypatch, family, n, k,
 
 
 @pytest.mark.parametrize("family, n, k, nodes, closures",
-                         [("right", 4, 3, 1_108, 2_908),
-                          ("right", 5, 2, 130, 2_099),
-                          ("left", 4, 2, 138, 129),
-                          ("two_sided", 4, 3, 420, 905)],
+                         [("right", 4, 3, 1_108, 1_046),
+                          ("right", 5, 2, 130, 1_263),
+                          ("left", 4, 2, 138, 93),
+                          ("two_sided", 4, 3, 420, 427)],
                          # named as first pinned (see above)
                          ids=["right-4-3-1108-6171", "right-5-2-130-2189",
                               "left-4-2-138-129", "two_sided-4-3-420-905"])
