@@ -38,15 +38,15 @@ and a budget cuts across them.
 The candidate order of a space is walked as a tree of letter prefixes,
 depth first (orderly generation, McKay 1998), every level alike.  A
 prefix that some relabeling maps lower is stepped over with its whole
-subtree.  The pool's orbits under the relabelings are one table
-(_Orbits): each letter's orbit head, its least index, and each head's
-images and stabilizer.  The root's children are the heads.  Below a prefix
-with first letter p0, a child whose orbit reaches below p0 is dropped in
-one pass, and each of the others meets only the relabelings that take
-one of its letters to p0, few of all, every one judged by the same test:
-it compares the child's last letter's image with one bound fixed per
-prefix, and builds the child's image only on a tie.  One closed form
-places each child in the order.
+subtree.  The pool's orbits under the relabelings are one table of the
+space (_Space): each letter's orbit head, its least index, and each
+head's images and stabilizer.  The root's children are the heads.
+Below a prefix with first letter p0, a child whose orbit reaches below
+p0 is dropped in one pass, and each of the others meets only the
+relabelings that take one of its letters to p0, few of all, every one
+judged by the same test: it compares the child's last letter's image
+with one bound fixed per prefix, and builds the child's image only on a
+tie.  One closed form places each child in the order.
 The leaves under a prefix of k - 1 letters reach the search as one
 batch: the pool indices of their canonical last letters, and finals
 lists for the few leaves that do not keep every option.  Each tuple's
@@ -59,8 +59,8 @@ and a tuple's last letter only when the tuple is closed.  Each step of
 the walk makes one prefix node (_Prefix), its parent plus one pool
 index, which holds all of the above for its prefix.  The orbit table
 and a letter's rank and mask table are built once per shard and space,
-by the space itself (_Space), and read by pool index, by nodes and
-leaves alike.
+by the space itself, and read by pool index, by nodes and leaves
+alike.
 
 Sigma depends only on the letters, so a tuple whose closure is smaller
 than the best found so far cannot be a witness: an exact
@@ -97,7 +97,7 @@ import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain, permutations, product, repeat
 from math import comb
@@ -228,48 +228,98 @@ def _relabelings(task: SearchTask) -> list[tuple[int, ...]]:
     return [(0, *p, *range(len(p) + 1, task.n)) for p in permutations(free)]
 
 
-@dataclass(frozen=True, eq=False)
 class _Space:
     """What one walk searches: every multiset of k pool letters (image
     tuples, sorted) with every finals option (sorted as sorted tuples),
     one per orbit under relabelings, a group of state permutations, the
-    identity first, that maps pool and options to themselves.
+    identity first, that maps pool and options to themselves.  Every pool
+    is closed under composition, the maps of a family's skeleton or
+    End(P), so it holds the transition semigroup of each of its tuples,
+    and no tuple's sigma is above len(pool).
 
     The rest is built from those, once per space, and read by the walk's
-    nodes and leaves by pool index: ranks (image sizes), at once since
-    every leaf reads one; mask tables (_image_masks, read through image),
-    each when a node or leaf first needs it; and orbits, the pool's orbit
-    table (_Orbits).  A list entry costs a pointer where a dict entry
-    would cost a hash slot as well, which matters at n=7, where a right
-    cell's pool holds 117,649 letters and the antichain order's of a left
-    cell 117,655.  sink is the e of the rank bounds (_rank_bounds): 1
-    where every pool letter fixes n-1.  Every pool is closed under
-    composition, the maps of a family's skeleton or End(P), so it holds
-    the transition semigroup of each of its tuples, and no tuple's sigma
-    is above len(pool)."""
+    nodes and leaves by pool index.  A list entry costs a pointer where a
+    dict entry would cost a hash slot as well, which matters at n=7, where
+    a right cell's pool holds 117,649 letters and the antichain order's of
+    a left cell 117,655.
+      - ranks lists the letters' ranks (image sizes), built at once since
+        every leaf reads one, and sink is the e of the rank bounds
+        (_rank_bounds): 1 where every pool letter fixes n-1;
+      - masks(c) is letter c's mask table (_image_masks), built when a
+        node or leaf first needs it;
+      - the orbit table, each relabeling g acting on a letter t as
+        g t g^-1, is built in one pass over the pool in index order: the
+        first letter met of each orbit is its head, its least pool index.
+        least[c] is the head of c's orbit, and via[c] the index of a
+        relabeling that takes least[c] to c (0, the identity, at a head).
+        rows[c] lists the images of head c under every relabeling, the
+        identity first, and stabs[c] the relabelings that fix c, in
+        order, the identity first (both None where c is no head).
+        mul[a][b] is the index of relabeling a after b, and inverse[a]
+        that of a's inverse.  finals[a] maps a finals option's index to
+        that of its image under relabeling a.
+    So g takes letter c to rows[least[c]][mul[g][via[c]]] (image): three
+    list lookups, where the tables grow as the pool plus heads *
+    relabelings, not as the pool times the relabelings.  The pool and the
+    options are sorted and closed under relabeling, so indices compare as
+    the items do."""
 
-    n: int
-    pool: list[tuple[int, ...]]
-    relabelings: list[tuple[int, ...]]
-    options: list[frozenset[int]]
-    ranks: list[int] = field(init=False)
-    images: list[bytes | None] = field(init=False)
-    orbits: _Orbits = field(init=False)
-    sink: int = field(init=False)
+    __slots__ = ("n", "pool", "relabelings", "options", "ranks", "sink",
+                 "_masks", "least", "via", "rows", "stabs", "mul", "inverse",
+                 "finals")
 
-    def __post_init__(self):
-        pool, last = self.pool, self.n - 1
-        derive = partial(object.__setattr__, self)  # the fields are frozen
-        derive("ranks", list(map(len, map(set, pool))))
-        derive("images", [None] * len(pool))
-        derive("orbits", _Orbits(self))
-        derive("sink", int(all(t[last] == last for t in pool)))
+    def __init__(self, n: int, pool: list[tuple[int, ...]],
+                 relabelings: list[tuple[int, ...]],
+                 options: list[frozenset[int]]):
+        self.n, self.pool = n, pool
+        self.relabelings, self.options = relabelings, options
+        self.ranks = list(map(len, map(set, pool)))
+        self.sink = int(all(t[n - 1] == n - 1 for t in pool))
+        self._masks: list[bytes | None] = [None] * len(pool)
+        at = {g: a for a, g in enumerate(relabelings)}
+        self.mul = [[at[tuple(map(g.__getitem__, h))] for h in relabelings]
+                    for g in relabelings]
+        self.inverse = [row.index(0) for row in self.mul]
+        option = {f: i for i, f in enumerate(options)}
+        self.finals = [[option[frozenset(map(g.__getitem__, f))]
+                        for f in options] for g in relabelings]
+        # g t g^-1 takes state q to g(t(g^-1(q)))
+        acts = [(g, sorted(range(n), key=g.__getitem__)) for g in relabelings]
+        index = {t: i for i, t in enumerate(pool)}
+        least: list[int | None] = [None] * len(pool)
+        self.least, self.via = least, [0] * len(pool)
+        self.rows: list[list[int] | None] = [None] * len(pool)
+        self.stabs: list[tuple[int, ...] | None] = [None] * len(pool)
+        for c, t in enumerate(pool):
+            if least[c] is not None:
+                continue
+            row = self.rows[c] = [
+                index[tuple(map(g.__getitem__, map(t.__getitem__, inv)))]
+                for g, inv in acts]
+            stab = []
+            for a, d in enumerate(row):
+                if least[d] is None:
+                    least[d], self.via[d] = c, a
+                if d == c:
+                    stab.append(a)
+            self.stabs[c] = tuple(stab)
 
-    def image(self, c: int) -> bytes:
-        table = self.images[c]
+    def masks(self, c: int) -> bytes:
+        table = self._masks[c]
         if table is None:
-            table = self.images[c] = _image_masks(self.pool[c])
+            table = self._masks[c] = _image_masks(self.pool[c])
         return table
+
+    def image(self, g: int, c: int) -> int:
+        """The pool index of letter c under relabeling g."""
+        return self.rows[self.least[c]][self.mul[g][self.via[c]]]
+
+    def sending(self, c: int) -> list[int]:
+        """The relabelings that take letter c to its head least[c]: s
+        after the inverse of via[c], for s in the head's stabilizer, so
+        the stabilizer itself, in order, where c is a head."""
+        back = self.inverse[self.via[c]]
+        return [self.mul[s][back] for s in self.stabs[self.least[c]]]
 
 
 def _space(task: SearchTask) -> _Space:
@@ -325,78 +375,13 @@ def _insert(image: tuple[int, ...], x: int) -> tuple[int, ...]:
     return image[:i] + (x,) + image[i:]
 
 
-class _Orbits:
-    """The pool's orbits under the relabelings of a space (_Space, the
-    identity first), each relabeling g acting on a letter
-    t as g t g^-1, built in one pass over the pool in index order: the
-    first letter met of each orbit is its head, its least pool index.
-      - least[c] is the head of c's orbit, and via[c] the index of a
-        relabeling that takes least[c] to c (0, the identity, at a head);
-      - rows[c] lists the images of head c under every relabeling, the
-        identity first, and stabs[c] the relabelings that fix c, in
-        order, the identity first (both None where c is no head);
-      - mul[a][b] is the index of relabeling a after b, and inverse[a]
-        that of a's inverse;
-      - finals[a] maps a finals option's index to that of its image
-        under relabeling a.
-    So g takes letter c to rows[least[c]][mul[g][via[c]]]: three list
-    lookups, where the tables grow as the pool plus heads * relabelings,
-    not as the pool times the relabelings.  The pool and the options are
-    sorted and closed under relabeling, so indices compare as the items
-    do."""
-
-    __slots__ = ("least", "via", "rows", "stabs", "mul", "inverse",
-                 "finals")
-
-    def __init__(self, space: _Space):
-        group, pool, options = space.relabelings, space.pool, space.options
-        at = {g: a for a, g in enumerate(group)}
-        self.mul = [[at[tuple(map(g.__getitem__, h))] for h in group]
-                    for g in group]
-        self.inverse = [row.index(0) for row in self.mul]
-        option = {f: i for i, f in enumerate(options)}
-        self.finals = [[option[frozenset(map(g.__getitem__, f))]
-                        for f in options] for g in group]
-        # g t g^-1 takes state q to g(t(g^-1(q)))
-        acts = [(g, sorted(range(space.n), key=g.__getitem__)) for g in group]
-        index = {t: i for i, t in enumerate(pool)}
-        least: list[int | None] = [None] * len(pool)
-        self.least, self.via = least, [0] * len(pool)
-        self.rows: list[list[int] | None] = [None] * len(pool)
-        self.stabs: list[tuple[int, ...] | None] = [None] * len(pool)
-        for c, t in enumerate(pool):
-            if least[c] is not None:
-                continue
-            row = self.rows[c] = [
-                index[tuple(map(g.__getitem__, map(t.__getitem__, inv)))]
-                for g, inv in acts]
-            stab = []
-            for a, d in enumerate(row):
-                if least[d] is None:
-                    least[d], self.via[d] = c, a
-                if d == c:
-                    stab.append(a)
-            self.stabs[c] = tuple(stab)
-
-    def image(self, g: int, c: int) -> int:
-        """The pool index of letter c under relabeling g."""
-        return self.rows[self.least[c]][self.mul[g][self.via[c]]]
-
-    def sending(self, c: int) -> list[int]:
-        """The relabelings that take letter c to its head least[c]: s
-        after the inverse of via[c], for s in the head's stabilizer, so
-        the stabilizer itself, in order, where c is a head."""
-        back = self.inverse[self.via[c]]
-        return [self.mul[s][back] for s in self.stabs[self.least[c]]]
-
-
-def _test(orbits: _Orbits, idx: tuple[int, ...], g: int) -> tuple:
+def _test(space: _Space, idx: tuple[int, ...], g: int) -> tuple:
     """The test of relabeling g on the children of prefix idx that
     _canonical_children judges: (mul[g], finals[g], P, rise), P being the
     sorted image of idx and rise the letter of idx at the first position
     where P differs from it, or None where g fixes idx."""
-    image = tuple(sorted(map(orbits.image, repeat(g), idx)))
-    return (orbits.mul[g], orbits.finals[g], image,
+    image = tuple(sorted(map(space.image, repeat(g), idx)))
+    return (space.mul[g], space.finals[g], image,
             next((p for p, q in zip(idx, image) if p != q), None))
 
 
@@ -441,8 +426,8 @@ def _canonical_children(node: _Prefix,
     not in node.meet takes every letter of p above p0, so j = 0 and
     p_j = p0 = x: it always ties.  At the root P = p = () and sending(c)
     is c's stabilizer, whose relabelings all fix t."""
-    orbits = node.space.orbits
-    least, rows, via = orbits.least, orbits.rows, orbits.via
+    space = node.space
+    least, rows, via = space.least, space.rows, space.via
     idx, meet = node.idx, node.meet
     if idx:
         p0 = idx[0]
@@ -453,14 +438,14 @@ def _canonical_children(node: _Prefix,
         p0 = None
         kids = [c for c in kids if least[c] == c]
     # the identity, meet[0], never maps lower
-    tests = [_test(orbits, idx, g) for g in meet[1:]]
+    tests = [_test(space, idx, g) for g in meet[1:]]
     children, fixed = [], []
     for c in kids:
         row, v = rows[least[c]], via[c]
         met, fixing = tests, []
         if least[c] == p0 or not idx:  # c is in t0's orbit, as heads are
-            met = chain(tests, (_test(orbits, idx, g)
-                                for g in orbits.sending(c) if g not in meet))
+            met = chain(tests, (_test(space, idx, g)
+                                for g in space.sending(c) if g not in meet))
         for mg, fin, image, rise in met:
             x, bound = row[mg[v]], c if rise is None else rise
             if x <= bound:
@@ -504,13 +489,13 @@ def _image_masks(g: tuple[int, ...]) -> bytes:
     return table
 
 
-def _spread(reach: int, union: bytes, image: bytes) -> int:
+def _spread(reach: int, union: bytes, last: bytes) -> int:
     """The mask of the states reached from those in mask reach by words
     over some letters, the OR of whose mask tables is union, and one more
-    letter with mask table image: reach grown by one step of every letter
+    letter with mask table last: reach grown by one step of every letter
     until it stops growing, after at most n steps."""
     while True:
-        grown = reach | union[reach] | image[reach]
+        grown = reach | union[reach] | last[reach]
         if grown == reach:
             return reach
         reach = grown
@@ -526,7 +511,7 @@ class _Prefix:
         its closure reaches the best (_run_shard).  meet lists the
         identity and the relabelings that take some letter of the prefix
         to its first letter p0, in order: its parent's, with those taking
-        c to p0 (_Orbits.sending) where c is in p0's orbit, as every root
+        c to p0 (_Space.sending) where c is in p0's orbit, as every root
         child is (_canonical_children reads them); the identity alone at
         the root.
       - reach is the mask of the states its letters reach from 0, and
@@ -554,11 +539,10 @@ class _Prefix:
 
     def __init__(self, up: _Prefix, c: int):
         space = self.space = up.space
-        g, own = space.pool[c], space.image(c)
-        self.up, self.idx = up, up.idx + (c,)
-        orbits, self.meet = space.orbits, up.meet
-        if orbits.least[c] == self.idx[0]:
-            self.meet = tuple(sorted({*up.meet, *orbits.sending(c)}))
+        g, own = space.pool[c], space.masks(c)
+        self.up, self.idx, self.meet = up, up.idx + (c,), up.meet
+        if space.least[c] == self.idx[0]:
+            self.meet = tuple(sorted({*up.meet, *space.sending(c)}))
         self.codes = up.codes + (_encode(g),)
         self.reach = _spread(up.reach, up.union, own)
         self.union = bytes(map(or_, up.union, own))
@@ -584,7 +568,7 @@ class _Prefix:
         state from 0."""
         full = (1 << self.space.n) - 1
         return self.reach == full or _spread(
-            self.reach, self.union, self.space.image(c)) == full
+            self.reach, self.union, self.space.masks(c)) == full
 
     def close(self, c: int) -> set:
         """The closure's element set of this prefix's letters and pool
@@ -683,10 +667,10 @@ def _walk(space: _Space, k: int, budget: int, shard: int, shards: int):
     Each node takes the same steps: its children inside the budget, the
     canonical ones among them (_canonical_children), then the batch or a
     visit to each, placed in the order by _tuples_before.  The canonical
-    children of the root are the orbit heads (_Orbits).  Below it, a
-    batch is the children whose orbits reach no lower than the prefix's
-    first letter p0, less those that a relabeling taking one of their
-    letters to p0 maps lower.  Where no such relabeling but the identity
+    children of the root are the orbit heads of the space's orbit table
+    (_Space).  Below it, a batch is the children whose orbits reach no
+    lower than the prefix's first letter p0, less those that a relabeling
+    taking one of their letters to p0 maps lower.  Where no such relabeling but the identity
     exists, the batch is the orbit filter's survivors as they are."""
     letters, options = len(space.pool), len(space.options)
     # a tuple, not a range: its slices share ints instead of making new ones

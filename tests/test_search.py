@@ -52,8 +52,8 @@ def relabeled(monkeypatch):
     tables = {}
 
     class Recorded(search._Space):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             index = {t: i for i, t in enumerate(self.pool)}
             tables[id(self)] = [[index[_conjugate(g, t)] for t in self.pool]
                                 for g in self.relabelings]
@@ -658,15 +658,6 @@ def _conjugate(pm: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _relabeled(task: SearchTask) -> list[list[int]]:
-    """Per relabeling of _group, the pool index of each pool letter's
-    image, by conjugating every letter directly."""
-    pool = search._space(task).pool
-    index = {t: i for i, t in enumerate(pool)}
-    return [[index[_conjugate(pm, t)] for t in pool]
-            for pm in _group(task.family, task.n)]
-
-
 @pytest.mark.parametrize("family, n, k, tested", [
     ("right", 4, 3, 25_298),
     # named as first pinned, over the family space
@@ -734,18 +725,18 @@ def test_leaves_meet_only_relabelings_onto_the_first_letter(
 
     def counted(node, kids):
         nonlocal walked, recounted
-        idx, orbits = node.idx, node.space.orbits
-        group = relabeled(node.space)
+        idx, space = node.idx, node.space
+        group = relabeled(space)
         if len(idx) == k - 1:
             p0 = idx[0]
             for c in kids:
-                least = orbits.least[c]
+                least = space.least[c]
                 assert least == min(g[c] for g in group)
                 if least < p0:
                     continue
                 meets = set(node.meet)
                 if least == p0:
-                    meets.update(orbits.sending(c))
+                    meets.update(space.sending(c))
                 meets.discard(0)
                 expected = {a for a, g in enumerate(group)
                             if a and p0 in (g[i] for i in idx + (c,))}
@@ -791,43 +782,56 @@ def test_relabelings_fix_the_skeleton(family, n):
                 search._rank_bounds(1, 1, ranks) == [0, 1]
 
 
-@pytest.mark.parametrize("family, n", [
-    *((family, n) for family in ("right", "left", "two_sided", "all")
+@pytest.mark.parametrize("family, n, order", [
+    *(pytest.param(family, n, None, id=f"{family}-{n}")
+      for family in ("right", "left", "two_sided", "all")
       for n in range(1, 6)),
-    ("right", 6), ("two_sided", 6),
+    pytest.param("right", 6, None, id="right-6"),
+    pytest.param("two_sided", 6, None, id="two_sided-6"),
+    # the order spaces that left and two-sided cells walk (_chain)
+    *(pytest.param(family, n, i, id=f"{family}-{n}-order{i}")
+      for family in ("left", "two_sided") for n in range(2, 6)
+      for i in range((1, 1, 2, 5, 16)[n - 1 - (family == "two_sided")])),
 ])
-def test_orbit_table_matches_every_relabeling(family, n):
-    # for every pool letter c and relabeling g, the orbit table's g(c),
-    # read through c's head, equals c conjugated by g directly; least[c]
-    # is the least index of c's orbit, the heads are the letters that
-    # are their own least, each head's stored stabilizer is the
-    # relabelings that fix it, sending(c) is those that take c to
-    # least[c], and each relabeling's finals table maps an option to its
-    # image
+def test_orbit_table_matches_every_relabeling(family, n, order):
+    # the family space of the cell, or the order-th of its order spaces:
+    # for every pool letter c and relabeling g of the space, the orbit
+    # table's g(c), read through c's head, equals c conjugated by g
+    # directly; least[c] is the least index of c's orbit, the heads are
+    # the letters that are their own least, each head's stored
+    # stabilizer is the relabelings that fix it, sending(c) is those that
+    # take c to least[c], and each relabeling's finals table maps an
+    # option to its image
     task = SearchTask(family, n, 1)
-    space = search._space(task)
-    orbits, options = space.orbits, space.options
-    relabeled = _relabeled(task)
-    for c in range(len(space.pool)):
+    if order is None:
+        space = search._space(task)
+        assert space.relabelings == _group(family, n)
+    else:
+        space = search._chain(task)[order][1]()
+    pool, options = space.pool, space.options
+    index = {t: i for i, t in enumerate(pool)}
+    relabeled = [[index[_conjugate(pm, t)] for t in pool]
+                 for pm in space.relabelings]
+    for c in range(len(pool)):
         images = [g[c] for g in relabeled]
-        assert [orbits.image(a, c) for a in range(len(relabeled))] == \
+        assert [space.image(a, c) for a in range(len(relabeled))] == \
             images, c
-        assert orbits.least[c] == min(images), c
-    heads = [c for c, least in enumerate(orbits.least) if least == c]
+        assert space.least[c] == min(images), c
+    heads = [c for c, least in enumerate(space.least) if least == c]
     assert heads == sorted({min(g[c] for g in relabeled)
-                            for c in range(len(space.pool))})
-    assert [c for c, row in enumerate(orbits.rows) if row] == heads
-    assert [c for c, stab in enumerate(orbits.stabs) if stab] == heads
+                            for c in range(len(pool))})
+    assert [c for c, row in enumerate(space.rows) if row] == heads
+    assert [c for c, stab in enumerate(space.stabs) if stab] == heads
     for c in heads:
-        assert orbits.stabs[c] == tuple(
+        assert space.stabs[c] == tuple(
             a for a, g in enumerate(relabeled) if g[c] == c), c
-    for c, least in enumerate(orbits.least):
-        assert sorted(orbits.sending(c)) == [
+    for c, least in enumerate(space.least):
+        assert sorted(space.sending(c)) == [
             a for a, g in enumerate(relabeled) if g[c] == least], c
     option = {f: i for i, f in enumerate(options)}
-    assert orbits.finals == [
+    assert space.finals == [
         [option[frozenset(pm[q] for q in f)] for f in options]
-        for pm in _group(family, n)]
+        for pm in space.relabelings]
 
 
 @pytest.mark.parametrize("family, n, k", _SMALL_CELLS)
@@ -1080,8 +1084,9 @@ def _lemma8_space(task: SearchTask):
     space = search._space(task)
     if not search._FAMILIES[task.family][1]:
         return space
-    return dataclasses.replace(space, pool=[
-        t for t in space.pool if _orbit(t, 0)[2] == 1])
+    return search._Space(space.n, [t for t in space.pool
+                                   if _orbit(t, 0)[2] == 1],
+                         space.relabelings, space.options)
 
 
 @functools.cache
@@ -1437,7 +1442,8 @@ def test_letter_tests_follow_the_rank_bound(monkeypatch, family, n, k,
     # one leaf per orbit of letter multisets: the canonical count of each
     # space with one finals option that every relabeling fixes
     assert tuples == sum(
-        canonical_count(dataclasses.replace(space, options=[frozenset()]), k)
+        canonical_count(search._Space(space.n, space.pool,
+                                      space.relabelings, [frozenset()]), k)
         for space in _spaces(task))
 
 
