@@ -372,7 +372,8 @@ def emit_dfa_json(d: Dfa) -> str:
 
 def to_dot(d: Dfa) -> str:
     """Graphviz rendering: doublecircle finals, point-node arrow into initial,
-    parallel edges merged with comma-joined labels."""
+    parallel edges merged with comma-joined labels, each \\ and " in a
+    letter escaped."""
     lines = ["digraph dfa {", "  rankdir=LR;",
              '  __start [shape=point, label=""];',
              f"  __start -> {d.initial};"]
@@ -384,6 +385,7 @@ def to_dot(d: Dfa) -> str:
         for p in range(d.n):
             edges.setdefault((p, d.delta[a](p)), []).append(a)
     for (p, q), labels in sorted(edges.items()):
-        lines.append(f'  {p} -> {q} [label="{",".join(labels)}"];')
+        label = ",".join(labels).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {p} -> {q} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

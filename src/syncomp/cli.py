@@ -31,9 +31,10 @@ __all__ = ["main"]
 # n = 18 takes seconds and 145 MB, and each two more states cost 4x
 _REVERSE_MAX_STATES = 20
 # analyze and oracle --dfa close at most this many elements times states
-# by default: an element of an n-state closure holds about 8n bytes past
-# 256 states (16 kB at n = 2,000), and every DFA of at most 8 states
-# still closes in full, since 8^8 = 2^27 / 8
+# of the minimal DFA, the one they close, by default: an element of an
+# n-state closure holds about 8n bytes past 256 states (16 kB at
+# n = 2,000), and every DFA whose minimal DFA has at most 8 states still
+# closes in full, since 8^8 = 2^27 / 8
 _CLOSURE_MAX_CELLS = 2 ** 27
 # a family witness costs time and memory linear in n (10^5 states take
 # 0.5 s and 70 MB); 10,000 states emit about 0.5 MB of JSON
@@ -128,7 +129,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
-    d = _load_dfa(args.input)
+    # classify closes the minimal DFA, so the default cap is sized by it
+    d = minimize(_load_dfa(args.input))
     report = classify(d, cap=_CLOSURE_MAX_CELLS // d.n if args.cap is None
                       else args.cap)
     sg = report.semigroup

@@ -64,8 +64,8 @@ def canonical_count(space: _Space, k: int) -> int:
     1/(1 - x^c) over those cycle lengths c.  The pool and the options are
     closed under the relabelings: a family space's pool is every letter
     of its skeleton, and its relabelings fix the states the skeleton
-    fixes; in the space of an order P, Aut(P) maps End(P) and P's up-sets
-    to themselves.
+    fixes; the space of an order P keeps the family's relabelings that
+    preserve P, Aut(P), which map End(P) and P's up-sets to themselves.
     """
     pool, options, n = space.pool, space.options, space.n
     group = space.relabelings

@@ -15,10 +15,9 @@ ideals", DLT 2014).  So sigma is at most |End(P)| for the quotient order
 P of the DFA, and max_P |End(P)| is the family's bound.
 
 This module lists those orders P on n states up to relabeling of the
-free states (those other than 0, and n-1 in two-sided cells), counts
-and lists End(P), the maps preserving P (fixing n-1 in two-sided
-cells), and gives Aut(P), the relabelings of the free states that
-preserve P.  It imports nothing from the rest of the package.
+free states (those other than 0, and n-1 in two-sided cells), and
+counts and lists End(P), the maps preserving P (fixing n-1 in two-sided
+cells).  It imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import cache
 from itertools import chain, permutations, product
 from typing import NamedTuple
 
-__all__ = ["Order", "quotient_orders", "endomorphisms", "automorphisms"]
+__all__ = ["Order", "quotient_orders", "endomorphisms"]
 
 
 class Order(NamedTuple):
@@ -46,14 +45,13 @@ class Order(NamedTuple):
     finals: list[frozenset[int]]
 
 
-def _canonical(below: tuple[int, ...]) -> tuple[tuple[int, ...], list]:
+def _canonical(below: tuple[int, ...]) -> tuple[int, ...]:
     """The least relabeling of a partial order on m elements, given as the
-    masks of its elements' strict down-sets, and the relabelings that give
-    it, each as the list of the old elements in their new order.  Only the
-    relabelings that list the elements by a relabeling-invariant key are
-    tried: the sizes of an element's down- and up-set, then those of the
-    elements below and above it.  The key lists each element after those
-    below it, so the least relabeling does too."""
+    masks of its elements' strict down-sets.  Only the relabelings that
+    list the elements by a relabeling-invariant key are tried: the sizes
+    of an element's down- and up-set, then those of the elements below
+    and above it.  The key lists each element after those below it, so
+    the least relabeling does too."""
     m = len(below)
     above = [sum(1 << j for j in range(m) if below[j] >> i & 1)
              for i in range(m)]
@@ -63,19 +61,15 @@ def _canonical(below: tuple[int, ...]) -> tuple[tuple[int, ...], list]:
             tuple(sorted(sizes[j] for j in range(m) if above[i] >> j & 1)))
            for i in range(m)]
     classes = [[i for i in range(m) if key[i] == k] for k in sorted(set(key))]
-    least, hits = None, []
-    for parts in product(*map(permutations, classes)):
+
+    def code(parts: tuple) -> tuple[int, ...]:
         order = list(chain.from_iterable(parts))
         new = [0] * m
         for a, old in enumerate(order):
             new[old] = a
-        code = tuple(sum(1 << new[j] for j in range(m) if below[old] >> j & 1)
+        return tuple(sum(1 << new[j] for j in range(m) if below[old] >> j & 1)
                      for old in order)
-        if least is None or code < least:
-            least, hits = code, [order]
-        elif code == least:
-            hits.append(order)
-    return least, hits
+    return min(map(code, product(*map(permutations, classes))))
 
 
 @cache
@@ -89,7 +83,7 @@ def _posets(m: int) -> tuple[tuple[int, ...], ...]:
     for below in _posets(m - 1):
         for d in range(1 << (m - 1)):
             if all(below[i] | d == d for i in range(m - 1) if d >> i & 1):
-                found.add(_canonical(below + (d,))[0])
+                found.add(_canonical(below + (d,)))
     return tuple(sorted(found))
 
 
@@ -137,19 +131,6 @@ def endomorphisms(order: Order) -> list[tuple[int, ...]]:
                     grow(q + 1, image + (x,), _ranges(ups, q, x, rest[1:]))
     grow(0, (), _start(n, order.top))
     return maps
-
-
-def automorphisms(order: Order) -> list[tuple[int, ...]]:
-    """Aut(P): the relabelings of the free states that preserve P, as
-    image tuples on the n states, in lexicographic order, so the identity
-    first."""
-    found = []
-    for listed in _canonical(order.below)[1]:
-        g = list(range(len(order.ups)))
-        for a, old in enumerate(listed):
-            g[old + 1] = a + 1
-        found.append(tuple(g))
-    return sorted(found)
 
 
 @cache

@@ -24,9 +24,10 @@ so far; one rule (_merge) takes the parts of spaces and shards together.
 Right and all cells, and every cell with n = 1, have the family's space
 alone: the letters of its skeleton.  Left and two-sided cells with n >= 2
 have one space per quotient order P up to relabeling
-(orders.quotient_orders): pool End(P), relabelings Aut(P) and options
-P's up-sets.  Every tuple of such a space that reaches all states makes
-a left ideal with each option (see orders), so no left-ideal test runs.
+(orders.quotient_orders): pool End(P), options P's up-sets and
+relabelings Aut(P), the family's relabelings that preserve P.  Every
+tuple of such a space that reaches all states makes a left ideal with
+each option (see orders), so no left-ideal test runs.
 Every pool is closed under composition, so its size bounds the sigma of
 each of its tuples.  The spaces are visited by decreasing |End(P)|, and
 one whose pool is smaller than the best so far is walked only for its
@@ -339,12 +340,17 @@ def _space(task: SearchTask) -> _Space:
     return _Space(n, pool, _relabelings(task), options)
 
 
-def _order_space(order) -> _Space:
+def _order_space(order, relabelings: list[tuple[int, ...]]) -> _Space:
     """The space of a quotient order P (orders.Order): pool End(P),
-    relabelings Aut(P) and options P's up-sets."""
-    from .orders import automorphisms, endomorphisms
-    return _Space(len(order.ups), endomorphisms(order), automorphisms(order),
-                  order.finals)
+    options P's up-sets and relabelings Aut(P), those g of the family's
+    relabelings that preserve P: ups[g(q)] is the image of ups[q] under g
+    for every state q."""
+    from .orders import endomorphisms
+    ups, n = order.ups, len(order.ups)
+    return _Space(n, endomorphisms(order), [
+        g for g in relabelings
+        if all(ups[g[q]] == sum(1 << g[p] for p in range(n) if ups[q] >> p & 1)
+               for q in range(n))], order.finals)
 
 
 def _candidates(letters: int, options: int, k: int) -> int:
@@ -364,8 +370,9 @@ def _chain(task: SearchTask) -> list[tuple]:
         return [(_candidates(len(space.pool), len(space.options), task.k),
                  lambda: space)]
     from .orders import quotient_orders
+    relabelings = _relabelings(task)
     return [(_candidates(order.cap, len(order.finals), task.k),
-             partial(_order_space, order))
+             partial(_order_space, order, relabelings))
             for order in quotient_orders(task.n, task.family == "two_sided")]
 
 

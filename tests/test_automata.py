@@ -333,3 +333,7 @@ def test_dot_output_shape():
     assert "1 [shape=doublecircle];" in dot
     assert '0 -> 1 [label="a"];' in dot
     assert '1 -> 1 [label="a,b"];' in dot
+    # letters are any nonempty strings, so \ and " are escaped
+    dot = to_dot(dfa([[1, 1], [0, 1]], [1], alphabet=['a"b', "c\\"]))
+    assert '0 -> 1 [label="a\\"b"];' in dot
+    assert '1 -> 1 [label="a\\"b,c\\\\"];' in dot

@@ -61,8 +61,8 @@ def test_analyze_cap_overflow_is_a_usage_error(right4_file, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_analyze_caps_the_closure_by_default(right4_file, monkeypatch,
-                                             capsys):
+def test_analyze_caps_the_closure_by_default(right4_file, tmp_path,
+                                             monkeypatch, capsys):
     # 160 // 4 states = 40 < sigma 64; an explicit --cap wins over it
     monkeypatch.setattr("syncomp.cli._CLOSURE_MAX_CELLS", 160)
     assert main(["analyze", right4_file]) == 2
@@ -71,6 +71,17 @@ def test_analyze_caps_the_closure_by_default(right4_file, monkeypatch,
     assert "cap=40" in captured.err
     assert main(["analyze", right4_file, "--cap", "64"]) == 0
     assert "64" in capsys.readouterr().out
+    # the cap is sized by the minimal DFA, the one closed: the right (4)
+    # witness padded with 4 unreachable states gets 256 // 4 = 64, not
+    # 256 // 8 = 32
+    d = right_ideal_witness(4)
+    delta = {a: Transformation(t.images + tuple(range(4, 8)))
+             for a, t in d.delta.items()}
+    padded = tmp_path / "padded.json"
+    padded.write_text(emit_dfa_json(Dfa(8, d.alphabet, delta, 0, d.finals)))
+    monkeypatch.setattr("syncomp.cli._CLOSURE_MAX_CELLS", 256)
+    assert main(["analyze", str(padded), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == 64
 
 
 def test_analyze_cap_stops_before_the_ideal_tests(tmp_path, monkeypatch,

@@ -29,6 +29,25 @@ def test_package_imports_only_the_standard_library():
     assert names <= sys.stdlib_module_names, names - sys.stdlib_module_names
 
 
+def test_independent_modules_keep_apart():
+    # the orders module imports nothing from the rest of the package, and
+    # the oracles do not import semigroup, whose closure they cross-check.
+    # The package imports itself only relatively, as it imports nothing
+    # but the standard library by name
+    package = Path(syncomp.__file__).parent
+    imports = {}
+    for name in ("orders", "oracles"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        imports[name] = {
+            module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for module in ([node.module.split(".")[0]] if node.module
+                           else [alias.name for alias in node.names])}
+    assert imports["orders"] == set()
+    assert imports["oracles"], "no package import found"
+    assert "semigroup" not in imports["oracles"]
+
+
 def test_every_public_name_is_used():
     # a name in a module's __all__ must appear in src, tests, bench or the
     # README outside the statement that defines it and the __all__ list;
