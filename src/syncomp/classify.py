@@ -82,7 +82,7 @@ def all_behaviors_aperiodic(d: Dfa) -> bool:
     as one of them.
     """
     result = transition_semigroup(d)
-    return all(_orbit(t, d.initial)[2] == 1 for t in result.images)
+    return all(_orbit(t, d.initial)[2] == 1 for t in result.image_set)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ _PAIRING: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
 def verify_theorem9_pairing() -> Theorem9Report:
     ruled = set(_ruled_out(3))
     realized = set(map(tuple, transition_semigroup(
-        left_ideal_witness(3, "bcde")).images))
+        left_ideal_witness(3, "bcde")).image_set))
     excluded = set(product(range(3), repeat=3)) - ruled - realized
     paired, partners = zip(*_PAIRING)
     products = [tuple(p[i] for i in t) for t, p in _PAIRING]

@@ -8,7 +8,7 @@ nonempty word acts as the identity.
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -30,39 +30,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemigroupResult:
-    """Closure of the letter actions as a parent-pointer Cayley tree.
+    """Closure of the letter actions: its element set and level sizes.
 
-    images lists the elements in BFS order: element i is element parent[i]
-    followed by letter alphabet[last[i]], or that letter alone at parent -1.
-    An image is bytes (one byte per state) up to 256 states, else a tuple;
-    both index to ints.  words (each element's earliest BFS word) and
-    elements are built lazily, as Transformations.
+    image_set holds the elements as image codes: bytes (one byte per
+    state) up to 256 states, else tuples; both index to ints.  levels[i]
+    is the number of elements whose shortest word has length i + 1.
+    letters are the letter actions in the encoding of _encode, in
+    alphabet order, from which first_words rebuilds the Cayley tree on
+    demand; elements and words are built lazily, as Transformations.
     """
 
     n: int
     alphabet: tuple[str, ...]
-    images: list[bytes] | list[tuple[int, ...]]
-    parent: list[int]
-    last: list[int]
+    letters: tuple
+    image_set: set[bytes] | set[tuple[int, ...]]
+    levels: tuple[int, ...]
     sigma: int
     mu: int
     contains_identity_as_nonempty_word: bool
 
     @cached_property
     def elements(self) -> frozenset[Transformation]:
-        return frozenset(map(Transformation, self.images))
+        return frozenset(map(Transformation, self.image_set))
 
     @cached_property
     def words(self) -> dict[Transformation, tuple[str, ...]]:
         return self.first_words(self.sigma)
 
     def first_words(self, count: int) -> dict[Transformation, tuple[str, ...]]:
-        """words of the first count elements only, in BFS order: parents
-        come before children, so no other element's word is needed."""
+        """words of the first count elements only, in BFS order (by
+        length, then letter by letter in alphabet order): the tree is
+        built only that far, and parents come before children, so no
+        other element's word is needed."""
+        images, parent, last = _tree(self.letters, self.n, count)
         chain: list[tuple[str, ...]] = []
-        for p, a in zip(islice(self.parent, count), self.last):
+        for p, a in zip(islice(parent, count), last):
             chain.append((chain[p] if p >= 0 else ()) + (self.alphabet[a],))
-        return dict(zip(map(Transformation, self.images), chain))
+        return dict(zip(map(Transformation, images), chain))
 
 
 def _identity(n: int) -> bytes | tuple[int, ...]:
@@ -80,40 +84,79 @@ def _encode(g: Sequence[int]) -> bytes | tuple[int, ...]:
     return bytes(g).ljust(256, b"\0") if len(g) <= 256 else tuple(g)
 
 
+def _then(n: int):
+    """compose(t, g), the element t followed by the letter code g, for
+    the encodings of an n-state closure: bytes.translate, composed and
+    hashed in C, while a state number fits in a byte, else itemgetter."""
+    return bytes.translate if n <= 256 else lambda t, g: itemgetter(*t)(g)
+
+
 def _closure(letters: Sequence, n: int, cap: int | None
-             ) -> tuple[list, list[int], list[int]]:
-    """BFS closure of n-state letters, each already in the encoding of
-    _encode, so a caller that closes the same letter many times encodes
-    it once: the images, parent and last of a SemigroupResult, with the
-    elements in shortest-word order, each being element parent[i]
-    followed by letter last[i].  Given a cap, more than cap elements
-    raise CapExceededError; None sets no cap (there are at most n^n).
+             ) -> tuple[set, tuple[int, ...]]:
+    """The element set of the closure of n-state letters, each already in
+    the encoding of _encode, and the size of each level: level i holds
+    the elements whose shortest word has length i + 1.  Given a cap, the
+    closure stops at the element that makes cap + 1 and raises
+    CapExceededError; None sets no cap (there are at most n^n).
+
+    Only a set is kept, so the BFS goes one level at a time and takes
+    each letter through the whole level: every element of the next level
+    is an element of this one followed by a letter, whichever order
+    these products are formed in.  No words are recorded; _tree builds
+    them when they are asked for.  _extend, the search's closure, works
+    the same way but stays apart: the search's re-check of a witness
+    takes its sigma from this one."""
+    compose, limit = _then(n), sys.maxsize if cap is None else cap
+    seen: set = set()
+    levels: list[int] = []
+    level = [_identity(n)]  # the empty word, whose children are the letters
+    while True:
+        fresh = []
+        for g in letters:
+            for t in level:
+                c = compose(t, g)
+                if c not in seen:
+                    seen.add(c)
+                    fresh.append(c)
+                    if len(seen) > limit:
+                        raise CapExceededError(cap, len(seen))
+        if not fresh:
+            return seen, tuple(levels)
+        levels.append(len(fresh))
+        level = fresh
+
+
+def _tree(letters: Sequence, n: int, count: int
+          ) -> tuple[list, list[int], list[int]]:
+    """The parent-pointer Cayley tree of the closure of n-state letters,
+    in the encoding of _encode, as far as its first count elements (or a
+    few more): images, parent and last, with the elements in
+    shortest-word order, each being element parent[i] followed by letter
+    last[i], or that letter alone at parent -1.
 
     The BFS walks the growing element list, after the empty word (index
-    -1, whose children are the letters), and takes each element in turn
-    through every letter, since that order is what makes each parent
-    chain a shortest word (lex-least among them).  Up to 256 states an
-    element is bytes and t.translate(g) is t followed by g: composed and
-    hashed in C.  Beyond that a state number does not fit in a byte, so
-    elements are tuples and itemgetter(*t)(g) is t followed by g."""
-    small = n <= 256
+    -1), and takes each element in turn through every letter, since that
+    order is what makes each parent chain a shortest word (lex-least
+    among them).  It stops once the children of an element bring the
+    count to count or more, so it holds at most count + len(letters)
+    elements."""
+    compose = _then(n)
     indexed = tuple(enumerate(letters))
     seen = set()
-    elements: list = []
+    images: list = []
     parent: list[int] = []
     last: list[int] = []
-    for i, t in enumerate(chain((_identity(n),), elements), -1):
-        then = t.translate if small else itemgetter(*t)
+    for i, t in enumerate(chain((_identity(n),), images), -1):
+        if len(images) >= count:
+            break
         for a, g in indexed:
-            c = then(g)
+            c = compose(t, g)
             if c not in seen:
                 seen.add(c)
-                elements.append(c)
+                images.append(c)
                 parent.append(i)
                 last.append(a)
-        if cap is not None and len(elements) > cap:
-            raise CapExceededError(cap, len(elements))
-    return elements, parent, last
+    return images, parent, last
 
 
 def _extend(letters: Sequence, n: int, base: set | frozenset) -> set:
@@ -156,17 +199,18 @@ def _extend(letters: Sequence, n: int, base: set | frozenset) -> set:
 
 
 def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:
-    """BFS closure of the letter actions of d under word-order composition,
-    each letter encoded for the closure once.
+    """Closure of the letter actions of d under word-order composition,
+    each letter encoded for the closure once: sigma, mu and the level
+    sizes are read off its element set, and no word is built.
 
-    A cap makes the closure abort with CapExceededError once more elements
-    than that have been found (defensive for large n).  None sets no cap:
-    the closure has at most n^n elements anyway.
+    A cap makes the closure abort with CapExceededError at the element
+    that makes cap + 1 (defensive for large n).  None sets no cap: the
+    closure has at most n^n elements anyway.
     """
-    images, parent, last = _closure(
-        [_encode(d.delta[a].images) for a in d.alphabet], d.n, cap)
-    sigma, has_ident = len(images), _identity(d.n) in images
-    return SemigroupResult(d.n, d.alphabet, images, parent, last, sigma,
+    letters = tuple(_encode(d.delta[a].images) for a in d.alphabet)
+    found, levels = _closure(letters, d.n, cap)
+    sigma, has_ident = len(found), _identity(d.n) in found
+    return SemigroupResult(d.n, d.alphabet, letters, found, levels, sigma,
                            sigma if has_ident else sigma + 1, has_ident)
 
 
@@ -185,8 +229,5 @@ def witness_words(result: SemigroupResult, t: Transformation) -> str:
 
 
 def word_length_histogram(result: SemigroupResult) -> dict[int, int]:
-    """Element count by shortest-witness length: depth in the Cayley tree."""
-    depth: list[int] = []
-    for p in result.parent:
-        depth.append(depth[p] + 1 if p >= 0 else 1)
-    return dict(sorted(Counter(depth).items()))
+    """Element count by shortest-witness length: the closure's level sizes."""
+    return dict(enumerate(result.levels, 1))

@@ -14,9 +14,10 @@ import argparse
 import pytest
 
 import syncomp
-from syncomp import (FAMILIES, Dfa, SearchTask, Transformation, emit_dfa_json,
-                     left_ideal_witness, parse_dfa_json, right_ideal_witness,
-                     small_witness)
+from syncomp import (FAMILIES, Dfa, SearchTask, Transformation, classify,
+                     emit_dfa_json, left_ideal_witness, parse_dfa_json,
+                     right_ideal_witness, run_table, search_max_sigma,
+                     sigma_of_language, small_witness)
 from syncomp.cli import _build_parser, _family, main
 from syncomp.search import _FAMILIES
 
@@ -122,25 +123,49 @@ def test_analyze_rejects_boolean_json(tmp_path, capsys):
 
 
 def test_analyze_closes_once_without_words(right4_file, monkeypatch, capsys):
-    # sigma, mu, the histogram and the sample words all come from the one
-    # closure classify builds; every closure, through whichever binding of
-    # transition_semigroup, runs semigroup._closure
+    # sigma, mu and the histogram all come from the one closure classify
+    # builds; every closure, through whichever binding of
+    # transition_semigroup, runs semigroup._closure.  Only the sample
+    # words build a Cayley tree (semigroup._tree)
     semigroup_module = importlib.import_module("syncomp.semigroup")
-    real = semigroup_module._closure
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(semigroup_module, name)
 
-    monkeypatch.setattr(semigroup_module, "_closure", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("_closure", "_tree"):
+        monkeypatch.setattr(semigroup_module, name, counted(name))
     assert main(["analyze", right4_file, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 64
-    assert len(calls) == 1
+    assert calls == ["_closure"]
     assert main(["analyze", right4_file, "--histogram"]) == 0
-    assert len(calls) == 2
+    assert calls == ["_closure"] * 2
     assert main(["analyze", right4_file, "--samples", "3"]) == 0
-    assert len(calls) == 3
+    assert calls == ["_closure"] * 3 + ["_tree"]
+
+
+def test_sigma_readers_build_no_tree(right4_file, monkeypatch, capsys):
+    # sigma and mu, the histogram, the searches (whose witnesses are
+    # re-verified by transition_semigroup) and the tables all read the
+    # closure's element set and level sizes alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cayley tree built")
+
+    monkeypatch.setattr(importlib.import_module("syncomp.semigroup"),
+                        "_tree", refuse)
+    assert classify(right_ideal_witness(4)).mu == 64
+    assert sigma_of_language(left_ideal_witness(4)) == 67
+    assert search_max_sigma(SearchTask("right", 4, 2)).max_sigma == 31
+    assert search_max_sigma(SearchTask("left", 3, 2)).max_sigma == 7
+    assert run_table(5).ok
+    assert main(["analyze", right4_file, "--format", "json",
+                 "--histogram"]) == 0
+    assert sum(json.loads(capsys.readouterr().out)["histogram"].values()) == 64
 
 
 def test_analyze_json_samples_stay_valid_json(right4_file, capsys):
@@ -160,20 +185,30 @@ def test_analyze_json_samples_stay_valid_json(right4_file, capsys):
 def test_analyze_samples_build_only_their_own_words(tmp_path, monkeypatch,
                                                     capsys):
     # the first K elements' parents lie among them, so K sample words need
-    # no word or Transformation of the other elements (sigma is 117,655 here)
+    # no word or Transformation of the other elements (sigma is 117,655
+    # here), and the tree stops once an element's children bring it to K
+    d = left_ideal_witness(7)
     path = tmp_path / "left7.json"
-    path.write_text(emit_dfa_json(left_ideal_witness(7)))
-    built = []
-    real = Transformation.__post_init__
+    path.write_text(emit_dfa_json(d))
+    semigroup_module = importlib.import_module("syncomp.semigroup")
+    built, trees = [], []
+    real, real_tree = Transformation.__post_init__, semigroup_module._tree
 
     def counted(self):
         built.append(1)
         real(self)
 
+    def tree(*args):
+        images, parent, last = real_tree(*args)
+        trees.append(len(images))
+        return images, parent, last
+
     monkeypatch.setattr(Transformation, "__post_init__", counted)
+    monkeypatch.setattr(semigroup_module, "_tree", tree)
     assert main(["analyze", str(path), "--samples", "3"]) == 0
     assert capsys.readouterr().out.count(" -> ") == 3
     assert len(built) < 1000
+    assert len(trees) == 1 and 3 <= trees[0] <= 3 + len(d.alphabet)
 
 
 def test_analyze_rejects_negative_samples(right4_file, monkeypatch, capsys):

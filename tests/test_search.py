@@ -383,10 +383,13 @@ def test_reverification_agrees_with_classify(family, n, k):
 def test_reverification_runs_only_the_checks_it_states(monkeypatch, family,
                                                        right, left):
     # one witness of the family's (3,2) cell: the class tests of its own
-    # family only, and none of classify's complement-side tests
+    # family only, and none of classify's complement-side tests.  Its
+    # sigma comes from transition_semigroup, never from _extend (through
+    # either binding), which gave the search its sigma
     w = search_max_sigma(SearchTask(family, 3, 2)).witnesses[0]
     calls = []
     classify_module = importlib.import_module("syncomp.classify")
+    semigroup_module = importlib.import_module("syncomp.semigroup")
 
     def counted(name, real):
         def run(*args):
@@ -400,10 +403,15 @@ def test_reverification_runs_only_the_checks_it_states(monkeypatch, family,
                                 counted(name, getattr(module, name)))
     monkeypatch.setattr(classify_module, "complement",
                         counted("complement", classify_module.complement))
+    for module in (search, semigroup_module):
+        monkeypatch.setattr(module, "_extend",
+                            counted("_extend", getattr(module, "_extend")))
     search._reverify(SearchTask(family, 3, 2), w,
                      transition_semigroup(w.as_dfa()).sigma)
     assert sorted(calls) == ["_is_left_ideal"] * left + \
         ["_is_right_ideal"] * right
+    search_max_sigma(SearchTask(family, 2, 1))  # counting is live
+    assert "_extend" in calls
 
 
 def test_one_state_cell_is_trivial():

@@ -14,7 +14,7 @@ from syncomp import (CapExceededError, Dfa, Transformation, classify,
                      right_ideal_witness, sigma_of_language, small_witness,
                      transition_semigroup, two_sided_witness, witness_words,
                      word_bfs_sigma, word_length_histogram)
-from syncomp.semigroup import _closure, _encode, _extend
+from syncomp.semigroup import _closure, _encode, _extend, _tree
 
 
 def test_right_witness_semigroup_is_everything_fixing_the_sink():
@@ -95,10 +95,22 @@ def test_cap_aborts_closure():
     with pytest.raises(CapExceededError) as info:
         transition_semigroup(right_ideal_witness(4), cap=10)
     assert info.value.cap == 10
-    # the cap is checked once an element's children are in: 11 found
+    # the cap is checked on each insertion, so the closure stops at the
+    # element that makes cap + 1: 11 found
     assert info.value.partial_count == 11
     assert info.value.partial_count > info.value.cap
     assert "found 11 elements" in str(info.value)
+
+
+@settings(deadline=None)
+@given(random_dfas(max_n=4, min_k=1, max_k=3))
+def test_every_cap_below_sigma_stops_at_cap_plus_one(d):
+    sigma = transition_semigroup(d).sigma
+    for cap in range(sigma):
+        with pytest.raises(CapExceededError) as info:
+            transition_semigroup(d, cap=cap)
+        assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
+    assert transition_semigroup(d, cap=sigma).sigma == sigma
 
 
 def _plain_bfs(gens):
@@ -132,9 +144,10 @@ def generator_tuples(draw):
 def test_closure_extends_the_closure_of_a_prefix(gens):
     n = len(gens[0])
     cap, codes = n ** n, [_encode(g) for g in gens]
-    plain = _closure(codes, n, cap)
+    plain = _tree(codes, n, cap)
     # the shortest-word BFS, byte for byte
     assert plain == _plain_bfs(gens)
+    assert _closure(codes, n, cap)[0] == set(plain[0])
     # the element set, extended from the prefix's, which is copied, not
     # grown
     base = set(_closure(codes[:-1], n, cap)[0])
@@ -181,7 +194,7 @@ def test_closure_encoding_switches_above_256_states(n, encoding):
             frozenset({0}))
     sg = transition_semigroup(d)
     assert sg.sigma == sg.mu == (2 * n if n > 1 else 1)
-    assert type(sg.images[0]) is encoding
+    assert {type(c) for c in sg.image_set} == {encoding}
     for t, word in sg.words.items():
         assert d.transformation_of(word) == t
 
@@ -203,6 +216,13 @@ def test_closure_agrees_with_word_bfs_and_its_words(d):
     assert hist == dict(sorted(Counter(len(w)
                                        for w in sg.words.values()).items()))
     assert sum(hist.values()) == sg.sigma
+    # the level sizes are the depth counts of the Cayley tree
+    depth = []
+    for p in _tree(sg.letters, m.n, sg.sigma)[1]:
+        depth.append(depth[p] + 1 if p >= 0 else 1)
+    assert sg.levels == tuple(Counter(depth)[i]
+                              for i in range(1, len(sg.levels) + 1))
+    assert len(depth) == sum(sg.levels)
 
 
 @pytest.mark.parametrize("build, expected", [
