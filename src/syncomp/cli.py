@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print K sample word/transformation pairs")
     a.add_argument("--cap", type=int, default=None,
                    help="abort if the semigroup exceeds this size "
-                        "(default 2^27 // states)")
+                        "(default 2^27 // states of the minimal DFA)")
 
     w = sub.add_parser("witness", help="emit a witness automaton")
     w.add_argument("--family", required=True, type=_family, choices=FAMILIES)
@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="compare word-BFS sigma against the engine")
     o.add_argument("--max-words", type=int, default=1_000_000,
                    help="the most words and elements either side may reach "
-                        "(the closure also stops at 2^27 // states)")
+                        "(the closure also stops at 2^27 // states of the "
+                        "minimal DFA)")
     o.add_argument("--ruled-out", type=int, default=None, metavar="N",
                    help="compare the ruled-out formula against enumeration")
     return p

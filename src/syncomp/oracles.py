@@ -9,14 +9,12 @@ keeps one candidate of, by Burnside's lemma, without running that filter.
 
 from __future__ import annotations
 
-from .automata import Dfa
-from .search import _Space
-
 __all__ = ["word_bfs_sigma", "canonical_count"]
 
 
-def word_bfs_sigma(d: Dfa, max_words: int = 1_000_000) -> int:
-    """Count distinct word actions by plain breadth-first word enumeration.
+def word_bfs_sigma(d, max_words: int = 1_000_000) -> int:
+    """Count distinct word actions of d, an automata.Dfa, by plain
+    breadth-first word enumeration.
 
     Stops after the first word length that contributes no new action.  Work
     grows like |alphabet|^depth; max_words bounds the total number of words
@@ -49,10 +47,10 @@ def word_bfs_sigma(d: Dfa, max_words: int = 1_000_000) -> int:
         level = nxt
 
 
-def canonical_count(space: _Space, k: int) -> int:
-    """The number of canonical candidates of a cell space with k letters,
-    the examined minus the pruned count of its exhaustive walk, counted
-    without searching.
+def canonical_count(space, k: int) -> int:
+    """The number of canonical candidates of a cell space (a
+    search._Space) with k letters, the examined minus the pruned count of
+    its exhaustive walk, counted without searching.
 
     A candidate is a multiset of k pool letters with a finals option,
     and the canonical ones are one per orbit under the space's

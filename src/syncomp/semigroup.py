@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -36,8 +36,9 @@ class SemigroupResult:
     state) up to 256 states, else tuples; both index to ints.  levels[i]
     is the number of elements whose shortest word has length i + 1.
     letters are the letter actions in the encoding of _encode, in
-    alphabet order, from which first_words rebuilds the Cayley tree on
-    demand; elements and words are built lazily, as Transformations.
+    alphabet order, from which first_words finds shortest words on
+    demand (_words); elements and words are built lazily, as
+    Transformations.
     """
 
     n: int
@@ -59,14 +60,10 @@ class SemigroupResult:
 
     def first_words(self, count: int) -> dict[Transformation, tuple[str, ...]]:
         """words of the first count elements only, in BFS order (by
-        length, then letter by letter in alphabet order): the tree is
-        built only that far, and parents come before children, so no
-        other element's word is needed."""
-        images, parent, last = _tree(self.letters, self.n, count)
-        chain: list[tuple[str, ...]] = []
-        for p, a in zip(islice(parent, count), last):
-            chain.append((chain[p] if p >= 0 else ()) + (self.alphabet[a],))
-        return dict(zip(map(Transformation, images), chain))
+        length, then letter by letter in alphabet order): the BFS goes
+        only that far, recording each word as it finds the element."""
+        images, words = _words(self.letters, self.n, self.alphabet, count)
+        return dict(zip(map(Transformation, images[:count]), words))
 
 
 def _identity(n: int) -> bytes | tuple[int, ...]:
@@ -102,7 +99,7 @@ def _closure(letters: Sequence, n: int, cap: int | None
     Only a set is kept, so the BFS goes one level at a time and takes
     each letter through the whole level: every element of the next level
     is an element of this one followed by a letter, whichever order
-    these products are formed in.  No words are recorded; _tree builds
+    these products are formed in.  No words are recorded; _words finds
     them when they are asked for.  _extend, the search's closure, works
     the same way but stays apart: the search's re-check of a witness
     takes its sigma from this one."""
@@ -126,37 +123,34 @@ def _closure(letters: Sequence, n: int, cap: int | None
         level = fresh
 
 
-def _tree(letters: Sequence, n: int, count: int
-          ) -> tuple[list, list[int], list[int]]:
-    """The parent-pointer Cayley tree of the closure of n-state letters,
-    in the encoding of _encode, as far as its first count elements (or a
-    few more): images, parent and last, with the elements in
-    shortest-word order, each being element parent[i] followed by letter
-    last[i], or that letter alone at parent -1.
+def _words(letters: Sequence, n: int, alphabet: Sequence[str], count: int
+           ) -> tuple[list, list[tuple[str, ...]]]:
+    """The closure of n-state letters, in the encoding of _encode, with
+    the shortest word of each element, as far as its first count elements
+    (or a few more): images and words, in shortest-word order, each word
+    over alphabet, the letters' names.
 
-    The BFS walks the growing element list, after the empty word (index
-    -1), and takes each element in turn through every letter, since that
-    order is what makes each parent chain a shortest word (lex-least
-    among them).  It stops once the children of an element bring the
-    count to count or more, so it holds at most count + len(letters)
-    elements."""
+    The BFS walks the growing element list, after the empty word, and
+    takes each element in turn through every letter, since in that order
+    the element's word followed by the letter is a shortest word
+    (lex-least among them) of every element first found so.  It stops
+    once the children of an element bring the count to count or more, so
+    it holds at most count + len(letters) elements."""
     compose = _then(n)
-    indexed = tuple(enumerate(letters))
+    steps = tuple(zip(letters, ((a,) for a in alphabet)))
     seen = set()
     images: list = []
-    parent: list[int] = []
-    last: list[int] = []
-    for i, t in enumerate(chain((_identity(n),), images), -1):
+    words: list[tuple[str, ...]] = []
+    for t, word in zip(chain((_identity(n),), images), chain(((),), words)):
         if len(images) >= count:
             break
-        for a, g in indexed:
+        for g, a in steps:
             c = compose(t, g)
             if c not in seen:
                 seen.add(c)
                 images.append(c)
-                parent.append(i)
-                last.append(a)
-    return images, parent, last
+                words.append(word + a)
+    return images, words
 
 
 def _extend(letters: Sequence, n: int, base: set | frozenset) -> set:

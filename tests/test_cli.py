@@ -126,7 +126,7 @@ def test_analyze_closes_once_without_words(right4_file, monkeypatch, capsys):
     # sigma, mu and the histogram all come from the one closure classify
     # builds; every closure, through whichever binding of
     # transition_semigroup, runs semigroup._closure.  Only the sample
-    # words build a Cayley tree (semigroup._tree)
+    # words run the BFS that records words (semigroup._words)
     semigroup_module = importlib.import_module("syncomp.semigroup")
     calls = []
 
@@ -138,7 +138,7 @@ def test_analyze_closes_once_without_words(right4_file, monkeypatch, capsys):
             return real(*args, **kwargs)
         return call
 
-    for name in ("_closure", "_tree"):
+    for name in ("_closure", "_words"):
         monkeypatch.setattr(semigroup_module, name, counted(name))
     assert main(["analyze", right4_file, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 64
@@ -146,7 +146,7 @@ def test_analyze_closes_once_without_words(right4_file, monkeypatch, capsys):
     assert main(["analyze", right4_file, "--histogram"]) == 0
     assert calls == ["_closure"] * 2
     assert main(["analyze", right4_file, "--samples", "3"]) == 0
-    assert calls == ["_closure"] * 3 + ["_tree"]
+    assert calls == ["_closure"] * 3 + ["_words"]
 
 
 def test_sigma_readers_build_no_tree(right4_file, monkeypatch, capsys):
@@ -154,10 +154,10 @@ def test_sigma_readers_build_no_tree(right4_file, monkeypatch, capsys):
     # re-verified by transition_semigroup) and the tables all read the
     # closure's element set and level sizes alone
     def refuse(*args, **kwargs):
-        raise AssertionError("Cayley tree built")
+        raise AssertionError("words built")
 
     monkeypatch.setattr(importlib.import_module("syncomp.semigroup"),
-                        "_tree", refuse)
+                        "_words", refuse)
     assert classify(right_ideal_witness(4)).mu == 64
     assert sigma_of_language(left_ideal_witness(4)) == 67
     assert search_max_sigma(SearchTask("right", 4, 2)).max_sigma == 31
@@ -184,31 +184,32 @@ def test_analyze_json_samples_stay_valid_json(right4_file, capsys):
 
 def test_analyze_samples_build_only_their_own_words(tmp_path, monkeypatch,
                                                     capsys):
-    # the first K elements' parents lie among them, so K sample words need
-    # no word or Transformation of the other elements (sigma is 117,655
-    # here), and the tree stops once an element's children bring it to K
+    # each of the first K elements' words is the word of one found before
+    # it plus a letter, so K sample words need no word or Transformation of the
+    # other elements (sigma is 117,655 here), and the BFS stops once an
+    # element's children bring it to K
     d = left_ideal_witness(7)
     path = tmp_path / "left7.json"
     path.write_text(emit_dfa_json(d))
     semigroup_module = importlib.import_module("syncomp.semigroup")
-    built, trees = [], []
-    real, real_tree = Transformation.__post_init__, semigroup_module._tree
+    built, walks = [], []
+    real, real_words = Transformation.__post_init__, semigroup_module._words
 
     def counted(self):
         built.append(1)
         real(self)
 
-    def tree(*args):
-        images, parent, last = real_tree(*args)
-        trees.append(len(images))
-        return images, parent, last
+    def words(*args):
+        images, found = real_words(*args)
+        walks.append(len(images))
+        return images, found
 
     monkeypatch.setattr(Transformation, "__post_init__", counted)
-    monkeypatch.setattr(semigroup_module, "_tree", tree)
+    monkeypatch.setattr(semigroup_module, "_words", words)
     assert main(["analyze", str(path), "--samples", "3"]) == 0
     assert capsys.readouterr().out.count(" -> ") == 3
     assert len(built) < 1000
-    assert len(trees) == 1 and 3 <= trees[0] <= 3 + len(d.alphabet)
+    assert len(walks) == 1 and 3 <= walks[0] <= 3 + len(d.alphabet)
 
 
 def test_analyze_rejects_negative_samples(right4_file, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, reject, settings
@@ -14,7 +15,7 @@ from syncomp import (CapExceededError, Dfa, Transformation, classify,
                      right_ideal_witness, sigma_of_language, small_witness,
                      transition_semigroup, two_sided_witness, witness_words,
                      word_bfs_sigma, word_length_histogram)
-from syncomp.semigroup import _closure, _encode, _extend, _tree
+from syncomp.semigroup import _closure, _encode, _extend, _words
 
 
 def test_right_witness_semigroup_is_everything_fixing_the_sink():
@@ -142,23 +143,26 @@ def generator_tuples(draw):
 @settings(deadline=None)
 @given(generator_tuples())
 def test_closure_extends_the_closure_of_a_prefix(gens):
-    n = len(gens[0])
+    n, alphabet = len(gens[0]), "abcd"[:len(gens)]
     cap, codes = n ** n, [_encode(g) for g in gens]
-    plain = _tree(codes, n, cap)
-    # the shortest-word BFS, byte for byte
-    assert plain == _plain_bfs(gens)
-    assert _closure(codes, n, cap)[0] == set(plain[0])
+    images, parent, last = _plain_bfs(gens)
+    chains: list[tuple[str, ...]] = []
+    for p, a in zip(parent, last):
+        chains.append((chains[p] if p >= 0 else ()) + (alphabet[a],))
+    # the shortest-word BFS, byte for byte, each word the parent chain
+    assert _words(codes, n, alphabet, cap) == (images, chains)
+    assert _closure(codes, n, cap)[0] == set(images)
     # the element set, extended from the prefix's, which is copied, not
     # grown
     base = set(_closure(codes[:-1], n, cap)[0])
     kept = set(base)
-    assert _extend(codes, n, base) == set(plain[0])
+    assert _extend(codes, n, base) == set(images)
     assert base == kept
     # letter by letter from the empty closure of no letters
     grown = frozenset()
     for i in range(1, len(gens) + 1):
         grown = _extend(codes[:i], n, grown)
-    assert grown == set(plain[0])
+    assert grown == set(images)
 
 
 def test_default_cap_is_never_hit():
@@ -216,13 +220,28 @@ def test_closure_agrees_with_word_bfs_and_its_words(d):
     assert hist == dict(sorted(Counter(len(w)
                                        for w in sg.words.values()).items()))
     assert sum(hist.values()) == sg.sigma
-    # the level sizes are the depth counts of the Cayley tree
-    depth = []
-    for p in _tree(sg.letters, m.n, sg.sigma)[1]:
-        depth.append(depth[p] + 1 if p >= 0 else 1)
+    # the level sizes are the counts of the BFS's word lengths
+    depth = [len(w) for w in _words(sg.letters, m.n, m.alphabet, sg.sigma)[1]]
     assert sg.levels == tuple(Counter(depth)[i]
                               for i in range(1, len(sg.levels) + 1))
     assert len(depth) == sum(sg.levels)
+
+
+@settings(deadline=None)
+@given(random_dfas(max_n=4, min_k=1, max_k=3))
+def test_first_words_stop_early_at_every_count(d):
+    # the first c words are those of the full BFS, and the BFS that finds
+    # them stops once an element's children bring it to c elements
+    sg = transition_semigroup(minimize(d))
+    k = len(sg.alphabet)
+    full = _words(sg.letters, sg.n, sg.alphabet, sg.sigma)
+    for c in range(sg.sigma + 1):
+        assert (list(sg.first_words(c).items())
+                == list(islice(sg.words.items(), c)))
+        images, words = _words(sg.letters, sg.n, sg.alphabet, c)
+        assert c <= len(images) <= c + k
+        assert (images, words) == (full[0][:len(images)],
+                                   full[1][:len(images)])
 
 
 @pytest.mark.parametrize("build, expected", [
