@@ -188,6 +188,17 @@ def _moore_classes(rows: Sequence[tuple[int, ...]],
         cls = new
 
 
+def _is_minimal(rows: Sequence[tuple[int, ...]], n: int, initial: int,
+                finals: frozenset[int]) -> bool:
+    """Whether the DFA of the image rows, each of n entries, with the
+    initial state and finals in 0..n-1, is minimal: the walk from the
+    initial state reaches all n states and the Moore refinement splits
+    them all.  That is minimize(d).n == n, decided without building the
+    quotient."""
+    return (len(_reachable(rows, initial)) == n
+            and max(_moore_classes(rows, finals)) == n - 1)
+
+
 def minimize(d: Dfa) -> Dfa:
     """Unique minimal complete DFA, canonically numbered.
 

@@ -1,11 +1,13 @@
 """Ideal and closed-class classification of regular languages.
 
-Everything here works on the minimal DFA.  Right- and left-ideal
-membership are each decided twice, structurally on the automaton and
-semantically via a language equation (L = LΣ*, L = Σ*L), and one twin
+Everything here works on the minimal DFA, and the ideal tests on the
+image rows of a minimal DFA: (rows, n, initial, finals).  Right- and
+left-ideal membership are each decided twice, structurally on the rows
+and semantically via a language equation (L = LΣ*, L = Σ*L), and one twin
 rule, _twins, asserts that the two answers agree; both semantic tests are
 one product walk, _walk_agrees, with the automaton of LΣ* or Σ*L.  Prefix-
-and suffix-closure are the same two rules on the complement.  The reported
+and suffix-closure are the same two rules on the complement's rows, the
+same rows with the other finals.  The reported
 `bound` is the tightest provable sigma upper bound implied by the detected
 special quotients and unique-reachability flags; it is always sound
 (sigma <= bound), see _tightest_bound for the exact rule.
@@ -204,21 +206,24 @@ class ClassReport:
         return {k: v for k, v in vars(self).items() if k != "semigroup"}
 
 
-def _is_sink(d: Dfa | Semiautomaton, q: int) -> bool:
-    return all(d.delta[a](q) == q for a in d.alphabet)
+def _is_sink(rows: tuple[tuple[int, ...], ...], q: int) -> bool:
+    return all(g[q] == q for g in rows)
 
 
-def _special_quotients(md: Dfa, final: bool) -> tuple[bool, bool]:
-    """Whether md has a sink quotient of the given finality, and whether
-    it has a quotient of the other finality that every letter sends into
-    that sink: (Σ*, Σ⁺) when final, (∅, ε) when not."""
-    sink = next((q for q in range(md.n)
-                 if (q in md.finals) == final and _is_sink(md, q)), None)
+def _special_quotients(rows: tuple[tuple[int, ...], ...], n: int,
+                       finals: frozenset[int], final: bool
+                       ) -> tuple[bool, bool]:
+    """Whether the minimal DFA of the image rows has a sink quotient of
+    the given finality, and whether it has a quotient of the other
+    finality that every letter sends into that sink: (Σ*, Σ⁺) when final,
+    (∅, ε) when not."""
+    sink = next((q for q in range(n)
+                 if (q in finals) == final and _is_sink(rows, q)), None)
     if sink is None:
         return False, False
-    return True, any((q in md.finals) != final
-                     and all(md.delta[a](q) == sink for a in md.alphabet)
-                     for q in range(md.n))
+    return True, any((q in finals) != final
+                     and all(g[q] == sink for g in rows)
+                     for q in range(n))
 
 
 def _walk_agrees(rows: tuple[tuple[int, ...], ...], initial: int,
@@ -244,16 +249,18 @@ def _walk_agrees(rows: tuple[tuple[int, ...], ...], initial: int,
     return True
 
 
-def _twins(kind: str, md: Dfa, structural: Callable[..., bool],
+def _twins(kind: str, rows: tuple[tuple[int, ...], ...], n: int,
+           initial: int, finals: frozenset[int],
+           structural: Callable[..., bool],
            semantic: Callable[..., bool]) -> bool:
-    """The one twin rule: md, which must be minimal, is in the class iff
-    the structural test says so, and the semantic test must agree.  Both
-    are called as test(rows, n, initial, finals).  The empty language is
-    in no ideal class, and neither test runs on it."""
-    if md.n == 1 and not md.finals:
+    """The one twin rule: the DFA of the image rows, which must be those
+    of a minimal DFA, is in the class iff the structural test says so,
+    and the semantic test must agree.  Both are called as test(rows, n,
+    initial, finals).  The empty language is in no ideal class, and
+    neither test runs on it."""
+    if n == 1 and not finals:
         return False
-    args = (tuple(md.delta[a].images for a in md.alphabet), md.n,
-            md.initial, md.finals)
+    args = (rows, n, initial, finals)
     verdict = structural(*args)
     if semantic(*args) != verdict:
         raise AssertionError(f"{kind} checks disagree: structural={verdict}, "
@@ -276,9 +283,11 @@ def _right_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,
                         lambda q: q == lock)
 
 
-def _is_right_ideal(md: Dfa) -> bool:
-    """md must be minimal.  The structural test asks for exactly one final
-    state, a sink; the semantic walk must agree (_twins).
+def _is_right_ideal(rows: tuple[tuple[int, ...], ...], n: int,
+                    initial: int, finals: frozenset[int]) -> bool:
+    """The image rows must be those of a minimal DFA md.  The structural
+    test asks for exactly one final state, a sink; the semantic walk must
+    agree (_twins).
 
     The semantic walk decides L = LΣ*.  Let E be md with a fresh state n:
     E moves as md does until md would enter a final state, and then (or at
@@ -289,9 +298,9 @@ def _is_right_ideal(md: Dfa) -> bool:
     it meets a pair whose acceptance differs iff some word is in one of L
     and LΣ* but not the other.
     """
-    return _twins("right-ideal", md,
+    return _twins("right-ideal", rows, n, initial, finals,
                   lambda rows, n, initial, finals: len(finals) == 1
-                  and _is_sink(md, next(iter(finals))),
+                  and _is_sink(rows, next(iter(finals))),
                   _right_ideal_walk)
 
 
@@ -341,9 +350,10 @@ def _left_ideal_walk(rows: tuple[tuple[int, ...], ...], n: int,
                         lambda s: bool(s & final_mask))
 
 
-def _is_left_ideal(md: Dfa) -> bool:
-    """md must be minimal.  The structural test is _left_ideal_pairs; the
-    semantic walk must agree (_twins).
+def _is_left_ideal(rows: tuple[tuple[int, ...], ...], n: int,
+                   initial: int, finals: frozenset[int]) -> bool:
+    """The image rows must be those of a minimal DFA md.  The structural
+    test is _left_ideal_pairs; the semantic walk must agree (_twins).
 
     The semantic walk decides L = Σ*L.  For a word w let S(w) be the set
     of states md reaches from the initial state by the suffixes of w.
@@ -354,7 +364,8 @@ def _is_left_ideal(md: Dfa) -> bool:
     (md(w), S(w)) over all words w, so it meets a pair whose acceptance
     differs iff some word is in one of L and Σ*L but not the other.
     """
-    return _twins("left-ideal", md, _left_ideal_pairs, _left_ideal_walk)
+    return _twins("left-ideal", rows, n, initial, finals, _left_ideal_pairs,
+                  _left_ideal_walk)
 
 
 def _tightest_bound(n: int, pins: int, l_ur: bool, la_ur: bool) -> int:
@@ -380,31 +391,33 @@ def classify(d: Dfa, cap: int | None = None) -> ClassReport:
     md = minimize(d)
     # the cap stops an oversized DFA before the quadratic ideal tests run
     semigroup = transition_semigroup(md, cap=cap)
-    n = md.n
-    is_universal = n == 1 and bool(md.finals)
+    rows = tuple(md.delta[a].images for a in md.alphabet)
+    n, initial, finals = md.n, md.initial, md.finals
+    is_universal = n == 1 and bool(finals)
 
-    has_empty_q, has_epsilon_q = _special_quotients(md, False)
-    has_sigma_star_q, has_sigma_plus_q = _special_quotients(md, True)
+    has_empty_q, has_epsilon_q = _special_quotients(rows, n, finals, False)
+    has_sigma_star_q, has_sigma_plus_q = _special_quotients(rows, n, finals,
+                                                            True)
 
-    right = _is_right_ideal(md)
-    left = _is_left_ideal(md)
+    right = _is_right_ideal(rows, n, initial, finals)
+    left = _is_left_ideal(rows, n, initial, finals)
     two_sided = right and left
 
     if is_universal:
         prefix = suffix = factor = True
     else:
-        comp = complement(md)  # complement of a minimal DFA is minimal
-        prefix = _is_right_ideal(comp)
-        suffix = _is_left_ideal(comp)
+        # the complement of a minimal DFA is minimal, on the same rows
+        co_finals = complement(md).finals
+        prefix = _is_right_ideal(rows, n, initial, co_finals)
+        suffix = _is_left_ideal(rows, n, initial, co_finals)
         factor = prefix and suffix
 
     incoming = [0] * n
-    for a in md.alphabet:
+    for g in rows:
         for q in range(n):
-            incoming[md.delta[a](q)] += 1
-    l_ur = incoming[md.initial] == 0
-    la_ur = l_ur and any(incoming[md.delta[a](md.initial)] == 1
-                         for a in md.alphabet)
+            incoming[g[q]] += 1
+    l_ur = incoming[initial] == 0
+    la_ur = l_ur and any(incoming[g[initial]] == 1 for g in rows)
 
     pins = sum((has_empty_q, has_sigma_star_q, has_epsilon_q, has_sigma_plus_q))
     bound = _tightest_bound(n, pins, l_ur, la_ur)
@@ -457,12 +470,12 @@ def pair_graph_uniformity(s: Semiautomaton, sink: int) -> UniformMinimalityRepor
     """
     if not 0 <= sink < s.n:
         raise ValueError(f"sink {sink} out of range")
-    if not _is_sink(s, sink):
+    rows = tuple(s.delta[a].images for a in s.alphabet)
+    if not _is_sink(rows, sink):
         raise ValueError(f"state {sink} is not absorbing")
     others = [q for q in range(s.n) if q != sink]
     if not others:
         raise ValueError("need at least one non-sink state")
-    rows = [s.delta[a].images for a in s.alphabet]
 
     strongly_connected = all(set(others) <= set(_reachable(rows, p))
                              for p in others)

@@ -88,8 +88,10 @@ that came out below the best: that closure is closed under composition
 and holds P and c, so it holds <P, c>, whose sigma is below the best as
 well.  The Moore refinement that decides minimality runs only on the
 finals options of a tuple whose closure reaches the best.  Every
-witness is then re-verified by minimize, transition_semigroup and the
-ideal tests of its family alone, not by the whole of classify.
+witness is then re-verified on its image rows, by the package's single
+implementations: kappa by the reachability walk and the Moore
+refinement of automata, sigma by the closure of semigroup, and class by
+the ideal tests of its family alone, not by the whole of classify.
 """
 
 from __future__ import annotations
@@ -104,9 +106,9 @@ from itertools import chain, permutations, product, repeat
 from math import comb
 from operator import or_
 
-from .automata import Dfa, _moore_classes, minimize
+from .automata import Dfa, _is_minimal, _moore_classes
 from .classify import _is_left_ideal, _is_right_ideal
-from .semigroup import _encode, _extend, transition_semigroup
+from .semigroup import _encode, _extend, _sigma
 from .transform import Transformation
 
 __all__ = [
@@ -882,18 +884,24 @@ def _least_relabeling(group: list[tuple[int, ...]], witness: tuple) -> tuple:
 
 
 def _reverify(task: SearchTask, w: FoundWitness, expect_sigma: int) -> None:
-    """Confirm what a search result states of a witness, from the single
-    implementations: it is minimal with n states (minimize), its sigma is
-    the maximum (transition_semigroup of the minimal DFA), and it is in
-    the task's class (_is_right_ideal and/or _is_left_ideal, each of which
-    decides its ideal twice and asserts that the two agree).  classify
-    would also decide the complement's classes, the other ideal and the
-    special quotients, none of which a search result states."""
-    md = minimize(w.as_dfa())
-    if md.n != task.n:
-        raise AssertionError(f"witness not minimal with {task.n} states: {w}")
-    if transition_semigroup(md).sigma != expect_sigma:
+    """Confirm what a search result states of a witness, on its image rows
+    with initial state 0, from the single implementations: it is minimal
+    with n states (each row has n entries, each final is a state, and
+    automata._is_minimal: the reachability walk reaches all n states and
+    the Moore refinement splits them all), its sigma is the maximum (the
+    closure, semigroup._sigma), and it is in the task's class
+    (_is_right_ideal and/or _is_left_ideal, each of which decides its
+    ideal twice and asserts that the two agree).  A minimal DFA with n
+    states is its own minimal DFA up to renumbering, so no copy is built.
+    classify would also decide the complement's classes, the other ideal
+    and the special quotients, none of which a search result states."""
+    rows, n, finals = tuple(t.images for t in w.letters), task.n, w.finals
+    if not (all(len(g) == n for g in rows) and all(0 <= f < n for f in finals)
+            and _is_minimal(rows, n, 0, finals)):
+        raise AssertionError(f"witness not minimal with {n} states: {w}")
+    if _sigma(rows, n) != expect_sigma:
         raise AssertionError(f"witness sigma mismatch: {w}")
     right, left = _FAMILIES[task.family]
-    if right and not _is_right_ideal(md) or left and not _is_left_ideal(md):
+    if (right and not _is_right_ideal(rows, n, 0, finals)
+            or left and not _is_left_ideal(rows, n, 0, finals)):
         raise AssertionError(f"witness not in class {task.family}: {w}")

@@ -192,6 +192,13 @@ def _extend(letters: Sequence, n: int, base: set | frozenset) -> set:
     return seen
 
 
+def _sigma(rows: Sequence[Sequence[int]], n: int) -> int:
+    """The size of the closure of the n-state image rows, each encoded
+    for _closure here: the sigma of transition_semigroup, with no
+    SemigroupResult built."""
+    return len(_closure(tuple(map(_encode, rows)), n, None)[0])
+
+
 def transition_semigroup(d: Dfa, cap: int | None = None) -> SemigroupResult:
     """Closure of the letter actions of d under word-order composition,
     each letter encoded for the closure once: sigma, mu and the level

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 from collections import Counter
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -16,7 +17,8 @@ from syncomp import (Dfa, Semiautomaton, SearchTask, SizeMismatchError,
                      left_ideal_closure, left_ideal_witness,
                      left_witness_core, minimize, pair_graph_uniformity,
                      right_ideal_witness, ruled_out_count_brute,
-                     ruled_out_count_formula, transposition,
+                     ruled_out_count_formula, search_max_sigma,
+                     transposition,
                      two_sided_witness, uniformly_minimal,
                      verify_theorem9_pairing)
 from syncomp.classify import (_is_left_ideal, _is_right_ideal,
@@ -129,7 +131,7 @@ def test_left_ideal_twins_agree_on_every_minimal_binary_3(minimal_binary_3):
             right_walk, left_walk = _walks(m)
             left = _left_ideal_pairs(rows, m.n, m.initial, m.finals)
             assert left == left_walk == equivalent(m, left_ideal_closure(m)), m
-            right = _is_right_ideal(m)
+            right = _is_right_ideal(rows, m.n, m.initial, m.finals)
             assert right == right_walk == equivalent(m, _right_extension(m)), m
             left_ideals += left
             right_ideals += right
@@ -148,8 +150,10 @@ def test_ideal_walks_match_the_oracles(d):
     assert left == equivalent(d, left_ideal_closure(d))
     md = minimize(d)
     nonempty = bool(md.finals)
-    assert _is_right_ideal(md) == (nonempty and right)
-    assert _is_left_ideal(md) == (nonempty and left)
+    args = (tuple(md.delta[a].images for a in md.alphabet), md.n,
+            md.initial, md.finals)
+    assert _is_right_ideal(*args) == (nonempty and right)
+    assert _is_left_ideal(*args) == (nonempty and left)
     assert _walks(md) == (right, left)
 
 
@@ -190,25 +194,58 @@ def _always(*args):
     return True
 
 
-@pytest.mark.parametrize("target, fault, build, message", [
-    ("_left_ideal_pairs", _never, left_ideal_witness, "left-ideal"),
-    ("_left_ideal_walk", _never, left_ideal_witness, "left-ideal"),
-    ("_is_sink", _never, right_ideal_witness, "right-ideal"),
-    ("_right_ideal_walk", _never, right_ideal_witness, "right-ideal"),
-    ("_left_ideal_pairs", _always, right_ideal_witness, "left-ideal"),
-    ("_left_ideal_walk", _always, right_ideal_witness, "left-ideal"),
-    ("_is_sink", _always, left_ideal_witness, "right-ideal"),
-    ("_right_ideal_walk", _always, left_ideal_witness, "right-ideal"),
-], ids=["left-structural", "left-semantic", "right-structural",
-        "right-semantic", "left-structural-true", "left-semantic-true",
-        "right-structural-true", "right-semantic-true"])
-def test_disagreeing_twins_raise(monkeypatch, target, fault, build, message):
+_FAULTS = {
+    "left-structural": ("_left_ideal_pairs", _never, left_ideal_witness,
+                        "left-ideal"),
+    "left-semantic": ("_left_ideal_walk", _never, left_ideal_witness,
+                      "left-ideal"),
+    "right-structural": ("_is_sink", _never, right_ideal_witness,
+                         "right-ideal"),
+    "right-semantic": ("_right_ideal_walk", _never, right_ideal_witness,
+                       "right-ideal"),
+    "left-structural-true": ("_left_ideal_pairs", _always, right_ideal_witness,
+                             "left-ideal"),
+    "left-semantic-true": ("_left_ideal_walk", _always, right_ideal_witness,
+                           "left-ideal"),
+    "right-structural-true": ("_is_sink", _always, left_ideal_witness,
+                              "right-ideal"),
+    "right-semantic-true": ("_right_ideal_walk", _always, left_ideal_witness,
+                            "right-ideal"),
+}
+
+
+@pytest.mark.parametrize(
+    "target, fault, build, message, check",
+    [(*fault, check) for check in ("classify", "reverify")
+     for fault in _FAULTS.values()],
+    ids=[name + suffix for suffix in ("", "-reverify") for name in _FAULTS])
+def test_disagreeing_twins_raise(monkeypatch, target, fault, build, message,
+                                 check):
     # each fault turns the verdict into its opposite in one twin only: a
-    # member of the class is refused, or a language outside it admitted
+    # member of the class is refused, or a language outside it admitted.
+    # The re-check of a search witness meets the same twins on its rows:
+    # a witness of right (4,3) or left (3,4), the family's own or the
+    # other, put to the family of the faulty twin
+    if check == "reverify":
+        task, w, sigma = _search_witness(build)
+        family = message.partition("-")[0]
+        run = partial(_reverify, SearchTask(family, task.n, task.k), w, sigma)
+    else:
+        run = partial(classify, build(4))
     classify_module = importlib.import_module("syncomp.classify")
     monkeypatch.setattr(classify_module, target, fault)
     with pytest.raises(AssertionError, match=f"{message} checks disagree"):
-        classify(build(4))
+        run()
+
+
+@cache
+def _search_witness(build) -> tuple:
+    """(task, least witness, sigma) of right (4,3) for the right-ideal
+    witness family and of left (3,4) for the left-ideal one."""
+    result = search_max_sigma(
+        SearchTask(*{right_ideal_witness: ("right", 4, 3),
+                     left_ideal_witness: ("left", 3, 4)}[build]))
+    return result.task, result.witnesses[0], result.max_sigma
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from operator import or_
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import binary_3_sweep, dfa
+from conftest import binary_3_sweep, dfa, random_dfas
 from syncomp import (SearchTask, Transformation, classify, minimize,
                      search_max_sigma, sigma_of_language, small_witness,
                      transition_semigroup)
@@ -334,6 +335,10 @@ def test_found_witness_as_dfa_letters():
     ([(1, 0, 2), (0, 2, 2)], 7, "not in class two_sided"),
     # small_witness("left", 3, 2) is not two-sided either
     ([(0, 0, 1), (1, 2, 2)], 7, "not in class two_sided"),
+    # every state reachable, but 0 and 1 are Moore-equivalent
+    ([(1, 1, 2), (2, 2, 2)], 2, "not minimal with 3 states"),
+    # letters acting on 3 and on 2 states, the first reaching all three
+    ([(1, 2, 0), (1, 0)], 3, "not minimal with 3 states"),
 ])
 def test_reverification_refuses_what_it_cannot_confirm(letters, expect_sigma,
                                                        message):
@@ -345,6 +350,17 @@ def test_reverification_refuses_what_it_cannot_confirm(letters, expect_sigma,
                             frozenset({2}))
     with pytest.raises(AssertionError, match=message):
         search._reverify(SearchTask(family, 3, 2), w, expect_sigma)
+
+
+def test_reverification_refuses_a_final_outside_the_states():
+    # right_ideal_witness(3, "ad") passes with finals {2}; the Moore
+    # refinement alone would read {2, 3} as {2}, as no state 3 exists
+    letters = tuple(map(Transformation, [(1, 0, 2), (0, 2, 2)]))
+    task = SearchTask("right", 3, 2)
+    search._reverify(task, search.FoundWitness(letters, frozenset({2})), 7)
+    with pytest.raises(AssertionError, match="not minimal with 3 states"):
+        search._reverify(task,
+                         search.FoundWitness(letters, frozenset({2, 3})), 7)
 
 
 _FAMILIES = ("right", "left", "two_sided", "all")
@@ -377,6 +393,26 @@ def test_reverification_agrees_with_classify(family, n, k):
             search._reverify(SearchTask(family, n + 1, k), w, report.sigma)
 
 
+@settings(deadline=None)
+@given(random_dfas(max_n=4, min_k=1, max_k=3, min_n=1))
+def test_reverification_agrees_with_classify_on_any_dfa(d):
+    # the re-check decides minimality on the rows themselves, not through
+    # minimize: on any DFA with initial state 0, minimal or not, it passes
+    # for each family, at sigma and at sigma + 1, exactly where classify's
+    # kappa, sigma and flag say it holds
+    report = classify(d)
+    w = search.FoundWitness(tuple(d.delta[a] for a in d.alphabet), d.finals)
+    for family in _FAMILIES:
+        task = SearchTask(family, d.n, len(d.alphabet))
+        flag = family == "all" or getattr(report, f"is_{family}_ideal")
+        for s in (report.sigma, report.sigma + 1):
+            if report.kappa == d.n and report.sigma == s and flag:
+                search._reverify(task, w, s)
+            else:
+                with pytest.raises(AssertionError):
+                    search._reverify(task, w, s)
+
+
 @pytest.mark.parametrize("family, right, left", [
     ("right", 1, 0), ("left", 0, 1), ("two_sided", 1, 1), ("all", 0, 0),
 ])
@@ -384,9 +420,13 @@ def test_reverification_runs_only_the_checks_it_states(monkeypatch, family,
                                                        right, left):
     # one witness of the family's (3,2) cell: the class tests of its own
     # family only, and none of classify's complement-side tests.  Its
-    # sigma comes from transition_semigroup, never from _extend (through
-    # either binding), which gave the search its sigma
+    # sigma comes from one run of the closure, semigroup._closure, never
+    # from _extend (through either binding), which gave the search its
+    # sigma.  It builds no Dfa, no minimized copy and no SemigroupResult,
+    # here or on any witness of right (4,3), the cell with the most
     w = search_max_sigma(SearchTask(family, 3, 2)).witnesses[0]
+    sigma = transition_semigroup(w.as_dfa()).sigma
+    many = search_max_sigma(SearchTask("right", 4, 3))
     calls = []
     classify_module = importlib.import_module("syncomp.classify")
     semigroup_module = importlib.import_module("syncomp.semigroup")
@@ -406,10 +446,26 @@ def test_reverification_runs_only_the_checks_it_states(monkeypatch, family,
     for module in (search, semigroup_module):
         monkeypatch.setattr(module, "_extend",
                             counted("_extend", getattr(module, "_extend")))
-    search._reverify(SearchTask(family, 3, 2), w,
-                     transition_semigroup(w.as_dfa()).sigma)
-    assert sorted(calls) == ["_is_left_ideal"] * left + \
+    monkeypatch.setattr(semigroup_module, "_closure",
+                        counted("_closure", semigroup_module._closure))
+
+    def built(*args, **kwargs):
+        raise AssertionError("the re-check built an automaton or a result")
+
+    monkeypatch.setattr(search.FoundWitness, "as_dfa", built)
+    for module in ("automata", "classify", "semigroup", "search"):
+        module = importlib.import_module(f"syncomp.{module}")
+        for name in ("minimize", "transition_semigroup"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, built)
+    search._reverify(SearchTask(family, 3, 2), w, sigma)
+    assert sorted(calls) == ["_closure"] + ["_is_left_ideal"] * left + \
         ["_is_right_ideal"] * right
+    calls.clear()
+    for v in many.witnesses:
+        search._reverify(many.task, v, many.max_sigma)
+    assert calls.count("_closure") == len(many.witnesses) == 324
+    assert "_extend" not in calls
     search_max_sigma(SearchTask(family, 2, 1))  # counting is live
     assert "_extend" in calls
 
@@ -1141,8 +1197,10 @@ def _brute(family: str, n: int, k: int) -> tuple:
     for gens in product(letters, repeat=k):
         for f in options:
             md = minimize(dfa(gens, f))
-            if (md.n < n or right and not _is_right_ideal(md)
-                    or left and not _is_left_ideal(md)):
+            args = (tuple(md.delta[a].images for a in md.alphabet), md.n,
+                    md.initial, md.finals)
+            if (md.n < n or right and not _is_right_ideal(*args)
+                    or left and not _is_left_ideal(*args)):
                 continue
             sigma = transition_semigroup(md).sigma
             if sigma > best:
